@@ -135,9 +135,8 @@ let run_cmd =
     Arg.(
       value & flag
       & info [ "no-compile" ]
-          ~doc:"skip schedule compilation and run every rule through the interpreted step path \
-                (port bookkeeping + undo logging); results are bit-identical to the compiled \
-                schedule")
+          ~doc:"skip schedule compilation and run every rule with full port bookkeeping; \
+                results are bit-identical to the compiled schedule")
   in
   let compile_audit =
     Arg.(
@@ -145,8 +144,8 @@ let run_cmd =
       & info [ "compile-audit" ]
           ~doc:"run interpreted while dynamically discharging the schedule compiler's proof \
                 obligations (declared footprints cover every tracked access; admissible rules \
-                never Retry; total rules never roll back tracked writes), then print the \
-                conflict-matrix report; exits 3 on a violated obligation")
+                never Retry), then print the conflict-matrix report; exits 3 on a violated \
+                obligation")
   in
   let obs_konata =
     Arg.(

@@ -26,7 +26,6 @@ type ops = {
   bo_reset_eport : unit -> unit;
   bo_reset_dport : unit -> unit;
   bo_touch : unit -> unit; (* wake rules parked on the FIFO's signal *)
-  bo_refresh : unit -> unit; (* the FIFO's own end-of-cycle snapshot hook *)
 }
 
 (* Domain-local armed collector: [note] is a no-op unless the calling

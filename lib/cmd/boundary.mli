@@ -28,7 +28,6 @@ type ops = {
   bo_reset_eport : unit -> unit;
   bo_reset_dport : unit -> unit;
   bo_touch : unit -> unit;  (** wake rules parked on the FIFO's signal *)
-  bo_refresh : unit -> unit;  (** the FIFO's own end-of-cycle snapshot hook *)
 }
 
 (** Called by {!Fifo.cf} at construction; a no-op outside {!collecting}. *)

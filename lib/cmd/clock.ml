@@ -62,8 +62,9 @@ let tick t =
 (* Epoch support: the same hooks, grouped by the partition that registered
    them (oldest-first within a group, as in [tick]). The epoch engine runs
    group [p] after each of partition [p]'s local cycles and group 0 after
-   each uncore replay cycle, so every hook still runs exactly once per
-   simulated cycle, on the domain that owns its primitives. *)
+   each uncore replay cycle, except the window's last cycle, whose hooks
+   all run in the closing [tick]; so every hook still runs exactly once per
+   simulated cycle. *)
 let hooks_by_partition t =
   match t.split with
   | Some s -> s
@@ -76,7 +77,7 @@ let hooks_by_partition t =
     s
 
 (* Advance time without running any hooks: the epoch engine has already run
-   each partition's hook group once per local cycle. *)
+   each hook group for those cycles. *)
 let advance t ~cycles =
   t.now <- t.now + cycles;
   t.uid <- t.uid + cycles

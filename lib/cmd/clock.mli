@@ -25,10 +25,10 @@ val now : t -> int
 val uid : t -> int
 
 (** Set the calling domain's clock skew: {!now} and {!uid} return their
-    base value plus this offset. The epoch engine ([Sim ~epoch]) sets it to
-    the local cycle index while a partition free-runs (and while the uncore
-    replays), and back to 0 at every synchronization point. Defaults to 0;
-    single-cycle execution never touches it. *)
+    base value plus this offset. The window engine ([Sim]) sets it to the
+    local cycle index while a partition free-runs (and while the uncore
+    replays), and back to 0 at every synchronization point. Defaults to 0,
+    and stays 0 in windows of one cycle. *)
 val set_skew : int -> unit
 
 (** Register a hook to run at the end of every cycle. The hook is tagged
@@ -43,10 +43,11 @@ val tick : t -> unit
 (** The registered hooks grouped by owning partition, oldest-first within a
     group; index [p] holds partition [p]'s hooks. The array is cached and
     rebuilt on registration. The epoch engine runs group [p] after each of
-    partition [p]'s local cycles, so hooks run exactly once per simulated
-    cycle on the domain that owns their primitives. *)
+    partition [p]'s local cycles but the window's last, on the domain that
+    owns their primitives; the window close runs every group once through
+    {!tick}, so hooks run exactly once per simulated cycle. *)
 val hooks_by_partition : t -> (unit -> unit) array array
 
 (** Advance [now] and [uid] by [cycles] without running any hooks — the
-    epoch engine has already run each hook group once per local cycle. *)
+    epoch engine has already run each hook group for those cycles. *)
 val advance : t -> cycles:int -> unit

@@ -62,8 +62,7 @@ let read ctx t p =
 let write ctx t p v =
   Kernel.record_write ctx t.cell p;
   let old = t.v in
-  if Kernel.logging ctx then Kernel.on_abort ctx (fun () -> t.v <- old)
-  else Kernel.note_elided ctx;
+  Kernel.on_abort ctx (fun () -> t.v <- old);
   if v != old then Wakeup.touch t.sg;
   t.v <- v
 

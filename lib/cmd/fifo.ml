@@ -172,8 +172,7 @@ let cf ?name ?lookahead clk ~capacity () =
       dport := dp);
   let bump ctx r =
     let old = !r in
-    if Kernel.logging ctx then Kernel.on_abort ctx (fun () -> r := old)
-    else Kernel.note_elided ctx;
+    Kernel.on_abort ctx (fun () -> r := old);
     r := old + 1;
     old
   in
@@ -264,7 +263,6 @@ let cf ?name ?lookahead clk ~capacity () =
       bo_reset_eport = (fun () -> eport := 0);
       bo_reset_dport = (fun () -> dport := 0);
       bo_touch = (fun () -> Wakeup.touch sg);
-      bo_refresh = refresh_snaps;
     };
   { nm; cap; sg; tk_enq; tk_deq; prim; a_enq; a_deq; a_first; a_can_enq; a_can_deq; a_clear;
     enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; list_f }

@@ -43,24 +43,15 @@ type ctx = {
      sequences (and the equivalence tests check). *)
   mutable pkey : int;
   mutable pexempt : int -> bool;
-  (* Compiled-schedule tier flags (Sim). [chk] gates the per-cell port
+  (* Compiled-schedule flag (Sim). [chk] gates the per-cell port
      admissibility bookkeeping: the schedule compiler clears it for rules
      whose every conflict pair is statically admissible, so no access of
-     theirs can raise or contribute to a [Retry]. [log] gates the undo
-     arena: cleared only for rules additionally proven abort-free (total);
-     elided entries are counted in [dropped] so a wrong totality claim
-     turns into a hard [Conflict_error] instead of a silent divergence. *)
+     theirs can raise or contribute to a [Retry]. *)
   mutable chk : bool;
-  mutable log : bool;
-  mutable dropped : int;
-  (* Compile-audit instrumentation (cold: all stay 0/None in normal runs).
-     [vundo] counts value-undo registrations, distinguishing them from the
-     kernel's own bookkeeping undos; [retries] counts Retry raises;
-     [audit_total] marks the current rule as claiming abort-free commits;
-     [fp_check] is called on every tracked access with the touched cell. *)
-  mutable vundo : int;
+  (* Compile-audit instrumentation (cold: stays 0/None in normal runs).
+     [retries] counts Retry raises; [fp_check] is called on every tracked
+     access with the touched cell. *)
   mutable retries : int;
-  mutable audit_total : bool;
   mutable fp_check : (cell -> write:bool -> unit) option;
 }
 
@@ -92,11 +83,7 @@ let make_ctx clk =
     pkey = -1;
     pexempt = (fun _ -> false);
     chk = true;
-    log = true;
-    dropped = 0;
-    vundo = 0;
     retries = 0;
-    audit_total = false;
     fp_check = None;
   }
 
@@ -112,17 +99,12 @@ let set_audit_key ctx k = ctx.pkey <- k
 let set_audit_exempt ctx f = ctx.pexempt <- f
 let partition_audit ctx = ctx.paudit
 
-let set_tier ctx ~chk ~log =
-  ctx.chk <- chk;
-  ctx.log <- log;
-  ctx.dropped <- 0
+let set_checked ctx b = ctx.chk <- b
 
 let cell_prim c = c.prim
 let cell_name c = c.cell_name
 let set_cell_prim c pid = c.prim <- pid
 let retries ctx = ctx.retries
-let dropped ctx = ctx.dropped
-let set_total_audit ctx b = ctx.audit_total <- b
 let set_fp_check ctx f = ctx.fp_check <- f
 
 let overlap_fail ctx c all =
@@ -156,10 +138,7 @@ let audit_touch ctx c ~write =
   if c.p_wmask <> 0 && all land (all - 1) <> 0 then overlap_fail ctx c all
   end
 
-(* Kernel-internal push, used for the port-bookkeeping undos of
-   [record_read]/[record_write]; those run only when [chk] is set, and a
-   checked rule always logs, so no gating here. *)
-let push_undo ctx f =
+let on_abort ctx f =
   let n = ctx.undo_len in
   if n = Array.length ctx.undo then begin
     let bigger = Array.make (2 * n) no_undo in
@@ -168,24 +147,6 @@ let push_undo ctx f =
   end;
   ctx.undo.(n) <- f;
   ctx.undo_len <- n + 1
-
-(* Value undos from module code. When the schedule compiler has switched
-   logging off (a rule proven total), the entry is elided but counted, so
-   an abort that would have needed it is a hard error (see [attempt]). *)
-let on_abort ctx f =
-  if ctx.log then begin
-    ctx.vundo <- ctx.vundo + 1;
-    push_undo ctx f
-  end
-  else ctx.dropped <- ctx.dropped + 1
-
-(* Allocation-free variant of the elided path: primitives that sit on the
-   per-cycle hot path ([Ehr.write], [Mut.set]) test [logging] first so the
-   undo closure is never even allocated when the schedule compiler has
-   switched the log off (tier A). The elision still counts into [dropped],
-   keeping the wrong-totality check exact. *)
-let logging ctx = ctx.log
-let note_elided ctx = ctx.dropped <- ctx.dropped + 1
 
 let access_count ctx = ctx.accesses
 let undo_depth ctx = ctx.undo_len
@@ -233,7 +194,7 @@ let record_read ctx c port =
     if port > c.max_r then begin
       let old = c.max_r in
       c.max_r <- port;
-      push_undo ctx (fun () -> c.max_r <- old)
+      on_abort ctx (fun () -> c.max_r <- old)
     end
   end
 
@@ -247,7 +208,7 @@ let record_write ctx c port =
       retry ctx c "write" port;
     ctx.accesses <- ctx.accesses + 1;
     let old_w = c.max_w and old_mask = c.w_mask in
-    push_undo ctx (fun () ->
+    on_abort ctx (fun () ->
         c.max_w <- old_w;
         c.w_mask <- old_mask);
     c.max_w <- port;
@@ -272,24 +233,9 @@ let rollback_to ctx mark =
 let rollback ctx = rollback_to ctx 0
 
 let attempt ctx f =
-  let save = ctx.undo_len and sdrop = ctx.dropped and svundo = ctx.vundo in
+  let save = ctx.undo_len in
   match f ctx with
   | r -> Some r
   | exception (Guard_fail _ | Retry _) ->
-    (* Aborting with elided undos means the totality proof obligation the
-       schedule compiler relied on is false: state is already corrupt, so
-       fail hard rather than continue silently diverged. *)
-    if ctx.dropped > sdrop then
-      raise
-        (Conflict_error
-           (Printf.sprintf
-              "rule %s: abort after %d unlogged write(s) in a no-rollback (total) compiled tier; the ~total declaration is wrong for this schedule"
-              ctx.rule (ctx.dropped - sdrop)));
-    if ctx.audit_total && ctx.vundo > svundo then
-      raise
-        (Compile_audit_fail
-           (Printf.sprintf
-              "rule %s claims ~total but aborted after %d tracked write(s); the claim would corrupt state under tier-A compilation"
-              ctx.rule (ctx.vundo - svundo)));
     rollback_to ctx save;
     None

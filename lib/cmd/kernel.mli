@@ -43,7 +43,7 @@ exception Conflict_error of string
 exception Partition_overlap of string
 
 (** Raised by the compile audit ([Sim.create ~compile_audit:true]) when a
-    rule's declared footprint or totality claim is contradicted by an actual
+    rule's declared footprint is contradicted by an actual
     access — the dynamic discharge of the schedule compiler's proof
     obligations. *)
 exception Compile_audit_fail of string
@@ -110,14 +110,11 @@ val set_audit_exempt : ctx -> (int -> bool) -> unit
 (** {2 Compiled-schedule support (used by [Sim])}
 
     The schedule compiler proves, per rule, that the per-cell admissibility
-    bookkeeping ([chk]) and/or the undo arena ([log]) are unnecessary, and
-    clears the corresponding flag before running the rule's body. Both
-    default to [true]; with both set the kernel behaves exactly as before.
-    Clearing [log] elides value undos but counts them, so an abort that
-    would have needed one raises {!Conflict_error} from {!attempt} instead
-    of silently leaving corrupt state. *)
+    bookkeeping is unnecessary, and runs the rule's body with [checked]
+    cleared. It defaults to [true]; the undo arena is kept either way, so
+    guard aborts still roll back. *)
 
-val set_tier : ctx -> chk:bool -> log:bool -> unit
+val set_checked : ctx -> bool -> unit
 
 (** Owning [Conflict.prim] pid of a cell; [-1] until adopted by a primitive
     wrapper (EHR, FIFO, …). Used by the compile audit to map accesses back
@@ -132,15 +129,6 @@ val cell_name : cell -> string
 (** Number of {!Retry} raises observed on this context (monotonic; the
     compile audit diffs it around each rule attempt). *)
 val retries : ctx -> int
-
-(** Undo registrations elided since the last {!set_tier}; any abort while
-    this is positive means irreversibly lost rollback state. *)
-val dropped : ctx -> int
-
-(** Mark the currently executing rule as claiming [~total] (abort-free
-    commits) under audit: an {!attempt} abort that rolls back tracked
-    writes then raises {!Compile_audit_fail}. *)
-val set_total_audit : ctx -> bool -> unit
 
 (** Install a hook called on every tracked access with the touched cell
     ([write] says in which direction); the compile audit uses it to verify
@@ -157,14 +145,6 @@ val record_write : ctx -> cell -> int -> unit
 (** [on_abort ctx undo] registers [undo] to run if the enclosing rule (or
     {!attempt}) aborts. State primitives call this before each mutation. *)
 val on_abort : ctx -> (unit -> unit) -> unit
-
-(** True when undo logging is on (the default; the schedule compiler turns
-    it off for tier-A rules). Hot-path primitives branch on this before
-    building their undo closure, so an elided undo costs no allocation;
-    when false, call {!note_elided} instead of {!on_abort}. *)
-val logging : ctx -> bool
-
-val note_elided : ctx -> unit
 
 (** [guard ctx ok msg] raises [Guard_fail msg] when [ok] is false. Guards are
     how methods refuse to be applied before they are ready (paper, Sec. III). *)

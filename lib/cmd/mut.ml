@@ -1,35 +1,24 @@
-(* Every setter branches on [Kernel.logging] before building its undo
-   closure: under tier-A compilation (log off) the elision is then
-   allocation-free, which is the point of the tier. *)
-
 let set ctx r v =
   let old = !r in
-  if Kernel.logging ctx then Kernel.on_abort ctx (fun () -> r := old)
-  else Kernel.note_elided ctx;
+  Kernel.on_abort ctx (fun () -> r := old);
   r := v
 
 let set_arr ctx a i v =
   let old = a.(i) in
-  if Kernel.logging ctx then Kernel.on_abort ctx (fun () -> a.(i) <- old)
-  else Kernel.note_elided ctx;
+  Kernel.on_abort ctx (fun () -> a.(i) <- old);
   a.(i) <- v
 
 let field ctx ~get ~set v =
   let old = get () in
-  if Kernel.logging ctx then Kernel.on_abort ctx (fun () -> set old)
-  else Kernel.note_elided ctx;
+  Kernel.on_abort ctx (fun () -> set old);
   set v
 
 let blit ctx ~src ~src_pos ~dst ~dst_pos ~len =
-  if Kernel.logging ctx then begin
-    let old = Bytes.sub dst dst_pos len in
-    Kernel.on_abort ctx (fun () -> Bytes.blit old 0 dst dst_pos len)
-  end
-  else Kernel.note_elided ctx;
+  let old = Bytes.sub dst dst_pos len in
+  Kernel.on_abort ctx (fun () -> Bytes.blit old 0 dst dst_pos len);
   Bytes.blit src src_pos dst dst_pos len
 
 let set_int64 ctx b off v =
   let old = Bytes.get_int64_le b off in
-  if Kernel.logging ctx then Kernel.on_abort ctx (fun () -> Bytes.set_int64_le b off old)
-  else Kernel.note_elided ctx;
+  Kernel.on_abort ctx (fun () -> Bytes.set_int64_le b off old);
   Bytes.set_int64_le b off v

@@ -49,21 +49,12 @@ type t = {
       (** conflict footprint: every tracked primitive method the body may
           call, as [Conflict.atom]s; [None] = opaque (conflicts with
           everything, disables schedule compilation for the whole design) *)
-  total : bool;
-      (** claims the body never aborts after a tracked write when attempted
-          (guards, if any, fail before mutating); lets the compiler drop
-          the undo log. Verified by [--compile-audit], backstopped by a
-          hard error at run time *)
   mutable fired : int;  (** cycles in which the rule fired *)
   mutable guard_failed : int;  (** attempts aborted by a guard *)
   mutable conflicted : int;  (** attempts aborted by an intra-cycle conflict *)
   mutable skipped : int;  (** attempts pruned by the fast path *)
   mutable parked : bool;  (** scheduler state: waiting on [watches] *)
   mutable park_sum : int;  (** generation sum at park time *)
-  mutable last_fired : int;
-      (** cycle of the most recent fire, -1 if never; maintained by the
-          parallel executor so the firing history can be reconstructed in
-          global schedule order after the barrier *)
   mutable rid : int;
       (** stable small-integer id assigned by an observability sink when a
           rule trace is attached (creation-order index into [Sim.rules]);
@@ -75,7 +66,6 @@ val make :
   ?watches:Wakeup.signal list ->
   ?touches:Partition.token list ->
   ?fp:Conflict.atom list ->
-  ?total:bool ->
   ?vacuous:bool ->
   string ->
   (Kernel.ctx -> unit) ->

@@ -51,7 +51,7 @@ module Pool = struct
     if p.remaining = 0 then Condition.signal p.done_cv;
     Mutex.unlock p.m
 
-  (* Tasks trap their own exceptions (see [run_part]); the catch-all here
+  (* Tasks trap their own exceptions (see [free_run]); the catch-all here
      only guards against a raising task deadlocking the barrier. The array
      is re-read and bounds-checked because [shutdown] may clear it between
      a worker claiming an index and executing it. *)
@@ -162,18 +162,6 @@ end
 
 (* ---------------------------------------------------------------------- *)
 
-(* One parallel partition: its rules in schedule order, a private
-   transaction context (own undo arena, stats shard, partition id), and the
-   per-cycle results its domain publishes at the barrier. *)
-type part = {
-  pid : int;
-  pctx : Kernel.ctx;
-  porder : Rule.t array; (* refilled in place in Shuffle mode *)
-  mutable pfired : int;
-  mutable pexn : exn option;
-  pfires : int array; (* epoch mode: fires per local window cycle *)
-}
-
 (* One cross-partition boundary FIFO under epoch execution. [eb_fwd] says
    the partition owns the enq side (requests flowing into the uncore);
    otherwise the partition owns the deq side (responses flowing out).
@@ -191,53 +179,52 @@ type ebnd = {
   mutable eb_vis : int; (* visibility value currently installed *)
 }
 
+(* One group of rules run on a private transaction context (own undo arena,
+   stats shard, partition id). A partitioned run has one group per core
+   partition plus the uncore group (pid 0); a serial run has only the
+   uncore group, holding every rule. *)
+type group = {
+  pid : int;
+  gctx : Kernel.ctx;
+  gbnds : ebnd array; (* boundaries this partition owns *)
+  gfires : int array; (* partitions: fires per window cycle *)
+  mutable k : int; (* window cycle being run *)
+  mutable cyc : int; (* its architectural cycle *)
+  mutable exn : exn option; (* raised during a partition's free-run *)
+}
+
 type t = {
   clk : Clock.t;
   rule_list : Rule.t list;
   order : Rule.t array; (* attempt order; permuted in Shuffle mode *)
   mode : mode;
   mutable rng : Random.State.t option; (* mutable for [reseed] and restore *)
-  ctx : Kernel.ctx; (* one reusable transaction context for all attempts *)
-  fastpath : bool; (* consult can_fire / park on watches *)
-  audit : bool; (* never skip; dynamically check the can_fire contract *)
+  ctx : Kernel.ctx; (* the uncore group's context *)
   jobs : int;
-  paudit : bool; (* serial execution + per-partition cell-touch audit *)
-  par : bool; (* partitioned parallel execution active *)
-  stats : Stats.t option; (* merged at the cycle barrier when [par] *)
-  parts : part array; (* parallel partitions (pid >= 1), ascending *)
-  order_of_pid : Rule.t array array; (* pid -> that partition's order *)
-  fill : int array; (* scratch fill pointers for Shuffle refills *)
-  mutable tasks : (unit -> unit) array; (* one per part, reused *)
-  (* Epoch execution (lookahead windows). [elen] > 1 activates the window
-     engine: partitions free-run [elen] cycles between barriers, then the
-     uncore replays the window cycle-by-cycle against the recorded boundary
-     trajectories. [epar] adds pool dispatch; with it off (jobs 1, or the
-     partition audit) the same engine runs inline in pid order, which is
-     what makes results bit-identical at any [--jobs]. *)
+  paudit : bool; (* per-partition cell-touch audit *)
+  stats : Stats.t option; (* merged at the window close; partitioned runs only *)
+  (* The window engine (see [cycle_window]). A window runs [elen] cycles:
+     the partition groups free-run them — on the pool when [pool], inline
+     in pid order otherwise, which is what makes results bit-identical at
+     any [--jobs] — and the uncore group replays them cycle by cycle. *)
   elen : int;
-  epar : bool;
+  pool : bool;
+  parts : group array; (* partition groups (pid >= 1), ascending *)
+  uncore : group;
   ebnds : ebnd array; (* all cross-partition boundaries *)
-  ebnds_of_pid : ebnd array array; (* boundaries owned by each partition *)
   gorders : Rule.t array array; (* per window cycle: global order *)
   eorders : Rule.t array array array; (* per window cycle: per-pid orders *)
-  mutable efmask : int array; (* by rid: bitmask of window cycles fired *)
+  fill : int array; (* scratch fill pointers for Shuffle refills *)
+  mutable tasks : (unit -> unit) array; (* one per partition, reused *)
+  mutable runners : (int -> int) array; (* by rid, see [mk_runner] *)
+  fmask : int array; (* by rid: window cycles fired, while history is on *)
   mutable n_cycles : int;
   mutable fires : int;
   mutable rr : int; (* rotating start offset for One_per_cycle fairness *)
-  (* Schedule compilation (serial Multi/Shuffle with the fast path only).
-     [crunners] holds one specialized per-rule step closure per rule,
-     indexed by [Rule.rid]; empty = interpreted. [cfired]/[cnames] are the
-     compiled cycle's scratch accumulators (the closures write them
-     directly instead of threading refs). *)
-  caudit : bool; (* compile-audit: interpreted run verifying declarations *)
-  mutable crunners : (unit -> unit) array;
-  mutable cfired : int;
-  mutable cnames : string list;
-  mutable cstats : int * int * int; (* rules in tier A / tier B / interpreted *)
-  mutable cwhy : string; (* one-line compile status for reports *)
-  mutable creport : string; (* tier table + conflict-matrix dump *)
-  mutable cchk_free : bool array; (* by rid; consulted by the compile audit *)
-  mutable cfp_hooks : (Kernel.cell -> write:bool -> unit) option array; (* by rid *)
+  compiled : bool; (* some runner skips port bookkeeping *)
+  cstats : int * int; (* rules unchecked / interpreted *)
+  cwhy : string; (* one-line compile status for reports *)
+  creport : string; (* tier table + conflict-matrix dump *)
   (* observability (verification layer): a ring buffer of which rules fired
      each cycle, monitors that watch liveness, and post-cycle checks *)
   mutable history : (int * string list) array; (* (cycle, fired rule names) *)
@@ -334,19 +321,17 @@ let classify_boundaries owner boundaries =
     boundaries
 
 (* Refill per-partition order arrays from a (possibly just shuffled) global
-   order, one pass, preserving relative order — so the parallel schedule
+   order, one pass, preserving relative order — so the partitioned schedule
    permutes exactly like the serial one. *)
-let refill_orders t (src : Rule.t array) (dst : Rule.t array array) =
-  Array.fill t.fill 0 (Array.length t.fill) 0;
+let refill_orders fill (src : Rule.t array) (dst : Rule.t array array) =
+  Array.fill fill 0 (Array.length fill) 0;
   for i = 0 to Array.length src - 1 do
     let r = Array.unsafe_get src i in
     let pid = r.Rule.part in
-    let k = t.fill.(pid) in
+    let k = fill.(pid) in
     dst.(pid).(k) <- r;
-    t.fill.(pid) <- k + 1
+    fill.(pid) <- k + 1
   done
-
-let refill_partition_orders t = refill_orders t t.order t.order_of_pid
 
 (* ---------------------------------------------------------------------- *)
 (* Schedule compilation                                                   *)
@@ -354,13 +339,9 @@ let refill_partition_orders t = refill_orders t t.order t.order_of_pid
 (* At elaboration, derive the pairwise conflict matrix from the rules'    *)
 (* declared footprints and classify every rule:                           *)
 (*                                                                        *)
-(*   tier A  — conflict-admissible in the static order AND declared       *)
-(*             [~total]: runs with neither port bookkeeping nor undo      *)
-(*             logging (a wrong totality claim is a hard error, not a     *)
-(*             silent divergence — see [Kernel.attempt]);                 *)
-(*   tier B  — conflict-admissible: port bookkeeping off, undo log on     *)
-(*             (guard aborts still roll back);                            *)
-(*   interp  — everything else falls back to the fully checked path.      *)
+(*   unchecked — conflict-admissible: port bookkeeping off, undo log on   *)
+(*               (guard aborts still roll back);                          *)
+(*   interp    — everything else runs the fully checked path.             *)
 (*                                                                       *)
 (* "Conflict-admissible" means: the rule's own atoms admit an execution   *)
 (* order, and every pair it forms with another rule is admissible in the  *)
@@ -437,7 +418,7 @@ let analyze_schedule ~shuffled (rules_arr : Rule.t array) =
 
 let render_compile_report (rules_arr : Rule.t array) an ~tier =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "rule tiers (A = unchecked+unlogged, B = unchecked, I = interpreted):\n";
+  Buffer.add_string b "rule tiers (U = unchecked, I = interpreted):\n";
   Array.iteri
     (fun i (r : Rule.t) ->
       Buffer.add_string b
@@ -529,58 +510,95 @@ let mk_fp_hook (r : Rule.t) =
                   (if write then "write" else "read")
                   (Kernel.cell_name c) pid)))
 
-(* One specialized per-rule step closure. [chk]/[log] are the kernel tier
-   flags this rule runs under (both true = interpreted-but-compiled: the
-   closure still saves the per-rule dispatch work of the generic loop).
-   Compilation requires [fastpath] and excludes audit modes and
-   One_per_cycle, so the skip path applies unconditionally and there is no
-   [stop] bookkeeping. Accounting mirrors [cycle_serial] exactly — fire
-   counts, history, rule traces and the fired-nothing [Conflict_error]
-   escalation — which is what makes compiled runs bit-identical. *)
-let mk_runner t (r : Rule.t) ~chk ~log =
-  let ctx = t.ctx in
-  fun () ->
-    if should_skip r then begin
+(* The slow oracles, as a wrapper around a rule's body. The partition audit
+   tags the context with the rule's partition. The scheduler audit checks
+   the one-sided can_fire contract: [false] must imply the body cannot
+   commit anything this cycle. The compile audit ([caudit] = this rule's
+   footprint-coverage hook and whether the analysis classified it
+   conflict-admissible) fails a classified rule that raises Retry, even one
+   swallowed by an inner [attempt]. *)
+let audited_body t (r : Rule.t) ~audit ~paudit ~caudit ctx =
+  if paudit then Kernel.set_partition ctx r.Rule.part;
+  let claimed = (not audit) || match r.Rule.can_fire with None -> true | Some p -> p () in
+  let rbase = Kernel.retries ctx in
+  Option.iter (fun (hook, _) -> Kernel.set_fp_check ctx hook) caudit;
+  let retry_check () =
+    match caudit with
+    | Some (_, true) when Kernel.retries ctx > rbase ->
+      raise
+        (Kernel.Compile_audit_fail
+           (Printf.sprintf
+              "rule %s was classified conflict-admissible but raised Retry (cycle %d); its footprint or the conflict analysis is wrong"
+              r.Rule.name t.n_cycles))
+    | _ -> ()
+  in
+  match r.Rule.body ctx with
+  | () ->
+    retry_check ();
+    if (not claimed) && ((not r.Rule.vacuous) || Kernel.undo_depth ctx > 0) then begin
+      Kernel.rollback ctx;
+      raise
+        (Audit_fail
+           (Printf.sprintf "rule %s: can_fire returned false but the rule fired (cycle %d)"
+              r.Rule.name t.n_cycles))
+    end
+  | exception ((Kernel.Guard_fail _ | Kernel.Retry _) as e) ->
+    Kernel.rollback ctx;
+    retry_check ();
+    raise e
+
+let note_fire t g (r : Rule.t) fired =
+  r.Rule.fired <- r.Rule.fired + 1;
+  if t.history_depth > 0 then t.fmask.(r.Rule.rid) <- t.fmask.(r.Rule.rid) lor (1 lsl g.k);
+  if t.rtrace_on then t.rtrace r g.cyc;
+  fired + 1
+
+(* The one per-rule step: attempt [r] on its group's context and account
+   for the outcome, taking and returning the group's fires so far this
+   cycle (threaded through the loop rather than stored, so partitions on
+   different domains write no shared counter per fire). Built once per rule
+   at elaboration, with its tier fixed: [skip] consults the fast path,
+   [chk] keeps the port bookkeeping (off only for compiled rules the
+   analysis proved conflict-admissible), and [body] is the rule's body or
+   its audited wrapper. *)
+let mk_runner t g (r : Rule.t) ~skip ~chk body =
+  let ctx = g.gctx in
+  fun fired ->
+    if skip && should_skip r then begin
+      (* Account the pruned attempt exactly as the seed scheduler would
+         have: an attempt-wrapped ([vacuous]) body swallows its inner guard
+         failure and "fires" vacuously; a bare guarded body fails its
+         guard. This keeps fire counts, the history ring and One_per_cycle
+         rotation bit-identical with the fast path on or off. *)
       r.Rule.skipped <- r.Rule.skipped + 1;
-      if r.Rule.vacuous then begin
-        r.Rule.fired <- r.Rule.fired + 1;
-        t.cfired <- t.cfired + 1;
-        if t.rtrace_on then t.rtrace r t.n_cycles;
-        if t.history_depth > 0 then t.cnames <- r.Rule.name :: t.cnames
+      if r.Rule.vacuous then note_fire t g r fired
+      else begin
+        r.Rule.guard_failed <- r.Rule.guard_failed + 1;
+        fired
       end
-      else r.Rule.guard_failed <- r.Rule.guard_failed + 1
     end
     else begin
       Kernel.set_rule_name ctx r.Rule.name;
-      (* Every runner (re)sets its tier: the previous rule may have cleared
-         the flags. [set_tier] also zeroes the dropped-undo counter, so the
-         abort check below sees only this rule's elisions. *)
-      Kernel.set_tier ctx ~chk ~log;
-      match r.Rule.body ctx with
+      Kernel.set_checked ctx chk;
+      match body ctx with
       | () ->
         Kernel.reset_ctx ctx;
-        r.Rule.fired <- r.Rule.fired + 1;
-        t.cfired <- t.cfired + 1;
-        if t.rtrace_on then t.rtrace r t.n_cycles;
-        if t.history_depth > 0 then t.cnames <- r.Rule.name :: t.cnames
+        note_fire t g r fired
       | exception Kernel.Guard_fail _ ->
-        (* A tier-A rule (no undo log) must never abort after a tracked
-           write; if it elided undos before this guard failure, state is
-           already unrecoverable — the [~total] declaration was wrong. *)
-        if (not log) && Kernel.dropped ctx > 0 then
-          raise
-            (Kernel.Conflict_error
-               (Printf.sprintf
-                  "rule %s: guard abort after %d unlogged write(s); the ~total declaration is wrong for this schedule"
-                  r.Rule.name (Kernel.dropped ctx)));
         Kernel.rollback ctx;
         Kernel.reset_ctx ctx;
-        r.Rule.guard_failed <- r.Rule.guard_failed + 1
+        r.Rule.guard_failed <- r.Rule.guard_failed + 1;
+        fired
       | exception Kernel.Retry msg ->
         Kernel.rollback ctx;
         Kernel.reset_ctx ctx;
-        if t.cfired = 0 then raise (Kernel.Conflict_error msg);
-        r.Rule.conflicted <- r.Rule.conflicted + 1
+        (* If nothing fired yet this cycle, the conflict is within the rule
+           itself: no schedule can ever admit it. Fail loudly, like the BSV
+           compiler rejecting an ill-formed rule. A partition counts only
+           its own fires: its cells are touched by it alone. *)
+        if fired = 0 then raise (Kernel.Conflict_error msg);
+        r.Rule.conflicted <- r.Rule.conflicted + 1;
+        fired
     end
 
 let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
@@ -598,7 +616,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
      off — free-running past state the design never promised to delay
      would silently distort the timing model. One_per_cycle and the
      scheduler/compile audits are inherently per-cycle; the partition
-     audit, by contrast, is supported (serially) inside epoch mode. *)
+     audit, by contrast, is supported (inline) inside epoch mode. *)
   let want_epoch =
     epoch <> 1 && max_part > 0 && mode <> One_per_cycle && (not audit) && (not compile_audit)
     && rules <> []
@@ -625,30 +643,49 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
       max 1 (if epoch = 0 then l else min epoch l)
     end
   in
-  let eon = elen > 1 in
-  (* Parallel execution applies when something can actually run off-main and
-     the execution strategy is not inherently serial: One_per_cycle commits
-     a single rule per cycle across the whole machine, and the two audit
-     modes deliberately execute serially so their diagnostics are exact.
-     Epoch mode replaces the per-cycle parallel engine wholesale. *)
+  (* Partitions run as groups of their own in windows longer than one
+     cycle, and at E = 1 when something can actually run off-main and the
+     execution strategy is not inherently serial: One_per_cycle commits a
+     single rule per cycle across the whole machine, and the audit modes
+     deliberately execute serially so their diagnostics are exact. Epoch
+     mode keeps the groups at jobs 1, because bit-identity across [--jobs]
+     demands the identical execution structure either way. *)
   let par =
     jobs > 1 && max_part > 0 && mode <> One_per_cycle && (not audit)
-    && (not partition_audit) && (not compile_audit) && not eon
+    && (not partition_audit) && not compile_audit
   in
-  (* Partition structure (orders, contexts, stats shards) is shared by the
-     per-cycle parallel engine and the epoch engine — the epoch engine
-     builds it even at jobs 1, because bit-identity across [--jobs] demands
-     the identical execution structure either way. *)
-  let pstruct = par || eon in
+  let partitioned = par || elen > 1 in
   let counts = Array.make (max_part + 1) 0 in
   List.iter (fun (r : Rule.t) -> counts.(r.Rule.part) <- counts.(r.Rule.part) + 1) rules;
-  let order_of_pid =
-    if pstruct then Array.init (max_part + 1) (fun pid -> Array.make counts.(pid) (List.hd rules))
-    else [||]
+  (* Stamp every rule with its index in the canonical (rule_list) order.
+     [Obs.Hub] stamps the same indices from the same list, so the two
+     agree; the stamps let the snapshot express the current schedule
+     permutation as plain indices. *)
+  let rules_arr = Array.of_list rules in
+  Array.iteri (fun i (r : Rule.t) -> r.Rule.rid <- i) rules_arr;
+  let order = Array.copy rules_arr in
+  let ebnds =
+    Array.of_list
+      (List.map
+         (fun (o, fwd, pid) ->
+           { eb_ops = o; eb_fwd = fwd; eb_pid = pid; eb_traj = Array.make elen 0;
+             eb_start = 0; eb_vis = 0 })
+         (if elen > 1 then cross else []))
   in
-  let fill = if pstruct then Array.make (max_part + 1) 0 else [||] in
+  let group pid gctx =
+    {
+      pid;
+      gctx;
+      gbnds = Array.of_list (List.filter (fun b -> b.eb_pid = pid) (Array.to_list ebnds));
+      gfires = Array.make elen 0;
+      k = 0;
+      cyc = 0;
+      exn = None;
+    }
+  in
+  let uncore = group Partition.uncore (Kernel.make_ctx clk) in
   let parts =
-    if not pstruct then [||]
+    if not partitioned then [||]
     else
       Array.of_list
         (List.filter_map
@@ -658,54 +695,66 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
                let pctx = Kernel.make_ctx clk in
                Kernel.set_partition pctx pid;
                Kernel.set_stats_slot pctx pid;
-               Some
-                 {
-                   pid;
-                   pctx;
-                   porder = order_of_pid.(pid);
-                   pfired = 0;
-                   pexn = None;
-                   pfires = (if eon then Array.make elen 0 else [||]);
-                 }
+               Some (group pid pctx)
              end)
            (List.init max_part (fun i -> i + 1)))
   in
-  (match stats with Some s when pstruct -> Stats.prepare s ~slots:(max_part + 1) | _ -> ());
-  let order = Array.of_list rules in
-  let ebnds =
-    if not eon then [||]
-    else
-      Array.of_list
-        (List.map
-           (fun (o, fwd, pid) ->
-             { eb_ops = o; eb_fwd = fwd; eb_pid = pid; eb_traj = Array.make elen 0;
-               eb_start = 0; eb_vis = 0 })
-           cross)
-  in
-  let ebnds_of_pid =
-    if not eon then [||]
-    else
-      Array.init (max_part + 1) (fun pid ->
-          Array.of_list (List.filter (fun b -> b.eb_pid = pid) (Array.to_list ebnds)))
-  in
-  (* Per-window-cycle schedules. Multi never permutes, so every window
-     cycle aliases the canonical arrays at zero cost; Shuffle gets private
+  (match stats with Some s when partitioned -> Stats.prepare s ~slots:(max_part + 1) | _ -> ());
+  (* Per-window-cycle schedules. A serial run's single group reads the
+     global order itself. Multi never permutes, so every window cycle
+     aliases the canonical arrays at zero cost; Shuffle gets private
      arrays, refilled from the window's freshly drawn permutations. *)
-  let gorders =
-    if not eon then [||]
-    else
-      match mode with
-      | Shuffle _ -> Array.init elen (fun _ -> Array.copy order)
-      | Multi | One_per_cycle -> Array.make elen order
-  in
+  let per_pid () = Array.init (max_part + 1) (fun pid -> Array.make counts.(pid) order.(0)) in
   let eorders =
-    if not eon then [||]
+    if not partitioned then [| [| order |] |]
     else
       match mode with
-      | Shuffle _ ->
-        Array.init elen (fun _ ->
-            Array.init (max_part + 1) (fun pid -> Array.make counts.(pid) (List.hd rules)))
-      | Multi | One_per_cycle -> Array.make elen order_of_pid
+      | Shuffle _ -> Array.init elen (fun _ -> per_pid ())
+      | Multi | One_per_cycle -> Array.make elen (per_pid ())
+  in
+  let gorders =
+    match mode with
+    | Shuffle _ when elen > 1 -> Array.init elen (fun _ -> Array.copy order)
+    | Shuffle _ | Multi | One_per_cycle -> Array.make elen order
+  in
+  let fill = Array.make (max_part + 1) 0 in
+  if partitioned then refill_orders fill order eorders.(0);
+  (* Schedule compilation. Eligible only for the serial fast path: the
+     audit modes deliberately run fully checked, One_per_cycle commits at
+     most one rule per cycle, and partitioned runs would need a
+     partition-local analysis. The compile audit performs the same
+     analysis but keeps every rule checked, to verify the declarations the
+     compiled path would trust. *)
+  let shuffled = match mode with Shuffle _ -> true | Multi | One_per_cycle -> false in
+  let compilable =
+    compile && (not partitioned) && fastpath && (not audit) && (not partition_audit)
+    && (not compile_audit)
+    && mode <> One_per_cycle
+    && rules <> []
+  in
+  let n = Array.length rules_arr in
+  let an =
+    if compilable || compile_audit then Some (analyze_schedule ~shuffled rules_arr) else None
+  in
+  let chk_free = match an with Some an -> an.an_chk_free | None -> Array.make n false in
+  let nfree = Array.fold_left (fun c b -> if b then c + 1 else c) 0 chk_free in
+  let compiled = compilable && nfree > 0 in
+  let cwhy =
+    match an with
+    | Some _ when compile_audit -> "compile-audit: interpreted run verifying footprints"
+    | Some { an_opaque = Some nm; _ } ->
+      Printf.sprintf "interpreted: rule %s has no declared footprint" nm
+    | Some _ ->
+      Printf.sprintf "compiled: %d/%d rules run unchecked, %d interpreted" nfree n (n - nfree)
+    | None ->
+      if not compile then "interpreted: compilation disabled"
+      else if elen > 1 then Printf.sprintf "interpreted: epoch mode (E=%d)" elen
+      else if par then "interpreted: parallel partitions active (jobs > 1)"
+      else if not fastpath then "interpreted: fast path disabled"
+      else if audit then "interpreted: audit mode"
+      else if partition_audit then "interpreted: partition-audit mode"
+      else if mode = One_per_cycle then "interpreted: One_per_cycle mode"
+      else "interpreted: empty rule set"
   in
   let t =
     {
@@ -714,36 +763,32 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
       order;
       mode;
       rng;
-      ctx = Kernel.make_ctx clk;
-      fastpath;
-      audit;
+      ctx = uncore.gctx;
       jobs;
       paudit = partition_audit;
-      par;
-      stats;
-      parts;
-      order_of_pid;
-      fill;
-      tasks = [||];
+      stats = (if partitioned then stats else None);
       elen;
-      epar = (eon && jobs > 1 && not partition_audit);
+      pool = partitioned && jobs > 1 && not partition_audit;
+      parts;
+      uncore;
       ebnds;
-      ebnds_of_pid;
       gorders;
       eorders;
-      efmask = [||];
+      fill;
+      tasks = [||];
+      runners = [||];
+      fmask = Array.make n 0;
       n_cycles = 0;
       fires = 0;
       rr = 0;
-      caudit = compile_audit;
-      crunners = [||];
-      cfired = 0;
-      cnames = [];
-      cstats = (0, 0, 0);
-      cwhy = "";
-      creport = "";
-      cchk_free = [||];
-      cfp_hooks = [||];
+      compiled;
+      cstats = (match an with Some _ -> (nfree, n - nfree) | None -> (0, 0));
+      cwhy;
+      creport =
+        (match an with
+        | Some an ->
+          render_compile_report rules_arr an ~tier:(fun i -> if chk_free.(i) then 'U' else 'I')
+        | None -> "");
       history = [||];
       history_depth = 0;
       monitors_rev = [];
@@ -754,10 +799,10 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
     }
   in
   Kernel.set_partition_audit t.ctx partition_audit;
-  if partition_audit && eon then begin
+  if partition_audit && elen > 1 then begin
     (* Epoch-mode partition audit: every context records touches (phases
        run inline on the per-partition contexts), masks are keyed per
-       window (set in [cycle_epoch]), and the declared boundary FIFOs —
+       window (set in [cycle_window]), and the declared boundary FIFOs —
        whose cross-partition handoff the engine itself sequences — are
        exempted so only *undeclared* sharing is flagged. *)
     let exempt = Hashtbl.create 16 in
@@ -765,87 +810,35 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
     let is_exempt pid = Hashtbl.mem exempt pid in
     Kernel.set_audit_exempt t.ctx is_exempt;
     Array.iter
-      (fun p ->
-        Kernel.set_partition_audit p.pctx true;
-        Kernel.set_audit_exempt p.pctx is_exempt)
+      (fun g ->
+        Kernel.set_partition_audit g.gctx true;
+        Kernel.set_audit_exempt g.gctx is_exempt)
       t.parts
   end;
-  if pstruct then refill_partition_orders t;
-  (* Stamp every rule with its index in the canonical (rule_list) order.
-     [Obs.Hub] stamps the same indices from the same list, so the two
-     agree; the stamps let the snapshot express the current schedule
-     permutation as plain indices. *)
-  let rules_arr = Array.of_list rules in
-  Array.iteri (fun i (r : Rule.t) -> r.Rule.rid <- i) rules_arr;
-  (* Schedule compilation. Eligible only for the serial fast path: the
-     parallel scheduler has its own per-partition contexts, the audit modes
-     deliberately run fully checked, and One_per_cycle's rotating
-     single-commit semantics do not match the runners' accounting. The
-     compile audit performs the same analysis but keeps the interpreted
-     loop (instrumented in [cycle_serial]) to verify the declarations the
-     compiled path would trust. *)
-  let shuffled = match mode with Shuffle _ -> true | Multi | One_per_cycle -> false in
-  let compilable =
-    compile && (not par) && (not eon) && fastpath && (not audit) && (not partition_audit)
-    && (not compile_audit)
-    && mode <> One_per_cycle
-    && rules <> []
-  in
-  if compilable || compile_audit then begin
-    let an = analyze_schedule ~shuffled rules_arr in
-    let n = Array.length rules_arr in
-    let tier i =
-      if not an.an_chk_free.(i) then 'I'
-      else if rules_arr.(i).Rule.total then 'A'
-      else 'B'
-    in
-    let na = ref 0 and nb = ref 0 and ni = ref 0 in
-    for i = 0 to n - 1 do
-      match tier i with 'A' -> incr na | 'B' -> incr nb | _ -> incr ni
-    done;
-    t.cstats <- (!na, !nb, !ni);
-    t.creport <- render_compile_report rules_arr an ~tier;
-    t.cchk_free <- an.an_chk_free;
-    if compile_audit then begin
-      t.cwhy <- "compile-audit: interpreted run verifying footprints and totality claims";
-      t.cfp_hooks <- Array.map mk_fp_hook rules_arr
-    end
-    else begin
-      match an.an_opaque with
-      | Some nm ->
-        t.cwhy <- Printf.sprintf "interpreted: rule %s has no declared footprint" nm
-      | None ->
-        t.cwhy <-
-          Printf.sprintf
-            "compiled: %d/%d rules run unchecked (%d of those also unlogged), %d interpreted"
-            (!na + !nb) n !na !ni;
-        if !na + !nb > 0 then
-          t.crunners <-
-            Array.map
-              (fun (r : Rule.t) ->
-                let free = an.an_chk_free.(r.Rule.rid) in
-                mk_runner t r ~chk:(not free) ~log:(not (free && r.Rule.total)))
-              rules_arr
-    end
-  end
-  else
-    t.cwhy <-
-      (if not compile then "interpreted: compilation disabled"
-       else if eon then Printf.sprintf "interpreted: epoch mode (E=%d)" elen
-       else if par then "interpreted: parallel partitions active (jobs > 1)"
-       else if not fastpath then "interpreted: fast path disabled"
-       else if audit then "interpreted: audit mode"
-       else if partition_audit then "interpreted: partition-audit mode"
-       else if mode = One_per_cycle then "interpreted: One_per_cycle mode"
-       else "interpreted: empty rule set");
+  let group_of = Array.make (max_part + 1) uncore in
+  Array.iter (fun g -> group_of.(g.pid) <- g) parts;
+  let oracle = audit || partition_audit || compile_audit in
+  t.runners <-
+    Array.map
+      (fun (r : Rule.t) ->
+        let body =
+          if not oracle then r.Rule.body
+          else
+            audited_body t r ~audit ~paudit:partition_audit
+              ~caudit:
+                (if compile_audit then Some (mk_fp_hook r, chk_free.(r.Rule.rid)) else None)
+        in
+        mk_runner t group_of.(r.Rule.part) r ~skip:(fastpath && not audit)
+          ~chk:(not (compiled && chk_free.(r.Rule.rid)))
+          body)
+      rules_arr;
   State.register ~name:"sim.sched"
     ~save:(fun () ->
       let ord = Array.map (fun (r : Rule.t) -> r.Rule.rid) t.order in
       let per_rule =
         Array.map
           (fun (r : Rule.t) ->
-            (r.Rule.fired, r.Rule.guard_failed, r.Rule.conflicted, r.Rule.skipped,
-             r.Rule.last_fired))
+            (r.Rule.fired, r.Rule.guard_failed, r.Rule.conflicted, r.Rule.skipped))
           rules_arr
       in
       Obj.repr
@@ -862,7 +855,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
             rr,
             (ord : int array),
             (rng : Random.State.t option),
-            (per_rule : (int * int * int * int * int) array),
+            (per_rule : (int * int * int * int) array),
             ((history : (int * string list) array), history_depth) ) =
         Obj.obj o
       in
@@ -872,13 +865,12 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
       Array.iteri (fun i rid -> t.order.(i) <- rules_arr.(rid)) ord;
       t.rng <- rng;
       Array.iteri
-        (fun i (fired, guard_failed, conflicted, skipped, last_fired) ->
+        (fun i (fired, guard_failed, conflicted, skipped) ->
           let r = rules_arr.(i) in
           r.Rule.fired <- fired;
           r.Rule.guard_failed <- guard_failed;
           r.Rule.conflicted <- conflicted;
           r.Rule.skipped <- skipped;
-          r.Rule.last_fired <- last_fired;
           (* Wakeup generations are not snapshotted: un-parking every rule
              forces predicate re-evaluation, which cannot change fire
              counts (skip accounting depends only on predicate results). *)
@@ -886,8 +878,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
           r.Rule.park_sum <- 0)
         per_rule;
       t.history <- history;
-      t.history_depth <- history_depth;
-      if t.par || t.elen > 1 then refill_partition_orders t);
+      t.history_depth <- history_depth);
   t
 
 let clock t = t.clk
@@ -895,7 +886,7 @@ let cycles t = t.n_cycles
 let total_fires t = t.fires
 let rules t = t.rule_list
 let jobs t = t.jobs
-let parallel t = t.par
+let parallel t = t.pool
 let epoch_length t = t.elen
 let shutdown_pool () = Pool.shutdown ()
 let pool_run ~helpers tasks = Pool.run ~helpers tasks
@@ -909,18 +900,12 @@ let reseed t seed =
   match t.mode with
   | Shuffle _ ->
     List.iteri (fun i r -> t.order.(i) <- r) t.rule_list;
-    t.rng <- Some (Random.State.make [| seed |]);
-    if t.par || t.elen > 1 then refill_partition_orders t
+    t.rng <- Some (Random.State.make [| seed |])
   | Multi | One_per_cycle -> ()
 
 let enable_history t ~depth =
   t.history_depth <- depth;
-  t.history <- Array.make (max 1 depth) (-1, []);
-  (* Epoch mode reconstructs per-cycle history from a per-rule bitmask of
-     window cycles fired (a [last_fired] stamp alone cannot distinguish two
-     fires of one rule within a window). Allocated only when history is on,
-     so the common path never pays the per-fire mask update. *)
-  if t.elen > 1 && depth > 0 then t.efmask <- Array.make (Array.length t.order) 0
+  t.history <- Array.make (max 1 depth) (-1, [])
 
 let history t =
   if t.history_depth = 0 then []
@@ -971,228 +956,29 @@ let shuffle rng a =
     a.(j) <- tmp
   done
 
-let cycle_serial t =
-  (match t.rng with Some rng -> shuffle rng t.order | None -> ());
-  let fired = ref 0 in
-  let fired_names = ref [] in
-  let n = Array.length t.order in
-  let stop = ref false in
-  let base = if t.mode = One_per_cycle then t.rr else 0 in
-  let ctx = t.ctx in
-  let i = ref 0 in
-  while not !stop && !i < n do
-    let r = t.order.((base + !i) mod n) in
-    incr i;
-    if t.fastpath && (not t.audit) && should_skip r then begin
-      (* Account the pruned attempt exactly as the seed scheduler would
-         have: an attempt-wrapped ([vacuous]) body swallows its inner guard
-         failure and "fires" vacuously; a bare guarded body fails its
-         guard. This keeps fire counts, the history ring and One_per_cycle
-         rotation bit-identical with the fast path on or off. *)
-      r.Rule.skipped <- r.Rule.skipped + 1;
-      if r.Rule.vacuous then begin
-        r.Rule.fired <- r.Rule.fired + 1;
-        incr fired;
-        if t.rtrace_on then t.rtrace r t.n_cycles;
-        if t.history_depth > 0 then fired_names := r.Rule.name :: !fired_names;
-        if t.mode = One_per_cycle then stop := true
-      end
-      else r.Rule.guard_failed <- r.Rule.guard_failed + 1
-    end
-    else begin
-      (* Audit mode: attempt every rule (fast path disabled) and verify the
-         one-sided can_fire contract — [false] must imply the body cannot
-         commit anything this cycle. *)
-      let claimed =
-        if not t.audit then true
-        else match r.Rule.can_fire with None -> true | Some p -> p ()
-      in
-      Kernel.set_rule_name ctx r.Rule.name;
-      if t.paudit then Kernel.set_partition ctx r.Rule.part;
-      (* Compile audit: install this rule's footprint-coverage hook, flag a
-         would-be tier-A rule for the totality check in [Kernel.attempt],
-         and baseline the Retry counter — a Retry observed in a rule the
-         analysis classified conflict-admissible (even one swallowed by an
-         inner [attempt]) falsifies the classification. *)
-      let rbase =
-        if t.caudit then begin
-          Kernel.set_fp_check ctx t.cfp_hooks.(r.Rule.rid);
-          Kernel.set_total_audit ctx (t.cchk_free.(r.Rule.rid) && r.Rule.total);
-          Kernel.retries ctx
-        end
-        else 0
-      in
-      let audit_retry_check () =
-        if t.caudit && t.cchk_free.(r.Rule.rid) && Kernel.retries ctx > rbase then
-          raise
-            (Kernel.Compile_audit_fail
-               (Printf.sprintf
-                  "rule %s was classified conflict-admissible but raised Retry (cycle %d); its footprint or the conflict analysis is wrong"
-                  r.Rule.name t.n_cycles))
-      in
-      (match r.Rule.body ctx with
-      | () ->
-        audit_retry_check ();
-        if (not claimed) && ((not r.Rule.vacuous) || Kernel.undo_depth ctx > 0) then begin
-          Kernel.rollback ctx;
-          raise
-            (Audit_fail
-               (Printf.sprintf
-                  "rule %s: can_fire returned false but the rule fired (cycle %d)"
-                  r.Rule.name t.n_cycles))
-        end;
-        Kernel.reset_ctx ctx;
-        r.Rule.fired <- r.Rule.fired + 1;
-        incr fired;
-        if t.rtrace_on then t.rtrace r t.n_cycles;
-        if t.history_depth > 0 then fired_names := r.Rule.name :: !fired_names;
-        if t.mode = One_per_cycle then stop := true
-      | exception Kernel.Guard_fail _ ->
-        Kernel.rollback ctx;
-        Kernel.reset_ctx ctx;
-        audit_retry_check ();
-        r.Rule.guard_failed <- r.Rule.guard_failed + 1
-      | exception Kernel.Retry msg ->
-        Kernel.rollback ctx;
-        Kernel.reset_ctx ctx;
-        audit_retry_check ();
-        (* If nothing fired yet this cycle, the conflict is within the rule
-           itself: no schedule can ever admit it. Fail loudly, like the BSV
-           compiler rejecting an ill-formed rule. *)
-        if !fired = 0 then raise (Kernel.Conflict_error msg);
-        r.Rule.conflicted <- r.Rule.conflicted + 1)
-    end
-  done;
-  if t.mode = One_per_cycle && n > 0 then t.rr <- (t.rr + 1) mod n;
-  if t.history_depth > 0 then
-    t.history.(t.n_cycles mod t.history_depth) <- (t.n_cycles, List.rev !fired_names);
-  Clock.tick t.clk;
-  let this_cycle = t.n_cycles in
-  t.n_cycles <- t.n_cycles + 1;
-  t.fires <- t.fires + !fired;
-  let hooks = end_hooks t in
-  for h = 0 to Array.length hooks - 1 do
-    hooks.(h) this_cycle !fired
-  done;
-  !fired
-
-(* Attempt every rule of [order] on [ctx], accumulating into [fired]. Same
-   skip accounting as the serial loop; additionally stamps [last_fired] so
-   the firing history can be reconstructed in global schedule order after
-   the barrier. [fired] starts at 0 for a parallel partition — during the
-   parallel phase a partition's cells are touched by that partition alone,
-   so a Retry with no local fire is a genuine single-rule conflict — and at
-   the parallel total for the uncore, preserving the serial semantics.
-   [cyc] is the architectural cycle being simulated (epoch mode runs this
-   loop for cycles the shared clock has not reached yet); [kbit >= 0] also
-   sets that bit of the rule's window-fire mask for history rebuilds. *)
-let run_rules t ctx (order : Rule.t array) (fired : int ref) ~cyc ~kbit =
-  for i = 0 to Array.length order - 1 do
-    let r = Array.unsafe_get order i in
-    if t.fastpath && should_skip r then begin
-      r.Rule.skipped <- r.Rule.skipped + 1;
-      if r.Rule.vacuous then begin
-        r.Rule.fired <- r.Rule.fired + 1;
-        r.Rule.last_fired <- cyc;
-        incr fired;
-        if kbit >= 0 then t.efmask.(r.Rule.rid) <- t.efmask.(r.Rule.rid) lor (1 lsl kbit);
-        if t.rtrace_on then t.rtrace r cyc
-      end
-      else r.Rule.guard_failed <- r.Rule.guard_failed + 1
-    end
-    else begin
-      Kernel.set_rule_name ctx r.Rule.name;
-      match r.Rule.body ctx with
-      | () ->
-        Kernel.reset_ctx ctx;
-        r.Rule.fired <- r.Rule.fired + 1;
-        r.Rule.last_fired <- cyc;
-        incr fired;
-        if kbit >= 0 then t.efmask.(r.Rule.rid) <- t.efmask.(r.Rule.rid) lor (1 lsl kbit);
-        if t.rtrace_on then t.rtrace r cyc
-      | exception Kernel.Guard_fail _ ->
-        Kernel.rollback ctx;
-        Kernel.reset_ctx ctx;
-        r.Rule.guard_failed <- r.Rule.guard_failed + 1
-      | exception Kernel.Retry msg ->
-        Kernel.rollback ctx;
-        Kernel.reset_ctx ctx;
-        if !fired = 0 then raise (Kernel.Conflict_error msg);
-        r.Rule.conflicted <- r.Rule.conflicted + 1
-    end
-  done
-
-let run_part t (p : part) =
-  match
-    let fired = ref 0 in
-    run_rules t p.pctx p.porder fired ~cyc:t.n_cycles ~kbit:(-1);
-    p.pfired <- !fired
-  with
-  | () -> ()
-  | exception e -> p.pexn <- Some e
-
-let cycle_par t =
-  (match t.rng with
-  | Some rng ->
-    shuffle rng t.order;
-    refill_partition_orders t
-  | None -> ());
-  if Array.length t.tasks = 0 then
-    t.tasks <- Array.map (fun p -> fun () -> run_part t p) t.parts;
-  Pool.run ~helpers:(min (t.jobs - 1) (Array.length t.parts - 1)) t.tasks;
-  (* Barrier passed: every partition's writes are visible. Collect results,
-     re-raising the lowest-partition exception (deterministic pick). *)
-  let fired = ref 0 in
-  let first_exn = ref None in
-  Array.iter
-    (fun p ->
-      (match p.pexn with
-      | Some e -> if !first_exn = None then first_exn := Some e
-      | None -> ());
-      p.pexn <- None;
-      fired := !fired + p.pfired)
-    t.parts;
-  (match !first_exn with Some e -> raise e | None -> ());
-  (* Uncore: serial, on the main context, after every partition is done. *)
-  run_rules t t.ctx t.order_of_pid.(0) fired ~cyc:t.n_cycles ~kbit:(-1);
-  if t.history_depth > 0 then begin
-    let names = ref [] in
-    for i = Array.length t.order - 1 downto 0 do
-      let r = Array.unsafe_get t.order i in
-      if r.Rule.last_fired = t.n_cycles then names := r.Rule.name :: !names
-    done;
-    t.history.(t.n_cycles mod t.history_depth) <- (t.n_cycles, !names)
-  end;
-  Clock.tick t.clk;
-  (match t.stats with Some s -> Stats.merge s | None -> ());
-  let this_cycle = t.n_cycles in
-  t.n_cycles <- t.n_cycles + 1;
-  t.fires <- t.fires + !fired;
-  let hooks = end_hooks t in
-  for h = 0 to Array.length hooks - 1 do
-    hooks.(h) this_cycle !fired
-  done;
-  !fired
 
 (* ---------------------------------------------------------------------- *)
-(* Epoch execution (conservative lookahead windows)                        *)
+(* The window engine                                                      *)
 (*                                                                        *)
-(* A window simulates E consecutive cycles in three deterministic steps:  *)
+(* Every cycle loop is a window of E consecutive cycles, run in three     *)
+(* deterministic steps:                                                   *)
 (*                                                                        *)
 (*   1. every core partition free-runs its E local cycles (concurrently   *)
 (*      across the pool when jobs > 1, inline in pid order otherwise),    *)
-(*      running its own clock-hook group after each local cycle and       *)
-(*      recording, per boundary FIFO it owns, the own-side total after    *)
-(*      every local cycle (the boundary trajectory);                      *)
+(*      running its own clock-hook group after each local cycle but the   *)
+(*      last and recording, per boundary FIFO it owns, the own-side total *)
+(*      after those cycles (the boundary trajectory);                     *)
 (*   2. the uncore replays the window cycle-by-cycle on the main domain:  *)
 (*      before cycle k it installs each boundary's trajectory value at    *)
 (*      k-1 as the other side's cycle-start snapshot, so the uncore sees  *)
 (*      each request appear at exactly the cycle it was enqueued — and    *)
-(*      runs its own hook group after each replay cycle;                  *)
-(*   3. the window closes: the shared clock advances by E without running *)
-(*      hooks (each group already ran E times), boundary snapshots are    *)
-(*      refreshed to the true totals (waking parked rules on both sides), *)
-(*      and the per-partition stats shards merge.                         *)
+(*      runs its own hook group after each replay cycle but the last;     *)
+(*   3. the window closes: the shared clock advances over the first E-1   *)
+(*      cycles without running hooks, then ticks once, running every      *)
+(*      group's hooks for the last cycle (this also refreshes the         *)
+(*      boundary snapshots to the true totals, waking parked rules on     *)
+(*      both sides); the per-partition stats shards merge, and the        *)
+(*      history ring and end-of-cycle hooks see the quiescent state.      *)
 (*                                                                        *)
 (* Responses the uncore enqueues during replay become visible to the      *)
 (* partitions only at the window close — a delivery delay of at most E-1  *)
@@ -1202,124 +988,61 @@ let cycle_par t =
 (* deterministic function of the window-start state, and jobs only        *)
 (* changes which domain executes a phase, so results are bit-identical    *)
 (* at any --jobs for a given E.                                           *)
+(*                                                                        *)
+(* Per-cycle parallel execution is the window with E = 1, and serial      *)
+(* execution the window with E = 1 and no partitions: the uncore group    *)
+(* then holds every rule in schedule order.                               *)
 (* ---------------------------------------------------------------------- *)
 
-let run_epoch_part t (p : part) =
+(* Run window cycle [k] of group [g], one runner per rule of its order,
+   starting from [fired] fires; returns the fires after the last rule. *)
+let run_cycle t g k fired =
+  g.k <- k;
+  g.cyc <- t.n_cycles + k;
+  let order = t.eorders.(k).(g.pid) in
+  let runners = t.runners in
+  let fired = ref fired in
+  for i = 0 to Array.length order - 1 do
+    fired := (Array.unsafe_get runners (Array.unsafe_get order i).Rule.rid) !fired
+  done;
+  !fired
+
+(* Step 1 for one partition; traps its exception for the barrier. *)
+let free_run t g =
   match
+    let e = t.elen in
     let groups = Clock.hooks_by_partition t.clk in
-    let hooks = if p.pid < Array.length groups then groups.(p.pid) else [||] in
-    let bnds = t.ebnds_of_pid.(p.pid) in
-    let cyc0 = t.n_cycles in
-    let hist = Array.length t.efmask > 0 in
-    for k = 0 to t.elen - 1 do
+    let hooks = if g.pid < Array.length groups then groups.(g.pid) else [||] in
+    for k = 0 to e - 1 do
       Clock.set_skew k;
-      let fired = ref 0 in
-      run_rules t p.pctx t.eorders.(k).(p.pid) fired ~cyc:(cyc0 + k)
-        ~kbit:(if hist then k else -1);
-      p.pfires.(k) <- !fired;
-      for h = 0 to Array.length hooks - 1 do
-        hooks.(h) ()
-      done;
-      for b = 0 to Array.length bnds - 1 do
-        let bd = bnds.(b) in
-        bd.eb_traj.(k) <-
-          (if bd.eb_fwd then bd.eb_ops.Boundary.bo_enq_total ()
-           else bd.eb_ops.Boundary.bo_deq_total ())
-      done
+      g.gfires.(k) <- run_cycle t g k 0;
+      if k < e - 1 then begin
+        for h = 0 to Array.length hooks - 1 do
+          hooks.(h) ()
+        done;
+        for b = 0 to Array.length g.gbnds - 1 do
+          let bd = g.gbnds.(b) in
+          bd.eb_traj.(k) <-
+            (if bd.eb_fwd then bd.eb_ops.Boundary.bo_enq_total ()
+             else bd.eb_ops.Boundary.bo_deq_total ())
+        done
+      end
     done;
     Clock.set_skew 0
   with
   | () -> ()
   | exception e ->
     Clock.set_skew 0;
-    p.pexn <- Some e
+    g.exn <- Some e
 
-let cycle_epoch t =
-  let e = t.elen in
-  let cyc0 = t.n_cycles in
-  let hist = Array.length t.efmask > 0 in
-  (* Draw the window's schedule permutations up front (main domain owns the
-     RNG); each permutation is recorded globally (for history) and split
-     per partition. *)
-  (match t.rng with
-  | Some rng ->
-    let n = Array.length t.order in
-    for k = 0 to e - 1 do
-      shuffle rng t.order;
-      Array.blit t.order 0 t.gorders.(k) 0 n;
-      refill_orders t t.order t.eorders.(k)
-    done
-  | None -> ());
-  (* Window-keyed partition audit: one key per window, so sharing across a
-     window's phases is flagged wherever the touches land. *)
-  if t.paudit then begin
-    let key = Clock.uid t.clk in
-    Kernel.set_audit_key t.ctx key;
-    Array.iter (fun p -> Kernel.set_audit_key p.pctx key) t.parts
-  end;
-  (* Capture window-start boundary state. *)
-  Array.iter
-    (fun b ->
-      let v =
-        if b.eb_fwd then b.eb_ops.Boundary.bo_enq_total ()
-        else b.eb_ops.Boundary.bo_deq_total ()
-      in
-      b.eb_start <- v;
-      b.eb_vis <- v)
-    t.ebnds;
-  (* Build the hook split before dispatch so worker domains only read the
-     cache, never construct it. *)
-  let groups = Clock.hooks_by_partition t.clk in
-  let uhooks = if Array.length groups > 0 then groups.(0) else [||] in
-  (* Phase 1: partition free-run. *)
-  if Array.length t.tasks = 0 then
-    t.tasks <- Array.map (fun p -> fun () -> run_epoch_part t p) t.parts;
-  if t.epar then Pool.run ~helpers:(min (t.jobs - 1) (Array.length t.parts - 1)) t.tasks
-  else Array.iter (fun p -> run_epoch_part t p) t.parts;
-  let first_exn = ref None in
-  Array.iter
-    (fun p ->
-      (match p.pexn with
-      | Some ex -> if !first_exn = None then first_exn := Some ex
-      | None -> ());
-      p.pexn <- None)
-    t.parts;
-  (match !first_exn with Some ex -> raise ex | None -> ());
-  (* Phase 2: uncore replay, cycle by cycle. *)
-  let wfired = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Clock.set_skew 0)
-    (fun () ->
-      for k = 0 to e - 1 do
-        Clock.set_skew k;
-        Array.iter
-          (fun b ->
-            let v = if k = 0 then b.eb_start else b.eb_traj.(k - 1) in
-            let ops = b.eb_ops in
-            if b.eb_fwd then begin
-              ops.Boundary.bo_set_enq_snap v;
-              ops.Boundary.bo_reset_dport ()
-            end
-            else begin
-              ops.Boundary.bo_set_deq_snap v;
-              ops.Boundary.bo_reset_eport ()
-            end;
-            if v <> b.eb_vis then begin
-              ops.Boundary.bo_touch ();
-              b.eb_vis <- v
-            end)
-          t.ebnds;
-        let fired = ref 0 in
-        Array.iter (fun p -> fired := !fired + p.pfires.(k)) t.parts;
-        run_rules t t.ctx t.eorders.(k).(0) fired ~cyc:(cyc0 + k) ~kbit:(if hist then k else -1);
-        wfired := !wfired + !fired;
-        for h = 0 to Array.length uhooks - 1 do
-          uhooks.(h) ()
-        done
-      done);
-  (* Phase 3: window close. *)
-  Array.iter (fun b -> b.eb_ops.Boundary.bo_refresh ()) t.ebnds;
-  Clock.advance t.clk ~cycles:e;
+(* Step 3: close a window of [t.elen] cycles that fired [fired] rules. The
+   checked flag is restored first so any code sharing [t.ctx] (monitors,
+   snapshot glue) sees a fully checked context. *)
+let close_window t fired =
+  let e = t.elen and cyc0 = t.n_cycles in
+  Kernel.set_checked t.ctx true;
+  Clock.advance t.clk ~cycles:(e - 1);
+  Clock.tick t.clk;
   (match t.stats with Some s -> Stats.merge s | None -> ());
   if t.history_depth > 0 then begin
     for k = 0 to e - 1 do
@@ -1327,64 +1050,131 @@ let cycle_epoch t =
       let go = t.gorders.(k) in
       for i = Array.length go - 1 downto 0 do
         let r = Array.unsafe_get go i in
-        if t.efmask.(r.Rule.rid) land (1 lsl k) <> 0 then names := r.Rule.name :: !names
+        if t.fmask.(r.Rule.rid) land (1 lsl k) <> 0 then names := r.Rule.name :: !names
       done;
       t.history.((cyc0 + k) mod t.history_depth) <- (cyc0 + k, !names)
     done;
-    Array.fill t.efmask 0 (Array.length t.efmask) 0
+    Array.fill t.fmask 0 (Array.length t.fmask) 0
   end;
-  t.n_cycles <- t.n_cycles + e;
-  t.fires <- t.fires + !wfired;
-  let hooks = end_hooks t in
-  let this_cycle = cyc0 + e - 1 in
-  for h = 0 to Array.length hooks - 1 do
-    hooks.(h) this_cycle !wfired
-  done;
-  !wfired
-
-(* The compiled cycle: one indirect call per rule through the specialized
-   runner array (indexed by rid so Shuffle permutations cost nothing), with
-   the fired count and history names accumulated in the sim record instead
-   of per-cycle refs. The tier flags are restored before the end-of-cycle
-   hooks so any code sharing [t.ctx] (monitors, snapshot glue, the next
-   interpreted consumer) sees a fully checked context. *)
-let cycle_compiled t =
-  (match t.rng with Some rng -> shuffle rng t.order | None -> ());
-  t.cfired <- 0;
-  t.cnames <- [];
-  let order = t.order in
-  let runners = t.crunners in
-  for i = 0 to Array.length order - 1 do
-    (Array.unsafe_get runners (Array.unsafe_get order i).Rule.rid) ()
-  done;
-  Kernel.set_tier t.ctx ~chk:true ~log:true;
-  let fired = t.cfired in
-  if t.history_depth > 0 then
-    t.history.(t.n_cycles mod t.history_depth) <- (t.n_cycles, List.rev t.cnames);
-  t.cnames <- [];
-  Clock.tick t.clk;
-  let this_cycle = t.n_cycles in
-  t.n_cycles <- t.n_cycles + 1;
+  t.n_cycles <- cyc0 + e;
   t.fires <- t.fires + fired;
   let hooks = end_hooks t in
   for h = 0 to Array.length hooks - 1 do
-    hooks.(h) this_cycle fired
+    hooks.(h) (cyc0 + e - 1) fired
   done;
   fired
 
-let cycle t =
-  if t.elen > 1 then cycle_epoch t
-  else if t.par then cycle_par t
-  else if Array.length t.crunners > 0 then cycle_compiled t
-  else cycle_serial t
+let cycle_window t =
+  let e = t.elen in
+  (* Draw the window's schedule permutations up front (main domain owns the
+     RNG); each permutation is recorded globally (for history) and split
+     per partition. *)
+  (match t.rng with
+  | Some rng ->
+    for k = 0 to e - 1 do
+      shuffle rng t.order;
+      let go = t.gorders.(k) in
+      if go != t.order then Array.blit t.order 0 go 0 (Array.length go);
+      if Array.length t.parts > 0 then refill_orders t.fill t.order t.eorders.(k)
+    done
+  | None -> ());
+  (* Window-keyed partition audit: one key per window, so sharing across a
+     window's phases is flagged wherever the touches land. *)
+  if t.paudit then begin
+    let key = Clock.uid t.clk in
+    Kernel.set_audit_key t.ctx key;
+    Array.iter (fun g -> Kernel.set_audit_key g.gctx key) t.parts
+  end;
+  (* Built before dispatch so worker domains only read the cache. *)
+  let groups = Clock.hooks_by_partition t.clk in
+  if Array.length t.parts > 0 then begin
+    Array.iter
+      (fun b ->
+        let v =
+          if b.eb_fwd then b.eb_ops.Boundary.bo_enq_total ()
+          else b.eb_ops.Boundary.bo_deq_total ()
+        in
+        b.eb_start <- v;
+        b.eb_vis <- v)
+      t.ebnds;
+    if Array.length t.tasks = 0 then t.tasks <- Array.map (fun g () -> free_run t g) t.parts;
+    if t.pool then Pool.run ~helpers:(min (t.jobs - 1) (Array.length t.parts - 1)) t.tasks
+    else Array.iter (fun task -> task ()) t.tasks;
+    (* Barrier passed: every partition's writes are visible. Re-raise the
+       lowest partition's exception (deterministic pick). *)
+    let first_exn = ref None in
+    Array.iter
+      (fun g ->
+        if !first_exn = None then first_exn := g.exn;
+        g.exn <- None)
+      t.parts;
+    Option.iter raise !first_exn
+  end;
+  (* Step 2: uncore replay, cycle by cycle. *)
+  let u = t.uncore in
+  let uhooks = if Array.length groups > 0 then groups.(0) else [||] in
+  let wfired = ref 0 in
+  (match
+     for k = 0 to e - 1 do
+       Clock.set_skew k;
+       for i = 0 to Array.length t.ebnds - 1 do
+         let b = t.ebnds.(i) in
+         let v = if k = 0 then b.eb_start else b.eb_traj.(k - 1) in
+         let ops = b.eb_ops in
+         if b.eb_fwd then begin
+           ops.Boundary.bo_set_enq_snap v;
+           ops.Boundary.bo_reset_dport ()
+         end
+         else begin
+           ops.Boundary.bo_set_deq_snap v;
+           ops.Boundary.bo_reset_eport ()
+         end;
+         if v <> b.eb_vis then begin
+           ops.Boundary.bo_touch ();
+           b.eb_vis <- v
+         end
+       done;
+       let pfired = ref 0 in
+       for p = 0 to Array.length t.parts - 1 do
+         pfired := !pfired + t.parts.(p).gfires.(k)
+       done;
+       wfired := !wfired + run_cycle t u k !pfired;
+       if k < e - 1 then
+         for h = 0 to Array.length uhooks - 1 do
+           uhooks.(h) ()
+         done
+     done
+   with
+  | () -> Clock.set_skew 0
+  | exception ex ->
+    Clock.set_skew 0;
+    raise ex);
+  close_window t !wfired
 
-let compiled t = Array.length t.crunners > 0
+(* One_per_cycle: the reference executor commits at most one rule per
+   cycle, trying the rules from a rotating start so none starves. *)
+let cycle_one t =
+  let u = t.uncore in
+  let n = Array.length t.order in
+  u.k <- 0;
+  u.cyc <- t.n_cycles;
+  let fired = ref 0 and i = ref 0 in
+  while !fired = 0 && !i < n do
+    fired := t.runners.(t.order.((t.rr + !i) mod n).Rule.rid) !fired;
+    incr i
+  done;
+  if n > 0 then t.rr <- (t.rr + 1) mod n;
+  close_window t !fired
+
+let cycle t = match t.mode with One_per_cycle -> cycle_one t | Multi | Shuffle _ -> cycle_window t
+
+let compiled t = t.compiled
 let compile_status t = t.cwhy
 let compile_report t = t.creport
 let compile_stats t = t.cstats
 
-(* Both loops count simulated cycles via [n_cycles], not [cycle] calls: in
-   epoch mode one call advances a whole window. *)
+(* Both loops count simulated cycles via [n_cycles], not [cycle] calls: one
+   call advances a whole window. *)
 let run t n =
   let target = t.n_cycles + n in
   while t.n_cycles < target do

@@ -74,40 +74,47 @@ type t
 
     [~stats] hands the machine's counter groups to the barrier: their
     per-partition shard accumulators (see [Stats.incr]) are merged at the
-    end of every parallel cycle, before post-cycle hooks run.
+    end of every partitioned window, before post-cycle hooks run.
 
     {2 Cycle structure and hook ordering}
 
-    Each cycle proceeds: (1) parallel phase — every non-zero partition's
-    rules, concurrently; (2) barrier — all partition effects become visible
-    to the main domain; (3) uncore phase — partition-0 rules, serially; (4)
-    [Clock.tick] — wire resets, conflict-free FIFO snapshot advance; (5)
-    stats shard merge; (6) {!on_post_cycle} hooks (invariant checks); (7)
-    {!add_monitor} monitors (watchdog). Steps 5–7 run on the main domain
-    after the barrier, so invariant checks, watchdog monitors and anything
-    else observing the machine between cycles always sees the merged,
-    quiescent state — [--watchdog]/[--check-invariants] campaigns behave
-    identically at any [jobs]. [run_until]'s [on_cycle] (the fault-injection
-    hook) runs on the main domain {e before} the cycle's parallel phase is
+    Every run uses one skeleton, the window of [E] cycles ({!epoch_length}).
+    A window proceeds: (1) partition phase — every non-zero partition runs
+    its [E] local cycles (concurrently on the pool when [jobs > 1], inline
+    otherwise); (2) barrier — all partition effects become visible to the
+    main domain; (3) uncore phase — the partition-0 rules replay the [E]
+    cycles serially; (4) close — [Clock.tick] for the window's last cycle,
+    running every partition's clock hooks (wire resets, conflict-free FIFO
+    snapshot advance); (5) stats shard merge; (6) the history ring;
+    (7) {!on_post_cycle} hooks (invariant checks); (8) {!add_monitor}
+    monitors (watchdog). Per-cycle execution is the window with [E = 1]:
+    the phases run no clock hooks, and every hook runs at the close. A
+    serial run is that window with no partitions: one group holding every
+    rule in schedule order. Steps 4–8 run on the main domain after the
+    barrier, so invariant checks, watchdog monitors and anything else
+    observing the machine between cycles always sees the merged, quiescent
+    state — [--watchdog]/[--check-invariants] campaigns behave identically
+    at any [jobs]. [run_until]'s [on_cycle] (the fault-injection hook) runs
+    on the main domain {e before} the window's partition phase is
     dispatched, so injected flips are ordinary pre-cycle state changes and
     campaigns stay deterministic under [jobs > 1].
+
+    [One_per_cycle] alone has its own short loop: from a rotating start it
+    runs the same per-rule runners until one fires, then closes the cycle
+    like any window.
 
     {2 Schedule compilation}
 
     With [compile] (the default), elaboration derives the pairwise conflict
     matrix from the rules' declared footprints ([Rule.make ~fp]) plus the
-    EHR/FIFO port orderings, and specializes a per-rule step closure for
-    every rule of a serial fast-path schedule:
+    EHR/FIFO port orderings, and fixes the tier of every rule's runner in a
+    serial fast-path schedule:
 
-    - {e tier A} — every conflict pair the rule forms is statically
-      admissible in the schedule order {e and} the rule is declared
-      [~total]: runs with neither port-admissibility bookkeeping nor undo
-      logging (a wrong totality claim raises [Kernel.Conflict_error] the
-      moment it would matter, instead of silently diverging);
-    - {e tier B} — statically admissible: bookkeeping off, undo log kept
-      (guard aborts still roll back);
-    - {e interpreted} — everything else runs fully checked, inside the same
-      compiled loop.
+    - {e unchecked} — every conflict pair the rule forms is statically
+      admissible in the schedule order: port-admissibility bookkeeping
+      off, undo log kept (guard aborts still roll back);
+    - {e interpreted} — everything else runs fully checked, in the same
+      loop.
 
     A single rule without a footprint keeps the whole design interpreted
     (an opaque body may touch anything). Compilation never changes results:
@@ -118,18 +125,17 @@ type t
 
     [~compile_audit:true] runs interpreted but dynamically discharges the
     compiler's proof obligations: every tracked access must fall on a
-    declared (primitive, direction); a [Retry] in a rule classified
-    admissible, or an abort that rolls back tracked writes in a rule
-    claiming [~total], raises [Kernel.Compile_audit_fail]
-    ([--compile-audit] in the driver).
+    declared (primitive, direction), and a [Retry] in a rule classified
+    admissible raises [Kernel.Compile_audit_fail] ([--compile-audit] in
+    the driver).
 
     {2 Epoch execution (lookahead windows)}
 
     [~epoch] batches partition synchronization: instead of a barrier per
-    cycle, each non-zero partition free-runs [E] consecutive cycles between
-    barriers, and the uncore then replays the window cycle-by-cycle with
-    every cross-partition boundary FIFO's enqueue trajectory installed at
-    exactly the cycle it happened (see {!Boundary}). Responses flowing back
+    cycle, each non-zero partition free-runs [E > 1] consecutive cycles
+    between barriers, and the uncore then replays the window cycle-by-cycle
+    with every cross-partition boundary FIFO's enqueue trajectory installed
+    at exactly the cycle it happened (see {!Boundary}). Responses flowing back
     from the uncore become visible at window boundaries, a quantization of
     at most [E - 1] cycles — safe because [E] is capped by the minimum
     [~lookahead] declared on the boundary FIFOs ({!Fifo.cf}), i.e. the
@@ -160,9 +166,9 @@ val clock : t -> Clock.t
 (** The [jobs] the scheduler was created with. *)
 val jobs : t -> int
 
-(** Whether partitioned parallel execution is actually active (i.e.
-    [jobs > 1], at least one non-zero partition, and a mode that is not
-    inherently serial). *)
+(** Whether partitions actually run on the domain pool (i.e. [jobs > 1],
+    at least one non-zero partition, and a mode that is neither inherently
+    serial nor the partition audit). *)
 val parallel : t -> bool
 
 (** The effective epoch window length [E] (1 = per-cycle synchronization,
@@ -242,9 +248,9 @@ val compile_status : t -> string
     this under [--compile-audit]; CI archives it when bit-identity fails. *)
 val compile_report : t -> string
 
-(** [(tier_a, tier_b, interpreted)] rule counts from the analysis;
-    [(0, 0, 0)] when no analysis ran. *)
-val compile_stats : t -> int * int * int
+(** [(unchecked, interpreted)] rule counts from the analysis; [(0, 0)]
+    when no analysis ran. *)
+val compile_stats : t -> int * int
 
 (** {2 Observability (verification layer)} *)
 

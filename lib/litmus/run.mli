@@ -10,6 +10,11 @@
     nest: SC ⊆ TSO ⊆ WMM). [Forbidden] means outside even the WMM set. *)
 type cls = In_sc | Tso_relaxed | Wmm_relaxed | Forbidden
 
+(** The memory configuration every litmus machine runs with: small caches
+    and a short memory latency, so a run is a few thousand cycles while the
+    drain window stays wide relative to the bodies. *)
+val litmus_mem : Mem.Mem_sys.config
+
 val cls_to_string : cls -> string
 
 type run_error =

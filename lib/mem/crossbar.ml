@@ -25,10 +25,7 @@ let rules children ~banks ~bank_of =
      of every bank queue, mirroring the bank ticks'. *)
   let child_tks f = Array.to_list (Array.map f children) in
   let bank_tks f = Array.to_list (Array.map f banks) in
-  (* Footprints: pure movers touch only their source/destination queues.
-     Every sub-step checks the destination's [can_enq] (and peeks the source
-     with [first]) before dequeuing, so a cf-FIFO guard can only fail before
-     any tracked write — the rules are abort-free and declared [~total]. *)
+  (* Footprints: pure movers touch only their source/destination queues. *)
   let child_fps f = List.concat_map f (Array.to_list children) in
   let bank_fps f = List.concat_map f (Array.to_list banks) in
   let up_resp =
@@ -42,7 +39,7 @@ let rules children ~banks ~bank_of =
         (child_fps (fun ep -> [ Fifo.fp_first ep.cresp; Fifo.fp_deq ep.cresp ])
         @ bank_fps (fun l2 ->
               [ Fifo.fp_can_enq (L2_cache.cresp_in l2); Fifo.fp_enq (L2_cache.cresp_in l2) ]))
-      ~total:true ~vacuous:true
+      ~vacuous:true
       (fun ctx ->
         Array.iter
           (fun ep ->
@@ -66,7 +63,7 @@ let rules children ~banks ~bank_of =
         (child_fps (fun ep -> [ Fifo.fp_first ep.creq; Fifo.fp_deq ep.creq ])
         @ bank_fps (fun l2 ->
               [ Fifo.fp_can_enq (L2_cache.creq_in l2); Fifo.fp_enq (L2_cache.creq_in l2) ]))
-      ~total:true ~vacuous:true
+      ~vacuous:true
       (fun ctx ->
         Array.iter
           (fun ep ->
@@ -92,7 +89,7 @@ let rules children ~banks ~bank_of =
         (bank_fps (fun l2 ->
              [ Fifo.fp_first (L2_cache.presp_out l2); Fifo.fp_deq (L2_cache.presp_out l2) ])
         @ child_fps (fun ep -> [ Fifo.fp_can_enq ep.presp; Fifo.fp_enq ep.presp ]))
-      ~total:true ~vacuous:true
+      ~vacuous:true
       (fun ctx ->
         (* drain as many grants as the destinations accept this cycle *)
         Array.iter
@@ -123,7 +120,7 @@ let rules children ~banks ~bank_of =
         (bank_fps (fun l2 ->
              [ Fifo.fp_first (L2_cache.preq_out l2); Fifo.fp_deq (L2_cache.preq_out l2) ])
         @ child_fps (fun ep -> [ Fifo.fp_can_enq ep.preq; Fifo.fp_enq ep.preq ]))
-      ~total:true ~vacuous:true
+      ~vacuous:true
       (fun ctx ->
         Array.iter
           (fun l2 ->

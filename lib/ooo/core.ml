@@ -1045,8 +1045,8 @@ let step_resp_at ctx t =
    and [watches] follow the one-sided contract documented in {!Cmd.Rule}:
    the predicate may be conservatively true, but must never be false when
    the body could commit an effect. *)
-let mk ?can_fire ?watches ?fp ?total name f =
-  Rule.make ?can_fire ?watches ?fp ?total ~vacuous:true name
+let mk ?can_fire ?watches ?fp name f =
+  Rule.make ?can_fire ?watches ?fp ~vacuous:true name
     (fun ctx -> ignore (Kernel.attempt ctx (fun ctx -> f ctx)))
 
 let rules ?(schedule = `Aggressive) t =
@@ -1283,24 +1283,19 @@ let rules ?(schedule = `Aggressive) t =
         ~fp:(Mem.L1_icache.fp_resp t.ic @ [ Fifo.fp_enq t.f2d ])
         (n ^ ".fetch.mem")
         (fun ctx -> step_fetch_mem ctx t);
-      (* The three rules below are [~total]: every guard (slot state, FIFO
-         space/occupancy) is checked before the first tracked write, so a
-         commit can never abort half-way. [fetch.mem] is NOT total: it enqueues
-         into [f2d] after consuming the cache response. The claims are
-         discharged dynamically by [--compile-audit]. *)
-      mk ~total:true
+      mk
         ~can_fire:(fun () ->
           match t.fslots.(t.f_mem mod 8).fst with FReady _ -> true | FFree | FWaitTlb | FWaitMem -> false)
         ~fp:(Mem.L1_icache.fp_req t.ic)
         (n ^ ".fetch.dispatch")
         (fun ctx -> step_fetch_dispatch ctx t);
-      mk ~total:true
+      mk
         ~can_fire:(fun () -> Tlb.Tlb_sys.itlb_resp_ready t.tlbs)
         ~watches:[ Tlb.Tlb_sys.itlb_resp_signal t.tlbs ]
         ~fp:(Tlb.Tlb_sys.fp_itlb_resp t.tlbs)
         (n ^ ".fetch.tlb")
         (fun ctx -> step_fetch_tlb ctx t);
-      mk ~total:true
+      mk
         ~can_fire:(fun () -> (not t.halted_f) && t.fslots.(t.f_alloc mod 8).fst = FFree)
         ~fp:(Tlb.Tlb_sys.fp_itlb_req t.tlbs)
         (n ^ ".fetch.issue")

@@ -21,7 +21,7 @@ let rules tlbs ~banks ~bank_of =
            (fun t -> [ Fifo.fp_first (Tlb_sys.walk_mem_req t); Fifo.fp_deq (Tlb_sys.walk_mem_req t) ])
            (Array.to_list tlbs)
         @ List.concat (bank_list Mem.L2_cache.fp_walk_req))
-      ~total:true ~vacuous:true
+      ~vacuous:true
       (fun ctx ->
         Array.iteri
           (fun core t ->

@@ -389,6 +389,7 @@ let console t = Mmio.console t.mmio
 let find_stat t name = Stats.find t.stats_t name
 
 let watchdog_trips t = match t.wd with Some w -> Verif.Watchdog.trips w | None -> 0
+let history t = match t.sim with Some sim -> Sim.history sim | None -> []
 let invariant_names t = Verif.Invariant.names t.checks
 let obligation_monitors t = t.monitors
 let obligation_stats t = Mcheck.Obligation.stats t.monitors

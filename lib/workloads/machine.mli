@@ -114,6 +114,10 @@ val find_stat : t -> string -> int
 (** Times the watchdog tripped (0 when none was attached). *)
 val watchdog_trips : t -> int
 
+(** The watchdog's rule-firing ring ({!Cmd.Sim.history}): the last cycles'
+    fired rule names in schedule order. Empty without [~watchdog]. *)
+val history : t -> (int * string list) list
+
 (** Names of the invariant checks collected at construction. *)
 val invariant_names : t -> string list
 

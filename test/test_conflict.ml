@@ -5,8 +5,8 @@
    The contract under test mirrors the BSV compiler (paper, Section IV-B):
    from per-rule footprints — EHR-style (write?, cell, port) access lists —
    elaboration derives the pairwise conflict matrix, proves rules
-   admissible in schedule order, and strips the port-checking (tier B) and
-   undo-logging (tier A, [~total]) machinery from their step closures.
+   admissible in schedule order, and strips the port-checking machinery
+   from their step closures.
    Results must be bit-identical to the interpreted engine; a rule whose
    footprint under-declares an access must be caught by the audit. *)
 
@@ -70,22 +70,21 @@ let test_rel_and_dyn () =
 (* Tier classification on synthetic rule sets                        *)
 (* ---------------------------------------------------------------- *)
 
-let stats = Alcotest.(triple int int int)
+let stats = Alcotest.(pair int int)
 
 (* Conflict-free set: three rules on disjoint EHRs, all declared; the
-   classifier must compile everything, and [~total] claims land in tier A. *)
+   classifier must compile everything. *)
 let test_tiers_conflict_free () =
   let clk = Clock.create () in
   let es = Array.init 3 (fun i -> Ehr.create ~name:(Printf.sprintf "e%d" i) 0) in
-  let rule i ~total =
+  let rule i =
     Rule.make (Printf.sprintf "r%d" i)
       ~fp:[ Ehr.fp es.(i) ~label:"bump" [ (false, 0); (true, 0) ] ]
-      ~total
       (fun ctx -> Ehr.write ctx es.(i) 0 (Ehr.read ctx es.(i) 0 + 1))
   in
-  let sim = Sim.create clk [ rule 0 ~total:true; rule 1 ~total:true; rule 2 ~total:false ] in
+  let sim = Sim.create clk [ rule 0; rule 1; rule 2 ] in
   Alcotest.(check bool) "compiled" true (Sim.compiled sim);
-  Alcotest.check stats "2 total rules in tier A, 1 in tier B" (2, 1, 0) (Sim.compile_stats sim);
+  Alcotest.check stats "all 3 rules unchecked" (3, 0) (Sim.compile_stats sim);
   for _ = 1 to 10 do
     ignore (Sim.cycle sim);
     Clock.tick clk
@@ -108,9 +107,9 @@ let test_tiers_sequential () =
     let rules = match order with `Wr -> [ w; r ] | `Rw -> [ r; w ] in
     Sim.compile_stats (Sim.create clk rules)
   in
-  Alcotest.check stats "w;r admissible: both compiled" (0, 2, 0) (mk `Wr);
+  Alcotest.check stats "w;r admissible: both compiled" (2, 0) (mk `Wr);
   (* r must logically follow w, but is listed first: both stay checked *)
-  Alcotest.check stats "r;w inadmissible: both interpreted" (0, 0, 2) (mk `Rw)
+  Alcotest.check stats "r;w inadmissible: both interpreted" (0, 2) (mk `Rw)
 
 (* A conflicting pair (double write, port 0) partitions out of the compiled
    batch entirely — both endpoints keep the interpreted Retry machinery —
@@ -121,10 +120,10 @@ let test_tiers_conflict_pair () =
   let other = Ehr.create ~name:"other" 0 in
   let w name = Rule.make name ~fp:[ Ehr.fp_write e 0 ] (fun ctx -> Ehr.write ctx e 0 1) in
   let ok =
-    Rule.make "ok" ~fp:[ Ehr.fp_write other 0 ] ~total:true (fun ctx -> Ehr.write ctx other 0 1)
+    Rule.make "ok" ~fp:[ Ehr.fp_write other 0 ] (fun ctx -> Ehr.write ctx other 0 1)
   in
   let sim = Sim.create clk [ w "w1"; w "w2"; ok ] in
-  Alcotest.check stats "conflicting pair interpreted, bystander compiled" (1, 0, 2)
+  Alcotest.check stats "conflicting pair interpreted, bystander compiled" (1, 2)
     (Sim.compile_stats sim);
   (* dynamic behavior preserved: w1 fires, w2 Retries (conflict), every cycle *)
   for _ = 1 to 5 do
@@ -147,7 +146,7 @@ let test_undeclared_rule_blocks_compile () =
   let mystery = Rule.make "mystery" (fun ctx -> ignore ctx) in
   let sim = Sim.create clk [ declared; mystery ] in
   Alcotest.(check bool) "not compiled" false (Sim.compiled sim);
-  Alcotest.check stats "every rule interpreted without full coverage" (0, 0, 2)
+  Alcotest.check stats "every rule interpreted without full coverage" (0, 2)
     (Sim.compile_stats sim)
 
 (* ---------------------------------------------------------------- *)
@@ -193,23 +192,6 @@ let test_audit_catches_underdeclared () =
   done;
   Alcotest.(check int) "honest rule ran clean under audit" 1 (Ehr.peek c)
 
-(* A false [~total] claim: the rule registers a tracked write, then aborts.
-   Tier A would have dropped the undo; the audit proves the claim wrong. *)
-let test_audit_catches_false_total () =
-  let clk = Clock.create () in
-  let e = Ehr.create ~name:"e" 0 in
-  let liar =
-    Rule.make "liar" ~vacuous:true ~fp:[ Ehr.fp_write e 0 ] ~total:true (fun ctx ->
-        ignore
-          (Kernel.attempt ctx (fun ctx ->
-               Ehr.write ctx e 0 1;
-               Kernel.guard ctx false "always aborts")))
-  in
-  let sim = Sim.create ~compile_audit:true clk [ liar ] in
-  match Sim.cycle sim with
-  | _ -> Alcotest.fail "rolled-back write under ~total escaped the audit"
-  | exception Kernel.Compile_audit_fail _ -> ()
-
 let suite =
   let t = Alcotest.test_case in
   [
@@ -221,5 +203,4 @@ let suite =
     t "tiers: conflicting pair stays interpreted" `Quick test_tiers_conflict_pair;
     t "undeclared rule blocks compilation" `Quick test_undeclared_rule_blocks_compile;
     t "compile-audit catches an under-declared access" `Quick test_audit_catches_underdeclared;
-    t "compile-audit catches a false ~total claim" `Quick test_audit_catches_false_total;
   ]

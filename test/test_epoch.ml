@@ -135,6 +135,53 @@ let test_epoch_snapshot_restore () =
   Alcotest.(check int) "restored: instret" i1 i2;
   Alcotest.(check (list (pair string string))) "restored: per-rule fires" f1 f2
 
+(* The watchdog's history ring is rebuilt at every window close from the
+   per-rule fire masks, whatever the engine, and must read the same
+   (cycle, fired names) list under each. Walk the whole run in chunks
+   short enough that the 32-cycle ring never wraps between looks, folding
+   every entry into one digest. *)
+let history_fingerprint m =
+  let chunk = 32 - Machine.epoch_length m in
+  let seen = ref (-1) and fires = ref 0 and acc = ref (Digest.string "") in
+  let rec go () =
+    let o = Machine.run ~max_cycles:chunk m in
+    List.iter
+      (fun (c, names) ->
+        if c > !seen then begin
+          Alcotest.(check int) "ring entries are consecutive cycles" (!seen + 1) c;
+          seen := c;
+          fires := !fires + List.length names;
+          acc := Digest.string (!acc ^ string_of_int c ^ ":" ^ String.concat " " names)
+        end)
+      (Machine.history m);
+    if o.Machine.timed_out then go () else o.Machine.cycles
+  in
+  let cycles = go () in
+  Alcotest.(check int) "every cycle recorded" cycles (!seen + 1);
+  Alcotest.(check bool) "rules fired" true (!fires > 0);
+  Digest.to_hex !acc
+
+let test_history_identity () =
+  let quad = { (Ooo.Config.multicore Ooo.Config.WMM) with Ooo.Config.mem = mem16 } in
+  let prog = Parsec_kernels.find "blackscholes" ~harts:4 ~scale:1 in
+  let mk ?(compile = true) ~jobs ~epoch ~ncores cfg prog =
+    Machine.create ~ncores ~jobs ~compile ~epoch ~watchdog:max_int (Machine.Out_of_order cfg) prog
+  in
+  let compiled = mk ~jobs:1 ~epoch:1 ~ncores:4 quad prog in
+  Alcotest.(check bool) "serial run compiled" true (Machine.compiled compiled);
+  let interpreted = mk ~compile:false ~jobs:1 ~epoch:1 ~ncores:4 quad prog in
+  let par = mk ~jobs:2 ~epoch:1 ~ncores:4 quad prog in
+  Alcotest.(check bool) "jobs 2 runs on the pool" true (Machine.parallel par);
+  let h = history_fingerprint compiled in
+  Alcotest.(check string) "quad: compile:false" h (history_fingerprint interpreted);
+  Alcotest.(check string) "quad: jobs 2, E = 1" h (history_fingerprint par);
+  let prog = Test_multicore.shared_counter_kernel ~harts:16 ~iters:4 in
+  let j1 = mk ~jobs:1 ~epoch:0 ~ncores:16 (cfg16 Ooo.Config.TSO) prog in
+  let j2 = mk ~jobs:2 ~epoch:0 ~ncores:16 (cfg16 Ooo.Config.TSO) prog in
+  Alcotest.(check bool) "16-core: windows" true (Machine.epoch_length j1 > 1);
+  Alcotest.(check string) "16-core: jobs 1 vs jobs 2, E = auto" (history_fingerprint j1)
+    (history_fingerprint j2)
+
 let suite =
   [
     Alcotest.test_case "16-core epoch identity across jobs (multi/shuffle)" `Slow
@@ -147,4 +194,5 @@ let suite =
     Alcotest.test_case "overstated lookahead caught by audit" `Quick
       test_lookahead_audit_negative;
     Alcotest.test_case "snapshot/restore at window boundary" `Slow test_epoch_snapshot_restore;
+    Alcotest.test_case "history ring identical across engines" `Slow test_history_identity;
   ]

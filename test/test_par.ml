@@ -283,7 +283,6 @@ let test_pool_shutdown_compiled_steps () =
     let bump =
       Rule.make "bump"
         ~fp:[ Ehr.fp e ~label:"bump" [ (false, 0); (true, 0) ] ]
-        ~total:true
         (fun ctx -> Ehr.write ctx e 0 (Ehr.read ctx e 0 + 1))
     in
     let sim = Sim.create clk [ bump ] in

@@ -322,8 +322,7 @@ let test_spec_compile_equivalence () =
     [ "gcc"; "gobmk" ]
 
 (* The full processor's footprint declarations pass the dynamic obligation
-   check: every tracked access lands on a declared atom, and every [~total]
-   rule really never rolls back a tracked write. *)
+   check: every tracked access lands on a declared atom. *)
 let test_smoke_compile_audit_clean () =
   let prog = Spec_kernels.find "smoke" ~scale:1 in
   let m =
