@@ -21,6 +21,6 @@ let predict t pc =
 
 let update ctx t ~pc ~target ~taken =
   let e = t.entries.(idx t pc) in
-  Mut.field ctx ~get:(fun () -> e.valid) ~set:(fun v -> e.valid <- v) taken;
-  Mut.field ctx ~get:(fun () -> e.epc) ~set:(fun v -> e.epc <- v) pc;
-  Mut.field ctx ~get:(fun () -> e.target) ~set:(fun v -> e.target <- v) target
+  Mut.field ctx e ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) taken;
+  Mut.field ctx e ~get:(fun o -> o.epc) ~set:(fun o v -> o.epc <- v) pc;
+  Mut.field ctx e ~get:(fun o -> o.target) ~set:(fun o v -> o.target <- v) target

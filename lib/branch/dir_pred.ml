@@ -36,7 +36,6 @@ let create = function
 
 let gidx g pc = ((Int64.to_int pc lsr 2) lxor g.ghist) land (gshare_entries - 1)
 let bidx pc = (Int64.to_int pc lsr 2) land (bimodal_entries - 1)
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 
 let predict ctx t pc =
   match t with
@@ -46,7 +45,7 @@ let predict ctx t pc =
   | G g ->
     let taken = g.gctr.(gidx g pc) >= 2 in
     let snap = SG g.ghist in
-    fld ctx (fun () -> g.ghist) (fun v -> g.ghist <- v)
+    Mut.field ctx g ~get:(fun o -> o.ghist) ~set:(fun o v -> o.ghist <- v)
       (((g.ghist lsl 1) lor Bool.to_int taken) land (gshare_entries - 1));
     (taken, snap)
   | B b -> (b.bctr.(bidx pc) >= 2, SB)
@@ -70,7 +69,7 @@ let restore ctx t ~snap ~taken =
   match t, snap with
   | T tr, ST s -> Tournament.restore ctx tr ~snap:s ~taken
   | G g, SG h ->
-    fld ctx (fun () -> g.ghist) (fun v -> g.ghist <- v)
+    Mut.field ctx g ~get:(fun o -> o.ghist) ~set:(fun o v -> o.ghist <- v)
       (((h lsl 1) lor Bool.to_int taken) land (gshare_entries - 1))
   | B _, SB -> ()
   | _ -> invalid_arg "Dir_pred.restore: snapshot from a different predictor"

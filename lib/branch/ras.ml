@@ -27,13 +27,13 @@ let push ctx t v =
   let n = Array.length t.stack in
   if t.sp >= n then Option.iter (fun c -> Stats.incr ~ctx c) t.c_over;
   Mut.set_arr ctx t.stack (t.sp mod n) v;
-  Mut.field ctx ~get:(fun () -> t.sp) ~set:(fun v -> t.sp <- v) (t.sp + 1)
+  Mut.field ctx t ~get:(fun o -> o.sp) ~set:(fun o v -> o.sp <- v) (t.sp + 1)
 
 let pop ctx t =
   let n = Array.length t.stack in
   if t.sp = 0 then Option.iter (fun c -> Stats.incr ~ctx c) t.c_under;
   let sp' = if t.sp > 0 then t.sp - 1 else 0 in
-  Mut.field ctx ~get:(fun () -> t.sp) ~set:(fun v -> t.sp <- v) sp';
+  Mut.field ctx t ~get:(fun o -> o.sp) ~set:(fun o v -> o.sp <- v) sp';
   t.stack.(sp' mod n)
 
-let restore ctx t snap = Mut.field ctx ~get:(fun () -> t.sp) ~set:(fun v -> t.sp <- v) snap
+let restore ctx t snap = Mut.field ctx t ~get:(fun o -> o.sp) ~set:(fun o v -> o.sp <- v) snap

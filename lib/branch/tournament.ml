@@ -34,7 +34,6 @@ let create () =
       t.ghist <- ghist);
   t
 
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 let li _t pc = (Int64.to_int pc lsr 2) land (local_entries - 1)
 let gmask = global_entries - 1
 
@@ -47,7 +46,8 @@ let predict ctx t pc =
   let pred = if use_global then global_taken else local_taken in
   let snap = { sghist = t.ghist; used_global = use_global; pred } in
   (* speculative global history update *)
-  fld ctx (fun () -> t.ghist) (fun v -> t.ghist <- v) (((t.ghist lsl 1) lor Bool.to_int pred) land gmask);
+  Mut.field ctx t ~get:(fun o -> o.ghist) ~set:(fun o v -> o.ghist <- v)
+    (((t.ghist lsl 1) lor Bool.to_int pred) land gmask);
   (pred, snap)
 
 let bump arr i taken max =
@@ -70,5 +70,5 @@ let update ctx t ~pc ~taken ~snap =
   Mut.set_arr ctx t.local_hist l (((lh lsl 1) lor Bool.to_int taken) land ((1 lsl local_hist_bits) - 1))
 
 let restore ctx t ~snap ~taken =
-  fld ctx (fun () -> t.ghist) (fun v -> t.ghist <- v)
+  Mut.field ctx t ~get:(fun o -> o.ghist) ~set:(fun o v -> o.ghist <- v)
     (((snap.sghist lsl 1) lor Bool.to_int taken) land gmask)

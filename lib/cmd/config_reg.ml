@@ -25,9 +25,7 @@ let read _ctx t = t.cur
 
 let write ctx t v =
   Kernel.record_write ctx t.wcell 0;
-  let old = t.nxt in
-  Kernel.on_abort ctx (fun () -> t.nxt <- old);
-  t.nxt <- Some v
+  Mut.field ctx t ~get:(fun t -> t.nxt) ~set:(fun t v -> t.nxt <- v) (Some v)
 
 let peek t = match t.nxt with Some v -> v | None -> t.cur
 let poke t v = t.cur <- v

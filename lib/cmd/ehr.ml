@@ -30,7 +30,7 @@ let flip_immediate t bit =
   end
   else false
 
-let create ?name init =
+let create ?name ?(inject = true) init =
   let nm =
     match name with
     | Some n -> n
@@ -40,7 +40,8 @@ let create ?name init =
   let cell = Kernel.make_cell nm in
   Kernel.set_cell_prim cell prim.Conflict.pid;
   let t = { cell; v = init; nm; sg = Wakeup.make (); prim } in
-  Inject.register ~name:nm ~width:inject_width (flip_immediate t);
+  Inject.register ~name:nm ~width:inject_width
+    (if inject then flip_immediate t else fun _ -> false);
   State.register
     ~name:(match name with Some n -> n | None -> "ehr")
     ~save:(fun () -> Obj.repr t.v)
@@ -54,17 +55,23 @@ let read ctx t p =
   Kernel.record_read ctx t.cell p;
   t.v
 
-(* Touch only on a physical value change: parked predicates observe values
-   through [peek], so writing back the same immediate (the common idle case,
-   e.g. wires re-poked to None at every cycle boundary) cannot change any
-   predicate's answer and need not wake anyone. A rolled-back write leaves
-   its touch behind — a spurious wakeup, which is harmless. *)
+let set_v t v = t.v <- v
+
+(* Log, touch and store only on a physical value change: parked predicates
+   observe values through [peek], so writing back the same immediate (the
+   common idle case, e.g. wires re-poked to None at every cycle boundary)
+   cannot change any predicate's answer and need not wake anyone, and its
+   undo would be a no-op. The port access is recorded either way. A
+   rolled-back write leaves its touch behind — a spurious wakeup, which is
+   harmless. *)
 let write ctx t p v =
   Kernel.record_write ctx t.cell p;
   let old = t.v in
-  Kernel.on_abort ctx (fun () -> t.v <- old);
-  if v != old then Wakeup.touch t.sg;
-  t.v <- v
+  if v != old then begin
+    Kernel.log_set ctx set_v t old;
+    Wakeup.touch t.sg;
+    t.v <- v
+  end
 
 let peek t = t.v
 

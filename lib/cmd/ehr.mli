@@ -11,8 +11,10 @@
 
 type 'a t
 
-(** [create ?name init] makes an EHR holding [init]. *)
-val create : ?name:string -> 'a -> 'a t
+(** [create ?name ?inject init] makes an EHR holding [init]. With
+    [~inject:false] its fault-injection site never flips (the site is still
+    registered, so a campaign's site numbering does not depend on it). *)
+val create : ?name:string -> ?inject:bool -> 'a -> 'a t
 
 (** [read ctx t p] reads through port [p]. *)
 val read : Kernel.ctx -> 'a t -> int -> 'a

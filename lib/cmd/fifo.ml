@@ -29,12 +29,27 @@ type 'a t = {
   list_f : unit -> 'a list;
 }
 
-let get_slot nm = function
-  | Some v -> v
-  | None -> invalid_arg (nm ^ ": empty slot read (internal invariant broken)")
+(* Slots hold the value itself, not [Some v], so an enq allocates nothing.
+   A free slot holds [hole], a zero-size atom: no value of a client type is
+   one, and it stays physically equal across a snapshot round trip. So a
+   read of a free slot — only a corrupted counter (fault injection) makes
+   one — still fails cleanly. Slots are not fault-injection targets: a
+   payload's representation belongs to the client (a constant constructor
+   flipped out of range is undefined behaviour), and a free slot holds no
+   state. *)
+let hole = Obj.new_block Obj.abstract_tag 0
+let free () : 'a = Obj.obj hole
+
+let get_slot nm v =
+  if Obj.repr v == hole then invalid_arg (nm ^ ": empty slot read (internal invariant broken)");
+  v
 
 let ring_list slots head count cap =
   List.init count (fun i -> get_slot "fifo" (Ehr.peek slots.((head + i) mod cap)))
+
+let make_slots nm cap =
+  Array.init cap (fun i ->
+      Ehr.create ~name:(Printf.sprintf "%s.slot%d" nm i) ~inject:false (free ()))
 
 (* Pipeline and bypass FIFOs share a ring-buffer skeleton; only the port
    assignment differs. [dp] is the port of the deq side, [ep] of the enq
@@ -44,7 +59,7 @@ let ring ~nm ~cap ~dp ~ep =
   let count = Ehr.create ~name:(nm ^ ".count") 0 in
   let head = Ehr.create ~name:(nm ^ ".head") 0 in
   let tail = Ehr.create ~name:(nm ^ ".tail") 0 in
-  let slots = Array.init cap (fun i -> Ehr.create ~name:(Printf.sprintf "%s.slot%d" nm i) None) in
+  let slots = make_slots nm cap in
   let sg = Wakeup.make () in
   (* guard messages are built once: the concatenation was a per-call
      allocation on the hottest kernel operations *)
@@ -53,7 +68,7 @@ let ring ~nm ~cap ~dp ~ep =
     let c = Ehr.read ctx count ep in
     Kernel.guard ctx (c < cap) m_full;
     let t = Ehr.read ctx tail ep in
-    Ehr.write ctx slots.(t) ep (Some v);
+    Ehr.write ctx slots.(t) ep v;
     Ehr.write ctx tail ep ((t + 1) mod cap);
     Ehr.write ctx count ep (c + 1);
     Wakeup.touch sg
@@ -69,7 +84,7 @@ let ring ~nm ~cap ~dp ~ep =
     Kernel.guard ctx (c > 0) m_empty;
     let h = Ehr.read ctx head dp in
     let v = get_slot nm (Ehr.read ctx slots.(h) dp) in
-    Ehr.write ctx slots.(h) dp None;
+    Ehr.write ctx slots.(h) dp (free ());
     Ehr.write ctx head dp ((h + 1) mod cap);
     Ehr.write ctx count dp (c - 1);
     Wakeup.touch sg;
@@ -81,7 +96,7 @@ let ring ~nm ~cap ~dp ~ep =
     Ehr.write ctx count 2 0;
     Ehr.write ctx head 2 0;
     Ehr.write ctx tail 2 0;
-    Array.iter (fun s -> Ehr.write ctx s 2 None) slots;
+    Array.iter (fun s -> Ehr.write ctx s 2 (free ())) slots;
     Wakeup.touch sg
   in
   let size_f () = Ehr.peek count in
@@ -141,7 +156,7 @@ let cf ?name ?lookahead clk ~capacity () =
   let clear_port = 60 in
   let enq_total = Ehr.create ~name:(nm ^ ".enqTotal") 0 in
   let deq_total = Ehr.create ~name:(nm ^ ".deqTotal") 0 in
-  let slots = Array.init cap (fun i -> Ehr.create ~name:(Printf.sprintf "%s.slot%d" nm i) None) in
+  let slots = make_slots nm cap in
   let enq_snap = ref 0 (* enq_total at cycle start *)
   and deq_snap = ref 0 (* deq_total at cycle start *)
   and eport = ref 0
@@ -172,8 +187,7 @@ let cf ?name ?lookahead clk ~capacity () =
       dport := dp);
   let bump ctx r =
     let old = !r in
-    Kernel.on_abort ctx (fun () -> r := old);
-    r := old + 1;
+    Mut.set ctx r (old + 1);
     old
   in
   let m_full = nm ^ " full" and m_empty = nm ^ " empty" in
@@ -181,7 +195,7 @@ let cf ?name ?lookahead clk ~capacity () =
     let t = Ehr.read ctx enq_total !eport in
     Kernel.guard ctx (t - !deq_snap < cap) m_full;
     let p = bump ctx eport in
-    Ehr.write ctx slots.(t mod cap) p (Some v);
+    Ehr.write ctx slots.(t mod cap) p v;
     Ehr.write ctx enq_total p (t + 1);
     Wakeup.touch sg
   in
@@ -195,7 +209,7 @@ let cf ?name ?lookahead clk ~capacity () =
     Kernel.guard ctx (h < !enq_snap) m_empty;
     let p = bump ctx dport in
     let v = get_slot nm (Ehr.read ctx slots.(h mod cap) p) in
-    Ehr.write ctx slots.(h mod cap) p None;
+    Ehr.write ctx slots.(h mod cap) p (free ());
     Ehr.write ctx deq_total p (h + 1);
     Wakeup.touch sg;
     v
@@ -205,15 +219,10 @@ let cf ?name ?lookahead clk ~capacity () =
   let clear_f ctx =
     Ehr.write ctx enq_total clear_port 0;
     Ehr.write ctx deq_total clear_port 0;
-    Array.iter (fun s -> Ehr.write ctx s clear_port None) slots;
+    Array.iter (fun s -> Ehr.write ctx s clear_port (free ())) slots;
     (* the snapshots must not keep stale occupancy across the flush cycle *)
-    Kernel.on_abort ctx
-      (let oe = !enq_snap and od = !deq_snap in
-       fun () ->
-         enq_snap := oe;
-         deq_snap := od);
-    enq_snap := 0;
-    deq_snap := 0;
+    Mut.set ctx enq_snap 0;
+    Mut.set ctx deq_snap 0;
     Wakeup.touch sg
   in
   let size_f () = Ehr.peek enq_total - Ehr.peek deq_total in

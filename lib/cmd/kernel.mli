@@ -51,15 +51,25 @@ exception Compile_audit_fail of string
 type cell
 type ctx
 
+(** The id table behind a context's port log. Contexts that can touch the
+    same cells — the per-partition contexts of one scheduler — share one
+    table; a cell is entered on its first checked access through any of
+    them. Adoption takes the table's lock, so contexts running on different
+    domains may share it. *)
+type table
+
+val make_table : unit -> table
+
 (** [make_cell name] allocates the conflict-tracking bookkeeping for one EHR.
     [name] appears in conflict diagnostics. *)
 val make_cell : string -> cell
 
 (** A transaction context. Method implementations thread it through every
-    state access. The context owns a reusable undo arena, so the scheduler
+    state access. The context owns a reusable undo trail, so the scheduler
     keeps one context alive across all rule attempts of a run; call
-    {!reset_ctx} between attempts after a commit. *)
-val make_ctx : Clock.t -> ctx
+    {!reset_ctx} between attempts after a commit. [table] defaults to a
+    fresh table of its own. *)
+val make_ctx : ?table:table -> Clock.t -> ctx
 
 (** Forget the committed undo log (without running it) and reset the access
     counter, readying the context for the next rule attempt. *)
@@ -111,7 +121,7 @@ val set_audit_exempt : ctx -> (int -> bool) -> unit
 
     The schedule compiler proves, per rule, that the per-cell admissibility
     bookkeeping is unnecessary, and runs the rule's body with [checked]
-    cleared. It defaults to [true]; the undo arena is kept either way, so
+    cleared. It defaults to [true]; the undo trail is kept either way, so
     guard aborts still roll back. *)
 
 val set_checked : ctx -> bool -> unit
@@ -142,8 +152,40 @@ val record_read : ctx -> cell -> int -> unit
 (** [record_write ctx cell port] declares a port-[port] write of [cell]. *)
 val record_write : ctx -> cell -> int -> unit
 
-(** [on_abort ctx undo] registers [undo] to run if the enclosing rule (or
-    {!attempt}) aborts. State primitives call this before each mutation. *)
+(** {2 The undo trail}
+
+    State primitives log the old value of a location before they mutate
+    it; if the enclosing rule (or {!attempt}) aborts, the entries are
+    undone newest first. None of the [log_*] calls allocates when the old
+    value is an immediate (int, bool, constant constructor) and the setter
+    is a closed function. *)
+
+(** [log_field ctx set o old] arranges for [set o old] to run on abort.
+    [set] should be closed, e.g. [(fun o v -> o.f <- v)]: the trail keeps
+    it indefinitely. [o] and [old] are dropped when the rule commits. *)
+val log_field : ctx -> ('o -> 'a -> unit) -> 'o -> 'a -> unit
+
+(** [log_set] is {!log_field} for an [o] that lives as long as the machine
+    (a primitive's own record, a module's ref): the trail keeps [o] after
+    the commit, until the row is reused, which saves the write barriers of
+    clearing and re-storing it. The old value is still dropped. The same
+    holds for the array of {!log_arr}, {!log_ints} and the buffer of
+    {!log_bytes}. *)
+val log_set : ctx -> ('o -> 'a -> unit) -> 'o -> 'a -> unit
+
+(** [log_arr ctx a i old] arranges for [a.(i) <- old] to run on abort. *)
+val log_arr : ctx -> 'a array -> int -> 'a -> unit
+
+(** [log_ints ctx a] saves the whole of [a], restored on abort. *)
+val log_ints : ctx -> int array -> unit
+
+(** [log_bytes ctx b pos len] saves [b]'s bytes [pos, pos+len), restored on
+    abort. *)
+val log_bytes : ctx -> Bytes.t -> int -> int -> unit
+
+(** [on_abort ctx undo] registers an arbitrary [undo] to run on abort, for
+    state the typed entries above cannot describe (buffer truncation, hash
+    tables). *)
 val on_abort : ctx -> (unit -> unit) -> unit
 
 (** [guard ctx ok msg] raises [Guard_fail msg] when [ok] is false. Guards are
@@ -163,9 +205,9 @@ val attempt : ctx -> (ctx -> 'a) -> 'a option
 (** Number of accesses recorded so far in this transaction (diagnostics). *)
 val access_count : ctx -> int
 
-(** Current depth of the undo arena: 0 right after {!make_ctx},
-    {!reset_ctx} or a full {!rollback}; positive once the transaction has
-    committed-but-revocable effects. The scheduler's audit mode uses this
-    to detect that a rule claiming [can_fire = false] actually did
-    something. *)
+(** Number of undo entries (trail plus port log): 0 right after
+    {!make_ctx}, {!reset_ctx} or a full {!rollback}; positive once the
+    transaction has committed-but-revocable effects. The scheduler's audit
+    mode uses this to detect that a rule claiming [can_fire = false]
+    actually did something. *)
 val undo_depth : ctx -> int

@@ -179,7 +179,7 @@ type ebnd = {
   mutable eb_vis : int; (* visibility value currently installed *)
 }
 
-(* One group of rules run on a private transaction context (own undo arena,
+(* One group of rules run on a private transaction context (own undo trail,
    stats shard, partition id). A partitioned run has one group per core
    partition plus the uncore group (pid 0); a serial run has only the
    uncore group, holding every rule. *)
@@ -683,7 +683,10 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
       exn = None;
     }
   in
-  let uncore = group Partition.uncore (Kernel.make_ctx clk) in
+  (* One cell-id table for every group's port log: a boundary FIFO's slots
+     are touched by the groups on both of its sides. *)
+  let table = Kernel.make_table () in
+  let uncore = group Partition.uncore (Kernel.make_ctx ~table clk) in
   let parts =
     if not partitioned then [||]
     else
@@ -692,7 +695,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
            (fun pid ->
              if counts.(pid) = 0 then None
              else begin
-               let pctx = Kernel.make_ctx clk in
+               let pctx = Kernel.make_ctx ~table clk in
                Kernel.set_partition pctx pid;
                Kernel.set_stats_slot pctx pid;
                Some (group pid pctx)

@@ -58,6 +58,8 @@ let ensure_shards c n =
     c.shards <- bigger
   end
 
+let set_v c v = c.v <- v
+
 let incr ?ctx ?(by = 1) c =
   match ctx with
   | Some ctx ->
@@ -65,13 +67,13 @@ let incr ?ctx ?(by = 1) c =
     if s >= 0 then begin
       ensure_shards c (s + 1);
       let old = c.shards.(s) in
-      Kernel.on_abort ctx (fun () -> c.shards.(s) <- old);
+      Kernel.log_arr ctx c.shards s old;
       c.shards.(s) <- old + by
     end
     else begin
       let old = c.v in
-      Kernel.on_abort ctx (fun () -> c.v <- old);
-      c.v <- c.v + by
+      Kernel.log_set ctx set_v c old;
+      c.v <- old + by
     end
   | None -> c.v <- c.v + by
 

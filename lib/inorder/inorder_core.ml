@@ -105,7 +105,7 @@ let create ?(name = "inorder") ?(pipe = Obs.Pipe.null) clk ~hart_id ~icache ~dca
   Mem.L1_dcache.set_evict_hook t.dc (fun ctx line ->
       match t.reservation with
       | Some l when l = line ->
-        Mut.field ctx ~get:(fun () -> t.reservation) ~set:(fun v -> t.reservation <- v) None
+        Mut.field ctx t ~get:(fun o -> o.reservation) ~set:(fun o v -> o.reservation <- v) None
       | _ -> ());
   t
 
@@ -114,7 +114,6 @@ let set_reg t r v = if r <> 0 then t.regs.(r) <- v
 let reg t r = t.regs.(r)
 let halted t = t.halted_f
 let instret t = t.n_instret
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 
 (* --- fetch pipeline ------------------------------------------------------ *)
 
@@ -124,20 +123,22 @@ let step_fetch_issue ctx t =
   Kernel.guard ctx (not slot.fvalid) "fetch slots full";
   Tlb.Tlb_sys.itlb_req ctx t.tlb ~tag:t.next_fslot t.pc;
   let pred = match Branch.Btb.predict t.btb t.pc with Some tgt -> tgt | None -> Int64.add t.pc 4L in
-  fld ctx (fun () -> slot.fvalid) (fun v -> slot.fvalid <- v) true;
-  fld ctx (fun () -> slot.vpc) (fun v -> slot.vpc <- v) t.pc;
-  fld ctx (fun () -> slot.fepoch) (fun v -> slot.fepoch <- v) t.epoch;
-  fld ctx (fun () -> slot.pred_next) (fun v -> slot.pred_next <- v) pred;
+  Mut.field ctx slot ~get:(fun o -> o.fvalid) ~set:(fun o v -> o.fvalid <- v) true;
+  Mut.field ctx slot ~get:(fun o -> o.vpc) ~set:(fun o v -> o.vpc <- v) t.pc;
+  Mut.field ctx slot ~get:(fun o -> o.fepoch) ~set:(fun o v -> o.fepoch <- v) t.epoch;
+  Mut.field ctx slot ~get:(fun o -> o.pred_next) ~set:(fun o v -> o.pred_next <- v) pred;
   if Obs.Pipe.is_active t.pipe then
-    fld ctx (fun () -> slot.fcyc) (fun v -> slot.fcyc <- v) (Clock.now t.clk);
-  fld ctx (fun () -> t.next_fslot) (fun v -> t.next_fslot <- v) ((t.next_fslot + 1) mod Array.length t.fslots);
-  fld ctx (fun () -> t.pc) (fun v -> t.pc <- v) pred
+    Mut.field ctx slot ~get:(fun o -> o.fcyc) ~set:(fun o v -> o.fcyc <- v) (Clock.now t.clk);
+  Mut.field ctx t ~get:(fun o -> o.next_fslot) ~set:(fun o v -> o.next_fslot <- v)
+    ((t.next_fslot + 1) mod Array.length t.fslots);
+  Mut.field ctx t ~get:(fun o -> o.pc) ~set:(fun o v -> o.pc <- v) pred
 
 let step_fetch_tlb ctx t =
   let tag, res = Tlb.Tlb_sys.itlb_resp ctx t.tlb in
   let slot = t.fslots.(tag) in
   if not slot.fvalid then failwith (t.name ^ ": orphan itlb resp");
-  if slot.fepoch <> t.epoch then fld ctx (fun () -> slot.fvalid) (fun v -> slot.fvalid <- v) false
+  if slot.fepoch <> t.epoch then
+    Mut.field ctx slot ~get:(fun o -> o.fvalid) ~set:(fun o v -> o.fvalid <- v) false
   else
     match res with
     | Tlb.Tlb_sys.Hit pa -> Mem.L1_icache.req ctx t.ic ~tag pa
@@ -148,13 +149,13 @@ let step_fetch_mem ctx t =
   let slot = t.fslots.(tag) in
   if slot.fvalid && slot.fepoch = t.epoch then
     Fifo.enq ctx t.f2x (slot.vpc, words.(0), slot.pred_next, slot.fcyc);
-  fld ctx (fun () -> slot.fvalid) (fun v -> slot.fvalid <- v) false
+  Mut.field ctx slot ~get:(fun o -> o.fvalid) ~set:(fun o v -> o.fvalid <- v) false
 
 (* --- execute -------------------------------------------------------------- *)
 
 let redirect ctx t target =
-  fld ctx (fun () -> t.pc) (fun v -> t.pc <- v) target;
-  fld ctx (fun () -> t.epoch) (fun v -> t.epoch <- v) (t.epoch + 1);
+  Mut.field ctx t ~get:(fun o -> o.pc) ~set:(fun o v -> o.pc <- v) target;
+  Mut.field ctx t ~get:(fun o -> o.epoch) ~set:(fun o v -> o.epoch <- v) (t.epoch + 1);
   Fifo.clear ctx t.f2x
 
 (* hazards against the single outstanding load *)
@@ -165,7 +166,7 @@ let load_hazard t (i : Instr.t) =
     (Instr.uses_rs1 i && i.rs1 = rd) || (Instr.uses_rs2 i && i.rs2 = rd) || (Instr.writes_rd i && i.rd = rd)
 
 let retire ?(tid = -1) ctx t =
-  fld ctx (fun () -> t.n_instret) (fun v -> t.n_instret <- v) (t.n_instret + 1);
+  Mut.field ctx t ~get:(fun o -> o.n_instret) ~set:(fun o v -> o.n_instret <- v) (t.n_instret + 1);
   Stats.incr ~ctx t.c_instrs;
   (* the in-order core never retires down a wrong path, so a traced
      instruction always ends with a clean (non-flush) retire *)
@@ -201,7 +202,7 @@ let exec_nonmem ctx t (i : Instr.t) pc pred_next ~tid =
   | Instr.Ecall ->
     if t.regs.(17) = 93L then begin
       ignore (Mmio.store t.mmio ~hart:t.hart_id Addr_map.mmio_exit t.regs.(10));
-      fld ctx (fun () -> t.halted_f) (fun v -> t.halted_f <- v) true
+      Mut.field ctx t ~get:(fun o -> o.halted_f) ~set:(fun o v -> o.halted_f <- v) true
     end
     else failwith (t.name ^ ": unknown ecall")
   | Instr.Csr { op; imm } ->
@@ -266,7 +267,7 @@ let step_execute ctx t =
         let va = Int64.add t.regs.(i.rs1) i.imm in
         Tlb.Tlb_sys.dtlb_req ctx t.tlb ~tag:0 va;
         ignore (Fifo.deq ctx t.f2x);
-        fld ctx (fun () -> t.xst) (fun v -> t.xst <- v) (XDtlb (i, pc, tid));
+        Mut.field ctx t ~get:(fun o -> o.xst) ~set:(fun o v -> o.xst <- v) (XDtlb (i, pc, tid));
         (* mem instructions never redirect; verify the fetch prediction *)
         if Int64.add pc 4L <> pred_next then redirect ctx t (Int64.add pc 4L))
     end
@@ -292,41 +293,45 @@ let step_execute ctx t =
       if Addr_map.is_mmio pa then begin
         if i.rd <> 0 then Mut.set_arr ctx t.regs i.rd (Mmio.load t.mmio ~hart:t.hart_id pa);
         retire ~tid ctx t;
-        fld ctx (fun () -> t.xst) (fun v -> t.xst <- v) XIdle
+        Mut.field ctx t ~get:(fun o -> o.xst) ~set:(fun o v -> o.xst <- v) XIdle
       end
       else begin
         let tag = t.load_tag in
         Mem.L1_dcache.req ctx t.dc
           (Mem.L1_dcache.Ld { tag; addr = pa; bytes = Instr.bytes_of_width width; unsigned });
-        fld ctx (fun () -> t.load_tag) (fun v -> t.load_tag <- v) (tag + 1);
-        fld ctx (fun () -> t.pending_load) (fun v -> t.pending_load <- v) (Some (i.rd, tag));
+        Mut.field ctx t ~get:(fun o -> o.load_tag) ~set:(fun o v -> o.load_tag <- v) (tag + 1);
+        Mut.field ctx t ~get:(fun o -> o.pending_load) ~set:(fun o v -> o.pending_load <- v)
+          (Some (i.rd, tag));
         retire ~tid ctx t;
-        fld ctx (fun () -> t.xst) (fun v -> t.xst <- v) XIdle
+        Mut.field ctx t ~get:(fun o -> o.xst) ~set:(fun o v -> o.xst <- v) XIdle
       end
     | Instr.St width ->
       if Addr_map.is_mmio pa then begin
         ignore (Mmio.store t.mmio ~hart:t.hart_id pa rs2);
-        if pa = Addr_map.mmio_exit then fld ctx (fun () -> t.halted_f) (fun v -> t.halted_f <- v) true;
+        if pa = Addr_map.mmio_exit then
+          Mut.field ctx t ~get:(fun o -> o.halted_f) ~set:(fun o v -> o.halted_f <- v) true;
         retire ~tid ctx t;
-        fld ctx (fun () -> t.xst) (fun v -> t.xst <- v) XIdle
+        Mut.field ctx t ~get:(fun o -> o.xst) ~set:(fun o v -> o.xst <- v) XIdle
       end
       else begin
         let line, data, mask = store_mask_data pa (Instr.bytes_of_width width) rs2 in
         Mem.L1_dcache.req ctx t.dc (Mem.L1_dcache.St { tag = 0; line });
-        fld ctx (fun () -> t.pending_store) (fun v -> t.pending_store <- v) (Some (line, data, mask));
+        Mut.field ctx t ~get:(fun o -> o.pending_store) ~set:(fun o v -> o.pending_store <- v)
+          (Some (line, data, mask));
         (match t.reservation with
-        | Some l when l = line -> fld ctx (fun () -> t.reservation) (fun v -> t.reservation <- v) None
+        | Some l when l = line ->
+          Mut.field ctx t ~get:(fun o -> o.reservation) ~set:(fun o v -> o.reservation <- v) None
         | _ -> ());
         retire ~tid ctx t;
-        fld ctx (fun () -> t.xst) (fun v -> t.xst <- v) XIdle
+        Mut.field ctx t ~get:(fun o -> o.xst) ~set:(fun o v -> o.xst <- v) XIdle
       end
     | Instr.Lr width ->
       let bytes = Instr.bytes_of_width width in
       let f old = (None, old) in
       Mem.L1_dcache.req ctx t.dc (Mem.L1_dcache.At { tag = 0; addr = pa; bytes; f });
-      fld ctx (fun () -> t.reservation) (fun v -> t.reservation <- v)
+      Mut.field ctx t ~get:(fun o -> o.reservation) ~set:(fun o v -> o.reservation <- v)
         (Some (Mem.Cache_geom.line_addr pa));
-      fld ctx (fun () -> t.xst) (fun v -> t.xst <- v) (XAt (i, tid))
+      Mut.field ctx t ~get:(fun o -> o.xst) ~set:(fun o v -> o.xst <- v) (XAt (i, tid))
     | Instr.Sc width ->
       let bytes = Instr.bytes_of_width width in
       let line = Mem.Cache_geom.line_addr pa in
@@ -336,12 +341,12 @@ let step_execute ctx t =
          this SC. Consumed at completion (XAt), success or not. *)
       let f _old = if t.reservation = Some line then (Some rs2, 0L) else (None, 1L) in
       Mem.L1_dcache.req ctx t.dc (Mem.L1_dcache.At { tag = 0; addr = pa; bytes; f });
-      fld ctx (fun () -> t.xst) (fun v -> t.xst <- v) (XAt (i, tid))
+      Mut.field ctx t ~get:(fun o -> o.xst) ~set:(fun o v -> o.xst <- v) (XAt (i, tid))
     | Instr.Amo { op; width } ->
       let bytes = Instr.bytes_of_width width in
       let f old = (Some (Exec_unit.amo op width ~old ~src:rs2), old) in
       Mem.L1_dcache.req ctx t.dc (Mem.L1_dcache.At { tag = 0; addr = pa; bytes; f });
-      fld ctx (fun () -> t.xst) (fun v -> t.xst <- v) (XAt (i, tid))
+      Mut.field ctx t ~get:(fun o -> o.xst) ~set:(fun o v -> o.xst <- v) (XAt (i, tid))
     | _ -> assert false)
   | XAt (i, tid) ->
     let _tag, result = Mem.L1_dcache.resp_at ctx t.dc in
@@ -351,18 +356,19 @@ let step_execute ctx t =
       | _ -> result
     in
     (match i.op with
-    | Instr.Sc _ -> fld ctx (fun () -> t.reservation) (fun v -> t.reservation <- v) None
+    | Instr.Sc _ ->
+      Mut.field ctx t ~get:(fun o -> o.reservation) ~set:(fun o v -> o.reservation <- v) None
     | _ -> ());
     if i.rd <> 0 then Mut.set_arr ctx t.regs i.rd result;
     retire ~tid ctx t;
-    fld ctx (fun () -> t.xst) (fun v -> t.xst <- v) XIdle
+    Mut.field ctx t ~get:(fun o -> o.xst) ~set:(fun o v -> o.xst <- v) XIdle
 
 let step_load_resp ctx t =
   let tag, v = Mem.L1_dcache.resp_ld ctx t.dc in
   match t.pending_load with
   | Some (rd, ptag) when ptag = tag ->
     if rd <> 0 then Mut.set_arr ctx t.regs rd v;
-    fld ctx (fun () -> t.pending_load) (fun v -> t.pending_load <- v) None
+    Mut.field ctx t ~get:(fun o -> o.pending_load) ~set:(fun o v -> o.pending_load <- v) None
   | _ -> failwith (t.name ^ ": orphan load resp")
 
 let step_store_resp ctx t =
@@ -370,7 +376,7 @@ let step_store_resp ctx t =
   match t.pending_store with
   | Some (line, data, mask) ->
     Mem.L1_dcache.write_data ctx t.dc ~line ~data ~mask;
-    fld ctx (fun () -> t.pending_store) (fun v -> t.pending_store <- v) None
+    Mut.field ctx t ~get:(fun o -> o.pending_store) ~set:(fun o v -> o.pending_store <- v) None
   | None -> failwith (t.name ^ ": orphan store resp")
 
 let rules t =

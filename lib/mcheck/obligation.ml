@@ -33,13 +33,13 @@ let armed m = m.m_armed
 
 let check ctx m f =
   if m.m_armed then begin
-    Cmd.Mut.field ctx ~get:(fun () -> m.events) ~set:(fun v -> m.events <- v) (m.events + 1);
+    Cmd.Mut.field ctx m ~get:(fun o -> o.events) ~set:(fun o v -> o.events <- v) (m.events + 1);
     match f () with
     | None -> ()
     | Some msg ->
-        Cmd.Mut.field ctx
-          ~get:(fun () -> m.pending)
-          ~set:(fun v -> m.pending <- v)
+        Cmd.Mut.field ctx m
+          ~get:(fun o -> o.pending)
+          ~set:(fun o v -> o.pending <- v)
           (msg :: m.pending)
   end
 

@@ -30,7 +30,7 @@ let create ?(name = "dram") clk pmem ~latency ~max_inflight =
 let req_read ctx t line =
   let data = Isa.Phys_mem.load_block t.pmem line Cache_geom.line_bytes in
   Fifo.enq ctx t.pending (Clock.now t.clk + t.latency, line, data);
-  Mut.field ctx ~get:(fun () -> t.n_reads) ~set:(fun v -> t.n_reads <- v) (t.n_reads + 1)
+  Mut.field ctx t ~get:(fun o -> o.n_reads) ~set:(fun o v -> o.n_reads <- v) (t.n_reads + 1)
 
 let req_write ctx t line data =
   (* Applied immediately: the L2 serializes traffic per line, so ordering
@@ -38,7 +38,7 @@ let req_write ctx t line data =
   let old = Isa.Phys_mem.load_block t.pmem line Cache_geom.line_bytes in
   Kernel.on_abort ctx (fun () -> Isa.Phys_mem.store_block t.pmem line old);
   Isa.Phys_mem.store_block t.pmem line (Bytes.copy data);
-  Mut.field ctx ~get:(fun () -> t.n_writes) ~set:(fun v -> t.n_writes <- v) (t.n_writes + 1)
+  Mut.field ctx t ~get:(fun o -> o.n_writes) ~set:(fun o v -> o.n_writes <- v) (t.n_writes + 1)
 
 let can_resp ctx t =
   Fifo.can_deq ctx t.pending

@@ -137,11 +137,9 @@ let write_val ctx ln addr bytes v =
   done;
   Mut.blit ctx ~src ~src_pos:0 ~dst:ln.data ~dst_pos:off ~len:bytes
 
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
-
 (* MESI: an exclusive-clean line may be written without asking the parent *)
 let writable ctx ln =
-  if ln.st = Msg.E then fld ctx (fun () -> ln.st) (fun v -> ln.st <- v) Msg.M;
+  if ln.st = Msg.E then Mut.field ctx ln ~get:(fun o -> o.st) ~set:(fun o v -> o.st <- v) Msg.M;
   ln.st = Msg.M
 
 (* Evict [ln] (state S or M): emit the voluntary downgrade and fire the
@@ -161,8 +159,8 @@ let evict ctx t set_idx ln =
     Fifo.enq ctx t.cresp_o { Msg.child = t.child_id; line = laddr; to_s = Msg.I; data = None }
   | Msg.I -> ());
   if ln.st <> Msg.I then t.evict_hook ctx laddr;
-  fld ctx (fun () -> ln.st) (fun s -> ln.st <- s) Msg.I;
-  fld ctx (fun () -> ln.tag) (fun s -> ln.tag <- s) (-1L)
+  Mut.field ctx ln ~get:(fun o -> o.st) ~set:(fun o v -> o.st <- v) Msg.I;
+  Mut.field ctx ln ~get:(fun o -> o.tag) ~set:(fun o v -> o.tag <- v) (-1L)
 
 (* Choose a victim way in [set]: invalid first, else rotate among ways that
    are not pending and not locked. Guard-fails if none is available. *)
@@ -193,7 +191,7 @@ let victim ctx t set_idx =
     in
     (match rot 0 with
     | Some i ->
-      fld ctx (fun () -> t.rotor) (fun v -> t.rotor <- v) ((t.rotor + 1) mod n);
+      Mut.field ctx t ~get:(fun o -> o.rotor) ~set:(fun o v -> o.rotor <- v) ((t.rotor + 1) mod n);
       evict ctx t set_idx ways.(i);
       i
     | None -> raise (Kernel.Guard_fail (t.name ^ ": no victim way")))
@@ -210,15 +208,15 @@ let alloc_mshr ctx t laddr want first_waiter =
       | Some _ | None -> victim ctx t set_idx
     in
     let ln = t.lines.(set_idx).(way) in
-    fld ctx (fun () -> ln.tag) (fun v -> ln.tag <- v) (tag_of t laddr);
-    fld ctx (fun () -> ln.pending) (fun v -> ln.pending <- v) true;
+    Mut.field ctx ln ~get:(fun o -> o.tag) ~set:(fun o v -> o.tag <- v) (tag_of t laddr);
+    Mut.field ctx ln ~get:(fun o -> o.pending) ~set:(fun o v -> o.pending <- v) true;
     Fifo.enq ctx t.creq_o { Msg.child = t.child_id; line = laddr; want };
-    fld ctx (fun () -> m.valid) (fun v -> m.valid <- v) true;
-    fld ctx (fun () -> m.mline) (fun v -> m.mline <- v) laddr;
-    fld ctx (fun () -> m.way) (fun v -> m.way <- v) way;
-    fld ctx (fun () -> m.want) (fun v -> m.want <- v) want;
-    fld ctx (fun () -> m.filled) (fun v -> m.filled <- v) false;
-    fld ctx (fun () -> m.waiters) (fun v -> m.waiters <- v) [ first_waiter ];
+    Mut.field ctx m ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) true;
+    Mut.field ctx m ~get:(fun o -> o.mline) ~set:(fun o v -> o.mline <- v) laddr;
+    Mut.field ctx m ~get:(fun o -> o.way) ~set:(fun o v -> o.way <- v) way;
+    Mut.field ctx m ~get:(fun o -> o.want) ~set:(fun o v -> o.want <- v) want;
+    Mut.field ctx m ~get:(fun o -> o.filled) ~set:(fun o v -> o.filled <- v) false;
+    Mut.field ctx m ~get:(fun o -> o.waiters) ~set:(fun o v -> o.waiters <- v) [ first_waiter ];
     Stats.incr ~ctx t.c_miss
 
 (* --- internal rule steps ----------------------------------------------- *)
@@ -230,9 +228,9 @@ let step_presp ctx t =
   | Some m ->
     let ln = t.lines.(set_of t g.Msg.line).(m.way) in
     Mut.blit ctx ~src:g.Msg.data ~src_pos:0 ~dst:ln.data ~dst_pos:0 ~len:Cache_geom.line_bytes;
-    fld ctx (fun () -> ln.st) (fun v -> ln.st <- v) g.Msg.granted;
-    fld ctx (fun () -> ln.pending) (fun v -> ln.pending <- v) false;
-    fld ctx (fun () -> m.filled) (fun v -> m.filled <- v) true
+    Mut.field ctx ln ~get:(fun o -> o.st) ~set:(fun o v -> o.st <- v) g.Msg.granted;
+    Mut.field ctx ln ~get:(fun o -> o.pending) ~set:(fun o v -> o.pending <- v) false;
+    Mut.field ctx m ~get:(fun o -> o.filled) ~set:(fun o v -> o.filled <- v) true
 
 let step_drain ctx t m =
   Kernel.guard ctx (m.valid && m.filled) "mshr not draining";
@@ -250,7 +248,7 @@ let step_drain ctx t m =
       if (not ln.locked) && Msg.state_leq Msg.E ln.st && writable ctx ln
          && Fifo.can_enq ctx t.resp_st_q
       then begin
-        fld ctx (fun () -> ln.locked) (fun v -> ln.locked <- v) true;
+        Mut.field ctx ln ~get:(fun o -> o.locked) ~set:(fun o v -> o.locked <- v) true;
         Fifo.enq ctx t.resp_st_q tag;
         drain rest
       end
@@ -271,8 +269,8 @@ let step_drain ctx t m =
   let before = m.waiters in
   let after = drain before in
   Kernel.guard ctx (after != before) "no waiter progress";
-  fld ctx (fun () -> m.waiters) (fun v -> m.waiters <- v) after;
-  if after = [] then fld ctx (fun () -> m.valid) (fun v -> m.valid <- v) false
+  Mut.field ctx m ~get:(fun o -> o.waiters) ~set:(fun o v -> o.waiters <- v) after;
+  if after = [] then Mut.field ctx m ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) false
 
 let step_preq ctx t =
   let (d : Msg.preq) = Fifo.first ctx t.preq_i in
@@ -293,10 +291,10 @@ let step_preq ctx t =
       let data = if ln.st = Msg.M then Some (Bytes.copy ln.data) else None in
       respond d.Msg.to_s data;
       if d.Msg.to_s = Msg.I then t.evict_hook ctx d.Msg.line;
-      fld ctx (fun () -> ln.st) (fun v -> ln.st <- v) d.Msg.to_s;
+      Mut.field ctx ln ~get:(fun o -> o.st) ~set:(fun o v -> o.st <- v) d.Msg.to_s;
       (* keep the tag when the way is reserved for a pending fill *)
       if d.Msg.to_s = Msg.I && not ln.pending then
-        fld ctx (fun () -> ln.tag) (fun v -> ln.tag <- v) (-1L)
+        Mut.field ctx ln ~get:(fun o -> o.tag) ~set:(fun o v -> o.tag <- v) (-1L)
     end
   | None -> respond Msg.I None);
   ignore (Fifo.deq ctx t.preq_i)
@@ -313,7 +311,7 @@ let step_req ctx t =
     | _ -> (
       match find_mshr t laddr with
       | Some m when not m.filled ->
-        fld ctx (fun () -> m.waiters) (fun v -> m.waiters <- v)
+        Mut.field ctx m ~get:(fun o -> o.waiters) ~set:(fun o v -> o.waiters <- v)
           (m.waiters @ [ WLd { tag; addr; bytes; unsigned } ])
       | Some _ -> raise (Kernel.Guard_fail "mshr draining; retry")
       | None -> alloc_mshr ctx t laddr Msg.S (WLd { tag; addr; bytes; unsigned })))
@@ -321,13 +319,14 @@ let step_req ctx t =
     match lookup t laddr with
     | Some (_, ln) when (not ln.pending) && Msg.state_leq Msg.E ln.st && writable ctx ln ->
       Kernel.guard ctx (not ln.locked) "line locked";
-      fld ctx (fun () -> ln.locked) (fun v -> ln.locked <- v) true;
+      Mut.field ctx ln ~get:(fun o -> o.locked) ~set:(fun o v -> o.locked <- v) true;
       Fifo.enq ctx t.resp_st_q tag;
       Stats.incr ~ctx t.c_hit
     | _ -> (
       match find_mshr t laddr with
       | Some m when (not m.filled) && m.want = Msg.M ->
-        fld ctx (fun () -> m.waiters) (fun v -> m.waiters <- v) (m.waiters @ [ WSt { tag } ])
+        Mut.field ctx m ~get:(fun o -> o.waiters) ~set:(fun o v -> o.waiters <- v)
+          (m.waiters @ [ WSt { tag } ])
       | Some _ -> raise (Kernel.Guard_fail "incompatible mshr; retry")
       | None -> alloc_mshr ctx t laddr Msg.M (WSt { tag })))
   | At { tag; addr; bytes; f } -> (
@@ -343,7 +342,7 @@ let step_req ctx t =
     | _ -> (
       match find_mshr t laddr with
       | Some m when (not m.filled) && m.want = Msg.M ->
-        fld ctx (fun () -> m.waiters) (fun v -> m.waiters <- v)
+        Mut.field ctx m ~get:(fun o -> o.waiters) ~set:(fun o v -> o.waiters <- v)
           (m.waiters @ [ WAt { tag; addr; bytes; f } ])
       | Some _ -> raise (Kernel.Guard_fail "incompatible mshr; retry")
       | None -> alloc_mshr ctx t laddr Msg.M (WAt { tag; addr; bytes; f })))
@@ -441,13 +440,12 @@ let resp_at_signal t = Fifo.signal t.resp_at_q
 let write_data ctx t ~line ~data ~mask =
   match lookup t line with
   | Some (_, ln) when ln.st = Msg.M && ln.locked ->
-    let old = Bytes.copy ln.data in
-    Kernel.on_abort ctx (fun () -> Bytes.blit old 0 ln.data 0 Cache_geom.line_bytes);
+    Kernel.log_bytes ctx ln.data 0 Cache_geom.line_bytes;
     for i = 0 to Cache_geom.line_bytes - 1 do
       if Int64.logand (Int64.shift_right_logical mask i) 1L = 1L then
         Bytes.set ln.data i (Bytes.get data i)
     done;
-    fld ctx (fun () -> ln.locked) (fun v -> ln.locked <- v) false
+    Mut.field ctx ln ~get:(fun o -> o.locked) ~set:(fun o v -> o.locked <- v) false
   | _ -> failwith (t.name ^ ": write_data without locked M line")
 
 let set_evict_hook t f = t.evict_hook <- f

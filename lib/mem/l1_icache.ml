@@ -56,8 +56,6 @@ let create ?(name = "l1i") ?boundary_lookahead clk ~child_id ~geom ~fetch_width 
       t.rotor <- rotor);
   t
 
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
-
 let lookup t laddr =
   let ways = t.lines.(Cache_geom.index t.geom laddr) in
   let tg = Cache_geom.tag t.geom laddr in
@@ -93,7 +91,7 @@ let step_req ctx t =
       | Some i -> i
       | None ->
         let i = t.rotor mod Array.length ways in
-        fld ctx (fun () -> t.rotor) (fun v -> t.rotor <- v) (t.rotor + 1);
+        Mut.field ctx t ~get:(fun o -> o.rotor) ~set:(fun o v -> o.rotor <- v) (t.rotor + 1);
         (* voluntary S eviction *)
         let victim = ways.(i) in
         let vaddr =
@@ -102,15 +100,16 @@ let step_req ctx t =
             (Int64.of_int (set_idx lsl Cache_geom.line_bits))
         in
         Fifo.enq ctx t.cresp_o { Msg.child = t.child_id; line = vaddr; to_s = Msg.I; data = None };
-        fld ctx (fun () -> victim.st) (fun v -> victim.st <- v) Msg.I;
+        Mut.field ctx victim ~get:(fun o -> o.st) ~set:(fun o v -> o.st <- v) Msg.I;
         i
     in
     let ln = ways.(way) in
-    fld ctx (fun () -> ln.tag) (fun v -> ln.tag <- v) (Cache_geom.tag t.geom laddr);
-    fld ctx (fun () -> ln.pending) (fun v -> ln.pending <- v) true;
+    Mut.field ctx ln ~get:(fun o -> o.tag) ~set:(fun o v -> o.tag <- v)
+      (Cache_geom.tag t.geom laddr);
+    Mut.field ctx ln ~get:(fun o -> o.pending) ~set:(fun o v -> o.pending <- v) true;
     Fifo.enq ctx t.creq_o { Msg.child = t.child_id; line = laddr; want = Msg.S };
-    fld ctx (fun () -> t.miss) (fun v -> t.miss <- v) (Some (tag, pc));
-    fld ctx (fun () -> t.miss_way) (fun v -> t.miss_way <- v) way;
+    Mut.field ctx t ~get:(fun o -> o.miss) ~set:(fun o v -> o.miss <- v) (Some (tag, pc));
+    Mut.field ctx t ~get:(fun o -> o.miss_way) ~set:(fun o v -> o.miss_way <- v) way;
     Stats.incr ~ctx t.c_miss);
   ignore (Fifo.deq ctx t.req_q)
 
@@ -120,10 +119,10 @@ let step_presp ctx t =
   | Some (tag, pc) when Cache_geom.line_addr pc = g.Msg.line ->
     let ln = t.lines.(Cache_geom.index t.geom g.Msg.line).(t.miss_way) in
     Mut.blit ctx ~src:g.Msg.data ~src_pos:0 ~dst:ln.data ~dst_pos:0 ~len:Cache_geom.line_bytes;
-    fld ctx (fun () -> ln.st) (fun v -> ln.st <- v) g.Msg.granted;
-    fld ctx (fun () -> ln.pending) (fun v -> ln.pending <- v) false;
+    Mut.field ctx ln ~get:(fun o -> o.st) ~set:(fun o v -> o.st <- v) g.Msg.granted;
+    Mut.field ctx ln ~get:(fun o -> o.pending) ~set:(fun o v -> o.pending <- v) false;
     respond ctx t tag pc ln;
-    fld ctx (fun () -> t.miss) (fun v -> t.miss <- v) None
+    Mut.field ctx t ~get:(fun o -> o.miss) ~set:(fun o v -> o.miss <- v) None
   | _ -> failwith (t.name ^ ": grant without miss")
 
 let step_preq ctx t =
@@ -131,7 +130,7 @@ let step_preq ctx t =
   (match lookup t d.Msg.line with
   | Some ln when (not ln.pending) && not (Msg.state_leq ln.st d.Msg.to_s) ->
     Fifo.enq ctx t.cresp_o { Msg.child = t.child_id; line = d.Msg.line; to_s = d.Msg.to_s; data = None };
-    fld ctx (fun () -> ln.st) (fun v -> ln.st <- v) d.Msg.to_s
+    Mut.field ctx ln ~get:(fun o -> o.st) ~set:(fun o v -> o.st <- v) d.Msg.to_s
   | Some _ | None ->
     Fifo.enq ctx t.cresp_o { Msg.child = t.child_id; line = d.Msg.line; to_s = Msg.I; data = None });
   ignore (Fifo.deq ctx t.preq_i)

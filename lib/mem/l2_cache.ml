@@ -173,8 +173,6 @@ let create ?(name = "l2") ?(bank = (0, 0)) ?(declared_min = 0) ?in_lookahead clk
         t.lines);
   t
 
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
-
 (* Address split with the bank-select field skipped: |tag|set|bank|line|. *)
 let index t laddr =
   Int64.to_int (Int64.shift_right_logical laddr (Cache_geom.line_bits + t.bank_bits))
@@ -284,7 +282,7 @@ let step_cresp ctx t =
     (match r.Msg.data with
     | Some d ->
       Mut.blit ctx ~src:d ~src_pos:0 ~dst:ln.data ~dst_pos:0 ~len:Cache_geom.line_bytes;
-      fld ctx (fun () -> ln.dirty) (fun v -> ln.dirty <- v) true
+      Mut.field ctx ln ~get:(fun o -> o.dirty) ~set:(fun o v -> o.dirty <- v) true
     | None -> ());
     (* the response reports the child's state now; never an upgrade *)
     if Msg.state_leq r.Msg.to_s ln.dir.(r.Msg.child) then Mut.set_arr ctx ln.dir r.Msg.child r.Msg.to_s
@@ -298,9 +296,9 @@ let step_dram_resp ctx t =
   | Some m when m.way >= 0 ->
     let ln = t.lines.(index t laddr).(m.way) in
     Mut.blit ctx ~src:data ~src_pos:0 ~dst:ln.data ~dst_pos:0 ~len:Cache_geom.line_bytes;
-    fld ctx (fun () -> ln.tag) (fun v -> ln.tag <- v) (tag_of t laddr);
-    fld ctx (fun () -> ln.valid) (fun v -> ln.valid <- v) true;
-    fld ctx (fun () -> ln.dirty) (fun v -> ln.dirty <- v) false;
+    Mut.field ctx ln ~get:(fun o -> o.tag) ~set:(fun o v -> o.tag <- v) (tag_of t laddr);
+    Mut.field ctx ln ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) true;
+    Mut.field ctx ln ~get:(fun o -> o.dirty) ~set:(fun o v -> o.dirty <- v) false;
     Array.iteri (fun i _ -> Mut.set_arr ctx ln.dir i Msg.I) ln.dir
   | Some _ | None -> failwith (t.name ^ ": dram resp without mshr/way")
 
@@ -308,18 +306,18 @@ let alloc_mshr ctx t laddr kind =
   match free_mshr t with
   | None -> raise (Kernel.Guard_fail (t.name ^ ": mshrs full"))
   | Some m ->
-    fld ctx (fun () -> m.valid) (fun v -> m.valid <- v) true;
-    fld ctx (fun () -> m.mline) (fun v -> m.mline <- v) laddr;
-    fld ctx (fun () -> m.kind) (fun v -> m.kind <- v) kind;
-    fld ctx (fun () -> m.way) (fun v -> m.way <- v) (-1);
-    fld ctx (fun () -> m.victim) (fun v -> m.victim <- v) None;
-    fld ctx (fun () -> m.fetch_sent) (fun v -> m.fetch_sent <- v) false;
+    Mut.field ctx m ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) true;
+    Mut.field ctx m ~get:(fun o -> o.mline) ~set:(fun o v -> o.mline <- v) laddr;
+    Mut.field ctx m ~get:(fun o -> o.kind) ~set:(fun o v -> o.kind <- v) kind;
+    Mut.field ctx m ~get:(fun o -> o.way) ~set:(fun o v -> o.way <- v) (-1);
+    Mut.field ctx m ~get:(fun o -> o.victim) ~set:(fun o v -> o.victim <- v) None;
+    Mut.field ctx m ~get:(fun o -> o.fetch_sent) ~set:(fun o v -> o.fetch_sent <- v) false;
     Array.iteri (fun i _ -> Mut.set_arr ctx m.victim_preq_sent i false) m.victim_preq_sent;
     Array.iteri (fun i _ -> Mut.set_arr ctx m.dg_sent i false) m.dg_sent;
     (match lookup t laddr with
     | Some (w, ln) ->
-      fld ctx (fun () -> m.way) (fun v -> m.way <- v) w;
-      fld ctx (fun () -> ln.busy) (fun v -> ln.busy <- v) true
+      Mut.field ctx m ~get:(fun o -> o.way) ~set:(fun o v -> o.way <- v) w;
+      Mut.field ctx ln ~get:(fun o -> o.busy) ~set:(fun o v -> o.busy <- v) true
     | None -> ());
     Stats.incr ~ctx t.c_miss
 
@@ -380,8 +378,8 @@ let step_mshr ctx t (m : mshr) =
       in
       match free 0 with
       | Some w ->
-        fld ctx (fun () -> m.way) (fun v -> m.way <- v) w;
-        fld ctx (fun () -> ways.(w).busy) (fun v -> ways.(w).busy <- v) true
+        Mut.field ctx m ~get:(fun o -> o.way) ~set:(fun o v -> o.way <- v) w;
+        Mut.field ctx ways.(w) ~get:(fun o -> o.busy) ~set:(fun o v -> o.busy <- v) true
       | None ->
         (* choose a victim: prefer clean lines with no children *)
         let score i =
@@ -399,12 +397,13 @@ let step_mshr ctx t (m : mshr) =
           end
         done;
         if !best < 0 then stop ();
-        fld ctx (fun () -> t.rotor) (fun v -> t.rotor <- v) (t.rotor + 1);
+        Mut.field ctx t ~get:(fun o -> o.rotor) ~set:(fun o v -> o.rotor <- v) (t.rotor + 1);
         let w = !best in
         let ln = ways.(w) in
-        fld ctx (fun () -> ln.busy) (fun v -> ln.busy <- v) true;
-        fld ctx (fun () -> m.victim) (fun v -> m.victim <- v) (Some (line_addr_of t set_idx ln));
-        fld ctx (fun () -> m.way) (fun v -> m.way <- v) w;
+        Mut.field ctx ln ~get:(fun o -> o.busy) ~set:(fun o v -> o.busy <- v) true;
+        Mut.field ctx m ~get:(fun o -> o.victim) ~set:(fun o v -> o.victim <- v)
+          (Some (line_addr_of t set_idx ln));
+        Mut.field ctx m ~get:(fun o -> o.way) ~set:(fun o v -> o.way <- v) w;
         Array.iteri (fun i _ -> Mut.set_arr ctx m.victim_preq_sent i false) m.victim_preq_sent;
         Stats.incr ~ctx t.c_recalls
     end;
@@ -423,16 +422,16 @@ let step_mshr ctx t (m : mshr) =
         ln.dir;
       if not (Array.for_all (fun s -> s = Msg.I) ln.dir) then stop ();
       if ln.dirty then Dram.req_write ctx t.dram vaddr ln.data;
-      fld ctx (fun () -> ln.valid) (fun v -> ln.valid <- v) false;
-      fld ctx (fun () -> ln.dirty) (fun v -> ln.dirty <- v) false;
-      fld ctx (fun () -> m.victim) (fun v -> m.victim <- v) None
+      Mut.field ctx ln ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) false;
+      Mut.field ctx ln ~get:(fun o -> o.dirty) ~set:(fun o v -> o.dirty <- v) false;
+      Mut.field ctx m ~get:(fun o -> o.victim) ~set:(fun o v -> o.victim <- v) None
     | None -> ());
     (* fetch from DRAM if the line is absent *)
     let present = ln.valid && ln.tag = tag_of t m.mline in
     if not present then begin
       if (not m.fetch_sent)
          && Kernel.attempt ctx (fun ctx -> Dram.req_read ctx t.dram m.mline) <> None
-      then fld ctx (fun () -> m.fetch_sent) (fun v -> m.fetch_sent <- v) true;
+      then Mut.field ctx m ~get:(fun o -> o.fetch_sent) ~set:(fun o v -> o.fetch_sent <- v) true;
       stop ()
     end;
     (* downgrade children that block the grant *)
@@ -446,8 +445,8 @@ let step_mshr ctx t (m : mshr) =
     if not (dir_ok ln m.kind) then stop ();
     if not (Fifo.can_enq ctx t.presp_o) then stop ();
     do_grant ctx t m.mline ln m.kind;
-    fld ctx (fun () -> ln.busy) (fun v -> ln.busy <- v) false;
-    fld ctx (fun () -> m.valid) (fun v -> m.valid <- v) false
+    Mut.field ctx ln ~get:(fun o -> o.busy) ~set:(fun o v -> o.busy <- v) false;
+    Mut.field ctx m ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) false
   with Stop -> ()
 
 let step_delays ctx t =

@@ -234,7 +234,6 @@ let create ?(name = "ooo") ?cosim ?(pipe = Obs.Pipe.null) clk (cfg : Config.t) ~
       Array.blit tlb_pending 0 t.tlb_pending 0 (Array.length t.tlb_pending));
   t
 
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 let set_pc t pc = t.fpc <- pc
 let set_commit_hook t f = t.commit_hook <- Some f
 
@@ -278,21 +277,22 @@ let step_fetch_issue ctx t =
   in
   let len, pred = scan 0 in
   Tlb.Tlb_sys.itlb_req ctx t.tlbs ~tag:(t.f_alloc mod 8) t.fpc;
-  fld ctx (fun () -> slot.fst) (fun v -> slot.fst <- v) FWaitTlb;
-  fld ctx (fun () -> slot.vpc) (fun v -> slot.vpc <- v) t.fpc;
-  fld ctx (fun () -> slot.flen) (fun v -> slot.flen <- v) len;
-  fld ctx (fun () -> slot.fpred) (fun v -> slot.fpred <- v) pred;
-  fld ctx (fun () -> slot.fepoch) (fun v -> slot.fepoch <- v) t.epoch;
+  Mut.field ctx slot ~get:(fun o -> o.fst) ~set:(fun o v -> o.fst <- v) FWaitTlb;
+  Mut.field ctx slot ~get:(fun o -> o.vpc) ~set:(fun o v -> o.vpc <- v) t.fpc;
+  Mut.field ctx slot ~get:(fun o -> o.flen) ~set:(fun o v -> o.flen <- v) len;
+  Mut.field ctx slot ~get:(fun o -> o.fpred) ~set:(fun o v -> o.fpred <- v) pred;
+  Mut.field ctx slot ~get:(fun o -> o.fepoch) ~set:(fun o v -> o.fepoch <- v) t.epoch;
   if Obs.Pipe.is_active t.pipe then
-    fld ctx (fun () -> slot.fcyc) (fun v -> slot.fcyc <- v) (Clock.now t.clk);
-  fld ctx (fun () -> t.f_alloc) (fun v -> t.f_alloc <- v) (t.f_alloc + 1);
-  fld ctx (fun () -> t.fpc) (fun v -> t.fpc <- v) pred
+    Mut.field ctx slot ~get:(fun o -> o.fcyc) ~set:(fun o v -> o.fcyc <- v) (Clock.now t.clk);
+  Mut.field ctx t ~get:(fun o -> o.f_alloc) ~set:(fun o v -> o.f_alloc <- v) (t.f_alloc + 1);
+  Mut.field ctx t ~get:(fun o -> o.fpc) ~set:(fun o v -> o.fpc <- v) pred
 
 let step_fetch_tlb ctx t =
   let tag, res = Tlb.Tlb_sys.itlb_resp ctx t.tlbs in
   let slot = t.fslots.(tag) in
   match res with
-  | Tlb.Tlb_sys.Hit pa -> fld ctx (fun () -> slot.fst) (fun v -> slot.fst <- v) (FReady pa)
+  | Tlb.Tlb_sys.Hit pa ->
+    Mut.field ctx slot ~get:(fun o -> o.fst) ~set:(fun o v -> o.fst <- v) (FReady pa)
   | Tlb.Tlb_sys.Fault -> failwith (t.name ^ ": instruction page fault")
 
 (* dispatch I$ requests in fetch order even when I-TLB responses reorder *)
@@ -302,13 +302,13 @@ let step_fetch_dispatch ctx t =
   match slot.fst with
   | FReady pa ->
     if slot.fepoch <> t.epoch then begin
-      fld ctx (fun () -> slot.fst) (fun v -> slot.fst <- v) FFree;
-      fld ctx (fun () -> t.f_mem) (fun v -> t.f_mem <- v) (t.f_mem + 1)
+      Mut.field ctx slot ~get:(fun o -> o.fst) ~set:(fun o v -> o.fst <- v) FFree;
+      Mut.field ctx t ~get:(fun o -> o.f_mem) ~set:(fun o v -> o.f_mem <- v) (t.f_mem + 1)
     end
     else begin
       Mem.L1_icache.req ctx t.ic ~tag:idx pa;
-      fld ctx (fun () -> slot.fst) (fun v -> slot.fst <- v) FWaitMem;
-      fld ctx (fun () -> t.f_mem) (fun v -> t.f_mem <- v) (t.f_mem + 1)
+      Mut.field ctx slot ~get:(fun o -> o.fst) ~set:(fun o v -> o.fst <- v) FWaitMem;
+      Mut.field ctx t ~get:(fun o -> o.f_mem) ~set:(fun o v -> o.f_mem <- v) (t.f_mem + 1)
     end
   | FFree | FWaitTlb | FWaitMem -> raise (Kernel.Guard_fail "no slot ready for i$")
 
@@ -326,15 +326,15 @@ let step_fetch_mem ctx t =
         gfcyc = slot.fcyc;
       }
   end;
-  fld ctx (fun () -> slot.fst) (fun v -> slot.fst <- v) FFree
+  Mut.field ctx slot ~get:(fun o -> o.fst) ~set:(fun o v -> o.fst <- v) FFree
 
 (* ------------------------------------------------------------------ *)
 (* Decode                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let redirect_front ctx t target =
-  fld ctx (fun () -> t.fpc) (fun v -> t.fpc <- v) target;
-  fld ctx (fun () -> t.epoch) (fun v -> t.epoch <- v) (t.epoch + 1)
+  Mut.field ctx t ~get:(fun o -> o.fpc) ~set:(fun o v -> o.fpc <- v) target;
+  Mut.field ctx t ~get:(fun o -> o.epoch) ~set:(fun o v -> o.epoch <- v) (t.epoch + 1)
 
 let step_decode ctx t =
   let g = Fifo.deq ctx t.f2d in
@@ -428,7 +428,7 @@ let rename_one ctx t =
   | Some q -> Kernel.guard ctx (Issue_queue.can_enter q) "iq full"
   | None -> ());
   let seq = t.seq_ctr in
-  fld ctx (fun () -> t.seq_ctr) (fun v -> t.seq_ctr <- v) (seq + 1);
+  Mut.field ctx t ~get:(fun o -> o.seq_ctr) ~set:(fun o v -> o.seq_ctr <- v) (seq + 1);
   let prs1 = if Instr.uses_rs1 i && i.rs1 <> 0 then Rename_table.lookup t.rat i.rs1 else -1 in
   let prs2 = if Instr.uses_rs2 i && i.rs2 <> 0 then Rename_table.lookup t.rat i.rs2 else -1 in
   let writes = Instr.writes_rd i in
@@ -883,7 +883,7 @@ let commit_common ctx t (u : Uop.t) =
     if u.prd_old >= 0 then Free_list.free ctx t.fl u.prd_old;
     Rename_table.rrat_set ctx t.rat u.instr.rd u.prd
   end;
-  fld ctx (fun () -> t.n_instret) (fun v -> t.n_instret <- v) (t.n_instret + 1);
+  Mut.field ctx t ~get:(fun o -> o.n_instret) ~set:(fun o v -> o.n_instret <- v) (t.n_instret + 1);
   Stats.incr ~ctx t.c_instrs;
   Rob.deq ctx t.rob;
   emit_retire ctx t u.tid ~flushed:false;
@@ -937,7 +937,8 @@ let commit_one ctx t =
         Kernel.guard ctx u.translated "mmio store not translated";
         Kernel.guard ctx (Lsq.sq_head_is t.lsq u && sb_empty t) "mmio store: stores pending";
         ignore (Mmio.store t.mmio ~hart:t.hart_id u.paddr u.st_data);
-        if u.paddr = Addr_map.mmio_exit then fld ctx (fun () -> t.halted_f) (fun v -> t.halted_f <- v) true;
+        if u.paddr = Addr_map.mmio_exit then
+          Mut.field ctx t ~get:(fun o -> o.halted_f) ~set:(fun o v -> o.halted_f <- v) true;
         commit_common ctx t u
       | Instr.Lr _ | Instr.Sc _ | Instr.Amo _ ->
         if not u.completed then begin
@@ -958,18 +959,19 @@ let commit_one ctx t =
           Mem.L1_dcache.req ctx t.dc (Mem.L1_dcache.At { tag = 0; addr = u.paddr; bytes; f = atomic_f t u });
           (match u.instr.op with
           | Instr.Lr _ ->
-            fld ctx (fun () -> t.reservation) (fun v -> t.reservation <- v)
+            Mut.field ctx t ~get:(fun o -> o.reservation) ~set:(fun o v -> o.reservation <- v)
               (Some (Mem.Cache_geom.line_addr u.paddr))
           | Instr.Sc _ -> ()
           | _ -> ());
-          fld ctx (fun () -> t.atomic_busy) (fun v -> t.atomic_busy <- v) true;
+          Mut.field ctx t ~get:(fun o -> o.atomic_busy) ~set:(fun o v -> o.atomic_busy <- v) true;
           (* issued: the effects must commit, but the group stops here *)
           raise Exit
         end
         else begin
           commit_common ctx t u;
           (match u.instr.op with
-          | Instr.Sc _ -> fld ctx (fun () -> t.reservation) (fun v -> t.reservation <- v) None
+          | Instr.Sc _ ->
+            Mut.field ctx t ~get:(fun o -> o.reservation) ~set:(fun o v -> o.reservation <- v) None
           | _ -> ())
         end
       | Instr.Fence | Instr.FenceI ->
@@ -993,7 +995,7 @@ let commit_one ctx t =
         let a0 = Prf.read t.prf (Rename_table.rrat t.rat).(Reg_name.a0) in
         if a7 = 93L then begin
           ignore (Mmio.store t.mmio ~hart:t.hart_id Addr_map.mmio_exit a0);
-          fld ctx (fun () -> t.halted_f) (fun v -> t.halted_f <- v) true
+          Mut.field ctx t ~get:(fun o -> o.halted_f) ~set:(fun o v -> o.halted_f <- v) true
         end
         else failwith (t.name ^ ": unknown ecall");
         Uop.mk_set_completed ctx u true;
@@ -1032,7 +1034,7 @@ let step_resp_at ctx t =
     end;
     Uop.mk_set_result ctx u result;
     Uop.mk_set_completed ctx u true;
-    fld ctx (fun () -> t.atomic_busy) (fun v -> t.atomic_busy <- v) false
+    Mut.field ctx t ~get:(fun o -> o.atomic_busy) ~set:(fun o v -> o.atomic_busy <- v) false
   | _ -> failwith (t.name ^ ": orphan atomic response")
 
 (* ------------------------------------------------------------------ *)
@@ -1047,14 +1049,15 @@ let step_resp_at ctx t =
    the body could commit an effect. *)
 let mk ?can_fire ?watches ?fp name f =
   Rule.make ?can_fire ?watches ?fp ~vacuous:true name
-    (fun ctx -> ignore (Kernel.attempt ctx (fun ctx -> f ctx)))
+    (fun ctx -> ignore (Kernel.attempt ctx f))
 
 let rules ?(schedule = `Aggressive) t =
   Partition.scoped (t.hart_id + 1) @@ fun () ->
   (* eviction hook: TSO load kills + LR/SC reservation *)
   Mem.L1_dcache.set_evict_hook t.dc (fun ctx line ->
       (match t.reservation with
-      | Some l when l = line -> fld ctx (fun () -> t.reservation) (fun v -> t.reservation <- v) None
+      | Some l when l = line ->
+        Mut.field ctx t ~get:(fun o -> o.reservation) ~set:(fun o v -> o.reservation <- v) None
       | _ -> ());
       if t.cfg.mem_model = Config.TSO then begin
         Stats.incr ~ctx t.c_tso_kills;

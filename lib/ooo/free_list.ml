@@ -44,17 +44,16 @@ let create ~nregs =
       t.alloc_ptr <- alloc_ptr;
       t.free_ptr <- free_ptr);
   t
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 
 let alloc ctx t =
   Kernel.guard ctx (free_count t > 0) "free list empty";
   let r = t.ring.(t.alloc_ptr mod t.nregs) in
-  fld ctx (fun () -> t.alloc_ptr) (fun v -> t.alloc_ptr <- v) (t.alloc_ptr + 1);
+  Mut.field ctx t ~get:(fun o -> o.alloc_ptr) ~set:(fun o v -> o.alloc_ptr <- v) (t.alloc_ptr + 1);
   r
 
 let free ctx t r =
   Mut.set_arr ctx t.ring (t.free_ptr mod t.nregs) r;
-  fld ctx (fun () -> t.free_ptr) (fun v -> t.free_ptr <- v) (t.free_ptr + 1)
+  Mut.field ctx t ~get:(fun o -> o.free_ptr) ~set:(fun o v -> o.free_ptr <- v) (t.free_ptr + 1)
 
 let iter_free t f =
   for i = t.alloc_ptr to t.free_ptr - 1 do
@@ -62,7 +61,8 @@ let iter_free t f =
   done
 
 let snapshot t = t.alloc_ptr
-let restore ctx t snap = fld ctx (fun () -> t.alloc_ptr) (fun v -> t.alloc_ptr <- v) snap
+let restore ctx t snap =
+  Mut.field ctx t ~get:(fun o -> o.alloc_ptr) ~set:(fun o v -> o.alloc_ptr <- v) snap
 
 let reset ctx t ~live =
   let is_live = Array.make t.nregs false in
@@ -74,5 +74,5 @@ let reset ctx t ~live =
       incr k
     end
   done;
-  fld ctx (fun () -> t.alloc_ptr) (fun v -> t.alloc_ptr <- v) 0;
-  fld ctx (fun () -> t.free_ptr) (fun v -> t.free_ptr <- v) !k
+  Mut.field ctx t ~get:(fun o -> o.alloc_ptr) ~set:(fun o v -> o.alloc_ptr <- v) 0;
+  Mut.field ctx t ~get:(fun o -> o.free_ptr) ~set:(fun o v -> o.free_ptr <- v) !k

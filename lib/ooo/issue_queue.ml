@@ -19,21 +19,20 @@ let create ~name ~size =
 let name t = t.nm
 let count t = t.n
 let can_enter t = t.n < Array.length t.entries
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
-let set_n ctx t v = fld ctx (fun () -> t.n) (fun x -> t.n <- x) v
+let set_n ctx t v = Mut.field ctx t ~get:(fun o -> o.n) ~set:(fun o v -> o.n <- v) v
 
 let free_entry ctx e =
-  fld ctx (fun () -> e.used) (fun v -> e.used <- v) false;
-  fld ctx (fun () -> e.u) (fun v -> e.u <- v) None
+  Mut.field ctx e ~get:(fun o -> o.used) ~set:(fun o v -> o.used <- v) false;
+  Mut.field ctx e ~get:(fun o -> o.u) ~set:(fun o v -> o.u <- v) None
 
 let enter ctx t u ~rdy1 ~rdy2 =
   Kernel.guard ctx (can_enter t) t.m_full;
   let rec find i = if t.entries.(i).used then find (i + 1) else t.entries.(i) in
   let e = find 0 in
-  fld ctx (fun () -> e.used) (fun v -> e.used <- v) true;
-  fld ctx (fun () -> e.u) (fun v -> e.u <- v) (Some u);
-  fld ctx (fun () -> e.rdy1) (fun v -> e.rdy1 <- v) rdy1;
-  fld ctx (fun () -> e.rdy2) (fun v -> e.rdy2 <- v) rdy2;
+  Mut.field ctx e ~get:(fun o -> o.used) ~set:(fun o v -> o.used <- v) true;
+  Mut.field ctx e ~get:(fun o -> o.u) ~set:(fun o v -> o.u <- v) (Some u);
+  Mut.field ctx e ~get:(fun o -> o.rdy1) ~set:(fun o v -> o.rdy1 <- v) rdy1;
+  Mut.field ctx e ~get:(fun o -> o.rdy2) ~set:(fun o v -> o.rdy2 <- v) rdy2;
   set_n ctx t (t.n + 1)
 
 let wakeup ctx t preg =
@@ -41,8 +40,10 @@ let wakeup ctx t preg =
     (fun e ->
       match e.u with
       | Some u when e.used ->
-        if (not e.rdy1) && u.Uop.prs1 = preg then fld ctx (fun () -> e.rdy1) (fun v -> e.rdy1 <- v) true;
-        if (not e.rdy2) && u.Uop.prs2 = preg then fld ctx (fun () -> e.rdy2) (fun v -> e.rdy2 <- v) true
+        if (not e.rdy1) && u.Uop.prs1 = preg then
+          Mut.field ctx e ~get:(fun o -> o.rdy1) ~set:(fun o v -> o.rdy1 <- v) true;
+        if (not e.rdy2) && u.Uop.prs2 = preg then
+          Mut.field ctx e ~get:(fun o -> o.rdy2) ~set:(fun o v -> o.rdy2 <- v) true
       | _ -> ())
     t.entries
 

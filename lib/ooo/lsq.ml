@@ -131,7 +131,6 @@ let create (cfg : Config.t) =
       List.iter (fun (k, v) -> Hashtbl.replace t.outstanding k v) outstanding);
   t
 
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 let lslot t i = t.lq.(i mod Array.length t.lq)
 let sslot t i = t.sq.(i mod Array.length t.sq)
 let can_enq_ld t = t.l_tail - t.l_head < Array.length t.lq
@@ -157,35 +156,36 @@ let covers sa sb la lb =
 let reserve_ld ctx t =
   Kernel.guard ctx (can_enq_ld t) "lq full";
   let idx = t.l_tail in
-  fld ctx (fun () -> t.l_tail) (fun v -> t.l_tail <- v) (t.l_tail + 1);
+  Mut.field ctx t ~get:(fun o -> o.l_tail) ~set:(fun o v -> o.l_tail <- v) (t.l_tail + 1);
   idx
 
 let fill_ld ctx t idx u =
   let e = lslot t idx in
-  fld ctx (fun () -> e.lu) (fun v -> e.lu <- v) (Some u);
-  fld ctx (fun () -> e.lidx) (fun v -> e.lidx <- v) idx;
-  fld ctx (fun () -> e.lstate) (fun v -> e.lstate <- v) LdIdle;
-  fld ctx (fun () -> e.lstall) (fun v -> e.lstall <- v) SNone;
-  fld ctx (fun () -> e.laddr_ok) (fun v -> e.laddr_ok <- v) false
+  Mut.field ctx e ~get:(fun o -> o.lu) ~set:(fun o v -> o.lu <- v) (Some u);
+  Mut.field ctx e ~get:(fun o -> o.lidx) ~set:(fun o v -> o.lidx <- v) idx;
+  Mut.field ctx e ~get:(fun o -> o.lstate) ~set:(fun o v -> o.lstate <- v) LdIdle;
+  Mut.field ctx e ~get:(fun o -> o.lstall) ~set:(fun o v -> o.lstall <- v) SNone;
+  Mut.field ctx e ~get:(fun o -> o.laddr_ok) ~set:(fun o v -> o.laddr_ok <- v) false
 
 let reserve_st ctx t =
   Kernel.guard ctx (can_enq_st t) "sq full";
   let idx = t.s_tail in
-  fld ctx (fun () -> t.s_tail) (fun v -> t.s_tail <- v) (t.s_tail + 1);
+  Mut.field ctx t ~get:(fun o -> o.s_tail) ~set:(fun o v -> o.s_tail <- v) (t.s_tail + 1);
   idx
 
 let fill_st ctx t idx u =
   let e = sslot t idx in
-  fld ctx (fun () -> e.su) (fun v -> e.su <- v) (Some u);
-  fld ctx (fun () -> e.saddr_ok) (fun v -> e.saddr_ok <- v) false;
-  fld ctx (fun () -> e.scommitted) (fun v -> e.scommitted <- v) false;
-  fld ctx (fun () -> e.sissued) (fun v -> e.sissued <- v) false;
-  fld ctx (fun () -> e.sprefetched) (fun v -> e.sprefetched <- v) false
+  Mut.field ctx e ~get:(fun o -> o.su) ~set:(fun o v -> o.su <- v) (Some u);
+  Mut.field ctx e ~get:(fun o -> o.saddr_ok) ~set:(fun o v -> o.saddr_ok <- v) false;
+  Mut.field ctx e ~get:(fun o -> o.scommitted) ~set:(fun o v -> o.scommitted <- v) false;
+  Mut.field ctx e ~get:(fun o -> o.sissued) ~set:(fun o v -> o.sissued <- v) false;
+  Mut.field ctx e ~get:(fun o -> o.sprefetched) ~set:(fun o v -> o.sprefetched <- v) false
 
-let add_fence ctx t u = fld ctx (fun () -> t.fences) (fun v -> t.fences <- v) (u :: t.fences)
+let add_fence ctx t u =
+  Mut.field ctx t ~get:(fun o -> o.fences) ~set:(fun o v -> o.fences <- v) (u :: t.fences)
 
 let remove_fence ctx t u =
-  fld ctx (fun () -> t.fences) (fun v -> t.fences <- v)
+  Mut.field ctx t ~get:(fun o -> o.fences) ~set:(fun o v -> o.fences <- v)
     (List.filter (fun (f : Uop.t) -> f.seq <> u.Uop.seq) t.fences)
 
 (* --- update --------------------------------------------------------------- *)
@@ -194,7 +194,8 @@ let update_ld ctx t (u : Uop.t) =
   match u.lsq with
   | Uop.LQ idx ->
     let e = lslot t idx in
-    if e.lidx = idx && e.lu <> None then fld ctx (fun () -> e.laddr_ok) (fun v -> e.laddr_ok <- v) true
+    if e.lidx = idx && e.lu <> None then
+      Mut.field ctx e ~get:(fun o -> o.laddr_ok) ~set:(fun o v -> o.laddr_ok <- v) true
   | Uop.SQ _ | Uop.LNone -> ()
 
 let update_st ctx t (u : Uop.t) =
@@ -202,7 +203,8 @@ let update_st ctx t (u : Uop.t) =
   | Uop.SQ idx ->
     let e = sslot t idx in
     (match e.su with
-    | Some x when x.Uop.seq = u.seq -> fld ctx (fun () -> e.saddr_ok) (fun v -> e.saddr_ok <- v) true
+    | Some x when x.Uop.seq = u.seq ->
+      Mut.field ctx e ~get:(fun o -> o.saddr_ok) ~set:(fun o v -> o.saddr_ok <- v) true
     | Some _ | None -> ())
   | Uop.LQ _ | Uop.LNone -> ());
   (* kill search: younger loads that already read data overlapping us *)
@@ -299,11 +301,11 @@ let issue_ld ctx t idx (u : Uop.t) ~sb_search =
                u.seq u.paddr su.Uop.seq su.paddr)
         | None -> None)
   in
-  let set_state st = fld ctx (fun () -> e.lstate) (fun v -> e.lstate <- v) st in
-  let set_stall s = fld ctx (fun () -> e.lstall) (fun v -> e.lstall <- v) s in
+  let set_state st = Mut.field ctx e ~get:(fun o -> o.lstate) ~set:(fun o v -> o.lstate <- v) st in
+  let set_stall s = Mut.field ctx e ~get:(fun o -> o.lstall) ~set:(fun o v -> o.lstall <- v) s in
   let new_tag () =
     let tag = t.tag_ctr in
-    fld ctx (fun () -> t.tag_ctr) (fun v -> t.tag_ctr <- v) (tag + 1);
+    Mut.field ctx t ~get:(fun o -> o.tag_ctr) ~set:(fun o v -> o.tag_ctr <- v) (tag + 1);
     Hashtbl.replace t.outstanding tag idx;
     Kernel.on_abort ctx (fun () -> Hashtbl.remove t.outstanding tag);
     tag
@@ -345,21 +347,21 @@ let resp_ld ctx t tag value =
   if e.lidx <> idx || e.lu = None || e.lstate <> LdIssued then begin
     (* stale response: the load it belonged to was killed *)
     if e.wrong_path then incr wp_clears;
-    fld ctx (fun () -> e.wrong_path) (fun v -> e.wrong_path <- v) false;
+    Mut.field ctx e ~get:(fun o -> o.wrong_path) ~set:(fun o v -> o.wrong_path <- v) false;
     `WrongPath
   end
   else
     match e.lu with
     | Some u when not u.killed ->
-      fld ctx (fun () -> e.lstate) (fun v -> e.lstate <- v) LdDone;
+      Mut.field ctx e ~get:(fun o -> o.lstate) ~set:(fun o v -> o.lstate <- v) LdDone;
       Uop.mk_set_result ctx u value;
       `Ok u
     | _ ->
       (* killed but not yet collected: the slot owes no further response *)
       if e.wrong_path then incr wp_clears;
-      fld ctx (fun () -> e.wrong_path) (fun v -> e.wrong_path <- v) false;
-      fld ctx (fun () -> e.lu) (fun v -> e.lu <- v) None;
-      fld ctx (fun () -> e.lstate) (fun v -> e.lstate <- v) LdIdle;
+      Mut.field ctx e ~get:(fun o -> o.wrong_path) ~set:(fun o v -> o.wrong_path <- v) false;
+      Mut.field ctx e ~get:(fun o -> o.lu) ~set:(fun o v -> o.lu <- v) None;
+      Mut.field ctx e ~get:(fun o -> o.lstate) ~set:(fun o v -> o.lstate <- v) LdIdle;
       `WrongPath
 
 (* --- store commit side ------------------------------------------------------ *)
@@ -368,7 +370,7 @@ let set_at_commit ctx t (u : Uop.t) =
   match u.lsq with
   | Uop.SQ idx ->
     let e = sslot t idx in
-    fld ctx (fun () -> e.scommitted) (fun v -> e.scommitted <- v) true
+    Mut.field ctx e ~get:(fun o -> o.scommitted) ~set:(fun o v -> o.scommitted <- v) true
   | Uop.LQ _ | Uop.LNone -> ()
 
 let is_normal_store (u : Uop.t) = match u.instr.op with Isa.Instr.St _ -> true | _ -> false
@@ -385,7 +387,7 @@ let oldest_committed_store t =
 
 let mark_store_issued ctx t idx =
   let e = sslot t idx in
-  fld ctx (fun () -> e.sissued) (fun v -> e.sissued <- v) true
+  Mut.field ctx e ~get:(fun o -> o.sissued) ~set:(fun o v -> o.sissued <- v) true
 
 (* A translated store that has not been prefetched yet (paper: "SQ can
    issue as many store-prefetch requests as it wants"). *)
@@ -404,7 +406,7 @@ let prefetch_candidate t =
 
 let mark_prefetched ctx t idx =
   let e = sslot t idx in
-  fld ctx (fun () -> e.sprefetched) (fun v -> e.sprefetched <- v) true
+  Mut.field ctx e ~get:(fun o -> o.sprefetched) ~set:(fun o v -> o.sprefetched <- v) true
 
 let committed_store_head t =
   if t.s_tail - t.s_head > 0 then begin
@@ -419,7 +421,8 @@ let clear_sq_stalls ctx t seq =
   for i = t.l_head to t.l_tail - 1 do
     let e = lslot t i in
     match e.lstall with
-    | SSq s when s = seq -> fld ctx (fun () -> e.lstall) (fun v -> e.lstall <- v) SNone
+    | SSq s when s = seq ->
+      Mut.field ctx e ~get:(fun o -> o.lstall) ~set:(fun o v -> o.lstall <- v) SNone
     | _ -> ()
   done
 
@@ -427,10 +430,10 @@ let deq_st ctx t =
   Kernel.guard ctx (t.s_tail - t.s_head > 0) "sq empty";
   let e = sslot t t.s_head in
   (match e.su with Some u -> clear_sq_stalls ctx t u.Uop.seq | None -> ());
-  fld ctx (fun () -> e.su) (fun v -> e.su <- v) None;
-  fld ctx (fun () -> e.scommitted) (fun v -> e.scommitted <- v) false;
-  fld ctx (fun () -> e.sissued) (fun v -> e.sissued <- v) false;
-  fld ctx (fun () -> t.s_head) (fun v -> t.s_head <- v) (t.s_head + 1)
+  Mut.field ctx e ~get:(fun o -> o.su) ~set:(fun o v -> o.su <- v) None;
+  Mut.field ctx e ~get:(fun o -> o.scommitted) ~set:(fun o v -> o.scommitted <- v) false;
+  Mut.field ctx e ~get:(fun o -> o.sissued) ~set:(fun o v -> o.sissued <- v) false;
+  Mut.field ctx t ~get:(fun o -> o.s_head) ~set:(fun o v -> o.s_head <- v) (t.s_head + 1)
 
 let sq_head_is t (u : Uop.t) =
   t.s_tail - t.s_head > 0
@@ -458,7 +461,8 @@ let wakeup_by_sb_deq ctx t sbidx =
   for i = t.l_head to t.l_tail - 1 do
     let e = lslot t i in
     match e.lstall with
-    | SSb s when s = sbidx -> fld ctx (fun () -> e.lstall) (fun v -> e.lstall <- v) SNone
+    | SSb s when s = sbidx ->
+      Mut.field ctx e ~get:(fun o -> o.lstall) ~set:(fun o v -> o.lstall <- v) SNone
     | _ -> ()
   done
 
@@ -467,11 +471,11 @@ let wakeup_by_sb_deq ctx t sbidx =
 let deq_ld ctx t =
   Kernel.guard ctx (t.l_tail - t.l_head > 0) "lq empty";
   let e = lslot t t.l_head in
-  fld ctx (fun () -> e.lu) (fun v -> e.lu <- v) None;
-  fld ctx (fun () -> e.laddr_ok) (fun v -> e.laddr_ok <- v) false;
-  fld ctx (fun () -> e.lstate) (fun v -> e.lstate <- v) LdIdle;
-  fld ctx (fun () -> e.lstall) (fun v -> e.lstall <- v) SNone;
-  fld ctx (fun () -> t.l_head) (fun v -> t.l_head <- v) (t.l_head + 1)
+  Mut.field ctx e ~get:(fun o -> o.lu) ~set:(fun o v -> o.lu <- v) None;
+  Mut.field ctx e ~get:(fun o -> o.laddr_ok) ~set:(fun o v -> o.laddr_ok <- v) false;
+  Mut.field ctx e ~get:(fun o -> o.lstate) ~set:(fun o v -> o.lstate <- v) LdIdle;
+  Mut.field ctx e ~get:(fun o -> o.lstall) ~set:(fun o v -> o.lstall <- v) SNone;
+  Mut.field ctx t ~get:(fun o -> o.l_head) ~set:(fun o v -> o.l_head <- v) (t.l_head + 1)
 
 let cache_evict ctx t line =
   if t.tso then
@@ -490,12 +494,12 @@ let release_lq_slot ctx e =
   (match e.lstate with
   | LdIssued ->
     incr wp_sets;
-    fld ctx (fun () -> e.wrong_path) (fun v -> e.wrong_path <- v) true
+    Mut.field ctx e ~get:(fun o -> o.wrong_path) ~set:(fun o v -> o.wrong_path <- v) true
   | LdIdle | LdDone -> ());
-  fld ctx (fun () -> e.lu) (fun v -> e.lu <- v) None;
-  fld ctx (fun () -> e.laddr_ok) (fun v -> e.laddr_ok <- v) false;
-  fld ctx (fun () -> e.lstate) (fun v -> e.lstate <- v) LdIdle;
-  fld ctx (fun () -> e.lstall) (fun v -> e.lstall <- v) SNone
+  Mut.field ctx e ~get:(fun o -> o.lu) ~set:(fun o v -> o.lu <- v) None;
+  Mut.field ctx e ~get:(fun o -> o.laddr_ok) ~set:(fun o v -> o.laddr_ok <- v) false;
+  Mut.field ctx e ~get:(fun o -> o.lstate) ~set:(fun o v -> o.lstate <- v) LdIdle;
+  Mut.field ctx e ~get:(fun o -> o.lstall) ~set:(fun o v -> o.lstall <- v) SNone
 
 let kill_suffix ctx t =
   let continue = ref true in
@@ -504,7 +508,7 @@ let kill_suffix ctx t =
     match e.lu with
     | Some u when u.Uop.killed ->
       release_lq_slot ctx e;
-      fld ctx (fun () -> t.l_tail) (fun v -> t.l_tail <- v) (t.l_tail - 1)
+      Mut.field ctx t ~get:(fun o -> o.l_tail) ~set:(fun o v -> o.l_tail <- v) (t.l_tail - 1)
     | _ -> continue := false
   done;
   let continue = ref true in
@@ -512,13 +516,13 @@ let kill_suffix ctx t =
     let e = sslot t (t.s_tail - 1) in
     match e.su with
     | Some u when u.Uop.killed ->
-      fld ctx (fun () -> e.su) (fun v -> e.su <- v) None;
-      fld ctx (fun () -> e.saddr_ok) (fun v -> e.saddr_ok <- v) false;
-      fld ctx (fun () -> t.s_tail) (fun v -> t.s_tail <- v) (t.s_tail - 1)
+      Mut.field ctx e ~get:(fun o -> o.su) ~set:(fun o v -> o.su <- v) None;
+      Mut.field ctx e ~get:(fun o -> o.saddr_ok) ~set:(fun o v -> o.saddr_ok <- v) false;
+      Mut.field ctx t ~get:(fun o -> o.s_tail) ~set:(fun o v -> o.s_tail <- v) (t.s_tail - 1)
     | _ -> continue := false
   done;
   (* killed fences *)
-  fld ctx (fun () -> t.fences) (fun v -> t.fences <- v)
+  Mut.field ctx t ~get:(fun o -> o.fences) ~set:(fun o v -> o.fences <- v)
     (List.filter (fun (f : Uop.t) -> not f.killed) t.fences)
 
 let flush ctx t =
@@ -526,18 +530,18 @@ let flush ctx t =
     let e = lslot t i in
     if e.lu <> None then release_lq_slot ctx e
   done;
-  fld ctx (fun () -> t.l_tail) (fun v -> t.l_tail <- v) t.l_head;
+  Mut.field ctx t ~get:(fun o -> o.l_tail) ~set:(fun o v -> o.l_tail <- v) t.l_head;
   (* Careful: l_head must keep advancing monotonically so absolute indices
      stay unique; collapse both pointers to the max instead. *)
   let m = max t.l_head t.l_tail in
-  fld ctx (fun () -> t.l_head) (fun v -> t.l_head <- v) m;
-  fld ctx (fun () -> t.l_tail) (fun v -> t.l_tail <- v) m;
+  Mut.field ctx t ~get:(fun o -> o.l_head) ~set:(fun o v -> o.l_head <- v) m;
+  Mut.field ctx t ~get:(fun o -> o.l_tail) ~set:(fun o v -> o.l_tail <- v) m;
   for i = t.s_head to t.s_tail - 1 do
     let e = sslot t i in
     (* committed stores must survive a flush: they are architecturally done *)
     if not e.scommitted then begin
-      fld ctx (fun () -> e.su) (fun v -> e.su <- v) None;
-      fld ctx (fun () -> e.saddr_ok) (fun v -> e.saddr_ok <- v) false
+      Mut.field ctx e ~get:(fun o -> o.su) ~set:(fun o v -> o.su <- v) None;
+      Mut.field ctx e ~get:(fun o -> o.saddr_ok) ~set:(fun o v -> o.saddr_ok <- v) false
     end
   done;
   (* drop the uncommitted suffix *)
@@ -545,8 +549,8 @@ let flush ctx t =
   for i = t.s_head to t.s_tail - 1 do
     if (sslot t i).scommitted then new_tail := i + 1
   done;
-  fld ctx (fun () -> t.s_tail) (fun v -> t.s_tail <- v) !new_tail;
-  fld ctx (fun () -> t.fences) (fun v -> t.fences <- v) []
+  Mut.field ctx t ~get:(fun o -> o.s_tail) ~set:(fun o v -> o.s_tail <- v) !new_tail;
+  Mut.field ctx t ~get:(fun o -> o.fences) ~set:(fun o v -> o.fences <- v) []
 
 let pp_debug fmt t =
   Format.fprintf fmt "LQ[%d,%d) SQ[%d,%d) fences=%d@." t.l_head t.l_tail t.s_head t.s_tail

@@ -21,22 +21,11 @@ let create ~n_tags =
 let lookup t r = t.rat.(r)
 let set ctx t r p = if r <> 0 then Mut.set_arr ctx t.rat r p
 
-let snapshot ctx t ~tag =
-  let s = t.snaps.(tag) in
-  for i = 0 to 31 do
-    Mut.set_arr ctx s i t.rat.(i)
-  done
-
-let restore ctx t ~tag =
-  let s = t.snaps.(tag) in
-  for i = 0 to 31 do
-    Mut.set_arr ctx t.rat i s.(i)
-  done
+(* Whole-table copies log one bulk entry each, not 32 element writes. *)
+let snapshot ctx t ~tag = Mut.blit_ints ctx ~src:t.rat ~dst:t.snaps.(tag)
+let restore ctx t ~tag = Mut.blit_ints ctx ~src:t.snaps.(tag) ~dst:t.rat
 
 let rrat_set ctx t r p = if r <> 0 then Mut.set_arr ctx t.rrat_a r p
 let rrat t = t.rrat_a
 
-let restore_from_rrat ctx t =
-  for i = 0 to 31 do
-    Mut.set_arr ctx t.rat i t.rrat_a.(i)
-  done
+let restore_from_rrat ctx t = Mut.blit_ints ctx ~src:t.rrat_a ~dst:t.rat

@@ -34,13 +34,12 @@ let create ~size =
       t.tail <- tail);
   t
 let can_enq t = count t < t.size
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 
 let enq ctx t u =
   Kernel.guard ctx (can_enq t) "rob full";
   let idx = t.tail in
   Mut.set_arr ctx t.slots (idx mod t.size) (Some u);
-  fld ctx (fun () -> t.tail) (fun v -> t.tail <- v) (t.tail + 1);
+  Mut.field ctx t ~get:(fun o -> o.tail) ~set:(fun o v -> o.tail <- v) (t.tail + 1);
   idx
 
 let next_idx t = t.tail
@@ -50,7 +49,7 @@ let peek t k = if count t > k then t.slots.((t.head + k) mod t.size) else None
 let deq ctx t =
   Kernel.guard ctx (count t > 0) "rob empty";
   Mut.set_arr ctx t.slots (t.head mod t.size) None;
-  fld ctx (fun () -> t.head) (fun v -> t.head <- v) (t.head + 1)
+  Mut.field ctx t ~get:(fun o -> o.head) ~set:(fun o v -> o.head <- v) (t.head + 1)
 
 let truncate_after ctx t rob_idx =
   let killed = ref [] in
@@ -62,7 +61,7 @@ let truncate_after ctx t rob_idx =
       Mut.set_arr ctx t.slots (i mod t.size) None
     | None -> ()
   done;
-  fld ctx (fun () -> t.tail) (fun v -> t.tail <- v) (max (rob_idx + 1) t.head);
+  Mut.field ctx t ~get:(fun o -> o.tail) ~set:(fun o v -> o.tail <- v) (max (rob_idx + 1) t.head);
   !killed
 
 let iter_live t f =
@@ -78,4 +77,4 @@ let flush ctx t =
       Mut.set_arr ctx t.slots (i mod t.size) None
     | None -> ()
   done;
-  fld ctx (fun () -> t.tail) (fun v -> t.tail <- v) t.head
+  Mut.field ctx t ~get:(fun o -> o.tail) ~set:(fun o v -> o.tail <- v) t.head

@@ -17,18 +17,19 @@ let create ~n_tags =
 
 let active_mask t = t.active
 let can_alloc t = t.active <> (1 lsl t.n_tags) - 1
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 
 let alloc ctx t =
   Kernel.guard ctx (can_alloc t) "no free speculation tag";
   let rec find i = if t.active land (1 lsl i) = 0 then i else find (i + 1) in
   let tag = find 0 in
   Mut.set_arr ctx t.alloc_masks tag t.active;
-  fld ctx (fun () -> t.active) (fun v -> t.active <- v) (t.active lor (1 lsl tag));
+  Mut.field ctx t ~get:(fun o -> o.active) ~set:(fun o v -> o.active <- v)
+    (t.active lor (1 lsl tag));
   tag
 
 let correct ctx t tag =
-  fld ctx (fun () -> t.active) (fun v -> t.active <- v) (t.active land lnot (1 lsl tag));
+  Mut.field ctx t ~get:(fun o -> o.active) ~set:(fun o v -> o.active <- v)
+    (t.active land lnot (1 lsl tag));
   (* later tags no longer depend on it *)
   for i = 0 to t.n_tags - 1 do
     if t.alloc_masks.(i) land (1 lsl tag) <> 0 then
@@ -43,8 +44,9 @@ let wrong ctx t tag =
       dead := i :: !dead
   done;
   let dead_mask = List.fold_left (fun m i -> m lor (1 lsl i)) 0 !dead in
-  fld ctx (fun () -> t.active) (fun v -> t.active <- v) (t.active land lnot dead_mask);
+  Mut.field ctx t ~get:(fun o -> o.active) ~set:(fun o v -> o.active <- v)
+    (t.active land lnot dead_mask);
   !dead
 
 let mask_of tags = List.fold_left (fun m i -> m lor (1 lsl i)) 0 tags
-let reset ctx t = fld ctx (fun () -> t.active) (fun v -> t.active <- v) 0
+let reset ctx t = Mut.field ctx t ~get:(fun o -> o.active) ~set:(fun o v -> o.active <- v) 0

@@ -64,7 +64,6 @@ let create ~size =
 
 let count t = Array.fold_left (fun n e -> if e.used then n + 1 else n) 0 t.entries
 let is_empty t = count t = 0
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 
 let find_line t line f =
   let r = ref None in
@@ -78,7 +77,7 @@ let write_entry ctx e ~off ~bytes v =
   done;
   Mut.blit ctx ~src ~src_pos:0 ~dst:e.data ~dst_pos:off ~len:bytes;
   let add = Int64.shift_left (Int64.sub (Int64.shift_left 1L bytes) 1L) off in
-  fld ctx (fun () -> e.mask) (fun v -> e.mask <- v) (Int64.logor e.mask add)
+  Mut.field ctx e ~get:(fun o -> o.mask) ~set:(fun o v -> o.mask <- v) (Int64.logor e.mask add)
 
 let enq ctx t ~addr ~bytes v =
   let line = Mem.Cache_geom.line_addr addr in
@@ -91,10 +90,10 @@ let enq ctx t ~addr ~bytes v =
     match !free with
     | None -> raise (Kernel.Guard_fail "store buffer full")
     | Some e ->
-      fld ctx (fun () -> e.used) (fun v -> e.used <- v) true;
-      fld ctx (fun () -> e.line) (fun v -> e.line <- v) line;
-      fld ctx (fun () -> e.mask) (fun v -> e.mask <- v) 0L;
-      fld ctx (fun () -> e.issued) (fun v -> e.issued <- v) false;
+      Mut.field ctx e ~get:(fun o -> o.used) ~set:(fun o v -> o.used <- v) true;
+      Mut.field ctx e ~get:(fun o -> o.line) ~set:(fun o v -> o.line <- v) line;
+      Mut.field ctx e ~get:(fun o -> o.mask) ~set:(fun o v -> o.mask <- v) 0L;
+      Mut.field ctx e ~get:(fun o -> o.issued) ~set:(fun o v -> o.issued <- v) false;
       write_entry ctx e ~off ~bytes v)
 
 let can_enq t ~addr =
@@ -125,7 +124,7 @@ let issue ctx t =
               (Printf.sprintf "issue of entry %d for line 0x%Lx shadowed by unissued entry %d" i
                  e.line j)
           | None -> None);
-    fld ctx (fun () -> e.issued) (fun v -> e.issued <- v) true;
+    Mut.field ctx e ~get:(fun o -> o.issued) ~set:(fun o v -> o.issued <- v) true;
     (i, e.line)
 
 let deq ctx t idx =
@@ -136,8 +135,8 @@ let deq ctx t idx =
         Some (Printf.sprintf "dequeue of entry %d (line 0x%Lx) never issued" idx e.line)
       else None);
   if not e.used then failwith "store buffer: deq of free entry";
-  fld ctx (fun () -> e.used) (fun v -> e.used <- v) false;
-  fld ctx (fun () -> e.issued) (fun v -> e.issued <- v) false;
+  Mut.field ctx e ~get:(fun o -> o.used) ~set:(fun o v -> o.used <- v) false;
+  Mut.field ctx e ~get:(fun o -> o.issued) ~set:(fun o v -> o.issued <- v) false;
   (e.line, Bytes.copy e.data, e.mask)
 
 let search t ~addr ~bytes =

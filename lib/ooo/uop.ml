@@ -28,26 +28,39 @@ type t = {
   tid : int; (* observability trace id, -1 when tracing was off at decode *)
 }
 
-let fld = Cmd.Mut.field
+(* Tracked field writes: closed accessors, so a write allocates nothing. *)
+let mk_set_mask ctx u v =
+  Cmd.Mut.field ctx u ~get:(fun u -> u.spec_mask) ~set:(fun u v -> u.spec_mask <- v) v
 
-let mk_set_mask ctx u v = fld ctx ~get:(fun () -> u.spec_mask) ~set:(fun x -> u.spec_mask <- x) v
-let mk_set_killed ctx u v = fld ctx ~get:(fun () -> u.killed) ~set:(fun x -> u.killed <- x) v
+let mk_set_killed ctx u v =
+  Cmd.Mut.field ctx u ~get:(fun u -> u.killed) ~set:(fun u v -> u.killed <- v) v
 
 let mk_set_completed ctx u v =
-  fld ctx ~get:(fun () -> u.completed) ~set:(fun x -> u.completed <- x) v
+  Cmd.Mut.field ctx u ~get:(fun u -> u.completed) ~set:(fun u v -> u.completed <- v) v
 
-let mk_set_ld_kill ctx u v = fld ctx ~get:(fun () -> u.ld_kill) ~set:(fun x -> u.ld_kill <- x) v
-let mk_set_fault ctx u v = fld ctx ~get:(fun () -> u.fault) ~set:(fun x -> u.fault <- x) v
-let mk_set_mmio ctx u v = fld ctx ~get:(fun () -> u.mmio) ~set:(fun x -> u.mmio <- x) v
+let mk_set_ld_kill ctx u v =
+  Cmd.Mut.field ctx u ~get:(fun u -> u.ld_kill) ~set:(fun u v -> u.ld_kill <- v) v
+
+let mk_set_fault ctx u v =
+  Cmd.Mut.field ctx u ~get:(fun u -> u.fault) ~set:(fun u v -> u.fault <- v) v
+
+let mk_set_mmio ctx u v =
+  Cmd.Mut.field ctx u ~get:(fun u -> u.mmio) ~set:(fun u v -> u.mmio <- v) v
 
 let mk_set_translated ctx u v =
-  fld ctx ~get:(fun () -> u.translated) ~set:(fun x -> u.translated <- x) v
-let mk_set_paddr ctx u v = fld ctx ~get:(fun () -> u.paddr) ~set:(fun x -> u.paddr <- x) v
-let mk_set_st_data ctx u v = fld ctx ~get:(fun () -> u.st_data) ~set:(fun x -> u.st_data <- x) v
-let mk_set_result ctx u v = fld ctx ~get:(fun () -> u.result) ~set:(fun x -> u.result <- x) v
+  Cmd.Mut.field ctx u ~get:(fun u -> u.translated) ~set:(fun u v -> u.translated <- v) v
+
+let mk_set_paddr ctx u v =
+  Cmd.Mut.field ctx u ~get:(fun u -> u.paddr) ~set:(fun u v -> u.paddr <- v) v
+
+let mk_set_st_data ctx u v =
+  Cmd.Mut.field ctx u ~get:(fun u -> u.st_data) ~set:(fun u v -> u.st_data <- v) v
+
+let mk_set_result ctx u v =
+  Cmd.Mut.field ctx u ~get:(fun u -> u.result) ~set:(fun u v -> u.result <- v) v
 
 let mk_set_actual_next ctx u v =
-  fld ctx ~get:(fun () -> u.actual_next) ~set:(fun x -> u.actual_next <- x) v
+  Cmd.Mut.field ctx u ~get:(fun u -> u.actual_next) ~set:(fun u v -> u.actual_next <- v) v
 
 let pp fmt u =
   Format.fprintf fmt "#%d pc=%Lx %a rob=%d prd=%d mask=%x%s" u.seq u.pc Isa.Instr.pp u.instr

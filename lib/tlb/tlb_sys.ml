@@ -135,7 +135,6 @@ let create ?(name = "tlb") ?walk_lookahead clk cfg ~stats () =
 let set_satp t v = t.satp_v <- v
 let satp t = t.satp_v
 
-let fld (ctx : Kernel.ctx) get set v = Mut.field ctx ~get ~set v
 let vpn_of va = Int64.shift_right_logical va 12
 let pa_of ppn va = Int64.logor (Int64.shift_left ppn 12) (Int64.logand va 0xFFFL)
 
@@ -145,10 +144,10 @@ let l1_lookup side vpn =
 let l1_fill ctx side vpn ppn =
   if l1_lookup side vpn = None then begin
     let e = side.entries.(side.rotor mod Array.length side.entries) in
-    fld ctx (fun () -> side.rotor) (fun v -> side.rotor <- v) (side.rotor + 1);
-    fld ctx (fun () -> e.valid) (fun v -> e.valid <- v) true;
-    fld ctx (fun () -> e.vpn) (fun v -> e.vpn <- v) vpn;
-    fld ctx (fun () -> e.ppn) (fun v -> e.ppn <- v) ppn
+    Mut.field ctx side ~get:(fun o -> o.rotor) ~set:(fun o v -> o.rotor <- v) (side.rotor + 1);
+    Mut.field ctx e ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) true;
+    Mut.field ctx e ~get:(fun o -> o.vpn) ~set:(fun o v -> o.vpn <- v) vpn;
+    Mut.field ctx e ~get:(fun o -> o.ppn) ~set:(fun o v -> o.ppn <- v) ppn
   end
 
 let l2_lookup t vpn =
@@ -159,10 +158,10 @@ let l2_fill ctx t vpn ppn =
   if l2_lookup t vpn = None then begin
     let set = t.l2.(Int64.to_int vpn land (t.cfg.l2_sets - 1)) in
     let e = set.(t.l2_rotor mod Array.length set) in
-    fld ctx (fun () -> t.l2_rotor) (fun v -> t.l2_rotor <- v) (t.l2_rotor + 1);
-    fld ctx (fun () -> e.lvalid) (fun v -> e.lvalid <- v) true;
-    fld ctx (fun () -> e.lvpn) (fun v -> e.lvpn <- v) vpn;
-    fld ctx (fun () -> e.lppn) (fun v -> e.lppn <- v) ppn
+    Mut.field ctx t ~get:(fun o -> o.l2_rotor) ~set:(fun o v -> o.l2_rotor <- v) (t.l2_rotor + 1);
+    Mut.field ctx e ~get:(fun o -> o.lvalid) ~set:(fun o v -> o.lvalid <- v) true;
+    Mut.field ctx e ~get:(fun o -> o.lvpn) ~set:(fun o v -> o.lvpn <- v) vpn;
+    Mut.field ctx e ~get:(fun o -> o.lppn) ~set:(fun o v -> o.lppn <- v) ppn
   end
 
 (* --- steps --------------------------------------------------------------- *)
@@ -187,15 +186,17 @@ let step_l1_req ctx t side =
       Stats.incr ~ctx side.c_miss;
       let existing = Array.fold_left (fun a m -> if m.mvalid && m.mvpn = vpn then Some m else a) None side.misses in
       match existing with
-      | Some m -> fld ctx (fun () -> m.waiters) (fun v -> m.waiters <- v) (m.waiters @ [ (tag, va) ])
+      | Some m ->
+        Mut.field ctx m ~get:(fun o -> o.waiters) ~set:(fun o v -> o.waiters <- v)
+          (m.waiters @ [ (tag, va) ])
       | None -> (
         let free = Array.fold_left (fun a m -> if m.mvalid then a else Some m) None side.misses in
         match free with
         | None -> raise (Kernel.Guard_fail "l1 tlb miss slots full")
         | Some m ->
-          fld ctx (fun () -> m.mvalid) (fun v -> m.mvalid <- v) true;
-          fld ctx (fun () -> m.mvpn) (fun v -> m.mvpn <- v) vpn;
-          fld ctx (fun () -> m.waiters) (fun v -> m.waiters <- v) [ (tag, va) ]))
+          Mut.field ctx m ~get:(fun o -> o.mvalid) ~set:(fun o v -> o.mvalid <- v) true;
+          Mut.field ctx m ~get:(fun o -> o.mvpn) ~set:(fun o v -> o.mvpn <- v) vpn;
+          Mut.field ctx m ~get:(fun o -> o.waiters) ~set:(fun o v -> o.waiters <- v) [ (tag, va) ]))
   end;
   ignore (Fifo.deq ctx side.req_q)
 
@@ -207,7 +208,7 @@ let step_l1_miss ctx t side m =
   | Some ppn ->
     l1_fill ctx side m.mvpn ppn;
     List.iter (fun (tag, va) -> Fifo.enq ctx side.resp_q (tag, Hit (pa_of ppn va))) m.waiters;
-    fld ctx (fun () -> m.mvalid) (fun v -> m.mvalid <- v) false
+    Mut.field ctx m ~get:(fun o -> o.mvalid) ~set:(fun o v -> o.mvalid <- v) false
   | None ->
     (* check whether a walk finished with a fault for this vpn *)
     let faulted =
@@ -215,7 +216,7 @@ let step_l1_miss ctx t side m =
     in
     if faulted then begin
       List.iter (fun (tag, _) -> Fifo.enq ctx side.resp_q (tag, Fault)) m.waiters;
-      fld ctx (fun () -> m.mvalid) (fun v -> m.mvalid <- v) false
+      Mut.field ctx m ~get:(fun o -> o.mvalid) ~set:(fun o v -> o.mvalid <- v) false
     end
     else begin
       let walking = Array.exists (fun w -> w.wvalid && w.wvpn = m.mvpn) t.walks in
@@ -232,13 +233,13 @@ let step_l1_miss ctx t side m =
             | Some wc -> Walk_cache.lookup wc ~root:t.satp_v va
             | None -> (2, t.satp_v)
           in
-          fld ctx (fun () -> w.wvalid) (fun v -> w.wvalid <- v) true;
-          fld ctx (fun () -> w.wvpn) (fun v -> w.wvpn <- v) m.mvpn;
-          fld ctx (fun () -> w.wva) (fun v -> w.wva <- v) va;
-          fld ctx (fun () -> w.level) (fun v -> w.level <- v) level;
-          fld ctx (fun () -> w.base) (fun v -> w.base <- v) base;
-          fld ctx (fun () -> w.outstanding) (fun v -> w.outstanding <- v) false;
-          fld ctx (fun () -> w.result) (fun v -> w.result <- v) None
+          Mut.field ctx w ~get:(fun o -> o.wvalid) ~set:(fun o v -> o.wvalid <- v) true;
+          Mut.field ctx w ~get:(fun o -> o.wvpn) ~set:(fun o v -> o.wvpn <- v) m.mvpn;
+          Mut.field ctx w ~get:(fun o -> o.wva) ~set:(fun o v -> o.wva <- v) va;
+          Mut.field ctx w ~get:(fun o -> o.level) ~set:(fun o v -> o.level <- v) level;
+          Mut.field ctx w ~get:(fun o -> o.base) ~set:(fun o v -> o.base <- v) base;
+          Mut.field ctx w ~get:(fun o -> o.outstanding) ~set:(fun o v -> o.outstanding <- v) false;
+          Mut.field ctx w ~get:(fun o -> o.result) ~set:(fun o v -> o.result <- v) None
       end
       else raise (Kernel.Guard_fail "walk pending")
     end
@@ -249,36 +250,38 @@ let step_walk_issue ctx t idx (w : walk) =
   let vpn_slice = Int64.logand (Int64.shift_right_logical w.wva (12 + (9 * w.level))) 0x1FFL in
   let pte_addr = Int64.add w.base (Int64.mul vpn_slice 8L) in
   Fifo.enq ctx t.wreq (idx, pte_addr);
-  fld ctx (fun () -> w.outstanding) (fun v -> w.outstanding <- v) true
+  Mut.field ctx w ~get:(fun o -> o.outstanding) ~set:(fun o v -> o.outstanding <- v) true
 
 (* Consume one PTE read response and advance that walk. *)
 let step_walk_resp ctx t =
   let idx, pte = Fifo.deq ctx t.wresp in
   let w = t.walks.(idx) in
   if not (w.wvalid && w.outstanding) then failwith (t.name ^ ": orphan walk response");
-  fld ctx (fun () -> w.outstanding) (fun v -> w.outstanding <- v) false;
+  Mut.field ctx w ~get:(fun o -> o.outstanding) ~set:(fun o v -> o.outstanding <- v) false;
   let valid = Int64.logand pte 1L = 1L in
   let leaf = valid && Int64.logand pte 0xEL <> 0L in
   let ppn = Int64.shift_right_logical pte 10 in
-  if not valid then fld ctx (fun () -> w.result) (fun v -> w.result <- v) (Some Fault)
+  if not valid then
+    Mut.field ctx w ~get:(fun o -> o.result) ~set:(fun o v -> o.result <- v) (Some Fault)
   else if leaf then begin
     (* a leaf above level 0 is a superpage: the low VPN slices pass through,
        and the TLBs cache the derived 4 KB-granularity translation *)
     let low = Int64.logand w.wvpn (Int64.sub (Int64.shift_left 1L (9 * w.level)) 1L) in
     let ppn = Int64.add ppn low in
-    fld ctx (fun () -> w.result) (fun v -> w.result <- v) (Some (Hit ppn));
+    Mut.field ctx w ~get:(fun o -> o.result) ~set:(fun o v -> o.result <- v) (Some (Hit ppn));
     l2_fill ctx t w.wvpn ppn
   end
   else begin
     let next_base = Int64.shift_left ppn 12 in
     let next_level = w.level - 1 in
-    if next_level < 0 then fld ctx (fun () -> w.result) (fun v -> w.result <- v) (Some Fault)
+    if next_level < 0 then
+      Mut.field ctx w ~get:(fun o -> o.result) ~set:(fun o v -> o.result <- v) (Some Fault)
     else begin
       (match t.wcache with
       | Some wc -> Walk_cache.insert ctx wc w.wva ~level:next_level ~base:next_base
       | None -> ());
-      fld ctx (fun () -> w.level) (fun v -> w.level <- v) next_level;
-      fld ctx (fun () -> w.base) (fun v -> w.base <- v) next_base
+      Mut.field ctx w ~get:(fun o -> o.level) ~set:(fun o v -> o.level <- v) next_level;
+      Mut.field ctx w ~get:(fun o -> o.base) ~set:(fun o v -> o.base <- v) next_base
     end
   end
 
@@ -287,7 +290,7 @@ let step_walk_retire ctx t (w : walk) =
   Kernel.guard ctx (w.wvalid && w.result <> None) "walk not done";
   let needed side = Array.exists (fun m -> m.mvalid && m.mvpn = w.wvpn) side.misses in
   Kernel.guard ctx (not (needed t.i || needed t.d)) "walk result still needed";
-  fld ctx (fun () -> w.wvalid) (fun v -> w.wvalid <- v) false
+  Mut.field ctx w ~get:(fun o -> o.wvalid) ~set:(fun o v -> o.wvalid <- v) false
 
 let tick t =
   (* Walk slots and miss slots are mutated only by this rule's own sub-steps,

@@ -49,10 +49,10 @@ let insert ctx t va ~level ~base =
     let p = prefix_of va depth in
     if not (Array.exists (fun e -> e.valid && e.prefix = p) arr) then begin
       let slot = arr.(t.rotor mod Array.length arr) in
-      Mut.field ctx ~get:(fun () -> t.rotor) ~set:(fun v -> t.rotor <- v) (t.rotor + 1);
-      Mut.field ctx ~get:(fun () -> slot.valid) ~set:(fun v -> slot.valid <- v) true;
-      Mut.field ctx ~get:(fun () -> slot.prefix) ~set:(fun v -> slot.prefix <- v) p;
-      Mut.field ctx ~get:(fun () -> slot.base) ~set:(fun v -> slot.base <- v) base
+      Mut.field ctx t ~get:(fun o -> o.rotor) ~set:(fun o v -> o.rotor <- v) (t.rotor + 1);
+      Mut.field ctx slot ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) true;
+      Mut.field ctx slot ~get:(fun o -> o.prefix) ~set:(fun o v -> o.prefix <- v) p;
+      Mut.field ctx slot ~get:(fun o -> o.base) ~set:(fun o v -> o.base <- v) base
     end
   end
 

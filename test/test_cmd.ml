@@ -477,7 +477,7 @@ let test_watchdog_trip_and_reset () =
     [
       rule "pump" (fun ctx ->
           Kernel.guard ctx (!budget > 0) "dry";
-          Mut.field ctx ~get:(fun () -> !budget) ~set:(fun v -> budget := v) (!budget - 1));
+          Mut.set ctx budget (!budget - 1));
     ]
   in
   let sim = Sim.create clk rules in
@@ -527,6 +527,327 @@ let test_inject_registry () =
   Alcotest.(check bool) "flip back" true (Inject.fire site 3);
   Alcotest.(check int) "restored" 0 (Reg.peek r)
 
+(* qcheck: nested rule transactions against a pure reference model. A
+   program is a list of cycles; each cycle runs rules on one context, each
+   rule a tree of operations over every kind of tracked state, with guard
+   failures at random depths and nested [Kernel.attempt]s. The model
+   replays the same program on immutable state, including the EHR port
+   rules and the cf FIFO's cycle-start guards, so a lost undo — of a value
+   or of port bookkeeping — shows as a different final state or a
+   different commit/abort outcome. *)
+type op =
+  | Ehr_w of int * int (* port, value *)
+  | Ehr_r of int (* port; the value read goes to [fld] *)
+  | Set_ref of int option
+  | Set_arr of int * int
+  | Field of int
+  | Blit of int * int (* position, byte *)
+  | I64 of int * int (* 0 or 8, value *)
+  | Stat of int
+  | Enq of int
+  | Deq (* the value goes to [arr.(0)] *)
+  | Fail
+  | Attempt of op list
+
+let rec show_op = function
+  | Ehr_w (p, v) -> Printf.sprintf "ehr.w%d=%d" p v
+  | Ehr_r p -> Printf.sprintf "ehr.r%d" p
+  | Set_ref None -> "ref=None"
+  | Set_ref (Some v) -> Printf.sprintf "ref=Some %d" v
+  | Set_arr (i, v) -> Printf.sprintf "arr.(%d)=%d" i v
+  | Field v -> Printf.sprintf "fld=%d" v
+  | Blit (p, b) -> Printf.sprintf "blit@%d=%d" p b
+  | I64 (o, v) -> Printf.sprintf "i64@%d=%d" o v
+  | Stat n -> Printf.sprintf "stat+%d" n
+  | Enq v -> Printf.sprintf "enq %d" v
+  | Deq -> "deq"
+  | Fail -> "FAIL"
+  | Attempt ops -> "attempt[" ^ show_ops ops ^ "]"
+
+and show_ops ops = String.concat "; " (List.map show_op ops)
+
+let show_prog prog =
+  String.concat " | "
+    (List.map
+       (fun rules ->
+         String.concat " , "
+           (List.map (fun (sh, ops) -> (if sh then "S:" else "D:") ^ show_ops ops) rules))
+       prog)
+
+let gen_prog =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (3, map2 (fun p v -> Ehr_w (p, v)) (int_bound 3) (int_bound 9));
+        (2, map (fun p -> Ehr_r p) (int_bound 3));
+        (2, map (fun v -> Set_ref v) (opt (int_bound 9)));
+        (2, map2 (fun i v -> Set_arr (i, v)) (int_bound 3) (int_bound 9));
+        (2, map (fun v -> Field v) (int_bound 9));
+        (1, map2 (fun p b -> Blit (p, b)) (int_bound 13) (int_bound 255));
+        (1, map2 (fun o v -> I64 (8 * o, v)) (int_bound 1) (int_bound 1000));
+        (2, map (fun n -> Stat n) (1 -- 3));
+        (2, map (fun v -> Enq v) (int_bound 9));
+        (2, return Deq);
+        (2, return Fail);
+      ]
+  in
+  let rec ops depth =
+    list_size (0 -- 5)
+      (if depth = 0 then leaf
+       else frequency [ (6, leaf); (1, map (fun o -> Attempt o) (ops (depth - 1))) ])
+  in
+  list_size (1 -- 4) (list_size (1 -- 4) (pair bool (ops 2)))
+
+(* --- the model --- *)
+type mstate = {
+  ehr : int;
+  sum : int * int * int; (* max_r, max_w, w_mask *)
+  mref : int option;
+  marr : int list;
+  mfld : int;
+  mbytes : string;
+  mstat : int;
+  q : int list;
+  enq_total : int;
+  deq_total : int;
+  enq_snap : int;
+  deq_snap : int;
+}
+
+let cap = 4
+
+exception Abort
+
+let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
+
+let rec mrun st = function
+  | [] -> st
+  | op :: rest ->
+    let st =
+      match op with
+      | Ehr_w (p, v) ->
+        let r, w, m = st.sum in
+        if r > p || w >= p || m land (1 lsl p) <> 0 then raise Abort;
+        { st with ehr = v; sum = (r, p, m lor (1 lsl p)) }
+      | Ehr_r p ->
+        let r, w, m = st.sum in
+        if w >= p then raise Abort;
+        { st with mfld = st.ehr; sum = (max r p, w, m) }
+      | Set_ref v -> { st with mref = v }
+      | Set_arr (i, v) -> { st with marr = set_nth st.marr i v }
+      | Field v -> { st with mfld = v }
+      | Blit (p, b) ->
+        let by = Bytes.of_string st.mbytes in
+        Bytes.fill by p 3 (Char.chr b);
+        { st with mbytes = Bytes.to_string by }
+      | I64 (o, v) ->
+        let by = Bytes.of_string st.mbytes in
+        Bytes.set_int64_le by o (Int64.of_int v);
+        { st with mbytes = Bytes.to_string by }
+      | Stat n -> { st with mstat = st.mstat + n }
+      | Enq v ->
+        if st.enq_total - st.deq_snap >= cap then raise Abort;
+        { st with q = st.q @ [ v ]; enq_total = st.enq_total + 1 }
+      | Deq -> (
+        if st.deq_total >= st.enq_snap then raise Abort;
+        match st.q with
+        | v :: q -> { st with q; deq_total = st.deq_total + 1; marr = set_nth st.marr 0 v }
+        | [] -> assert false)
+      | Fail -> raise Abort
+      | Attempt ops -> ( try mrun st ops with Abort -> st)
+    in
+    mrun st rest
+
+(* Each rule's outcome (true = committed) and the state after each cycle. *)
+let model prog =
+  let st =
+    {
+      ehr = 0;
+      sum = (-1, -1, 0);
+      mref = None;
+      marr = [ 0; 0; 0; 0 ];
+      mfld = 0;
+      mbytes = String.make 16 '\000';
+      mstat = 0;
+      q = [];
+      enq_total = 0;
+      deq_total = 0;
+      enq_snap = 0;
+      deq_snap = 0;
+    }
+  in
+  let outcomes = ref [] and states = ref [] in
+  ignore
+    (List.fold_left
+       (fun st rules ->
+         let st =
+           List.fold_left
+             (fun st (_, ops) ->
+               match mrun st ops with
+               | st' ->
+                 outcomes := true :: !outcomes;
+                 st'
+               | exception Abort ->
+                 outcomes := false :: !outcomes;
+                 st)
+             st rules
+         in
+         states := st :: !states;
+         {
+           st with
+           sum = (-1, -1, 0);
+           enq_snap = st.enq_total;
+           deq_snap = st.deq_total;
+         })
+       st prog);
+  (List.rev !outcomes, List.rev !states)
+
+(* --- the implementation --- *)
+type frec = { mutable f : int }
+
+let implementation prog =
+  let clk = Clock.create () in
+  let ctx = Kernel.make_ctx clk in
+  let e = Ehr.create 0 in
+  let r = ref None and arr = Array.make 4 0 and fr = { f = 0 } in
+  let by = Bytes.make 16 '\000' in
+  let stats = Stats.create () in
+  let c = Stats.counter stats "c" in
+  let q = Fifo.cf clk ~capacity:cap () in
+  let rec run ctx = function
+    | [] -> ()
+    | op :: rest ->
+      (match op with
+      | Ehr_w (p, v) -> Ehr.write ctx e p v
+      | Ehr_r p ->
+        let v = Ehr.read ctx e p in
+        Mut.field ctx fr ~get:(fun o -> o.f) ~set:(fun o v -> o.f <- v) v
+      | Set_ref v -> Mut.set ctx r v
+      | Set_arr (i, v) -> Mut.set_arr ctx arr i v
+      | Field v -> Mut.field ctx fr ~get:(fun o -> o.f) ~set:(fun o v -> o.f <- v) v
+      | Blit (p, b) ->
+        Mut.blit ctx ~src:(Bytes.make 3 (Char.chr b)) ~src_pos:0 ~dst:by ~dst_pos:p ~len:3
+      | I64 (o, v) -> Mut.set_int64 ctx by o (Int64.of_int v)
+      | Stat n -> Stats.incr ~ctx ~by:n c
+      | Enq v -> Fifo.enq ctx q v
+      | Deq -> Mut.set_arr ctx arr 0 (Fifo.deq ctx q)
+      | Fail -> Kernel.guard ctx false "gen"
+      | Attempt ops -> ignore (Kernel.attempt ctx (fun ctx -> run ctx ops)));
+      run ctx rest
+  in
+  let outcomes = ref [] and states = ref [] in
+  List.iter
+    (fun rules ->
+      List.iter
+        (fun (sharded, ops) ->
+          Kernel.set_stats_slot ctx (if sharded then 0 else -1);
+          (match run ctx ops with
+          | () -> outcomes := true :: !outcomes
+          | exception (Kernel.Guard_fail _ | Kernel.Retry _) ->
+            Kernel.rollback ctx;
+            if Kernel.undo_depth ctx <> 0 then failwith "rollback left entries";
+            outcomes := false :: !outcomes);
+          Kernel.reset_ctx ctx)
+        rules;
+      states :=
+        {
+          ehr = Ehr.peek e;
+          sum = (-1, -1, 0);
+          mref = !r;
+          marr = Array.to_list arr;
+          mfld = fr.f;
+          mbytes = Bytes.to_string by;
+          mstat = Stats.get c;
+          q = Fifo.peek_list q;
+          enq_total = 0;
+          deq_total = 0;
+          enq_snap = 0;
+          deq_snap = 0;
+        }
+        :: !states;
+      Clock.tick clk)
+    prog;
+  (List.rev !outcomes, List.rev !states)
+
+let observable st =
+  { st with sum = (-1, -1, 0); enq_total = 0; deq_total = 0; enq_snap = 0; deq_snap = 0 }
+
+let qcheck_transactions =
+  QCheck.Test.make ~name:"nested transactions match a pure model" ~count:400
+    (QCheck.make ~print:show_prog gen_prog)
+    (fun prog ->
+      let mo, ms = model prog in
+      let io, is = implementation prog in
+      mo = io && List.map observable ms = is)
+
+(* The satellite cases spelled out: a location written by an outer and an
+   inner attempt where either level aborts, and an aborted rule whose port
+   accesses must not make a later rule Retry. *)
+let test_nested_abort_levels () =
+  let check name prog expect_outcomes =
+    let mo, ms = model prog in
+    let io, is = implementation prog in
+    Alcotest.(check (list bool)) (name ^ ": outcomes") expect_outcomes io;
+    Alcotest.(check (list bool)) (name ^ ": model outcomes") mo io;
+    Alcotest.(check bool) (name ^ ": states") true (List.map observable ms = is)
+  in
+  (* inner aborts: outer's write survives, inner's is undone *)
+  check "inner aborts"
+    [ [ (false, [ Field 1; Attempt [ Field 2; Fail ]; Set_arr (1, 7) ]) ] ]
+    [ true ];
+  (* outer aborts after a committed inner attempt: both undone *)
+  check "outer aborts" [ [ (true, [ Field 1; Attempt [ Field 2; Stat 2 ]; Fail ]) ] ] [ false ];
+  (* aborted rule wrote EHR port 1 and enqueued: a later rule still reads
+     port 1 and enqueues at the same FIFO port without a Retry *)
+  check "no Retry after abort"
+    [ [ (false, [ Ehr_w (1, 5); Enq 3; Fail ]); (false, [ Ehr_r 1; Enq 4 ]) ] ]
+    [ false; true ]
+
+(* Allocation regression: a committed write of an immediate value through
+   Reg/Ehr, Mut.field, Mut.set_arr or a cf FIFO's ports logs its undo
+   without allocating. The rule set is fixed and single-domain; after a
+   warm-up (the trail reaches its working size) N cycles must allocate
+   less than one word per cycle in total, where one closure per write
+   would cost dozens. *)
+type cnt = { mutable n : int }
+
+let test_write_allocation () =
+  let clk = Clock.create () in
+  let r = Reg.create 0 and e = Ehr.create 0 in
+  let o = { n = 0 } and a = Array.make 8 0 in
+  let q = Fifo.cf clk ~capacity:4 () in
+  let k = ref 0 in
+  let rules =
+    [
+      rule "regs" (fun ctx ->
+          Reg.write ctx r (Reg.read ctx r + 1);
+          Ehr.write ctx e 0 (Ehr.read ctx e 0 + 1);
+          Ehr.write ctx e 1 (Ehr.read ctx e 1 + 1));
+      rule "mut" (fun ctx ->
+          Mut.field ctx o ~get:(fun o -> o.n) ~set:(fun o v -> o.n <- v) (o.n + 1);
+          Mut.set_arr ctx a (o.n land 7) o.n;
+          Mut.set ctx k (!k + 1));
+      rule "deq" (fun ctx -> Mut.set_arr ctx a 0 (Fifo.deq ctx q));
+      rule "enq" (fun ctx -> Fifo.enq ctx q !k);
+    ]
+  in
+  let sim = Sim.create clk rules in
+  Sim.run sim 100;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  Sim.run sim n;
+  let words = Gc.minor_words () -. before in
+  List.iter
+    (fun (r : Rule.t) ->
+      Alcotest.(check int) (r.Rule.name ^ " committed every steady cycle") 0
+        (r.Rule.guard_failed + r.Rule.conflicted - if r.Rule.name = "deq" then 1 else 0))
+    rules;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d cycles (< %d)" words n n)
+    true
+    (words < float_of_int n)
+
 let suite =
   let t = Alcotest.test_case in
   [
@@ -555,4 +876,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_token_conservation;
     QCheck_alcotest.to_alcotest qcheck_ehr_ports;
     QCheck_alcotest.to_alcotest qcheck_conflict_algebra;
+    t "txn: outer/inner aborts, no Retry after abort" `Quick test_nested_abort_levels;
+    t "txn: committed immediate writes allocate nothing" `Quick test_write_allocation;
+    QCheck_alcotest.to_alcotest qcheck_transactions;
   ]

@@ -318,6 +318,80 @@ let test_pool_restart () =
   Alcotest.(check bool) "parallel run works after pool shutdown" true (Ehr.peek t.acc > 0);
   Sim.shutdown_pool ()
 
+(* Two machines built and run at the same time on two domains equal the
+   same machines built one after the other: each machine's undo trail and
+   cell-id table are its own, so concurrent builds cannot mix them up. A
+   start barrier makes the two builds overlap. *)
+let test_concurrent_builds () =
+  let smoke () =
+    let prog = Spec_kernels.find "smoke" ~scale:1 in
+    let m = Machine.create ~paging:true (Machine.Out_of_order Ooo.Config.riscyoo_b) prog in
+    let o = Machine.run ~max_cycles:1_000_000 m in
+    (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m, Test_sched.fired_counts m)
+  in
+  let quad () =
+    mc_fingerprint ~jobs:1 ~mode:Sim.Multi (Test_multicore.lock_kernel ~harts:4 ~iters:10)
+  in
+  let seq_a = smoke () and seq_b = quad () in
+  for round = 1 to 4 do
+    let ready = Atomic.make 0 in
+    let start f () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      f ()
+    in
+    let d = Domain.spawn (start quad) in
+    let a = start smoke () in
+    let b = Domain.join d in
+    check_mc_equiv (Printf.sprintf "smoke, concurrent round %d" round) seq_a a;
+    check_mc_equiv (Printf.sprintf "lock quad, concurrent round %d" round) seq_b b
+  done
+
+(* The same property at the kernel, where it is easiest to break: two
+   schedulers on two domains adopt thousands of fresh cells into their
+   cell-id tables at the same moment. Each cycle a rule writes every cell
+   at port 0 and aborts, and a second rule writes them all again: it can
+   only commit if the abort restored every cell's port summary, so a cell
+   id that resolved to another scheduler's cell would surface as a
+   Conflict_error. *)
+let test_concurrent_port_logs () =
+  let n = 4000 in
+  let run () =
+    let clk = Clock.create () in
+    let cells = Array.init n (fun _ -> Ehr.create 0) in
+    let writes = ref 0 in
+    let write_all ctx = Array.iteri (fun i e -> Ehr.write ctx e 0 (i + !writes)) cells in
+    let sim =
+      Sim.create clk
+        [
+          Rule.make "abort" (fun ctx ->
+              write_all ctx;
+              Kernel.guard ctx false "abort");
+          Rule.make "commit" (fun ctx ->
+              write_all ctx;
+              incr writes);
+        ]
+    in
+    Sim.run sim 5;
+    !writes
+  in
+  for _ = 1 to 20 do
+    let ready = Atomic.make 0 in
+    let start () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      run ()
+    in
+    let d = Domain.spawn start in
+    let a = start () in
+    let b = Domain.join d in
+    Alcotest.(check (pair int int)) "every commit rule fired" (5, 5) (a, b)
+  done
+
 let suite =
   [
     Alcotest.test_case "toy parallel == serial (all modes)" `Quick test_toy_equiv;
@@ -335,4 +409,6 @@ let suite =
     Alcotest.test_case "pool shutdown leaves compiled steps intact" `Quick
       test_pool_shutdown_compiled_steps;
     Alcotest.test_case "worker pool survives shutdown/restart" `Quick test_pool_restart;
+    Alcotest.test_case "concurrent machine builds on two domains" `Quick test_concurrent_builds;
+    Alcotest.test_case "concurrent port logs on two domains" `Quick test_concurrent_port_logs;
   ]
