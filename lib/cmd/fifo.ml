@@ -26,6 +26,7 @@ type 'a t = {
   can_deq_f : Kernel.ctx -> bool;
   clear_f : Kernel.ctx -> unit;
   size_f : unit -> int;
+  peek_first_f : unit -> 'a;
   list_f : unit -> 'a list;
 }
 
@@ -100,6 +101,7 @@ let ring ~nm ~cap ~dp ~ep =
     Wakeup.touch sg
   in
   let size_f () = Ehr.peek count in
+  let peek_first_f () = get_slot nm (Ehr.peek slots.(Ehr.peek head)) in
   let list_f () = ring_list slots (Ehr.peek head) (Ehr.peek count) cap in
   let tk = Partition.mk_token nm in
   (* One conflict primitive for the whole ring; abstract cells 0=count,
@@ -123,7 +125,7 @@ let ring ~nm ~cap ~dp ~ep =
   let a_can_deq = atom ~label:"can_deq" [ (false, 0, dp) ] in
   let a_clear = atom ~label:"clear" [ (true, 0, 2); (true, 1, 2); (true, 2, 2); (true, 3, 2) ] in
   { nm; cap; sg; tk_enq = tk; tk_deq = tk; prim; a_enq; a_deq; a_first; a_can_enq; a_can_deq;
-    a_clear; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; list_f }
+    a_clear; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; peek_first_f; list_f }
 
 let pipeline ?name ~capacity () =
   let nm = match name with Some n -> n | None -> "pfifo" in
@@ -226,6 +228,7 @@ let cf ?name ?lookahead clk ~capacity () =
     Wakeup.touch sg
   in
   let size_f () = Ehr.peek enq_total - Ehr.peek deq_total in
+  let peek_first_f () = get_slot nm (Ehr.peek slots.(Ehr.peek deq_total mod cap)) in
   let list_f () =
     let h = Ehr.peek deq_total and n = Ehr.peek enq_total - Ehr.peek deq_total in
     List.init n (fun i -> get_slot nm (Ehr.peek slots.((h + i) mod cap)))
@@ -274,7 +277,7 @@ let cf ?name ?lookahead clk ~capacity () =
       bo_touch = (fun () -> Wakeup.touch sg);
     };
   { nm; cap; sg; tk_enq; tk_deq; prim; a_enq; a_deq; a_first; a_can_enq; a_can_deq; a_clear;
-    enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; list_f }
+    enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; peek_first_f; list_f }
 
 let enq ctx t v = t.enq_f ctx v
 let deq ctx t = t.deq_f ctx
@@ -295,4 +298,6 @@ let fp_can_enq t = t.a_can_enq
 let fp_can_deq t = t.a_can_deq
 let fp_clear t = t.a_clear
 let peek_size t = t.size_f ()
+let peek_first t = t.peek_first_f ()
+let peek_can_enq t = t.size_f () < t.cap
 let peek_list t = t.list_f ()

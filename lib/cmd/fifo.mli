@@ -85,7 +85,19 @@ val fp_can_enq : 'a t -> Conflict.atom
 val fp_can_deq : 'a t -> Conflict.atom
 val fp_clear : 'a t -> Conflict.atom
 
-(** Untracked occupancy / contents, for statistics and tests. *)
+(** Untracked occupancy / contents, for statistics, tests and the ready
+    tests of [Kernel.attempt_if]. [peek_size] counts every element
+    currently held, including one a {!cf} queue's [deq] cannot see until
+    the next cycle, so [peek_size q = 0] implies [first]/[deq] would fail. *)
 val peek_size : 'a t -> int
+
+(** [peek_can_enq q] is [peek_size q < capacity q]: when false, [enq]
+    would fail. *)
+val peek_can_enq : 'a t -> bool
+
+(** [peek_first q] is the oldest element held, read untracked; call it only
+    when [peek_size q > 0]. Whenever [first] succeeds it returns this
+    element. *)
+val peek_first : 'a t -> 'a
 
 val peek_list : 'a t -> 'a list

@@ -3,6 +3,7 @@ exception Retry of string
 exception Conflict_error of string
 exception Partition_overlap of string
 exception Compile_audit_fail of string
+exception Audit_fail of string
 
 (* A cell's bookkeeping lives in the cell; what a rule's abort must restore
    is logged in the ctx's port log as plain ints keyed by a cell id. Ids
@@ -116,6 +117,9 @@ type ctx = {
      access with the touched cell. *)
   mutable retries : int;
   mutable fp_check : (cell -> write:bool -> unit) option;
+  (* Ready audit (Sim's audit and no-fastpath modes): run the steps
+     {!attempt_if}'s ready test turned away, and fail if one commits. *)
+  mutable raudit : bool;
 }
 
 let make_cell name =
@@ -159,6 +163,7 @@ let make_ctx ?(table = make_table ()) clk =
     chk = true;
     retries = 0;
     fp_check = None;
+    raudit = false;
   }
 
 let clock ctx = ctx.clk
@@ -180,6 +185,7 @@ let cell_name c = c.cell_name
 let set_cell_prim c pid = c.prim <- pid
 let retries ctx = ctx.retries
 let set_fp_check ctx f = ctx.fp_check <- f
+let set_ready_audit ctx b = ctx.raudit <- b
 
 let overlap_fail ctx c all =
   let parts = ref [] in
@@ -453,3 +459,24 @@ let attempt ctx f =
   | exception (Guard_fail _ | Retry _) ->
     rollback_to ctx ~trail ~ints ~ports;
     None
+
+(* The audit's run of a step its ready test turned away: an abort, or a
+   return that left nothing on either log, is what the test promised; any
+   logged effect (a write, or a read that moved a port summary) is a lie. *)
+let[@inline never] audit_unready ctx f =
+  let trail = ctx.tlen and ints = ctx.ilen and ports = ctx.plen in
+  match f ctx with
+  | _ when ctx.tlen = trail && ctx.plen = ports -> None
+  | _ ->
+    rollback ctx;
+    raise
+      (Audit_fail
+         (Printf.sprintf
+            "rule %s: a step's ready test returned false but the step committed (cycle %d)"
+            ctx.rule (Clock.now ctx.clk)))
+  | exception (Guard_fail _ | Retry _) ->
+    rollback_to ctx ~trail ~ints ~ports;
+    None
+
+let[@inline] attempt_if ctx ready f =
+  if ready then attempt ctx f else if ctx.raudit then audit_unready ctx f else None

@@ -48,6 +48,11 @@ exception Partition_overlap of string
     obligations. *)
 exception Compile_audit_fail of string
 
+(** Raised by the scheduler audit ([Sim.create ~audit:true]) when a rule or
+    one of its steps claimed it could not fire and then committed an
+    effect. [Sim.Audit_fail] is the same exception. *)
+exception Audit_fail of string
+
 type cell
 type ctx
 
@@ -145,6 +150,11 @@ val retries : ctx -> int
     footprint coverage. [None] (the default) costs one load per access. *)
 val set_fp_check : ctx -> (cell -> write:bool -> unit) option -> unit
 
+(** Turn the ready-test audit of {!attempt_if} on or off (default off). The
+    scheduler turns it on under [Sim.create ~audit:true] and
+    [~fastpath:false]. *)
+val set_ready_audit : ctx -> bool -> unit
+
 (** [record_read ctx cell port] declares a port-[port] read of [cell],
     aborting with {!Retry} if inadmissible after this cycle's history. *)
 val record_read : ctx -> cell -> int -> unit
@@ -201,6 +211,23 @@ val rollback : ctx -> unit
     [None]; otherwise [Some] of its result. This expresses superscalar
     "do as many ways as are ready" loops without aborting the whole rule. *)
 val attempt : ctx -> (ctx -> 'a) -> 'a option
+
+(** [attempt_if ctx ready f] is [attempt ctx f] behind a peek-only ready
+    test: when [ready] is false the step is not run at all, and the result
+    is [None] with no transaction opened, no exception raised and nothing
+    allocated. [ready] keeps the one-sided contract of [Rule.can_fire] at
+    step level: [false] must imply that [f] would abort, or return having
+    logged nothing, on the current state; [true] promises nothing, and [f]'s
+    own guards stay the backstop. Compute [ready] from untracked reads
+    ([Fifo.peek_size], [Ehr.peek], plain fields), never through [ctx], and
+    build [f] once, outside the rule body, so that the skip allocates no
+    closure.
+
+    Under the ready audit ({!set_ready_audit}) a step whose test said false
+    runs anyway: an abort, or a return with nothing logged, yields [None] as
+    the skip would; a return that logged any effect rolls back the whole
+    rule and raises {!Audit_fail}. *)
+val attempt_if : ctx -> bool -> (ctx -> 'a) -> 'a option
 
 (** Number of accesses recorded so far in this transaction (diagnostics). *)
 val access_count : ctx -> int

@@ -20,11 +20,15 @@
     rules reading plain mutable state (no signal) must stay watchless so the
     predicate is re-evaluated every cycle.
 
-    [vacuous] declares that the body wraps its work in [Kernel.attempt] and
-    therefore returns normally — "fires" — even when the inner guard fails.
-    The scheduler uses this to account a skipped rule exactly as the seed
-    scheduler would have (a vacuous fire), keeping cycle-by-cycle firing
-    statistics bit-identical with and without the fast path.
+    [vacuous] declares that the rule "fires" even when it does nothing: its
+    body runs its steps as nested transactions ([Kernel.attempt],
+    [Kernel.attempt_if]) and returns normally when they all abort. The
+    scheduler counts a vacuous rule's own guard failure or conflict
+    ([Kernel.Guard_fail], [Kernel.Retry] escaping the body) as a vacuous
+    fire too, after rolling it back, so a one-step rule need not wrap its
+    body in a second transaction. A skipped vacuous rule is accounted the
+    same way, keeping cycle-by-cycle firing statistics bit-identical with
+    and without the fast path.
 
     {2 Partition metadata}
 
@@ -42,7 +46,7 @@ type t = {
   body : Kernel.ctx -> unit;
   can_fire : (unit -> bool) option;  (** cheap pre-attempt predicate *)
   watches : Wakeup.signal array;  (** sensitivity set for parking *)
-  vacuous : bool;  (** body swallows guard failures via [attempt] *)
+  vacuous : bool;  (** an abort or a skip counts as a (vacuous) fire *)
   part : int;  (** partition, captured from [Partition.ambient] at [make] *)
   touches : Partition.token array;  (** declared boundary primitives *)
   fp : Conflict.atom list option;

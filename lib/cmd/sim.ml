@@ -1,6 +1,6 @@
 type mode = Multi | One_per_cycle | Shuffle of int
 
-exception Audit_fail of string
+exception Audit_fail = Kernel.Audit_fail
 exception Partition_error of string
 
 (* ---------------------------------------------------------------------- *)
@@ -560,7 +560,10 @@ let note_fire t g (r : Rule.t) fired =
    at elaboration, with its tier fixed: [skip] consults the fast path,
    [chk] keeps the port bookkeeping (off only for compiled rules the
    analysis proved conflict-admissible), and [body] is the rule's body or
-   its audited wrapper. *)
+   its audited wrapper. A [vacuous] rule that aborts, on a guard or a
+   conflict, rolls back and counts as a vacuous fire: exactly what wrapping
+   its body in [Kernel.attempt] would produce, without the second
+   transaction. *)
 let mk_runner t g (r : Rule.t) ~skip ~chk body =
   let ctx = g.gctx in
   fun fired ->
@@ -582,6 +585,10 @@ let mk_runner t g (r : Rule.t) ~skip ~chk body =
       Kernel.set_checked ctx chk;
       match body ctx with
       | () ->
+        Kernel.reset_ctx ctx;
+        note_fire t g r fired
+      | exception (Kernel.Guard_fail _ | Kernel.Retry _) when r.Rule.vacuous ->
+        Kernel.rollback ctx;
         Kernel.reset_ctx ctx;
         note_fire t g r fired
       | exception Kernel.Guard_fail _ ->
@@ -802,6 +809,11 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
     }
   in
   Kernel.set_partition_audit t.ctx partition_audit;
+  (* Step ready tests are a fast path too: without it every step runs, and
+     the audit checks the tests that would have turned it away. *)
+  let ready_audit = audit || not fastpath in
+  Kernel.set_ready_audit t.ctx ready_audit;
+  Array.iter (fun g -> Kernel.set_ready_audit g.gctx ready_audit) t.parts;
   if partition_audit && elen > 1 then begin
     (* Epoch-mode partition audit: every context records touches (phases
        run inline on the per-partition contexts), masks are keyed per

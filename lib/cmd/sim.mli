@@ -18,8 +18,10 @@ type mode =
                         from the given seed — for schedule-robustness tests *)
 
 (** Raised in audit mode when a rule's [can_fire] returned [false] but its
-    body nevertheless fired (committed effects): the predicate lies, and the
-    fast path would silently starve the rule. *)
+    body nevertheless fired (committed effects), or when a step's ready test
+    ([Kernel.attempt_if]) returned [false] but the step committed: the
+    predicate lies, and the fast path would silently starve the rule or the
+    step. The same exception as [Kernel.Audit_fail]. *)
 exception Audit_fail of string
 
 (** Raised by {!create} when the static partition checker finds a primitive
@@ -39,12 +41,16 @@ type t
     scheduler would have accounted the doomed attempt, so cycle counts, fire
     counts, rule-firing history and all architectural state are bit-identical
     with [fastpath] on or off, in every mode. [~fastpath:false] strips the
-    predicates (every rule is attempted, as before this optimization).
+    predicates (every rule is attempted, as before this optimization), and
+    every step behind a [Kernel.attempt_if] ready test runs too, under the
+    ready audit described below.
 
     [~audit:true] disables skipping but evaluates every [can_fire] and raises
     {!Audit_fail} if a rule fires in a cycle its predicate vetoed — the
     debug oracle for predicate truthfulness ([--scheduler-audit] in the
-    driver).
+    driver). It also turns on the ready audit of every context
+    ([Kernel.set_ready_audit]): a step whose [Kernel.attempt_if] ready test
+    said false still runs, and raises {!Audit_fail} if it commits.
 
     {2 Partitioned parallel execution}
 

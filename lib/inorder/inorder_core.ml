@@ -386,12 +386,12 @@ let rules t =
       ~can_fire:(fun () -> Mem.L1_dcache.resp_ld_ready t.dc)
       ~watches:[ Mem.L1_dcache.resp_ld_signal t.dc ]
       ~fp:(Mem.L1_dcache.fp_resp_ld t.dc) ~vacuous:true
-      (fun ctx -> ignore (Kernel.attempt ctx (fun ctx -> step_load_resp ctx t)));
+      (fun ctx -> step_load_resp ctx t);
     Rule.make (t.name ^ ".storeResp")
       ~can_fire:(fun () -> Mem.L1_dcache.resp_st_ready t.dc)
       ~watches:[ Mem.L1_dcache.resp_st_signal t.dc ]
       ~fp:(Mem.L1_dcache.fp_resp_st t.dc) ~vacuous:true
-      (fun ctx -> ignore (Kernel.attempt ctx (fun ctx -> step_store_resp ctx t)));
+      (fun ctx -> step_store_resp ctx t);
     (* [xst] and [halted_f] are mutated only by this rule itself, so while
        parked (necessarily [XIdle] with [f2x] empty) the predicate can only
        flip true via an [f2x] enqueue — which touches the watched signal. *)
@@ -403,7 +403,7 @@ let rules t =
         @ Tlb.Tlb_sys.fp_dtlb_req t.tlb @ Tlb.Tlb_sys.fp_dtlb_resp t.tlb
         @ Mem.L1_dcache.fp_req t.dc @ Mem.L1_dcache.fp_resp_at t.dc)
       ~vacuous:true
-      (fun ctx -> ignore (Kernel.attempt ctx (fun ctx -> step_execute ctx t)));
+      (fun ctx -> step_execute ctx t);
     (* fetch slots are mutated only by this rule; the other work sources
        (I$ and I-TLB responses) are watched queues *)
     Rule.make (t.name ^ ".fetch")
@@ -418,8 +418,16 @@ let rules t =
         @ Tlb.Tlb_sys.fp_itlb_resp t.tlb
         @ Mem.L1_icache.fp_req t.ic @ Tlb.Tlb_sys.fp_itlb_req t.tlb)
       ~vacuous:true
-      (fun ctx ->
-        ignore (Kernel.attempt ctx (fun ctx -> step_fetch_mem ctx t));
-        ignore (Kernel.attempt ctx (fun ctx -> step_fetch_tlb ctx t));
-        ignore (Kernel.attempt ctx (fun ctx -> step_fetch_issue ctx t)));
+      (* three steps behind peek-only ready tests, as in the out-of-order
+         core; the steps are built once, so a skip allocates nothing *)
+      (let fetch_mem ctx = step_fetch_mem ctx t
+       and fetch_tlb ctx = step_fetch_tlb ctx t
+       and fetch_issue ctx = step_fetch_issue ctx t in
+       fun ctx ->
+         ignore (Kernel.attempt_if ctx (Mem.L1_icache.resp_ready t.ic) fetch_mem);
+         ignore (Kernel.attempt_if ctx (Tlb.Tlb_sys.itlb_resp_ready t.tlb) fetch_tlb);
+         ignore
+           (Kernel.attempt_if ctx
+              ((not t.halted_f) && not t.fslots.(t.next_fslot).fvalid)
+              fetch_issue));
   ]

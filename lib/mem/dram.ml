@@ -57,5 +57,11 @@ let fp_use t =
 let tokens t = [ Fifo.enq_token t.pending; Fifo.deq_token t.pending ]
 
 let busy t = Fifo.peek_size t.pending > 0
+
+let resp_ready t =
+  busy t
+  &&
+  let ready, _, _ = Fifo.peek_first t.pending in
+  ready <= Clock.now t.clk
 let reads t = t.n_reads
 let writes t = t.n_writes

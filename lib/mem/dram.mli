@@ -38,6 +38,10 @@ val tokens : t -> Cmd.Partition.token list
     L2 tick rule's [can_fire]. *)
 val busy : t -> bool
 
+(** Untracked ready test for [resp]: [false] means [resp] would fail its
+    guard. *)
+val resp_ready : t -> bool
+
 (** Total reads and writes accepted (statistics). *)
 val reads : t -> int
 

@@ -357,6 +357,24 @@ let step_req ctx t =
         ignore (Kernel.attempt ctx (fun ctx -> alloc_mshr ctx t laddr Msg.M WPf)))));
   ignore (Fifo.deq ctx t.req_q)
 
+(* --- ready tests --------------------------------------------------------
+
+   Peek-only, one-sided tests in front of each step ([Kernel.attempt_if]):
+   false means the step would abort on the current state. *)
+
+(* A filled MSHR drains its waiters in order and stops at the first that
+   cannot go, so it makes progress exactly when its first waiter can. *)
+let drain_ready t m =
+  m.valid && m.filled
+  &&
+  let ln = t.lines.(set_of t m.mline).(m.way) in
+  match m.waiters with
+  | [] -> false
+  | WLd _ :: _ -> Fifo.peek_can_enq t.resp_ld_q
+  | WSt _ :: _ -> (not ln.locked) && Msg.state_leq Msg.E ln.st && Fifo.peek_can_enq t.resp_st_q
+  | WAt _ :: _ -> (not ln.locked) && Msg.state_leq Msg.E ln.st && Fifo.peek_can_enq t.resp_at_q
+  | WPf :: _ -> true
+
 let tick t =
   (* Work only ever arrives on the three input queues or sits in a filled
      MSHR; MSHR state is mutated exclusively by this rule's own sub-steps,
@@ -402,12 +420,19 @@ let tick t =
       Fifo.fp_deq t.presp_i;
     ]
   in
+  (* The steps, built once: a skipped step allocates no closure. A drain
+     indexes the MSHR array when run, as a snapshot restore replaces the
+     MSHRs. *)
+  let presp ctx = step_presp ctx t and preq ctx = step_preq ctx t and req ctx = step_req ctx t in
+  let drain = Array.init (Array.length t.mshrs) (fun i ctx -> step_drain ctx t t.mshrs.(i)) in
   Rule.make ~can_fire ~watches ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
-      let _ = Kernel.attempt ctx (fun ctx -> step_presp ctx t) in
-      Array.iter (fun m -> ignore (Kernel.attempt ctx (fun ctx -> step_drain ctx t m))) t.mshrs;
-      let _ = Kernel.attempt ctx (fun ctx -> step_preq ctx t) in
-      let _ = Kernel.attempt ctx (fun ctx -> step_req ctx t) in
-      ())
+      ignore (Kernel.attempt_if ctx (Fifo.peek_size t.presp_i > 0) presp);
+      for i = 0 to Array.length t.mshrs - 1 do
+        ignore (Kernel.attempt_if ctx (drain_ready t t.mshrs.(i)) drain.(i))
+      done;
+      ignore
+        (Kernel.attempt_if ctx (Fifo.peek_size t.preq_i > 0 && Fifo.peek_can_enq t.cresp_o) preq);
+      ignore (Kernel.attempt_if ctx (Fifo.peek_size t.req_q > 0) req))
 
 let rules t = Partition.scoped t.part (fun () -> [ tick t ])
 
@@ -434,6 +459,7 @@ let resp_ld_ready t = Fifo.peek_size t.resp_ld_q > 0
 let resp_st_ready t = Fifo.peek_size t.resp_st_q > 0
 let resp_at_ready t = Fifo.peek_size t.resp_at_q > 0
 let resp_ld_signal t = Fifo.signal t.resp_ld_q
+let queued_ld_tags t = List.map fst (Fifo.peek_list t.resp_ld_q)
 let resp_st_signal t = Fifo.signal t.resp_st_q
 let resp_at_signal t = Fifo.signal t.resp_at_q
 

@@ -74,6 +74,11 @@ val resp_ld_signal : t -> Cmd.Wakeup.signal
 val resp_st_signal : t -> Cmd.Wakeup.signal
 val resp_at_signal : t -> Cmd.Wakeup.signal
 
+(** Tags of the load responses read from the cache and queued, not yet
+    delivered (untracked). The core's TSO eviction kill needs them: such a
+    value is stale once its line leaves the cache. *)
+val queued_ld_tags : t -> int list
+
 (** [write_data ctx t ~line ~data ~mask] writes masked bytes (bit [i] of
     [mask] enables byte [i]) into the locked line and unlocks it. *)
 val write_data : Cmd.Kernel.ctx -> t -> line:int64 -> data:Bytes.t -> mask:int64 -> unit

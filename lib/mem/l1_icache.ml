@@ -135,6 +135,30 @@ let step_preq ctx t =
     Fifo.enq ctx t.cresp_o { Msg.child = t.child_id; line = d.Msg.line; to_s = Msg.I; data = None });
   ignore (Fifo.deq ctx t.preq_i)
 
+(* --- ready tests: peek-only, one-sided (see [Kernel.attempt_if]) ------- *)
+
+(* Whether [lookup] finds [pc]'s line resident and not pending. A loop
+   over locals, so neither a closure nor a boxed tag is allocated. *)
+let hits t pc =
+  let laddr = Cache_geom.line_addr pc in
+  let ways = t.lines.(Cache_geom.index t.geom laddr) in
+  let tg = Cache_geom.tag t.geom laddr in
+  let i = ref 0 and found = ref (-1) in
+  while !found < 0 && !i < Array.length ways do
+    if ways.(!i).tag = tg && ways.(!i).st <> Msg.I then found := !i;
+    incr i
+  done;
+  !found >= 0 && not ways.(!found).pending
+
+(* A request needs the miss slot free, and room for its response on a hit
+   or for its line request on a miss. *)
+let req_ready t =
+  Option.is_none t.miss
+  && Fifo.peek_size t.req_q > 0
+  &&
+  let _, pc = Fifo.peek_first t.req_q in
+  if hits t pc then Fifo.peek_can_enq t.resp_q else Fifo.peek_can_enq t.creq_o
+
 let tick t =
   (* [t.miss] is only ever mutated by this rule's own sub-steps, so while
      parked it cannot change: a set miss can only clear via a presp arrival
@@ -169,11 +193,13 @@ let tick t =
       Fifo.fp_deq t.presp_i;
     ]
   in
+  (* The steps, built once: a skipped step allocates no closure. *)
+  let presp ctx = step_presp ctx t and preq ctx = step_preq ctx t and req ctx = step_req ctx t in
   Rule.make ~can_fire ~watches ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
-      let _ = Kernel.attempt ctx (fun ctx -> step_presp ctx t) in
-      let _ = Kernel.attempt ctx (fun ctx -> step_preq ctx t) in
-      let _ = Kernel.attempt ctx (fun ctx -> step_req ctx t) in
-      ())
+      ignore (Kernel.attempt_if ctx (Fifo.peek_size t.presp_i > 0) presp);
+      ignore
+        (Kernel.attempt_if ctx (Fifo.peek_size t.preq_i > 0 && Fifo.peek_can_enq t.cresp_o) preq);
+      ignore (Kernel.attempt_if ctx (req_ready t) req))
 
 let rules t = Partition.scoped t.part (fun () -> [ tick t ])
 let req ctx t ~tag pc = Fifo.enq ctx t.req_q (tag, pc)

@@ -211,32 +211,42 @@ let free_mshr t =
   in
   go 0
 
-(* Directory compatibility for a grant. An E holder may silently have
-   become M, so it blocks shared grants exactly like an M holder. *)
+(* Directory compatibility for a grant of [want] to [child] (the walker
+   asks for S). An E holder may silently have become M, so it blocks shared
+   grants exactly like an M holder. A loop over locals: the ready tests call
+   it every cycle, and it allocates nothing. *)
+let dir_allows (ln : line) child want =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length ln.dir do
+    let s = ln.dir.(!i) in
+    (ok :=
+       match want with
+       | Msg.M | Msg.E -> !i = child || s = Msg.I
+       | Msg.S -> Msg.state_leq s Msg.S
+       | Msg.I -> true);
+    incr i
+  done;
+  !ok
+
 let dir_ok (ln : line) kind =
   match kind with
-  | Child { child; want = Msg.M | Msg.E } ->
-    Array.for_all Fun.id (Array.mapi (fun i s -> i = child || s = Msg.I) ln.dir)
-  | Child { want = Msg.S; _ } | Walker _ -> Array.for_all (fun s -> Msg.state_leq s Msg.S) ln.dir
-  | Child { want = Msg.I; _ } -> true
+  | Child { child; want } -> dir_allows ln child want
+  | Walker _ -> dir_allows ln (-1) Msg.S
+
+(* Whether child [i] must be downgraded before [kind] is granted. *)
+let needs_dg (ln : line) kind i =
+  match kind with
+  | Child { child; want = Msg.M | Msg.E } -> i <> child && ln.dir.(i) <> Msg.I
+  | Child { child; want = Msg.S } -> i <> child && not (Msg.state_leq ln.dir.(i) Msg.S)
+  | Walker _ -> not (Msg.state_leq ln.dir.(i) Msg.S)
+  | Child { want = Msg.I; _ } -> false
 
 (* Which children must be downgraded, and to what, before [kind] is granted. *)
 let downgrades_needed (ln : line) kind =
-  match kind with
-  | Child { child; want = Msg.M | Msg.E } ->
-    List.filter_map
-      (fun i -> if i <> child && ln.dir.(i) <> Msg.I then Some (i, Msg.I) else None)
-      (List.init (Array.length ln.dir) Fun.id)
-  | Child { child; want = Msg.S } ->
-    List.filter_map
-      (fun i ->
-        if i <> child && not (Msg.state_leq ln.dir.(i) Msg.S) then Some (i, Msg.S) else None)
-      (List.init (Array.length ln.dir) Fun.id)
-  | Walker _ ->
-    List.filter_map
-      (fun i -> if not (Msg.state_leq ln.dir.(i) Msg.S) then Some (i, Msg.S) else None)
-      (List.init (Array.length ln.dir) Fun.id)
-  | Child { want = Msg.I; _ } -> []
+  let to_s = match kind with Child { want = Msg.M | Msg.E; _ } -> Msg.I | _ -> Msg.S in
+  List.filter_map
+    (fun i -> if needs_dg ln kind i then Some (i, to_s) else None)
+    (List.init (Array.length ln.dir) Fun.id)
 
 let do_grant ctx t laddr (ln : line) kind =
   (* Epoch-audit backstop for the declared lookahead: a response stamped
@@ -259,13 +269,7 @@ let do_grant ctx t laddr (ln : line) kind =
   | Child { child; want } ->
     (* MESI: a shared request with no other sharers is granted
        exclusive-clean, so the child's first store needs no upgrade *)
-    let granted =
-      if
-        t.mesi && want = Msg.S
-        && Array.for_all Fun.id (Array.mapi (fun i s -> i = child || s = Msg.I) ln.dir)
-      then Msg.E
-      else want
-    in
+    let granted = if t.mesi && want = Msg.S && dir_allows ln child Msg.M then Msg.E else want in
     Fifo.enq ctx t.presp_delay
       (ready, child, { Msg.line = laddr; granted; data = Bytes.copy ln.data });
     Mut.set_arr ctx ln.dir child granted
@@ -449,20 +453,88 @@ let step_mshr ctx t (m : mshr) =
     Mut.field ctx m ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) false
   with Stop -> ()
 
-let step_delays ctx t =
-  let rec drain src dst =
-    match Kernel.attempt ctx (fun ctx ->
-        let ready, a, b = Fifo.first ctx src in
-        Kernel.guard ctx (ready <= Clock.now t.clk) "not ready";
-        ignore (Fifo.deq ctx src);
-        Fifo.enq ctx dst (a, b))
-    with
-    | Some () -> drain src dst
-    | None -> ()
-  in
-  drain t.presp_delay t.presp_o;
-  drain t.preq_delay t.preq_o;
-  drain t.walk_delay t.walk_resp_q
+let step_delay t src dst ctx =
+  let ready, a, b = Fifo.first ctx src in
+  Kernel.guard ctx (ready <= Clock.now t.clk) "not ready";
+  ignore (Fifo.deq ctx src);
+  Fifo.enq ctx dst (a, b)
+
+(* --- ready tests ---------------------------------------------------------
+
+   Peek-only, one-sided tests in front of each step ([Kernel.attempt_if]):
+   false means the step would abort, or return having done nothing, on the
+   current state. Scans are loops or top-level recursions, so a test
+   allocates nothing. *)
+
+let delay_ready t src dst =
+  Fifo.peek_size src > 0
+  && Fifo.peek_can_enq dst
+  &&
+  let ready, _, _ = Fifo.peek_first src in
+  ready <= Clock.now t.clk
+
+let rec mshr_from (mshrs : mshr array) laddr i =
+  i < Array.length mshrs
+  && ((mshrs.(i).valid && mshrs.(i).mline = laddr) || mshr_from mshrs laddr (i + 1))
+
+let rec free_from (mshrs : mshr array) i =
+  i < Array.length mshrs && ((not mshrs.(i).valid) || free_from mshrs (i + 1))
+
+(* The way [lookup] finds, or -1. *)
+let find_way t laddr =
+  let ways = t.lines.(index t laddr) in
+  let tg = tag_of t laddr in
+  let i = ref 0 and found = ref (-1) in
+  while !found < 0 && !i < Array.length ways do
+    if ways.(!i).valid && ways.(!i).tag = tg then found := !i;
+    incr i
+  done;
+  !found
+
+(* A request for [laddr] ([step_creq], [step_walk_req]) aborts while the
+   line has a transaction in flight or is busy; otherwise it is granted at
+   once when the directory allows, which needs room in [delay], or takes a
+   free MSHR. *)
+let request_ready t laddr child want delay =
+  (not (mshr_from t.mshrs laddr 0))
+  &&
+  let w = find_way t laddr in
+  if w < 0 then free_from t.mshrs 0
+  else
+    let ln = t.lines.(index t laddr).(w) in
+    (not ln.busy)
+    && if dir_allows ln child want then Fifo.peek_can_enq delay else free_from t.mshrs 0
+
+let creq_ready t =
+  Fifo.peek_size t.creq_q > 0
+  &&
+  let (r : Msg.creq) = Fifo.peek_first t.creq_q in
+  request_ready t r.Msg.line r.Msg.child r.Msg.want t.presp_delay
+
+let walk_req_ready t =
+  Fifo.peek_size t.walk_req_q > 0
+  &&
+  let _, addr = Fifo.peek_first t.walk_req_q in
+  request_ready t (Cache_geom.line_addr addr) (-1) Msg.S t.walk_delay
+
+let rec dg_unsent (ln : line) (m : mshr) i =
+  i < Array.length ln.dir
+  && ((needs_dg ln m.kind i && not m.dg_sent.(i)) || dg_unsent ln m (i + 1))
+
+(* [step_mshr] returns having done nothing while its line's fetch is in
+   flight, and while the grant waits on downgrades it has already sent. *)
+let mshr_ready t (m : mshr) =
+  m.valid
+  && (m.way < 0 || Option.is_some m.victim
+     ||
+     let ln = t.lines.(index t m.mline).(m.way) in
+     if not (ln.valid && ln.tag = tag_of t m.mline) then not m.fetch_sent
+     else dir_ok ln m.kind || dg_unsent ln m 0)
+
+let rec drain_delay ctx t src dst step =
+  match Kernel.attempt_if ctx (delay_ready t src dst) step with
+  | Some () -> drain_delay ctx t src dst step
+  | None -> ()
 
 let tick t =
   (* Delay queues, the DRAM pipe and the MSHR array are mutated only by this
@@ -529,25 +601,31 @@ let tick t =
     ]
     @ Dram.fp_use t.dram
   in
+  (* The steps, built once: a skipped step allocates no closure. An MSHR
+     step indexes the MSHR array when run, as a snapshot restore replaces
+     the MSHRs. *)
+  let presp_delay = step_delay t t.presp_delay t.presp_o
+  and preq_delay = step_delay t t.preq_delay t.preq_o
+  and walk_delay = step_delay t t.walk_delay t.walk_resp_q in
+  let cresp ctx = step_cresp ctx t and dram_resp ctx = step_dram_resp ctx t in
+  let mshr = Array.init (Array.length t.mshrs) (fun i ctx -> step_mshr ctx t t.mshrs.(i)) in
+  let creq ctx = step_creq ctx t and walk_req ctx = step_walk_req ctx t in
   Rule.make ~can_fire ~watches ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
-      step_delays ctx t;
+      drain_delay ctx t t.presp_delay t.presp_o presp_delay;
+      drain_delay ctx t t.preq_delay t.preq_o preq_delay;
+      drain_delay ctx t t.walk_delay t.walk_resp_q walk_delay;
       (* responses first, unconditionally, all of them *)
-      let continue = ref true in
-      while !continue do
-        match Kernel.attempt ctx (fun ctx -> step_cresp ctx t) with
-        | Some () -> ()
-        | None -> continue := false
+      while Option.is_some (Kernel.attempt_if ctx (Fifo.peek_size t.cresp_q > 0) cresp) do
+        ()
       done;
-      let continue = ref true in
-      while !continue do
-        match Kernel.attempt ctx (fun ctx -> step_dram_resp ctx t) with
-        | Some () -> ()
-        | None -> continue := false
+      while Option.is_some (Kernel.attempt_if ctx (Dram.resp_ready t.dram) dram_resp) do
+        ()
       done;
-      Array.iter (fun m -> ignore (Kernel.attempt ctx (fun ctx -> step_mshr ctx t m))) t.mshrs;
-      let _ = Kernel.attempt ctx (fun ctx -> step_creq ctx t) in
-      let _ = Kernel.attempt ctx (fun ctx -> step_walk_req ctx t) in
-      ())
+      for i = 0 to Array.length t.mshrs - 1 do
+        ignore (Kernel.attempt_if ctx (mshr_ready t t.mshrs.(i)) mshr.(i))
+      done;
+      ignore (Kernel.attempt_if ctx (creq_ready t) creq);
+      ignore (Kernel.attempt_if ctx (walk_req_ready t) walk_req))
 
 let rules t = Partition.scoped t.part (fun () -> [ tick t ])
 
@@ -563,3 +641,5 @@ let walk_resp ctx t = Fifo.deq ctx t.walk_resp_q
 let can_walk_resp ctx t = Fifo.can_deq ctx t.walk_resp_q
 let walk_resp_ready t = Fifo.peek_size t.walk_resp_q > 0
 let walk_resp_signal t = Fifo.signal t.walk_resp_q
+let walk_req_room t = Fifo.peek_can_enq t.walk_req_q
+let walk_resp_head t = Fifo.peek_first t.walk_resp_q

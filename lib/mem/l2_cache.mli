@@ -75,4 +75,12 @@ val walk_resp_ready : t -> bool
 
 val walk_resp_signal : t -> Cmd.Wakeup.signal
 
+(** Untracked views of the walker port for the walk crossbar's ready tests:
+    [walk_req_room] is false when [walk_req] would fail its guard, and
+    [walk_resp_head] is the response [walk_resp] would return (call it only
+    when [walk_resp_ready]). *)
+val walk_req_room : t -> bool
+
+val walk_resp_head : t -> int * int64
+
 val rules : t -> Cmd.Rule.t list

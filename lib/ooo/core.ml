@@ -495,9 +495,17 @@ let rename_one ctx t =
   if target_iq <> None then emit_stage ctx t u.Uop.tid Obs.Pipe.s_dispatch;
   ignore (Fifo.deq ctx t.d2r)
 
-let step_rename ctx t =
-  for _ = 1 to t.cfg.width do
-    ignore (Kernel.attempt ctx (fun ctx -> rename_one ctx t))
+(* Peek-only ready test for [rename_one] ([Kernel.attempt_if]): false means
+   it would abort. *)
+let rename_ready t = Fifo.peek_size t.d2r > 0 && Rob.can_enq t.rob
+
+(* Up to [width] renames. An aborted rename would abort again on the
+   rolled-back state, so the group ends at the first. [rename] is
+   [rename_one] for this core, built once. *)
+let step_rename ctx t rename =
+  let k = ref 0 in
+  while !k < t.cfg.width && Option.is_some (Kernel.attempt_if ctx (rename_ready t) rename) do
+    incr k
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1009,13 +1017,40 @@ let commit_one ctx t =
       with Exit -> `Stop
     end
 
-let step_commit ctx t =
-  let stop = ref false in
-  for _ = 1 to t.cfg.width do
-    if not !stop then
-      match Kernel.attempt ctx (fun ctx -> commit_one ctx t) with
-      | Some `Ok -> ()
-      | Some `Stop | None -> stop := true
+let atomic_ready t (u : Uop.t) = u.translated && (not u.mmio) && (not t.atomic_busy) && sb_empty t
+
+(* Peek-only ready test for [commit_one] ([Kernel.attempt_if]): false means
+   it would abort. The ROB head must be complete, killed or faulted, or be
+   an instruction that completes at commit once its ordering conditions
+   hold: the store drain for MMIO, fences and atomics, and no atomic in
+   flight. Queue capacity is left to the step's own guards. *)
+let commit_ready t =
+  (not t.halted_f)
+  &&
+  match Rob.head t.rob with
+  | None -> false
+  | Some u -> (
+    u.fault || u.ld_kill
+    ||
+    match u.instr.op with
+    | (Instr.Ld _ | Instr.St _) when not u.mmio -> u.completed
+    | Instr.Ld _ -> u.translated && Lsq.no_older_stores t.lsq u.seq && sb_empty t
+    | Instr.St _ -> u.translated && Lsq.sq_head_is t.lsq u && sb_empty t
+    | Instr.Lr _ -> u.completed || (atomic_ready t u && Lsq.no_older_stores t.lsq u.seq)
+    | Instr.Sc _ | Instr.Amo _ -> u.completed || (atomic_ready t u && Lsq.sq_head_is t.lsq u)
+    | Instr.Fence | Instr.FenceI -> Lsq.no_older_stores t.lsq u.seq && sb_empty t
+    | Instr.Csr _ | Instr.Ecall | Instr.Ebreak | Instr.Illegal _ -> true
+    | _ -> u.completed)
+
+(* Up to [width] commits, ending at the first that aborts or stops the
+   group. [commit] is [commit_one] for this core, built once. *)
+let step_commit ctx t commit =
+  let stop = ref false and k = ref 0 in
+  while (not !stop) && !k < t.cfg.width do
+    incr k;
+    match Kernel.attempt_if ctx (commit_ready t) commit with
+    | Some `Ok -> ()
+    | Some `Stop | None -> stop := true
   done
 
 let step_resp_at ctx t =
@@ -1041,15 +1076,12 @@ let step_resp_at ctx t =
 (* Rule list                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Attempt-wrapped rule bodies swallow their own guard failures, so these
-   rules fire vacuously even with nothing to do — [vacuous] tells the
-   fast-path scheduler to account a skip as a (vacuous) firing. [can_fire]
-   and [watches] follow the one-sided contract documented in {!Cmd.Rule}:
-   the predicate may be conservatively true, but must never be false when
-   the body could commit an effect. *)
-let mk ?can_fire ?watches ?fp name f =
-  Rule.make ?can_fire ?watches ?fp ~vacuous:true name
-    (fun ctx -> ignore (Kernel.attempt ctx f))
+(* These rules fire vacuously even with nothing to do: [vacuous] tells the
+   scheduler to count a guard failure or a skip as a (vacuous) firing.
+   [can_fire] and [watches] follow the one-sided contract documented in
+   {!Cmd.Rule}: the predicate may be conservatively true, but must never be
+   false when the body could commit an effect. *)
+let mk ?can_fire ?watches ?fp name f = Rule.make ?can_fire ?watches ?fp ~vacuous:true name f
 
 let rules ?(schedule = `Aggressive) t =
   Partition.scoped (t.hart_id + 1) @@ fun () ->
@@ -1061,7 +1093,7 @@ let rules ?(schedule = `Aggressive) t =
       | _ -> ());
       if t.cfg.mem_model = Config.TSO then begin
         Stats.incr ~ctx t.c_tso_kills;
-        Lsq.cache_evict ctx t.lsq line
+        Lsq.cache_evict ctx t.lsq ~read:(Mem.L1_dcache.queued_ld_tags t.dc) line
       end);
   let n = t.name in
   (* predicate/watch helpers *)
@@ -1092,7 +1124,8 @@ let rules ?(schedule = `Aggressive) t =
       ~can_fire:(fun () -> (not t.halted_f) && Rob.count t.rob > 0)
       ~fp:(Mem.L1_dcache.fp_req t.dc @ flush_fps)
       (n ^ ".commit")
-      (fun ctx -> step_commit ctx t)
+      (let commit ctx = commit_one ctx t in
+       fun ctx -> step_commit ctx t commit)
   in
   let resp_at =
     mk
@@ -1275,7 +1308,8 @@ let rules ?(schedule = `Aggressive) t =
         ~watches:[ Fifo.signal t.d2r ]
         ~fp:[ Fifo.fp_first t.d2r; Fifo.fp_deq t.d2r ]
         (n ^ ".rename")
-        (fun ctx -> step_rename ctx t);
+        (let rename ctx = rename_one ctx t in
+         fun ctx -> step_rename ctx t rename);
     ]
   in
   let fetch =

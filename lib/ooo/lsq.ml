@@ -477,18 +477,29 @@ let deq_ld ctx t =
   Mut.field ctx e ~get:(fun o -> o.lstall) ~set:(fun o v -> o.lstall <- v) SNone;
   Mut.field ctx t ~get:(fun o -> o.l_head) ~set:(fun o v -> o.l_head <- v) (t.l_head + 1)
 
-let cache_evict ctx t line =
-  if t.tso then
+let cache_evict ctx t ~read line =
+  let kill e =
+    match e.lu with
+    | Some u when (not u.killed) && (not u.ld_kill) && Mem.Cache_geom.line_addr u.paddr = line ->
+      Uop.mk_set_ld_kill ctx u true
+    | _ -> ()
+  in
+  if t.tso then begin
     for i = t.l_head to t.l_tail - 1 do
       let e = lslot t i in
-      if e.lidx = i && e.lstate = LdDone then
-        match e.lu with
-        | Some u
-          when (not u.killed) && (not u.ld_kill)
-               && Mem.Cache_geom.line_addr u.paddr = line ->
-          Uop.mk_set_ld_kill ctx u true
-        | _ -> ()
-    done
+      if e.lidx = i && e.lstate = LdDone then kill e
+    done;
+    (* values read and queued by the L1 but not delivered yet: the load is
+       still LdIssued, and its response would carry the stale value *)
+    List.iter
+      (fun tag ->
+        match Hashtbl.find_opt t.outstanding tag with
+        | Some i ->
+          let e = lslot t i in
+          if e.lidx = i && e.lstate = LdIssued then kill e
+        | None -> ())
+      read
+  end
 
 let release_lq_slot ctx e =
   (match e.lstate with

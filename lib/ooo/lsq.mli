@@ -5,8 +5,9 @@
     mechanisms of the paper catch the violations:
     - [update_st] (a store's address becomes known) marks younger overlapping
       loads that already obtained a value as to-be-killed;
-    - [cache_evict] (TSO only) marks completed-but-uncommitted loads whose
-      line leaves the L1 as to-be-killed.
+    - [cache_evict] (TSO only) marks loads whose line leaves the L1 as
+      to-be-killed once they have read their value: completed but not
+      committed, or read by the L1 with the response not yet delivered.
     A to-be-killed load flushes the pipeline when it reaches commit.
 
     Wrong-path slot recycling follows the paper: a killed load still waiting
@@ -110,8 +111,12 @@ val wakeup_by_sb_deq : Cmd.Kernel.ctx -> t -> int -> unit
 
 val deq_ld : Cmd.Kernel.ctx -> t -> unit
 
-(** TSO eviction kill (the paper's [cacheEvict]). *)
-val cache_evict : Cmd.Kernel.ctx -> t -> int64 -> unit
+(** TSO eviction kill (the paper's [cacheEvict]): [cache_evict ctx t ~read
+    line] marks to-be-killed every live load on [line] that has its value,
+    and every issued load whose response tag is in [read] — the tags whose
+    values the L1 has read from the line but not yet delivered. A load still
+    waiting on a miss is spared: its value will come from the new copy. *)
+val cache_evict : Cmd.Kernel.ctx -> t -> read:int list -> int64 -> unit
 
 (** Drop killed (wrong-path) suffixes of both queues. *)
 val kill_suffix : Cmd.Kernel.ctx -> t -> unit

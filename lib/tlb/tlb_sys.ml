@@ -292,6 +292,45 @@ let step_walk_retire ctx t (w : walk) =
   Kernel.guard ctx (not (needed t.i || needed t.d)) "walk result still needed";
   Mut.field ctx w ~get:(fun o -> o.wvalid) ~set:(fun o v -> o.wvalid <- v) false
 
+(* --- ready tests ----------------------------------------------------------
+
+   Peek-only, one-sided tests in front of each step ([Kernel.attempt_if]):
+   false means the step would abort on the current state. They read plain
+   fields and queue occupancies only, and allocate nothing: scans are
+   top-level recursions over explicit arguments, as a local [go] closing
+   over them would allocate its closure on every test. *)
+let rec set_has set vpn i =
+  i < Array.length set && ((set.(i).lvalid && set.(i).lvpn = vpn) || set_has set vpn (i + 1))
+
+let l2_has t vpn = set_has t.l2.(Int64.to_int vpn land (t.cfg.l2_sets - 1)) vpn 0
+
+let rec walk_unfinished walks vpn i =
+  i < Array.length walks
+  && (let w = walks.(i) in
+      (w.wvalid && w.wvpn = vpn && Option.is_none w.result) || walk_unfinished walks vpn (i + 1))
+
+(* A miss slot waiting on an unfinished walk for its page aborts ("walk
+   pending") unless the L2 TLB already holds the page; one the L2 TLB can
+   answer needs room for a response. *)
+let miss_ready t side m =
+  m.mvalid
+  &&
+  if l2_has t m.mvpn then Fifo.peek_can_enq side.resp_q
+  else not (walk_unfinished t.walks m.mvpn 0)
+
+let req_ready side =
+  Fifo.peek_size side.req_q > 0 && (Array.length side.misses > 1 || not side.misses.(0).mvalid)
+
+let issue_ready t w =
+  w.wvalid && (not w.outstanding) && Option.is_none w.result && Fifo.peek_can_enq t.wreq
+let retire_ready w = w.wvalid && Option.is_some w.result
+
+let side_steps ctx t side misses req =
+  for k = 0 to Array.length side.misses - 1 do
+    ignore (Kernel.attempt_if ctx (miss_ready t side side.misses.(k)) misses.(k))
+  done;
+  ignore (Kernel.attempt_if ctx (req_ready side) req)
+
 let tick t =
   (* Walk slots and miss slots are mutated only by this rule's own sub-steps,
      so while parked they cannot change; any in-flight walk or miss keeps the
@@ -326,17 +365,27 @@ let tick t =
       Fifo.fp_deq t.wresp;
     ]
   in
+  (* The steps, built once: a skipped step allocates no closure. They index
+     the slot arrays when run, as a snapshot restore replaces the slots. *)
+  let walk_resp ctx = step_walk_resp ctx t in
+  let per_walk f = Array.init (Array.length t.walks) (fun i ctx -> f ctx i t.walks.(i)) in
+  let walk_issue = per_walk (fun ctx i w -> step_walk_issue ctx t i w) in
+  let misses side =
+    Array.init (Array.length side.misses) (fun k ctx -> step_l1_miss ctx t side side.misses.(k))
+  in
+  let d_misses = misses t.d and i_misses = misses t.i in
+  let d_req ctx = step_l1_req ctx t t.d and i_req ctx = step_l1_req ctx t t.i in
+  let walk_retire = per_walk (fun ctx _ w -> step_walk_retire ctx t w) in
   Rule.make ~can_fire ~watches ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
-      let _ = Kernel.attempt ctx (fun ctx -> step_walk_resp ctx t) in
-      Array.iteri (fun i w -> ignore (Kernel.attempt ctx (fun ctx -> step_walk_issue ctx t i w))) t.walks;
-      List.iter
-        (fun side ->
-          Array.iter
-            (fun m -> ignore (Kernel.attempt ctx (fun ctx -> step_l1_miss ctx t side m)))
-            side.misses;
-          ignore (Kernel.attempt ctx (fun ctx -> step_l1_req ctx t side)))
-        [ t.d; t.i ];
-      Array.iter (fun w -> ignore (Kernel.attempt ctx (fun ctx -> step_walk_retire ctx t w))) t.walks)
+      ignore (Kernel.attempt_if ctx (Fifo.peek_size t.wresp > 0) walk_resp);
+      for i = 0 to Array.length t.walks - 1 do
+        ignore (Kernel.attempt_if ctx (issue_ready t t.walks.(i)) walk_issue.(i))
+      done;
+      side_steps ctx t t.d d_misses d_req;
+      side_steps ctx t t.i i_misses i_req;
+      for i = 0 to Array.length t.walks - 1 do
+        ignore (Kernel.attempt_if ctx (retire_ready t.walks.(i)) walk_retire.(i))
+      done)
 
 let rules t = Partition.scoped t.part (fun () -> [ tick t ])
 

@@ -830,6 +830,12 @@ let test_write_allocation () =
           Mut.set ctx k (!k + 1));
       rule "deq" (fun ctx -> Mut.set_arr ctx a 0 (Fifo.deq ctx q));
       rule "enq" (fun ctx -> Fifo.enq ctx q !k);
+      (* a step its ready test turns away costs no transaction, closure or
+         option *)
+      (let empty = Fifo.cf clk ~capacity:2 () in
+       let take ctx = ignore (Fifo.deq ctx empty) in
+       Rule.make "skip" ~vacuous:true (fun ctx ->
+           ignore (Kernel.attempt_if ctx (Fifo.peek_size empty > 0) take)));
     ]
   in
   let sim = Sim.create clk rules in

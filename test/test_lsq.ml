@@ -120,7 +120,7 @@ let test_tso_cache_evict_kill () =
   | _ -> Alcotest.fail "expected cache issue");
   (* an eviction of the line the completed-but-uncommitted load read: TSO
      marks it to-be-killed; WMM would not *)
-  Lsq.cache_evict ctx lsq 0x80000140L;
+  Lsq.cache_evict ctx lsq ~read:[] 0x80000140L;
   Alcotest.(check bool) "TSO kill" true ld.Uop.ld_kill;
   let lsq_w = Lsq.create (cfg Ooo.Config.WMM) in
   let _, ld2 = enq_ld ctx lsq_w ~seq:1 ~paddr:0x80000140L in
@@ -129,7 +129,7 @@ let test_tso_cache_evict_kill () =
   (match Lsq.issue_ld ctx lsq_w i u ~sb_search:Store_buffer.NoMatch with
   | Lsq.ToCache tag -> ignore (Lsq.resp_ld ctx lsq_w tag 42L)
   | _ -> ());
-  Lsq.cache_evict ctx lsq_w 0x80000140L;
+  Lsq.cache_evict ctx lsq_w ~read:[] 0x80000140L;
   Alcotest.(check bool) "WMM does not kill" false ld2.Uop.ld_kill
 
 let test_wrong_path_slot () =
@@ -173,14 +173,17 @@ let test_fences_gate_loads () =
   let _, u = Lsq.get_issue_ld ctx lsq in
   Alcotest.(check int) "issuable after fence" 2 u.Uop.seq
 
-(* The TSO eviction kill must hit exactly the completed-but-uncommitted
-   loads of the evicted line: in-flight and unissued loads re-read the
-   coherent cache anyway, and other lines are untouched. *)
+(* The TSO eviction kill must hit exactly the loads of the evicted line
+   that already have their value: completed but uncommitted, or read by the
+   L1 with the response still queued. Loads waiting on a miss and unissued
+   loads will read the coherent cache anyway, and other lines are
+   untouched. *)
 let test_cache_evict_scope () =
   let ctx = ctx0 () in
-  let lsq = Lsq.create (cfg Ooo.Config.TSO) in
-  (* seq 1: completed on line 0x...140; seq 2: issued, response in flight,
-     same line; seq 3: completed on a different line; seq 4: unissued *)
+  let lsq = Lsq.create { (cfg Ooo.Config.TSO) with Ooo.Config.lq_size = 8 } in
+  (* seq 1: completed on line 0x...140; seq 2: issued, waiting on a miss,
+     same line; seq 3: completed on a different line; seq 4: unissued;
+     seq 5: issued, same line, value read by the L1 but not delivered *)
   let _, done_ld = enq_ld ctx lsq ~seq:1 ~paddr:0x80000140L in
   Lsq.update_ld ctx lsq done_ld;
   let i, u = Lsq.get_issue_ld ctx lsq in
@@ -200,16 +203,28 @@ let test_cache_evict_scope () =
   | Lsq.ToCache tag -> ignore (Lsq.resp_ld ctx lsq tag 3L)
   | _ -> Alcotest.fail "expected cache issue");
   let _, idle_ld = enq_ld ctx lsq ~seq:4 ~paddr:0x80000150L in
+  let _, read_ld = enq_ld ctx lsq ~seq:5 ~paddr:0x80000158L in
+  Lsq.update_ld ctx lsq read_ld;
+  let i, u = Lsq.get_issue_ld ctx lsq in
+  let read_tag =
+    match Lsq.issue_ld ctx lsq i u ~sb_search:Store_buffer.NoMatch with
+    | Lsq.ToCache tag -> tag
+    | _ -> Alcotest.fail "expected cache issue"
+  in
+  Alcotest.(check int) "seq 5 issued" 5 u.Uop.seq;
+  (* the unissued load's address becomes known only now, so it stays
+     unissued *)
   Lsq.update_ld ctx lsq idle_ld;
-  Lsq.cache_evict ctx lsq 0x80000140L;
+  Lsq.cache_evict ctx lsq ~read:[ read_tag ] 0x80000140L;
   Alcotest.(check bool) "completed load on the line killed" true done_ld.Uop.ld_kill;
-  Alcotest.(check bool) "in-flight load spared" false inflight_ld.Uop.ld_kill;
+  Alcotest.(check bool) "read-but-undelivered load killed" true read_ld.Uop.ld_kill;
+  Alcotest.(check bool) "load waiting on a miss spared" false inflight_ld.Uop.ld_kill;
   Alcotest.(check bool) "other line spared" false other_ld.Uop.ld_kill;
   Alcotest.(check bool) "unissued load spared" false idle_ld.Uop.ld_kill;
   (* a second eviction of the same line must not disturb the verdicts *)
-  Lsq.cache_evict ctx lsq 0x80000140L;
+  Lsq.cache_evict ctx lsq ~read:[] 0x80000140L;
   Alcotest.(check bool) "kill is sticky" true done_ld.Uop.ld_kill;
-  Alcotest.(check bool) "in-flight still spared" false inflight_ld.Uop.ld_kill
+  Alcotest.(check bool) "waiting load still spared" false inflight_ld.Uop.ld_kill
 
 (* sq_quiesced: speculative entries don't count, committed ones do. *)
 let test_sq_quiesced () =

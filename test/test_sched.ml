@@ -140,6 +140,79 @@ let test_audit_catches_liar () =
     (Sim.Audit_fail "rule vliar: can_fire returned false but the rule fired (cycle 0)")
     (fun () -> ignore (Sim.cycle sim))
 
+(* The same oracle one level down: a step's ready test
+   ([Kernel.attempt_if]) is a can_fire for the step. *)
+let test_audit_catches_lying_ready () =
+  let stepper () =
+    let clk = Clock.create () in
+    let e = Ehr.create 0 in
+    let step ctx = Ehr.write ctx e 0 (Ehr.read ctx e 0 + 1) in
+    (* the first step's test lies; the second's is honest: its step aborts
+       when the test says false *)
+    let q = Fifo.pipeline ~name:"rq" ~capacity:2 () in
+    let take ctx = ignore (Fifo.deq ctx q) in
+    let r =
+      Rule.make "stepper" ~vacuous:true (fun ctx ->
+          ignore (Kernel.attempt_if ctx false step);
+          ignore (Kernel.attempt_if ctx (Fifo.peek_size q > 0) take))
+    in
+    (clk, e, r)
+  in
+  let clk, e, r = stepper () in
+  let sim = Sim.create ~audit:true clk [ r ] in
+  Alcotest.check_raises "lying ready test trips the audit"
+    (Sim.Audit_fail
+       "rule stepper: a step's ready test returned false but the step committed (cycle 0)")
+    (fun () -> ignore (Sim.cycle sim));
+  Alcotest.(check int) "the audit rolled the step back" 0 (Ehr.peek e);
+  (* why the audit exists: without it the step would have committed, and
+     the ready test skips it silently *)
+  let clk, e, r = stepper () in
+  let sim = Sim.create clk [ r ] in
+  for _ = 1 to 10 do
+    ignore (Sim.cycle sim);
+    Clock.tick clk
+  done;
+  Alcotest.(check int) "the skipped step never ran" 0 (Ehr.peek e);
+  Alcotest.(check int) "the rule fired vacuously every cycle" 10 r.Rule.fired;
+  (* an honest test passes the audit: a turned-away step that aborts, or
+     returns having done nothing, is what the test promised *)
+  let clk = Clock.create () in
+  let q = Fifo.pipeline ~name:"hq" ~capacity:2 () in
+  let take ctx = ignore (Fifo.deq ctx q) in
+  let idle _ = () in
+  let honest =
+    Rule.make "honest-steps" ~vacuous:true (fun ctx ->
+        ignore (Kernel.attempt_if ctx (Fifo.peek_size q > 0) take);
+        ignore (Kernel.attempt_if ctx false idle))
+  in
+  let sim = Sim.create ~audit:true clk [ honest ] in
+  for _ = 1 to 20 do
+    ignore (Sim.cycle sim);
+    Clock.tick clk
+  done;
+  Alcotest.(check int) "honest steps pass the audit" 20 honest.Rule.fired
+
+(* A vacuous rule's own guard failure or conflict is a vacuous fire, with
+   its effects rolled back: the accounting an [attempt] wrapper around the
+   body used to produce. *)
+let test_vacuous_abort_is_fire () =
+  let clk = Clock.create () in
+  let e = Ehr.create 0 in
+  let r =
+    Rule.make "half-done" ~vacuous:true (fun ctx ->
+        Ehr.write ctx e 0 1;
+        Kernel.guard ctx false "never ready")
+  in
+  let sim = Sim.create clk [ r ] in
+  for _ = 1 to 5 do
+    ignore (Sim.cycle sim);
+    Clock.tick clk
+  done;
+  Alcotest.(check int) "effects rolled back" 0 (Ehr.peek e);
+  Alcotest.(check (pair int int))
+    "fired, not guard-failed" (5, 0) (r.Rule.fired, r.Rule.guard_failed)
+
 let test_audit_passes_honest () =
   (* a vacuous rule whose inner guard fails commits nothing: can_fire=false
      is truthful and the audit must stay quiet *)
@@ -260,14 +333,31 @@ let test_spec_equivalence () =
       check_equiv kernel on off)
     [ "gcc"; "gobmk" ]
 
-(* The whole-processor predicate set passes the dynamic truthfulness check. *)
+(* The whole-processor predicate set, rule can_fires and step ready tests,
+   passes the dynamic truthfulness check: on smoke, on the first 60k cycles
+   of T+ mcf with paging on (TLB walks, the non-blocking TLB's miss slots)
+   and on quad-core TSO blackscholes (coherence, crossbar, atomics). *)
 let test_smoke_audit_clean () =
   let prog = Spec_kernels.find "smoke" ~scale:1 in
   let m =
     Machine.create ~paging:true ~audit:true (Machine.Out_of_order Ooo.Config.riscyoo_b) prog
   in
   let o = Machine.run ~max_cycles:1_000_000 m in
-  Alcotest.(check bool) "audited run completes" false o.Machine.timed_out
+  Alcotest.(check bool) "audited run completes" false o.Machine.timed_out;
+  let m =
+    Machine.create ~paging:true ~audit:true
+      (Machine.Out_of_order Ooo.Config.riscyoo_tplus)
+      (Spec_kernels.find "mcf" ~scale:1)
+  in
+  let o = Machine.run ~max_cycles:60_000 m in
+  Alcotest.(check bool) "audited T+ mcf ran its 60k cycles" true (o.Machine.cycles >= 60_000);
+  let m =
+    Machine.create ~ncores:4 ~audit:true
+      (Machine.Out_of_order (Ooo.Config.multicore Ooo.Config.TSO))
+      (Parsec_kernels.find "blackscholes" ~harts:4 ~scale:1)
+  in
+  let o = Machine.run ~max_cycles:2_000_000 m in
+  Alcotest.(check bool) "audited quad-TSO blackscholes completes" false o.Machine.timed_out
 
 (* ---------------------------------------------------------------- *)
 (* Schedule compilation: compiled engine == interpreted engine        *)
@@ -340,6 +430,8 @@ let suite =
     t "synthetic equivalence (3 modes)" `Quick test_synthetic_equivalence;
     t "late wakeup of a parked rule" `Quick test_late_wakeup;
     t "audit catches lying can_fire" `Quick test_audit_catches_liar;
+    t "audit catches a lying step ready test" `Quick test_audit_catches_lying_ready;
+    t "vacuous rule: abort counts as a fire" `Quick test_vacuous_abort_is_fire;
     t "audit passes honest predicates" `Quick test_audit_passes_honest;
     t "fast path starves a liar (why audit exists)" `Quick test_fastpath_starves_liar;
     t "smoke equivalence (multi/shuffle/serial)" `Slow test_smoke_equivalence;
