@@ -164,7 +164,6 @@ let rocket_mem latency =
     mem_latency = latency;
     mem_inflight = 8;
     l2_banks = 1;
-    lookahead_override = None;
   }
 
 let rocket name latency kernel =
@@ -587,7 +586,11 @@ let idle_sched_thunk ~fastpath =
    interpreted fast path ([--no-compile]), and the stripped scheduler
    ([--no-fastpath]). All three must be bit-identical; the JSON reports the
    two engine-vs-engine ratios, which are what CI gates on (ratios cancel
-   host-speed variation that makes absolute cycles/s untrustworthy there). *)
+   host-speed variation that makes absolute cycles/s untrustworthy there).
+   Each wall is the fastest of its runs (scheduling noise only ever slows a
+   run down); each ratio is the median of per-round ratios, a round timing
+   the three engines back to back, so a host-speed swing between rounds
+   cancels within a round instead of landing in one engine's best-of. *)
 type perf_row = {
   wname : string;
   pcycles : int;
@@ -595,86 +598,108 @@ type perf_row = {
   wall_compiled : float;
   wall_interp : float;
   wall_stripped : float;
+  compile_ratio : float; (* median over rounds of interpreted / compiled wall *)
+  fastpath_ratio : float; (* median over rounds of stripped / compiled wall *)
 }
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* the fewest engine rounds a ratio is the median of *)
+let perf_rounds = 5
 
 let perf_workload ~budget kernel =
   let prog = Spec_kernels.find kernel ~scale:!scale in
   let snapshot = ref None in
-  let timed ~compile ~fastpath =
-    (* best-of-N wall clock: scheduling noise only ever slows a run down, so
-       repeating until ~1s of total wall time and keeping the fastest gives a
-       stable speed estimate even for sub-100ms workloads *)
-    let once () =
-      let m = Machine.create ~paging:true ~compile ~fastpath (ooo Ooo.Config.riscyoo_b) prog in
-      if Machine.compiled m <> (compile && fastpath) then
-        failwith
-          (Printf.sprintf "perf: %s engine mismatch (%s)" kernel (Machine.compile_status m));
-      let t0 = Unix.gettimeofday () in
-      let o = Machine.run ~max_cycles:budget m in
-      let dt = Unix.gettimeofday () -. t0 in
-      if o.Machine.timed_out then failwith ("perf: " ^ kernel ^ " timed out");
-      if !snapshot = None then snapshot := Some (Machine.stats m);
-      (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, dt)
-    in
-    let (c, x, i, dt) = once () in
-    let best = ref dt and total = ref dt in
-    while !total < 1.0 do
-      let c2, x2, i2, dt2 = once () in
-      if (c2, x2, i2) <> (c, x, i) then failwith ("perf: " ^ kernel ^ " is nondeterministic");
-      if dt2 < !best then best := dt2;
-      total := !total +. dt2
-    done;
-    (c, x, i, !best)
+  let once (compile, fastpath) =
+    let m = Machine.create ~paging:true ~compile ~fastpath (ooo Ooo.Config.riscyoo_b) prog in
+    if Machine.compiled m <> (compile && fastpath) then
+      failwith (Printf.sprintf "perf: %s engine mismatch (%s)" kernel (Machine.compile_status m));
+    let t0 = Unix.gettimeofday () in
+    let o = Machine.run ~max_cycles:budget m in
+    let dt = Unix.gettimeofday () -. t0 in
+    if o.Machine.timed_out then failwith ("perf: " ^ kernel ^ " timed out");
+    if !snapshot = None then snapshot := Some (Machine.stats m);
+    ((o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m), dt)
   in
-  let c_c, x_c, i_c, wall_compiled = timed ~compile:true ~fastpath:true in
-  let c_i, x_i, i_i, wall_interp = timed ~compile:false ~fastpath:true in
-  let c_s, x_s, i_s, wall_stripped = timed ~compile:false ~fastpath:false in
+  (* compiled, interpreted, stripped *)
+  let engines = [| (true, true); (false, true); (false, false) |] in
+  let ids = Array.make 3 None and best = Array.make 3 infinity in
+  let rounds = ref [] and total = ref 0.0 and nr = ref 0 in
+  (* at least [perf_rounds] rounds and ~3 s of wall time in all; the engine
+     order rotates each round so no engine always runs first *)
+  while !nr < perf_rounds || !total < 3.0 do
+    let w = Array.make 3 0.0 in
+    for k = 0 to 2 do
+      let e = (k + !nr) mod 3 in
+      let id, dt = once engines.(e) in
+      (match ids.(e) with
+      | None -> ids.(e) <- Some id
+      | Some id0 -> if id <> id0 then failwith ("perf: " ^ kernel ^ " is nondeterministic"));
+      w.(e) <- dt;
+      best.(e) <- Float.min best.(e) dt;
+      total := !total +. dt
+    done;
+    rounds := w :: !rounds;
+    incr nr
+  done;
+  let c_c, x_c, i_c = Option.get ids.(0) in
   (* schedule compilation and the fast path must be pure speed optimizations *)
-  if (c_c, x_c, i_c) <> (c_i, x_i, i_i) then
-    failwith
-      (Printf.sprintf "perf: %s diverges with compile off (%d/%Ld/%d vs %d/%Ld/%d)" kernel c_c x_c
-         i_c c_i x_i i_i);
-  if (c_c, x_c, i_c) <> (c_s, x_s, i_s) then
-    failwith
-      (Printf.sprintf "perf: %s diverges with fastpath off (%d/%Ld/%d vs %d/%Ld/%d)" kernel c_c
-         x_c i_c c_s x_s i_s);
+  Array.iteri
+    (fun e id ->
+      let c, x, i = Option.get id in
+      if (c, x, i) <> (c_c, x_c, i_c) then
+        failwith
+          (Printf.sprintf "perf: %s diverges with %s (%d/%Ld/%d vs %d/%Ld/%d)" kernel
+             (if e = 1 then "compile off" else "fastpath off")
+             c_c x_c i_c c x i))
+    ids;
+  let ratio e = median (List.map (fun w -> w.(e) /. w.(0)) !rounds) in
+  let row =
+    {
+      wname = kernel;
+      pcycles = c_c;
+      pinstrs = i_c;
+      wall_compiled = best.(0);
+      wall_interp = best.(1);
+      wall_stripped = best.(2);
+      compile_ratio = ratio 1;
+      fastpath_ratio = ratio 2;
+    }
+  in
   Printf.eprintf
-    "  [perf/%s] %d cycles: %.0f c/s compiled, %.0f c/s interpreted, %.0f c/s stripped\n%!"
-    kernel c_c
-    (float_of_int c_c /. wall_compiled)
-    (float_of_int c_c /. wall_interp)
-    (float_of_int c_c /. wall_stripped);
-  ( { wname = kernel; pcycles = c_c; pinstrs = i_c; wall_compiled; wall_interp; wall_stripped },
-    Option.get !snapshot )
+    "  [perf/%s] %d cycles, %d rounds: %.0f c/s compiled, %.0f c/s interpreted, %.0f c/s stripped\n%!"
+    kernel c_c !nr
+    (float_of_int c_c /. row.wall_compiled)
+    (float_of_int c_c /. row.wall_interp)
+    (float_of_int c_c /. row.wall_stripped);
+  (row, Option.get !snapshot)
 
 let cps r = float_of_int r.pcycles /. r.wall_compiled
-let compile_speedup r = r.wall_interp /. r.wall_compiled
-let fastpath_speedup r = r.wall_stripped /. r.wall_compiled
+let compile_speedup r = r.compile_ratio
+let fastpath_speedup r = r.fastpath_ratio
 
-(* Multicore workloads timed at --jobs 1/4/8 with lookahead epochs on (the
-   16-core row runs at the full derived window; the quad row keeps the
-   per-cycle barrier as a reference point). Serial speed is reported, the
-   jobs-4 speedup ratio is gated: wall(jobs1)/wall(jobs4) of the same
-   binary in the same process cancels host speed, so a drop against the
-   checked-in baseline means the parallel engine regressed — though its
-   absolute value only shows real scaling on a multi-core host (a 1-CPU
-   machine measures scheduling overhead instead). *)
+(* Multicore workloads timed at --jobs 1/4/8, partitions synchronized every
+   cycle. Serial speed and the wall(jobs1)/wall(jobs4) speedup are
+   reported, both informational: a barrier every cycle makes the ratio a
+   measurement of OS scheduling noise on small hosts, and the serial wall
+   swings with the worker-domain pool. *)
 type mc_row = {
   mcname : string;
   mccycles : int;
   mcinstrs : int;
-  mcepoch : int; (* effective lookahead window length *)
   mcwall : (int * float) list; (* jobs -> best wall seconds *)
 }
 
-let perf_multicore ~budget ~harts ~epoch ~cfg kernel =
+let perf_multicore ~budget ~harts ~cfg kernel =
   let prog = Parsec_kernels.find kernel ~harts ~scale:!parsec_scale in
   let snapshot = ref None in
-  let elen = ref 1 in
   let timed jobs =
     let once () =
-      let m = Machine.create ~ncores:harts ~paging:true ~jobs ~epoch (ooo cfg) prog in
-      elen := Machine.epoch_length m;
+      let m = Machine.create ~ncores:harts ~paging:true ~jobs (ooo cfg) prog in
       let t0 = Unix.gettimeofday () in
       let o = Machine.run ~max_cycles:budget m in
       let dt = Unix.gettimeofday () -. t0 in
@@ -685,8 +710,7 @@ let perf_multicore ~budget ~harts ~epoch ~cfg kernel =
     let c, x, i, dt = once () in
     let best = ref dt and total = ref dt in
     (* parallel wall clocks carry OS-scheduler noise on top of the usual
-       measurement jitter; a longer best-of window keeps the gated
-       jobs1/jobs4 ratio reproducible *)
+       measurement jitter; a longer best-of window steadies them *)
     while !total < 2.5 do
       let c2, x2, i2, dt2 = once () in
       if (c2, x2, i2) <> (c, x, i) then
@@ -704,18 +728,17 @@ let perf_multicore ~budget ~harts ~epoch ~cfg kernel =
   let c1, x1, i1, _ = List.assoc 1 runs in
   List.iter
     (fun (j, (c, x, i, _)) ->
-      (* parallel epoch execution must be bit-identical to serial *)
+      (* parallel execution must be bit-identical to serial *)
       if (c, x, i) <> (c1, x1, i1) then
         failwith (Printf.sprintf "perf: %s x%d diverges at --jobs %d" kernel harts j))
     runs;
   let row =
     { mcname = Printf.sprintf "%s-x%d" kernel harts; mccycles = c1; mcinstrs = i1;
-      mcepoch = !elen;
       mcwall = List.map (fun (j, (_, _, _, w)) -> (j, w)) runs }
   in
   let w j = List.assoc j row.mcwall in
-  Printf.eprintf "  [perf/%s] %d cycles (epoch %d): %.0f c/s serial, x%.2f jobs4, x%.2f jobs8\n%!"
-    row.mcname c1 row.mcepoch
+  Printf.eprintf "  [perf/%s] %d cycles: %.0f c/s serial, x%.2f jobs4, x%.2f jobs8\n%!"
+    row.mcname c1
     (float_of_int c1 /. w 1)
     (w 1 /. w 4) (w 1 /. w 8);
   (row, Option.get !snapshot)
@@ -858,7 +881,7 @@ let read_file path =
 
 let perf_json ~calib_s rows mc_rows farm micro_on micro_off =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"riscyoo-perf-v6\",\n";
+  Buffer.add_string b "{\n  \"schema\": \"riscyoo-perf-v7\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"calibration\": {\"name\": \"%s\", \"wall_s\": %.4f},\n" calib_name
        calib_s);
@@ -881,11 +904,11 @@ let perf_json ~calib_s rows mc_rows farm micro_on micro_off =
       let w j = List.assoc j r.mcwall in
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"name\": \"%s\", \"cycles\": %d, \"instrs\": %d, \"epoch\": %d, \
+           "    {\"name\": \"%s\", \"cycles\": %d, \"instrs\": %d, \
             \"wall_s_jobs1\": %.4f, \"wall_s_jobs4\": %.4f, \"wall_s_jobs8\": %.4f, \
             \"sim_cps\": %.1f, \"speedup_vs_serial_jobs4\": %.3f, \
             \"speedup_vs_serial_jobs8\": %.3f}%s\n"
-           r.mcname r.mccycles r.mcinstrs r.mcepoch (w 1) (w 4) (w 8) (mc_cps r)
+           r.mcname r.mccycles r.mcinstrs (w 1) (w 4) (w 8) (mc_cps r)
            (mc_speedup r 4) (mc_speedup r 8)
            (if i = List.length mc_rows - 1 then "" else ",")))
     mc_rows;
@@ -939,13 +962,10 @@ let perf ~quick ~out ~check ~stats_json () =
   let budget = 200_000_000 in
   let kernels = if quick then [ "smoke" ] else [ "smoke"; "gcc"; "gobmk" ] in
   let rows_s = List.map (perf_workload ~budget) kernels in
-  (* the quad row keeps the per-cycle engine as a reference; the 16-core row
-     is the epoch engine's home turf (4-bank L2, auto-derived window) *)
   let mc_rows_s =
     [
-      perf_multicore ~budget ~harts:4 ~epoch:1
-        ~cfg:(Ooo.Config.multicore Ooo.Config.TSO) "blackscholes";
-      perf_multicore ~budget ~harts:16 ~epoch:0
+      perf_multicore ~budget ~harts:4 ~cfg:(Ooo.Config.multicore Ooo.Config.TSO) "blackscholes";
+      perf_multicore ~budget ~harts:16
         ~cfg:(Ooo.Config.multicore16 Ooo.Config.TSO) "blackscholes";
     ]
   in
@@ -958,9 +978,9 @@ let perf ~quick ~out ~check ~stats_json () =
       @ List.map (fun (r, st) -> (r.mcname, r.mccycles, r.mcinstrs, st)) mc_rows_s));
   List.iter
     (fun r ->
-      Printf.printf "%s: %.0f sim-cycles/s serial (epoch %d); domain-parallel speedup %.2fx at \
+      Printf.printf "%s: %.0f sim-cycles/s serial; domain-parallel speedup %.2fx at \
                      --jobs 4, %.2fx at --jobs 8\n"
-        r.mcname (mc_cps r) r.mcepoch (mc_speedup r 4) (mc_speedup r 8))
+        r.mcname (mc_cps r) (mc_speedup r 4) (mc_speedup r 8))
     mc_rows;
   let farm = perf_farm ~seeds:50 in
   Printf.printf
@@ -986,8 +1006,8 @@ let perf ~quick ~out ~check ~stats_json () =
   | Some path ->
     (* CI gate, two kinds of check. (1) Engine-ratio columns:
        compiled-vs-interpreted and compiled-vs-stripped wall-time ratios of
-       the same binary in the same process cancel host speed outright; a
-       ratio more than 5% below the checked-in baseline means the schedule
+       the same binary in the same process, each the median over
+       interleaved rounds, cancel host speed; a ratio more than 5% below the checked-in baseline means the schedule
        compiler (or the fast path) lost its advantage. (2) Absolute
        sim-cycles/s, calibrated: raw cycles/s depend on the (shared, noisy)
        CI host, so the fixed-work calibration microbench rescales the
@@ -1036,11 +1056,13 @@ let perf ~quick ~out ~check ~stats_json () =
     in
     List.iter
       (fun r ->
-        match baseline_cps base r.mcname with
+        (match baseline_cps base r.mcname with
         | None -> ()
         | Some b ->
           Printf.printf "check: %s %.0f c/s vs baseline %.0f c/s (%.2fx) [informational]\n"
-            r.mcname (mc_cps r) b (mc_cps r /. b))
+            r.mcname (mc_cps r) b (mc_cps r /. b));
+        Printf.printf "check: %s speedup_vs_serial_jobs4 %.3f [informational]\n" r.mcname
+          (mc_speedup r 4))
       mc_rows;
     let gate name fields =
       List.filter_map
@@ -1063,21 +1085,6 @@ let perf ~quick ~out ~check ~stats_json () =
           gate r.wname
             [ ("compile_speedup", compile_speedup r); ("fastpath_speedup", fastpath_speedup r) ])
         rows
-      (* the parallel-engine ratio: wall(jobs1)/wall(jobs4) of the same
-         process cancels host speed the same way the engine ratios do.
-         Only epoch-mode rows are gated — per-cycle-barrier rows pay a
-         domain round trip every cycle, which makes their ratio a
-         measurement of OS scheduling noise on small hosts, not of the
-         engine; they stay informational. *)
-      @ List.concat_map
-          (fun r ->
-            if r.mcepoch > 1 then gate r.mcname [ ("speedup_vs_serial_jobs4", mc_speedup r 4) ]
-            else begin
-              Printf.printf "check: %s speedup_vs_serial_jobs4 %.3f [informational, epoch 1]\n"
-                r.mcname (mc_speedup r 4);
-              []
-            end)
-          mc_rows
     in
     let failures = failures @ abs_failures in
     if failures <> [] then begin

@@ -116,14 +116,6 @@ let run_cmd =
           ~doc:"fire each core's rule partition on its own domain, N domains at a time; results \
                 are bit-identical to --jobs 1 (clamped to the host's recommended domain count)")
   in
-  let epoch =
-    Arg.(
-      value & opt int 1
-      & info [ "epoch" ] ~docv:"E"
-          ~doc:"let partitions free-run E cycles between synchronizations (lookahead epochs); 0 \
-                derives the full safe bound from the memory system's declared boundary latency. \
-                Results at a given E are bit-identical at any --jobs")
-  in
   let partition_audit =
     Arg.(
       value & flag
@@ -175,7 +167,7 @@ let run_cmd =
                 outside the window are not recorded (in-flight ones still complete)")
   in
   let run kernel config cores scale parsec server cosim paging megapages mesi prefetch predictor
-      trace rules watchdog invariants inject inject_seed no_fastpath audit jobs epoch
+      trace rules watchdog invariants inject inject_seed no_fastpath audit jobs
       partition_audit no_compile compile_audit obs_konata obs_chrome stats_json obs_window =
     let fastpath = not no_fastpath in
     let compile = not no_compile in
@@ -277,7 +269,7 @@ let run_cmd =
     in
     let m =
       try
-        Machine.create ~ncores:cores ~paging ~megapages ~cosim ~fastpath ~audit ~jobs ~epoch
+        Machine.create ~ncores:cores ~paging ~megapages ~cosim ~fastpath ~audit ~jobs
           ~partition_audit ~compile ~compile_audit ~watchdog ~invariants ?obs kind prog
       with Cmd_sim.Partition_error msg ->
         Printf.printf "PARTITION ERROR: %s\n" msg;
@@ -338,7 +330,7 @@ let run_cmd =
     Term.(
       const run $ kernel $ config $ cores $ scale $ parsec $ server $ cosim $ paging $ megapages
       $ mesi $ prefetch $ predictor $ trace $ rules $ watchdog $ invariants $ inject $ inject_seed
-      $ no_fastpath $ audit $ jobs $ epoch $ partition_audit $ no_compile $ compile_audit $ obs_konata
+      $ no_fastpath $ audit $ jobs $ partition_audit $ no_compile $ compile_audit $ obs_konata
       $ obs_chrome $ stats_json $ obs_window)
 
 let synth_cmd =

@@ -140,18 +140,8 @@ let bypass ?name ~capacity () =
    snapshot of the other side's, so guards are conservative by up to one
    cycle — exactly BSV's mkCFFifo. Each side is multi-ported: the k-th enq
    (or deq) of a cycle uses EHR port k, so any number of same-cycle enqs and
-   deqs compose, within one rule or across rules (enq_k < enq_{k+1}).
-
-   [?lookahead] declares the minimum number of cycles between an enq into
-   this FIFO and the earliest architecturally possible *consequence* flowing
-   back to the enqueuer through any path (e.g. an L2 input queue whose
-   response pipeline is [latency] deep declares that latency). The epoch
-   engine takes the minimum declared lookahead over all cross-partition
-   boundaries as the safe free-run bound L; an undeclared boundary
-   contributes the trivial bound of 1. The declaration is trusted — but
-   checked: under epoch-mode [--partition-audit] the L2 verifies its
-   configured latency still covers the value it declared. *)
-let cf ?name ?lookahead clk ~capacity () =
+   deqs compose, within one rule or across rules (enq_k < enq_{k+1}). *)
+let cf ?name clk ~capacity () =
   let nm = match name with Some n -> n | None -> "cffifo" in
   let cap = capacity in
   assert (cap <= 56);
@@ -256,26 +246,6 @@ let cf ?name ?lookahead clk ~capacity () =
   let a_clear =
     atom ~label:"clear" [ (true, 0, clear_port); (true, 1, clear_port); (true, 2, clear_port) ]
   in
-  (* Register with the ambient boundary collector (a no-op outside machine
-     construction): if the two sides end up claimed by different
-     partitions, the epoch engine drives these closures to replay the
-     boundary's cycle-by-cycle visibility during window synchronization. *)
-  Boundary.note
-    {
-      Boundary.bo_name = nm;
-      bo_enq_tk = Partition.prim tk_enq;
-      bo_deq_tk = Partition.prim tk_deq;
-      bo_ctor_part = Partition.ambient ();
-      bo_prim = prim.Conflict.pid;
-      bo_lookahead = lookahead;
-      bo_enq_total = (fun () -> Ehr.peek enq_total);
-      bo_deq_total = (fun () -> Ehr.peek deq_total);
-      bo_set_enq_snap = (fun v -> enq_snap := v);
-      bo_set_deq_snap = (fun v -> deq_snap := v);
-      bo_reset_eport = (fun () -> eport := 0);
-      bo_reset_dport = (fun () -> dport := 0);
-      bo_touch = (fun () -> Wakeup.touch sg);
-    };
   { nm; cap; sg; tk_enq; tk_deq; prim; a_enq; a_deq; a_first; a_can_enq; a_can_deq; a_clear;
     enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; peek_first_f; list_f }
 

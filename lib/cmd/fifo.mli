@@ -21,13 +21,14 @@ val pipeline : ?name:string -> capacity:int -> unit -> 'a t
 
 val bypass : ?name:string -> capacity:int -> unit -> 'a t
 
-(** [?lookahead] declares, for a {!cf} queue used as a cross-partition
-    boundary, the minimum number of cycles between an enq and the earliest
-    consequence flowing back to the enqueuer (e.g. an L2 input queue whose
-    response pipeline is [latency] deep). The epoch engine takes the
-    minimum declared lookahead over all boundaries as the safe free-run
-    bound; an undeclared boundary contributes the trivial bound of 1. *)
-val cf : ?name:string -> ?lookahead:int -> Clock.t -> capacity:int -> unit -> 'a t
+(** A conflict-free queue: each side's guard reads the other side's total
+    as it stood at the start of the cycle, refreshed by a clock hook. An
+    element enqueued at cycle [c] can be dequeued at [c + 1] at the
+    earliest, and a slot freed at [c] can be refilled at [c + 1]. This
+    one-cycle latency is what lets the two sides live in different
+    partitions that fire concurrently within a cycle; it is also why the
+    scheduler synchronizes partitions every cycle (see [Sim]). *)
+val cf : ?name:string -> Clock.t -> capacity:int -> unit -> 'a t
 
 (** [enq ctx q v] appends [v]; guarded on the queue not being full. *)
 val enq : Kernel.ctx -> 'a t -> 'a -> unit

@@ -98,15 +98,6 @@ type ctx = {
   mutable part : int;       (* partition currently executing on this ctx *)
   mutable stats_slot : int; (* shard index for Stats counters; -1 = direct *)
   mutable paudit : bool;    (* record per-partition cell touches *)
-  (* Epoch-mode partition audit: [pkey >= 0] keys the audit masks on the
-     whole epoch window instead of the cycle, so a cell shared across
-     partitions *anywhere* within a window is flagged — free-running
-     partitions are only speculation-safe when the window's phases touch
-     disjoint state. [pexempt] whitelists the declared boundary-FIFO
-     primitives, whose cross-partition protocol the epoch engine itself
-     sequences (and the equivalence tests check). *)
-  mutable pkey : int;
-  mutable pexempt : int -> bool;
   (* Compiled-schedule flag (Sim). [chk] gates the per-cell port
      admissibility bookkeeping: the schedule compiler clears it for rules
      whose every conflict pair is statically admissible, so no access of
@@ -158,8 +149,6 @@ let make_ctx ?(table = make_table ()) clk =
     part = 0;
     stats_slot = -1;
     paudit = false;
-    pkey = -1;
-    pexempt = (fun _ -> false);
     chk = true;
     retries = 0;
     fp_check = None;
@@ -174,9 +163,6 @@ let set_partition ctx p = ctx.part <- p
 let stats_slot ctx = ctx.stats_slot
 let set_stats_slot ctx s = ctx.stats_slot <- s
 let set_partition_audit ctx b = ctx.paudit <- b
-let set_audit_key ctx k = ctx.pkey <- k
-let set_audit_exempt ctx f = ctx.pexempt <- f
-let partition_audit ctx = ctx.paudit
 
 let set_checked ctx b = ctx.chk <- b
 
@@ -204,9 +190,7 @@ let overlap_fail ctx c all =
    partitions is harmless (no order dependence); any sharing that involves
    a write is an overlap the static checker should have excluded. *)
 let audit_touch ctx c ~write =
-  if ctx.pexempt c.prim then ()
-  else begin
-  let now = if ctx.pkey >= 0 then ctx.pkey else Clock.uid ctx.clk in
+  let now = Clock.uid ctx.clk in
   if c.p_stamp <> now then begin
     c.p_stamp <- now;
     c.p_rmask <- 0;
@@ -216,7 +200,6 @@ let audit_touch ctx c ~write =
   if write then c.p_wmask <- c.p_wmask lor bit else c.p_rmask <- c.p_rmask lor bit;
   let all = c.p_rmask lor c.p_wmask in
   if c.p_wmask <> 0 && all land (all - 1) <> 0 then overlap_fail ctx c all
-  end
 
 (* ---- undo trail ---- *)
 

@@ -105,23 +105,6 @@ val set_stats_slot : ctx -> int -> unit
     access read the cell concurrently. *)
 val set_partition_audit : ctx -> bool -> unit
 
-(** Whether partition-audit recording is enabled on this context. Modules
-    with engine-sequenced latency contracts (the L2's declared lookahead)
-    use it to run their own extra checks only under the audit. *)
-val partition_audit : ctx -> bool
-
-(** Key the partition-audit masks on a fixed value instead of the current
-    cycle: under epoch execution the masks accumulate over the whole
-    window, flagging state shared across a window's free-running phases
-    even when the touches land on different local cycles. [-1] (default)
-    restores per-cycle keying. *)
-val set_audit_key : ctx -> int -> unit
-
-(** Exempt cells owned by the given [Conflict.prim] pids from the audit:
-    the epoch engine whitelists declared boundary FIFOs, whose
-    cross-partition handoff it sequences itself. *)
-val set_audit_exempt : ctx -> (int -> bool) -> unit
-
 (** {2 Compiled-schedule support (used by [Sim])}
 
     The schedule compiler proves, per rule, that the per-cell admissibility

@@ -51,7 +51,7 @@ module Pool = struct
     if p.remaining = 0 then Condition.signal p.done_cv;
     Mutex.unlock p.m
 
-  (* Tasks trap their own exceptions (see [free_run]); the catch-all here
+  (* Tasks trap their own exceptions (see [run_part]); the catch-all here
      only guards against a raising task deadlocking the barrier. The array
      is re-read and bounds-checked because [shutdown] may clear it between
      a worker claiming an index and executing it. *)
@@ -162,23 +162,6 @@ end
 
 (* ---------------------------------------------------------------------- *)
 
-(* One cross-partition boundary FIFO under epoch execution. [eb_fwd] says
-   the partition owns the enq side (requests flowing into the uncore);
-   otherwise the partition owns the deq side (responses flowing out).
-   During a partition's free-run its domain records the own-side total
-   after every local cycle into [eb_traj]; the uncore replay then installs
-   the value as the other side's cycle-start snapshot, cycle by cycle, so
-   the uncore sees each message appear at exactly the cycle it was enqueued
-   (and each slot freed at exactly the cycle it was dequeued). *)
-type ebnd = {
-  eb_ops : Boundary.ops;
-  eb_fwd : bool;
-  eb_pid : int; (* the non-uncore side's partition *)
-  eb_traj : int array;
-  mutable eb_start : int; (* own-side total at window start *)
-  mutable eb_vis : int; (* visibility value currently installed *)
-}
-
 (* One group of rules run on a private transaction context (own undo trail,
    stats shard, partition id). A partitioned run has one group per core
    partition plus the uncore group (pid 0); a serial run has only the
@@ -186,11 +169,8 @@ type ebnd = {
 type group = {
   pid : int;
   gctx : Kernel.ctx;
-  gbnds : ebnd array; (* boundaries this partition owns *)
-  gfires : int array; (* partitions: fires per window cycle *)
-  mutable k : int; (* window cycle being run *)
-  mutable cyc : int; (* its architectural cycle *)
-  mutable exn : exn option; (* raised during a partition's free-run *)
+  mutable gfired : int; (* partitions: fires this cycle *)
+  mutable exn : exn option; (* raised during a partition's phase *)
 }
 
 type t = {
@@ -201,23 +181,18 @@ type t = {
   mutable rng : Random.State.t option; (* mutable for [reseed] and restore *)
   ctx : Kernel.ctx; (* the uncore group's context *)
   jobs : int;
-  paudit : bool; (* per-partition cell-touch audit *)
-  stats : Stats.t option; (* merged at the window close; partitioned runs only *)
-  (* The window engine (see [cycle_window]). A window runs [elen] cycles:
-     the partition groups free-run them — on the pool when [pool], inline
-     in pid order otherwise, which is what makes results bit-identical at
-     any [--jobs] — and the uncore group replays them cycle by cycle. *)
-  elen : int;
+  stats : Stats.t option; (* merged at the cycle close; partitioned runs only *)
+  (* The cycle engine (see [cycle_multi]): the partition groups run — on
+     the pool when [pool], inline in pid order otherwise — then the uncore
+     group runs on the main domain. A serial run has no partition groups. *)
   pool : bool;
   parts : group array; (* partition groups (pid >= 1), ascending *)
   uncore : group;
-  ebnds : ebnd array; (* all cross-partition boundaries *)
-  gorders : Rule.t array array; (* per window cycle: global order *)
-  eorders : Rule.t array array array; (* per window cycle: per-pid orders *)
+  porders : Rule.t array array; (* by pid: this cycle's schedule order *)
   fill : int array; (* scratch fill pointers for Shuffle refills *)
   mutable tasks : (unit -> unit) array; (* one per partition, reused *)
   mutable runners : (int -> int) array; (* by rid, see [mk_runner] *)
-  fmask : int array; (* by rid: window cycles fired, while history is on *)
+  fmask : bool array; (* by rid: fired this cycle, while history is on *)
   mutable n_cycles : int;
   mutable fires : int;
   mutable rr : int; (* rotating start offset for One_per_cycle fairness *)
@@ -281,44 +256,7 @@ let check_partitions rules =
                       "rule %s (partition %d) watches a signal owned by partition %d; parallel rules may only watch their own partition's signals (or the uncore's, which are quiescent during the parallel phase)"
                       r.name r.part o)))
           r.watches)
-    rules;
-  owner
-
-(* Classify the boundary FIFOs the elaboration registered against the
-   rule-ownership table: a FIFO whose sides are claimed from two different
-   partitions is a cross-partition boundary. Epoch execution requires one
-   side to be the uncore (partition-to-partition traffic would need a
-   second synchronization tier), and requires the FIFO to have been
-   constructed in the non-uncore partition's scope so its cycle-end
-   snapshot hook runs during that partition's free-run. An unclaimed side
-   (no rule declares the token) is treated as uncore: only harness code
-   outside the rule set can touch it, and that runs at the barrier. *)
-let classify_boundaries owner boundaries =
-  List.filter_map
-    (fun (o : Boundary.ops) ->
-      let part_of tk =
-        match Hashtbl.find_opt owner tk with Some (p, _, _) -> p | None -> Partition.uncore
-      in
-      let pe = part_of o.Boundary.bo_enq_tk and pd = part_of o.Boundary.bo_deq_tk in
-      if pe = pd then None
-      else if pe <> Partition.uncore && pd <> Partition.uncore then
-        raise
-          (Partition_error
-             (Printf.sprintf
-                "epoch mode: boundary FIFO %s links partitions %d and %d; every cross-partition boundary must touch the uncore"
-                o.Boundary.bo_name pe pd))
-      else begin
-        let fwd = pe <> Partition.uncore in
-        let pid = if fwd then pe else pd in
-        if o.Boundary.bo_ctor_part <> pid then
-          raise
-            (Partition_error
-               (Printf.sprintf
-                  "epoch mode: boundary FIFO %s was constructed in partition %d but its partition-side lives in partition %d; construct boundary FIFOs inside the non-uncore partition's scope so their cycle hook free-runs with it"
-                  o.Boundary.bo_name o.Boundary.bo_ctor_part pid));
-        Some (o, fwd, pid)
-      end)
-    boundaries
+    rules
 
 (* Refill per-partition order arrays from a (possibly just shuffled) global
    order, one pass, preserving relative order — so the partitioned schedule
@@ -547,10 +485,10 @@ let audited_body t (r : Rule.t) ~audit ~paudit ~caudit ctx =
     retry_check ();
     raise e
 
-let note_fire t g (r : Rule.t) fired =
+let note_fire t (r : Rule.t) fired =
   r.Rule.fired <- r.Rule.fired + 1;
-  if t.history_depth > 0 then t.fmask.(r.Rule.rid) <- t.fmask.(r.Rule.rid) lor (1 lsl g.k);
-  if t.rtrace_on then t.rtrace r g.cyc;
+  if t.history_depth > 0 then t.fmask.(r.Rule.rid) <- true;
+  if t.rtrace_on then t.rtrace r t.n_cycles;
   fired + 1
 
 (* The one per-rule step: attempt [r] on its group's context and account
@@ -564,8 +502,7 @@ let note_fire t g (r : Rule.t) fired =
    conflict, rolls back and counts as a vacuous fire: exactly what wrapping
    its body in [Kernel.attempt] would produce, without the second
    transaction. *)
-let mk_runner t g (r : Rule.t) ~skip ~chk body =
-  let ctx = g.gctx in
+let mk_runner t ctx (r : Rule.t) ~skip ~chk body =
   fun fired ->
     if skip && should_skip r then begin
       (* Account the pruned attempt exactly as the seed scheduler would
@@ -574,7 +511,7 @@ let mk_runner t g (r : Rule.t) ~skip ~chk body =
          guard. This keeps fire counts, the history ring and One_per_cycle
          rotation bit-identical with the fast path on or off. *)
       r.Rule.skipped <- r.Rule.skipped + 1;
-      if r.Rule.vacuous then note_fire t g r fired
+      if r.Rule.vacuous then note_fire t r fired
       else begin
         r.Rule.guard_failed <- r.Rule.guard_failed + 1;
         fired
@@ -586,11 +523,11 @@ let mk_runner t g (r : Rule.t) ~skip ~chk body =
       match body ctx with
       | () ->
         Kernel.reset_ctx ctx;
-        note_fire t g r fired
+        note_fire t r fired
       | exception (Kernel.Guard_fail _ | Kernel.Retry _) when r.Rule.vacuous ->
         Kernel.rollback ctx;
         Kernel.reset_ctx ctx;
-        note_fire t g r fired
+        note_fire t r fired
       | exception Kernel.Guard_fail _ ->
         Kernel.rollback ctx;
         Kernel.reset_ctx ctx;
@@ -609,59 +546,21 @@ let mk_runner t g (r : Rule.t) ~skip ~chk body =
     end
 
 let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
-    ?(partition_audit = false) ?(compile = true) ?(compile_audit = false) ?(epoch = 1) ?stats clk
-    rules =
+    ?(partition_audit = false) ?(compile = true) ?(compile_audit = false) ?(grouped = false) ?stats
+    clk rules =
   if jobs < 1 then invalid_arg "Sim.create: jobs must be >= 1";
-  if epoch < 0 then invalid_arg "Sim.create: epoch must be >= 0 (0 = auto)";
   let rng = match mode with Shuffle seed -> Some (Random.State.make [| seed |]) | Multi | One_per_cycle -> None in
   let max_part = List.fold_left (fun m (r : Rule.t) -> max m r.Rule.part) 0 rules in
-  (* Epoch eligibility and the safe lookahead bound L. [epoch = 1] (the
-     default) is plain per-cycle execution; [epoch = 0] derives the window
-     length as the minimum declared lookahead over all cross-partition
-     boundary FIFOs; an explicit [epoch = n] is clamped to that bound. An
-     undeclared boundary contributes the trivial bound of 1, turning epochs
-     off — free-running past state the design never promised to delay
-     would silently distort the timing model. One_per_cycle and the
-     scheduler/compile audits are inherently per-cycle; the partition
-     audit, by contrast, is supported (inline) inside epoch mode. *)
-  let want_epoch =
-    epoch <> 1 && max_part > 0 && mode <> One_per_cycle && (not audit) && (not compile_audit)
-    && rules <> []
-  in
-  let owner =
-    if jobs > 1 || partition_audit || want_epoch then Some (check_partitions rules) else None
-  in
-  let cross =
-    match owner with
-    | Some ow when want_epoch -> classify_boundaries ow (Boundary.ambient ())
-    | _ -> []
-  in
-  let elen =
-    if (not want_epoch) || cross = [] then 1
-    else begin
-      let l =
-        List.fold_left
-          (fun m ((o : Boundary.ops), _, _) ->
-            min m (Option.value o.Boundary.bo_lookahead ~default:1))
-          max_int cross
-      in
-      (* the per-window fired bitmask keeps one bit per window cycle *)
-      let l = min l 62 in
-      max 1 (if epoch = 0 then l else min epoch l)
-    end
-  in
-  (* Partitions run as groups of their own in windows longer than one
-     cycle, and at E = 1 when something can actually run off-main and the
+  if jobs > 1 || partition_audit then check_partitions rules;
+  (* Partitions run as groups of their own when something can actually run
+     off-main (or [grouped] asks for the structure at jobs 1) and the
      execution strategy is not inherently serial: One_per_cycle commits a
      single rule per cycle across the whole machine, and the audit modes
-     deliberately execute serially so their diagnostics are exact. Epoch
-     mode keeps the groups at jobs 1, because bit-identity across [--jobs]
-     demands the identical execution structure either way. *)
+     deliberately execute serially so their diagnostics are exact. *)
   let par =
-    jobs > 1 && max_part > 0 && mode <> One_per_cycle && (not audit)
+    (jobs > 1 || grouped) && max_part > 0 && mode <> One_per_cycle && (not audit)
     && (not partition_audit) && not compile_audit
   in
-  let partitioned = par || elen > 1 in
   let counts = Array.make (max_part + 1) 0 in
   List.iter (fun (r : Rule.t) -> counts.(r.Rule.part) <- counts.(r.Rule.part) + 1) rules;
   (* Stamp every rule with its index in the canonical (rule_list) order.
@@ -671,31 +570,13 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
   let rules_arr = Array.of_list rules in
   Array.iteri (fun i (r : Rule.t) -> r.Rule.rid <- i) rules_arr;
   let order = Array.copy rules_arr in
-  let ebnds =
-    Array.of_list
-      (List.map
-         (fun (o, fwd, pid) ->
-           { eb_ops = o; eb_fwd = fwd; eb_pid = pid; eb_traj = Array.make elen 0;
-             eb_start = 0; eb_vis = 0 })
-         (if elen > 1 then cross else []))
-  in
-  let group pid gctx =
-    {
-      pid;
-      gctx;
-      gbnds = Array.of_list (List.filter (fun b -> b.eb_pid = pid) (Array.to_list ebnds));
-      gfires = Array.make elen 0;
-      k = 0;
-      cyc = 0;
-      exn = None;
-    }
-  in
+  let group pid gctx = { pid; gctx; gfired = 0; exn = None } in
   (* One cell-id table for every group's port log: a boundary FIFO's slots
      are touched by the groups on both of its sides. *)
   let table = Kernel.make_table () in
   let uncore = group Partition.uncore (Kernel.make_ctx ~table clk) in
   let parts =
-    if not partitioned then [||]
+    if not par then [||]
     else
       Array.of_list
         (List.filter_map
@@ -709,26 +590,16 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
              end)
            (List.init max_part (fun i -> i + 1)))
   in
-  (match stats with Some s when partitioned -> Stats.prepare s ~slots:(max_part + 1) | _ -> ());
-  (* Per-window-cycle schedules. A serial run's single group reads the
-     global order itself. Multi never permutes, so every window cycle
-     aliases the canonical arrays at zero cost; Shuffle gets private
-     arrays, refilled from the window's freshly drawn permutations. *)
-  let per_pid () = Array.init (max_part + 1) (fun pid -> Array.make counts.(pid) order.(0)) in
-  let eorders =
-    if not partitioned then [| [| order |] |]
-    else
-      match mode with
-      | Shuffle _ -> Array.init elen (fun _ -> per_pid ())
-      | Multi | One_per_cycle -> Array.make elen (per_pid ())
-  in
-  let gorders =
-    match mode with
-    | Shuffle _ when elen > 1 -> Array.init elen (fun _ -> Array.copy order)
-    | Shuffle _ | Multi | One_per_cycle -> Array.make elen order
+  (match stats with Some s when par -> Stats.prepare s ~slots:(max_part + 1) | _ -> ());
+  (* Per-group schedules. A serial run's single group reads the global
+     order itself; partition groups get private arrays, refilled from the
+     global order whenever Shuffle permutes it. *)
+  let porders =
+    if not par then [| order |]
+    else Array.init (max_part + 1) (fun pid -> Array.make counts.(pid) order.(0))
   in
   let fill = Array.make (max_part + 1) 0 in
-  if partitioned then refill_orders fill order eorders.(0);
+  if par then refill_orders fill order porders;
   (* Schedule compilation. Eligible only for the serial fast path: the
      audit modes deliberately run fully checked, One_per_cycle commits at
      most one rule per cycle, and partitioned runs would need a
@@ -737,7 +608,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
      compiled path would trust. *)
   let shuffled = match mode with Shuffle _ -> true | Multi | One_per_cycle -> false in
   let compilable =
-    compile && (not partitioned) && fastpath && (not audit) && (not partition_audit)
+    compile && (not par) && fastpath && (not audit) && (not partition_audit)
     && (not compile_audit)
     && mode <> One_per_cycle
     && rules <> []
@@ -758,8 +629,8 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
       Printf.sprintf "compiled: %d/%d rules run unchecked, %d interpreted" nfree n (n - nfree)
     | None ->
       if not compile then "interpreted: compilation disabled"
-      else if elen > 1 then Printf.sprintf "interpreted: epoch mode (E=%d)" elen
-      else if par then "interpreted: parallel partitions active (jobs > 1)"
+      else if par && jobs > 1 then "interpreted: parallel partitions active (jobs > 1)"
+      else if par then "interpreted: partition groups run inline (grouped)"
       else if not fastpath then "interpreted: fast path disabled"
       else if audit then "interpreted: audit mode"
       else if partition_audit then "interpreted: partition-audit mode"
@@ -775,19 +646,15 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
       rng;
       ctx = uncore.gctx;
       jobs;
-      paudit = partition_audit;
-      stats = (if partitioned then stats else None);
-      elen;
-      pool = partitioned && jobs > 1 && not partition_audit;
+      stats = (if par then stats else None);
+      pool = par && jobs > 1;
       parts;
       uncore;
-      ebnds;
-      gorders;
-      eorders;
+      porders;
       fill;
       tasks = [||];
       runners = [||];
-      fmask = Array.make n 0;
+      fmask = Array.make n false;
       n_cycles = 0;
       fires = 0;
       rr = 0;
@@ -814,24 +681,8 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
   let ready_audit = audit || not fastpath in
   Kernel.set_ready_audit t.ctx ready_audit;
   Array.iter (fun g -> Kernel.set_ready_audit g.gctx ready_audit) t.parts;
-  if partition_audit && elen > 1 then begin
-    (* Epoch-mode partition audit: every context records touches (phases
-       run inline on the per-partition contexts), masks are keyed per
-       window (set in [cycle_window]), and the declared boundary FIFOs —
-       whose cross-partition handoff the engine itself sequences — are
-       exempted so only *undeclared* sharing is flagged. *)
-    let exempt = Hashtbl.create 16 in
-    Array.iter (fun b -> Hashtbl.replace exempt b.eb_ops.Boundary.bo_prim ()) ebnds;
-    let is_exempt pid = Hashtbl.mem exempt pid in
-    Kernel.set_audit_exempt t.ctx is_exempt;
-    Array.iter
-      (fun g ->
-        Kernel.set_partition_audit g.gctx true;
-        Kernel.set_audit_exempt g.gctx is_exempt)
-      t.parts
-  end;
-  let group_of = Array.make (max_part + 1) uncore in
-  Array.iter (fun g -> group_of.(g.pid) <- g) parts;
+  let ctx_of = Array.make (max_part + 1) uncore.gctx in
+  Array.iter (fun g -> ctx_of.(g.pid) <- g.gctx) parts;
   let oracle = audit || partition_audit || compile_audit in
   t.runners <-
     Array.map
@@ -843,7 +694,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
               ~caudit:
                 (if compile_audit then Some (mk_fp_hook r, chk_free.(r.Rule.rid)) else None)
         in
-        mk_runner t group_of.(r.Rule.part) r ~skip:(fastpath && not audit)
+        mk_runner t ctx_of.(r.Rule.part) r ~skip:(fastpath && not audit)
           ~chk:(not (compiled && chk_free.(r.Rule.rid)))
           body)
       rules_arr;
@@ -902,7 +753,6 @@ let total_fires t = t.fires
 let rules t = t.rule_list
 let jobs t = t.jobs
 let parallel t = t.pool
-let epoch_length t = t.elen
 let shutdown_pool () = Pool.shutdown ()
 let pool_run ~helpers tasks = Pool.run ~helpers tasks
 
@@ -973,48 +823,34 @@ let shuffle rng a =
 
 
 (* ---------------------------------------------------------------------- *)
-(* The window engine                                                      *)
+(* The cycle engine                                                       *)
 (*                                                                        *)
-(* Every cycle loop is a window of E consecutive cycles, run in three     *)
-(* deterministic steps:                                                   *)
+(* Every cycle runs in three deterministic steps:                         *)
 (*                                                                        *)
-(*   1. every core partition free-runs its E local cycles (concurrently   *)
-(*      across the pool when jobs > 1, inline in pid order otherwise),    *)
-(*      running its own clock-hook group after each local cycle but the   *)
-(*      last and recording, per boundary FIFO it owns, the own-side total *)
-(*      after those cycles (the boundary trajectory);                     *)
-(*   2. the uncore replays the window cycle-by-cycle on the main domain:  *)
-(*      before cycle k it installs each boundary's trajectory value at    *)
-(*      k-1 as the other side's cycle-start snapshot, so the uncore sees  *)
-(*      each request appear at exactly the cycle it was enqueued — and    *)
-(*      runs its own hook group after each replay cycle but the last;     *)
-(*   3. the window closes: the shared clock advances over the first E-1   *)
-(*      cycles without running hooks, then ticks once, running every      *)
-(*      group's hooks for the last cycle (this also refreshes the         *)
-(*      boundary snapshots to the true totals, waking parked rules on     *)
-(*      both sides); the per-partition stats shards merge, and the        *)
+(*   1. every core partition runs its rules, concurrently across the pool *)
+(*      when jobs > 1, inline in pid order under [grouped];               *)
+(*   2. after the barrier the uncore group runs on the main domain;       *)
+(*   3. the cycle closes: [Clock.tick] runs every clock hook (this also   *)
+(*      advances the conflict-free FIFO snapshots, waking parked rules on *)
+(*      both sides), the per-partition stats shards merge, and the        *)
 (*      history ring and end-of-cycle hooks see the quiescent state.      *)
 (*                                                                        *)
-(* Responses the uncore enqueues during replay become visible to the      *)
-(* partitions only at the window close — a delivery delay of at most E-1  *)
-(* extra cycles. With E bounded by the minimum declared boundary          *)
-(* lookahead (the architectural response latency), the quantization stays *)
-(* within the latency the design already guarantees. Every step is a      *)
-(* deterministic function of the window-start state, and jobs only        *)
-(* changes which domain executes a phase, so results are bit-identical    *)
-(* at any --jobs for a given E.                                           *)
-(*                                                                        *)
-(* Per-cycle parallel execution is the window with E = 1, and serial      *)
-(* execution the window with E = 1 and no partitions: the uncore group    *)
-(* then holds every rule in schedule order.                               *)
+(* The only channels between partitions are conflict-free FIFOs, whose    *)
+(* guards read the other side as it stood at the start of the cycle: what *)
+(* one partition enqueues at cycle c is visible to another at c + 1, so   *)
+(* the partitions of one cycle commute and results are bit-identical at   *)
+(* any --jobs. A window longer than one cycle would be exact only if      *)
+(* every boundary link had a latency of at least its length; a link of    *)
+(* latency 1 makes the exact window one cycle (see DESIGN, "Why the       *)
+(* window is one cycle"). Serial execution is the same cycle with no      *)
+(* partition groups: the uncore group then holds every rule in schedule   *)
+(* order.                                                                 *)
 (* ---------------------------------------------------------------------- *)
 
-(* Run window cycle [k] of group [g], one runner per rule of its order,
-   starting from [fired] fires; returns the fires after the last rule. *)
-let run_cycle t g k fired =
-  g.k <- k;
-  g.cyc <- t.n_cycles + k;
-  let order = t.eorders.(k).(g.pid) in
+(* Run one cycle of group [g], one runner per rule of its order, starting
+   from [fired] fires; returns the fires after the last rule. *)
+let run_cycle t g fired =
+  let order = t.porders.(g.pid) in
   let runners = t.runners in
   let fired = ref fired in
   for i = 0 to Array.length order - 1 do
@@ -1023,176 +859,85 @@ let run_cycle t g k fired =
   !fired
 
 (* Step 1 for one partition; traps its exception for the barrier. *)
-let free_run t g =
-  match
-    let e = t.elen in
-    let groups = Clock.hooks_by_partition t.clk in
-    let hooks = if g.pid < Array.length groups then groups.(g.pid) else [||] in
-    for k = 0 to e - 1 do
-      Clock.set_skew k;
-      g.gfires.(k) <- run_cycle t g k 0;
-      if k < e - 1 then begin
-        for h = 0 to Array.length hooks - 1 do
-          hooks.(h) ()
-        done;
-        for b = 0 to Array.length g.gbnds - 1 do
-          let bd = g.gbnds.(b) in
-          bd.eb_traj.(k) <-
-            (if bd.eb_fwd then bd.eb_ops.Boundary.bo_enq_total ()
-             else bd.eb_ops.Boundary.bo_deq_total ())
-        done
-      end
-    done;
-    Clock.set_skew 0
-  with
-  | () -> ()
-  | exception e ->
-    Clock.set_skew 0;
-    g.exn <- Some e
+let run_part t g = match run_cycle t g 0 with n -> g.gfired <- n | exception e -> g.exn <- Some e
 
-(* Step 3: close a window of [t.elen] cycles that fired [fired] rules. The
-   checked flag is restored first so any code sharing [t.ctx] (monitors,
-   snapshot glue) sees a fully checked context. *)
-let close_window t fired =
-  let e = t.elen and cyc0 = t.n_cycles in
+(* Step 3: close a cycle that fired [fired] rules. The checked flag is
+   restored first so any code sharing [t.ctx] (monitors, snapshot glue)
+   sees a fully checked context. *)
+let close_cycle t fired =
+  let cyc = t.n_cycles in
   Kernel.set_checked t.ctx true;
-  Clock.advance t.clk ~cycles:(e - 1);
   Clock.tick t.clk;
   (match t.stats with Some s -> Stats.merge s | None -> ());
   if t.history_depth > 0 then begin
-    for k = 0 to e - 1 do
-      let names = ref [] in
-      let go = t.gorders.(k) in
-      for i = Array.length go - 1 downto 0 do
-        let r = Array.unsafe_get go i in
-        if t.fmask.(r.Rule.rid) land (1 lsl k) <> 0 then names := r.Rule.name :: !names
-      done;
-      t.history.((cyc0 + k) mod t.history_depth) <- (cyc0 + k, !names)
+    let names = ref [] in
+    for i = Array.length t.order - 1 downto 0 do
+      let r = Array.unsafe_get t.order i in
+      if t.fmask.(r.Rule.rid) then begin
+        names := r.Rule.name :: !names;
+        t.fmask.(r.Rule.rid) <- false
+      end
     done;
-    Array.fill t.fmask 0 (Array.length t.fmask) 0
+    t.history.(cyc mod t.history_depth) <- (cyc, !names)
   end;
-  t.n_cycles <- cyc0 + e;
+  t.n_cycles <- cyc + 1;
   t.fires <- t.fires + fired;
   let hooks = end_hooks t in
   for h = 0 to Array.length hooks - 1 do
-    hooks.(h) (cyc0 + e - 1) fired
+    hooks.(h) cyc fired
   done;
   fired
 
-let cycle_window t =
-  let e = t.elen in
-  (* Draw the window's schedule permutations up front (main domain owns the
-     RNG); each permutation is recorded globally (for history) and split
-     per partition. *)
+let cycle_multi t =
+  (* The main domain owns the RNG: draw the cycle's permutation and split
+     it per partition before dispatch. *)
   (match t.rng with
   | Some rng ->
-    for k = 0 to e - 1 do
-      shuffle rng t.order;
-      let go = t.gorders.(k) in
-      if go != t.order then Array.blit t.order 0 go 0 (Array.length go);
-      if Array.length t.parts > 0 then refill_orders t.fill t.order t.eorders.(k)
-    done
+    shuffle rng t.order;
+    if Array.length t.parts > 0 then refill_orders t.fill t.order t.porders
   | None -> ());
-  (* Window-keyed partition audit: one key per window, so sharing across a
-     window's phases is flagged wherever the touches land. *)
-  if t.paudit then begin
-    let key = Clock.uid t.clk in
-    Kernel.set_audit_key t.ctx key;
-    Array.iter (fun g -> Kernel.set_audit_key g.gctx key) t.parts
-  end;
-  (* Built before dispatch so worker domains only read the cache. *)
-  let groups = Clock.hooks_by_partition t.clk in
-  if Array.length t.parts > 0 then begin
-    Array.iter
-      (fun b ->
-        let v =
-          if b.eb_fwd then b.eb_ops.Boundary.bo_enq_total ()
-          else b.eb_ops.Boundary.bo_deq_total ()
-        in
-        b.eb_start <- v;
-        b.eb_vis <- v)
-      t.ebnds;
-    if Array.length t.tasks = 0 then t.tasks <- Array.map (fun g () -> free_run t g) t.parts;
-    if t.pool then Pool.run ~helpers:(min (t.jobs - 1) (Array.length t.parts - 1)) t.tasks
-    else Array.iter (fun task -> task ()) t.tasks;
-    (* Barrier passed: every partition's writes are visible. Re-raise the
-       lowest partition's exception (deterministic pick). *)
-    let first_exn = ref None in
-    Array.iter
-      (fun g ->
-        if !first_exn = None then first_exn := g.exn;
-        g.exn <- None)
-      t.parts;
-    Option.iter raise !first_exn
-  end;
-  (* Step 2: uncore replay, cycle by cycle. *)
-  let u = t.uncore in
-  let uhooks = if Array.length groups > 0 then groups.(0) else [||] in
-  let wfired = ref 0 in
-  (match
-     for k = 0 to e - 1 do
-       Clock.set_skew k;
-       for i = 0 to Array.length t.ebnds - 1 do
-         let b = t.ebnds.(i) in
-         let v = if k = 0 then b.eb_start else b.eb_traj.(k - 1) in
-         let ops = b.eb_ops in
-         if b.eb_fwd then begin
-           ops.Boundary.bo_set_enq_snap v;
-           ops.Boundary.bo_reset_dport ()
-         end
-         else begin
-           ops.Boundary.bo_set_deq_snap v;
-           ops.Boundary.bo_reset_eport ()
-         end;
-         if v <> b.eb_vis then begin
-           ops.Boundary.bo_touch ();
-           b.eb_vis <- v
-         end
-       done;
-       let pfired = ref 0 in
-       for p = 0 to Array.length t.parts - 1 do
-         pfired := !pfired + t.parts.(p).gfires.(k)
-       done;
-       wfired := !wfired + run_cycle t u k !pfired;
-       if k < e - 1 then
-         for h = 0 to Array.length uhooks - 1 do
-           uhooks.(h) ()
-         done
-     done
-   with
-  | () -> Clock.set_skew 0
-  | exception ex ->
-    Clock.set_skew 0;
-    raise ex);
-  close_window t !wfired
+  let pfired =
+    if Array.length t.parts = 0 then 0
+    else begin
+      if Array.length t.tasks = 0 then t.tasks <- Array.map (fun g () -> run_part t g) t.parts;
+      if t.pool then Pool.run ~helpers:(min (t.jobs - 1) (Array.length t.parts - 1)) t.tasks
+      else Array.iter (fun task -> task ()) t.tasks;
+      (* Barrier passed: every partition's writes are visible. Re-raise the
+         lowest partition's exception (deterministic pick). *)
+      let first_exn = ref None and n = ref 0 in
+      Array.iter
+        (fun g ->
+          if !first_exn = None then first_exn := g.exn;
+          g.exn <- None;
+          n := !n + g.gfired)
+        t.parts;
+      Option.iter raise !first_exn;
+      !n
+    end
+  in
+  close_cycle t (run_cycle t t.uncore pfired)
 
 (* One_per_cycle: the reference executor commits at most one rule per
    cycle, trying the rules from a rotating start so none starves. *)
 let cycle_one t =
-  let u = t.uncore in
   let n = Array.length t.order in
-  u.k <- 0;
-  u.cyc <- t.n_cycles;
   let fired = ref 0 and i = ref 0 in
   while !fired = 0 && !i < n do
     fired := t.runners.(t.order.((t.rr + !i) mod n).Rule.rid) !fired;
     incr i
   done;
   if n > 0 then t.rr <- (t.rr + 1) mod n;
-  close_window t !fired
+  close_cycle t !fired
 
-let cycle t = match t.mode with One_per_cycle -> cycle_one t | Multi | Shuffle _ -> cycle_window t
+let cycle t = match t.mode with One_per_cycle -> cycle_one t | Multi | Shuffle _ -> cycle_multi t
 
 let compiled t = t.compiled
 let compile_status t = t.cwhy
 let compile_report t = t.creport
 let compile_stats t = t.cstats
 
-(* Both loops count simulated cycles via [n_cycles], not [cycle] calls: one
-   call advances a whole window. *)
 let run t n =
-  let target = t.n_cycles + n in
-  while t.n_cycles < target do
+  for _ = 1 to n do
     ignore (cycle t)
   done
 

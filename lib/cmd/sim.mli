@@ -78,36 +78,47 @@ type t
     is order-independent, so the serial audit certifies the parallel
     schedule.
 
+    [~grouped:true] builds the partition groups even at [jobs = 1] and
+    runs them inline, in pid order, on the main domain. That is the
+    execution structure of a parallel run: architectural results are the
+    same either way, but fast-path skip counts ([Rule.skipped]) can depend
+    on whether a partition's rules run before or after an uncore rule
+    within a cycle, and a grouped run matches a parallel one exactly. It
+    exists for the benchmark harness, whose jobs-1 oracle compares skip
+    counts with a [jobs = 2] run ([Machine.create ~epoch:0]).
+
     [~stats] hands the machine's counter groups to the barrier: their
     per-partition shard accumulators (see [Stats.incr]) are merged at the
-    end of every partitioned window, before post-cycle hooks run.
+    end of every partitioned cycle, before post-cycle hooks run.
 
     {2 Cycle structure and hook ordering}
 
-    Every run uses one skeleton, the window of [E] cycles ({!epoch_length}).
-    A window proceeds: (1) partition phase — every non-zero partition runs
-    its [E] local cycles (concurrently on the pool when [jobs > 1], inline
-    otherwise); (2) barrier — all partition effects become visible to the
-    main domain; (3) uncore phase — the partition-0 rules replay the [E]
-    cycles serially; (4) close — [Clock.tick] for the window's last cycle,
-    running every partition's clock hooks (wire resets, conflict-free FIFO
-    snapshot advance); (5) stats shard merge; (6) the history ring;
-    (7) {!on_post_cycle} hooks (invariant checks); (8) {!add_monitor}
-    monitors (watchdog). Per-cycle execution is the window with [E = 1]:
-    the phases run no clock hooks, and every hook runs at the close. A
-    serial run is that window with no partitions: one group holding every
-    rule in schedule order. Steps 4–8 run on the main domain after the
-    barrier, so invariant checks, watchdog monitors and anything else
-    observing the machine between cycles always sees the merged, quiescent
-    state — [--watchdog]/[--check-invariants] campaigns behave identically
-    at any [jobs]. [run_until]'s [on_cycle] (the fault-injection hook) runs
-    on the main domain {e before} the window's partition phase is
-    dispatched, so injected flips are ordinary pre-cycle state changes and
-    campaigns stay deterministic under [jobs > 1].
+    Every [Multi]/[Shuffle] cycle proceeds: (1) partition phase — every
+    non-zero partition runs its rules, concurrently on the pool when
+    [jobs > 1] (inline under [~grouped]); (2) barrier — all partition effects become visible to the
+    main domain; (3) uncore phase — the partition-0 rules run serially;
+    (4) close — [Clock.tick], running every clock hook (wire resets,
+    conflict-free FIFO snapshot advance); (5) stats shard merge; (6) the
+    history ring; (7) {!on_post_cycle} hooks (invariant checks);
+    (8) {!add_monitor} monitors (watchdog). A serial run is that cycle
+    with no partition phase: one group holding every rule in schedule
+    order. Steps 4–8 run on the main domain after the barrier, so
+    invariant checks, watchdog monitors and anything else observing the
+    machine between cycles always sees the merged, quiescent state —
+    [--watchdog]/[--check-invariants] campaigns behave identically at any
+    [jobs]. [run_until]'s [on_cycle] (the fault-injection hook) runs on
+    the main domain {e before} the cycle's partition phase is dispatched,
+    so injected flips are ordinary pre-cycle state changes and campaigns
+    stay deterministic under [jobs > 1].
+
+    Partitions synchronize every cycle. Their only channels are
+    conflict-free FIFOs ({!Fifo.cf}), whose enq at cycle [c] is visible
+    to the other side at [c + 1]: a link latency of one cycle, so a
+    longer free-running window could not be cycle-exact.
 
     [One_per_cycle] alone has its own short loop: from a rotating start it
     runs the same per-rule runners until one fires, then closes the cycle
-    like any window.
+    like any other.
 
     {2 Schedule compilation}
 
@@ -133,26 +144,7 @@ type t
     compiler's proof obligations: every tracked access must fall on a
     declared (primitive, direction), and a [Retry] in a rule classified
     admissible raises [Kernel.Compile_audit_fail] ([--compile-audit] in
-    the driver).
-
-    {2 Epoch execution (lookahead windows)}
-
-    [~epoch] batches partition synchronization: instead of a barrier per
-    cycle, each non-zero partition free-runs [E > 1] consecutive cycles
-    between barriers, and the uncore then replays the window cycle-by-cycle
-    with every cross-partition boundary FIFO's enqueue trajectory installed
-    at exactly the cycle it happened (see {!Boundary}). Responses flowing back
-    from the uncore become visible at window boundaries, a quantization of
-    at most [E - 1] cycles — safe because [E] is capped by the minimum
-    [~lookahead] declared on the boundary FIFOs ({!Fifo.cf}), i.e. the
-    response latency the design already guarantees. [~epoch:1] (default)
-    disables windowing; [~epoch:0] means "auto": use the full derived
-    bound; any other value is clamped to the bound. For a {e given} epoch
-    length, results are bit-identical at any [jobs], in [Multi] and
-    [Shuffle] modes — enforced by [~partition_audit], which in epoch mode
-    keys its overlap detection per window. Epoch mode implies interpreted
-    execution and is ignored under [One_per_cycle], the audit modes, or
-    when no boundary FIFO was registered. *)
+    the driver). *)
 val create :
   ?mode:mode ->
   ?fastpath:bool ->
@@ -161,7 +153,7 @@ val create :
   ?partition_audit:bool ->
   ?compile:bool ->
   ?compile_audit:bool ->
-  ?epoch:int ->
+  ?grouped:bool ->
   ?stats:Stats.t ->
   Clock.t ->
   Rule.t list ->
@@ -176,12 +168,6 @@ val jobs : t -> int
     at least one non-zero partition, and a mode that is neither inherently
     serial nor the partition audit). *)
 val parallel : t -> bool
-
-(** The effective epoch window length [E] (1 = per-cycle synchronization,
-    i.e. epoch mode off). May be smaller than the requested [~epoch]: it is
-    clamped to the minimum declared boundary lookahead (and to 62, the
-    per-window history bitmask width). *)
-val epoch_length : t -> int
 
 (** Join the process-global worker-domain pool. Parallel simulations share
     one lazily-spawned pool that persists between runs; on OCaml 5 even
@@ -213,22 +199,16 @@ val pool_run : helpers:int -> (unit -> unit) array -> unit
     that seed (the farm's warm-fork path). No-op in other modes. *)
 val reseed : t -> int -> unit
 
-(** Run one clock cycle; returns the number of rules that fired. In epoch
-    mode one call advances a whole window of {!epoch_length} cycles and
-    returns the window's total fires. *)
+(** Run one clock cycle; returns the number of rules that fired. *)
 val cycle : t -> int
 
-(** [run t n] runs at least [n] cycles (rounded up to a whole number of
-    windows in epoch mode). *)
+(** [run t n] runs [n] cycles. *)
 val run : t -> int -> unit
 
 (** [run_until t ~max_cycles pred] runs until [pred ()] holds at a cycle
     boundary, returning [`Done cycles] or [`Timeout cycles] (how far the run
-    got before the budget ran out). Counts are simulated cycles, not
-    iterations, so they stay comparable across epoch lengths; in epoch mode
-    [pred] is sampled at window boundaries. [on_cycle] is called with the
-    loop's cycle index before each cycle (each window in epoch mode) — the
-    fault-injection hook. *)
+    got before the budget ran out). [on_cycle] is called with the loop's
+    cycle index before each cycle — the fault-injection hook. *)
 val run_until :
   ?on_cycle:(int -> unit) ->
   t ->

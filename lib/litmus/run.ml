@@ -48,7 +48,6 @@ let litmus_mem =
     mem_latency = 24;
     mem_inflight = 8;
     l2_banks = 1;
-    lookahead_override = None;
   }
 
 let max_cycles = 300_000

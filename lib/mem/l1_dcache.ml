@@ -51,7 +51,7 @@ type t = {
   c_wb : Stats.counter;
 }
 
-let create ?(name = "l1d") ?boundary_lookahead clk ~child_id ~geom ~mshrs ~stats () =
+let create ?(name = "l1d") clk ~child_id ~geom ~mshrs ~stats () =
   let mk_line () =
     { tag = -1L; st = Msg.I; data = Bytes.make Cache_geom.line_bytes '\000'; locked = false; pending = false }
   in
@@ -67,11 +67,11 @@ let create ?(name = "l1d") ?boundary_lookahead clk ~child_id ~geom ~mshrs ~stats
     resp_st_q = Fifo.cf ~name:(name ^ ".respSt") clk ~capacity:2 ();
     resp_at_q = Fifo.cf ~name:(name ^ ".respAt") clk ~capacity:2 ();
     (* The four crossbar-facing queues straddle the core/uncore partition
-       boundary; [boundary_lookahead] declares their epoch lookahead. *)
-    creq_o = Fifo.cf ~name:(name ^ ".creq") ?lookahead:boundary_lookahead clk ~capacity:4 ();
-    cresp_o = Fifo.cf ~name:(name ^ ".cresp") ?lookahead:boundary_lookahead clk ~capacity:4 ();
-    preq_i = Fifo.cf ~name:(name ^ ".preq") ?lookahead:boundary_lookahead clk ~capacity:4 ();
-    presp_i = Fifo.cf ~name:(name ^ ".presp") ?lookahead:boundary_lookahead clk ~capacity:4 ();
+       boundary. *)
+    creq_o = Fifo.cf ~name:(name ^ ".creq") clk ~capacity:4 ();
+    cresp_o = Fifo.cf ~name:(name ^ ".cresp") clk ~capacity:4 ();
+    preq_i = Fifo.cf ~name:(name ^ ".preq") clk ~capacity:4 ();
+    presp_i = Fifo.cf ~name:(name ^ ".presp") clk ~capacity:4 ();
     child_id;
     part = Partition.ambient ();
     evict_hook = (fun _ _ -> ());

@@ -25,12 +25,10 @@ type req =
       (** store prefetch (paper, Sec. V-B): acquire exclusive permission
           early; best-effort, no response *)
 
-(** [?boundary_lookahead] declares the epoch lookahead ({!Cmd.Fifo.cf}) on
-    the four crossbar-facing queues, which straddle the core/uncore
-    partition boundary. *)
+(** The four crossbar-facing queues are conflict-free ({!Cmd.Fifo.cf}):
+    they straddle the core/uncore partition boundary. *)
 val create :
   ?name:string ->
-  ?boundary_lookahead:int ->
   Cmd.Clock.t ->
   child_id:int ->
   geom:Cache_geom.t ->

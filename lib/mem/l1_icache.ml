@@ -23,7 +23,7 @@ type t = {
   c_miss : Stats.counter;
 }
 
-let create ?(name = "l1i") ?boundary_lookahead clk ~child_id ~geom ~fetch_width ~stats () =
+let create ?(name = "l1i") clk ~child_id ~geom ~fetch_width ~stats () =
   let mk () = { tag = -1L; st = Msg.I; data = Bytes.make Cache_geom.line_bytes '\000'; pending = false } in
   let t =
   {
@@ -33,11 +33,11 @@ let create ?(name = "l1i") ?boundary_lookahead clk ~child_id ~geom ~fetch_width 
     lines = Array.init geom.Cache_geom.sets (fun _ -> Array.init geom.Cache_geom.ways (fun _ -> mk ()));
     req_q = Fifo.cf ~name:(name ^ ".req") clk ~capacity:2 ();
     resp_q = Fifo.cf ~name:(name ^ ".resp") clk ~capacity:2 ();
-    (* Crossbar-facing queues: see the dcache note on [boundary_lookahead]. *)
-    creq_o = Fifo.cf ~name:(name ^ ".creq") ?lookahead:boundary_lookahead clk ~capacity:2 ();
-    cresp_o = Fifo.cf ~name:(name ^ ".cresp") ?lookahead:boundary_lookahead clk ~capacity:4 ();
-    preq_i = Fifo.cf ~name:(name ^ ".preq") ?lookahead:boundary_lookahead clk ~capacity:4 ();
-    presp_i = Fifo.cf ~name:(name ^ ".presp") ?lookahead:boundary_lookahead clk ~capacity:2 ();
+    (* Crossbar-facing queues: they straddle the core/uncore boundary. *)
+    creq_o = Fifo.cf ~name:(name ^ ".creq") clk ~capacity:2 ();
+    cresp_o = Fifo.cf ~name:(name ^ ".cresp") clk ~capacity:4 ();
+    preq_i = Fifo.cf ~name:(name ^ ".preq") clk ~capacity:4 ();
+    presp_i = Fifo.cf ~name:(name ^ ".presp") clk ~capacity:2 ();
     child_id;
     part = Partition.ambient ();
     miss = None;
@@ -209,6 +209,10 @@ let can_resp ctx t = Fifo.can_deq ctx t.resp_q
 let fp_req t = [ Fifo.fp_can_enq t.req_q; Fifo.fp_enq t.req_q ]
 let fp_resp t = [ Fifo.fp_can_deq t.resp_q; Fifo.fp_deq t.resp_q ]
 let resp_ready t = Fifo.peek_size t.resp_q > 0
+let resp_tag t =
+  let tag, _, _ = Fifo.peek_first t.resp_q in
+  tag
+let req_room t = Fifo.peek_can_enq t.req_q
 let resp_signal t = Fifo.signal t.resp_q
 let creq_out t = t.creq_o
 let cresp_out t = t.cresp_o

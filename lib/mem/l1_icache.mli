@@ -8,12 +8,10 @@
 
 type t
 
-(** [?boundary_lookahead] declares the epoch lookahead ({!Cmd.Fifo.cf}) on
-    the four crossbar-facing queues, which straddle the core/uncore
-    partition boundary. *)
+(** The four crossbar-facing queues are conflict-free ({!Cmd.Fifo.cf}):
+    they straddle the core/uncore partition boundary. *)
 val create :
   ?name:string ->
-  ?boundary_lookahead:int ->
   Cmd.Clock.t ->
   child_id:int ->
   geom:Cache_geom.t ->
@@ -43,6 +41,13 @@ val fp_resp : t -> Cmd.Conflict.atom list
 val resp_ready : t -> bool
 
 val resp_signal : t -> Cmd.Wakeup.signal
+
+(** The tag of the oldest response held, read untracked; call it only when
+    {!resp_ready}. *)
+val resp_tag : t -> int
+
+(** Untracked request-queue room: when false, {!req} would fail. *)
+val req_room : t -> bool
 
 val creq_out : t -> Msg.creq Cmd.Fifo.t
 val cresp_out : t -> Msg.cresp Cmd.Fifo.t

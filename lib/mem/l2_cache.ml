@@ -48,10 +48,6 @@ type t = {
   bank_id : int;
   bank_bits : int;
   part : int; (* partition this bank was built in (uncore for the unbanked L2) *)
-  (* Response-latency floor this design declared to the epoch engine (minus
-     any slack the caller attributes to other pipeline stages); checked
-     against [latency] when the partition audit runs. 0 = no declaration. *)
-  declared_min : int;
   presp_delay : (int * int * Msg.presp) Fifo.t; (* ready, child, grant *)
   preq_delay : (int * int * Msg.preq) Fifo.t; (* ready, child, demand *)
   walk_delay : (int * int * int64) Fifo.t; (* ready, tag, data *)
@@ -63,7 +59,7 @@ type t = {
   ob_grant : Mcheck.Obligation.monitor;
 }
 
-let create ?(name = "l2") ?(bank = (0, 0)) ?(declared_min = 0) ?in_lookahead clk ~nchildren ~geom
+let create ?(name = "l2") ?(bank = (0, 0)) clk ~nchildren ~geom
     ~mshrs ?(latency = 0) ?(mesi = false) ~dram ~stats () =
   let bank_id, bank_bits = bank in
   let mk_line () =
@@ -97,25 +93,24 @@ let create ?(name = "l2") ?(bank = (0, 0)) ?(declared_min = 0) ?in_lookahead clk
     mshrs = Array.init mshrs (fun _ -> mk_mshr ());
     dram;
     (* The six child/walker-facing queues may straddle a partition boundary
-       when the bank is its own partition; [in_lookahead] declares their
-       epoch lookahead. The delay queues and the DRAM pipe are bank-private.
+       when the bank is its own partition. The delay queues and the DRAM
+       pipe are bank-private.
        Capacities clamp to the cf FIFO's 56-slot ceiling at high core
        counts; the tick rule enqueues at most once per cycle, so a delay
        queue never holds more than [latency + 1] entries anyway, and input
        queues just backpressure through their guards. *)
-    creq_q = Fifo.cf ~name:(name ^ ".creq") ?lookahead:in_lookahead clk ~capacity:(min 56 (4 * nchildren)) ();
-    cresp_q = Fifo.cf ~name:(name ^ ".cresp") ?lookahead:in_lookahead clk ~capacity:(min 56 (4 * nchildren)) ();
-    preq_o = Fifo.cf ~name:(name ^ ".preq") ?lookahead:in_lookahead clk ~capacity:(min 56 (4 * nchildren)) ();
-    presp_o = Fifo.cf ~name:(name ^ ".presp") ?lookahead:in_lookahead clk ~capacity:(min 56 (4 * nchildren)) ();
-    walk_req_q = Fifo.cf ~name:(name ^ ".walkreq") ?lookahead:in_lookahead clk ~capacity:4 ();
-    walk_resp_q = Fifo.cf ~name:(name ^ ".walkresp") ?lookahead:in_lookahead clk ~capacity:4 ();
+    creq_q = Fifo.cf ~name:(name ^ ".creq") clk ~capacity:(min 56 (4 * nchildren)) ();
+    cresp_q = Fifo.cf ~name:(name ^ ".cresp") clk ~capacity:(min 56 (4 * nchildren)) ();
+    preq_o = Fifo.cf ~name:(name ^ ".preq") clk ~capacity:(min 56 (4 * nchildren)) ();
+    presp_o = Fifo.cf ~name:(name ^ ".presp") clk ~capacity:(min 56 (4 * nchildren)) ();
+    walk_req_q = Fifo.cf ~name:(name ^ ".walkreq") clk ~capacity:4 ();
+    walk_resp_q = Fifo.cf ~name:(name ^ ".walkresp") clk ~capacity:4 ();
     clk;
     latency;
     mesi;
     bank_id;
     bank_bits;
     part = Partition.ambient ();
-    declared_min;
     presp_delay = Fifo.cf ~name:(name ^ ".presp.delay") clk ~capacity:(min 56 (4 * nchildren)) ();
     preq_delay = Fifo.cf ~name:(name ^ ".preq.delay") clk ~capacity:(min 56 (4 * nchildren)) ();
     walk_delay = Fifo.cf ~name:(name ^ ".walk.delay") clk ~capacity:8 ();
@@ -140,9 +135,8 @@ let create ?(name = "l2") ?(bank = (0, 0)) ?(declared_min = 0) ?in_lookahead clk
       Array.blit mshrs 0 t.mshrs 0 (Array.length t.mshrs);
       t.rotor <- rotor);
   (* MSHR occupancy sampled at the clock edge; divide by cycles for the
-     average. The hook runs in this bank's partition group (post-barrier on
-     the main domain, or on the bank's own domain under epoch execution),
-     and only ever touches this bank's counter — single writer either way. *)
+     average. The hook runs at the cycle close on the main domain and only
+     ever touches this bank's counter. *)
   Clock.on_cycle_end clk (fun () ->
       let n = Array.fold_left (fun a (m : mshr) -> if m.valid then a + 1 else a) 0 t.mshrs in
       if n > 0 then Stats.incr ~by:n t.c_mshr_occ);
@@ -249,15 +243,6 @@ let downgrades_needed (ln : line) kind =
     (List.init (Array.length ln.dir) Fun.id)
 
 let do_grant ctx t laddr (ln : line) kind =
-  (* Epoch-audit backstop for the declared lookahead: a response stamped
-     ready sooner than the declared floor means the epoch engine's window
-     bound overstates the latency the hardware model actually enforces —
-     exactly the drift [--partition-audit] in epoch mode exists to catch. *)
-  if t.declared_min > 0 && Kernel.partition_audit ctx && t.latency < t.declared_min then
-    raise
-      (Sim.Audit_fail
-         (Printf.sprintf "%s: response latency %d below declared epoch lookahead floor %d" t.name
-            t.latency t.declared_min));
   let ready = Clock.now t.clk + t.latency in
   Mcheck.Obligation.check ctx t.ob_grant (fun () ->
       if dir_ok ln kind then None

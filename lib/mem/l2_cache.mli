@@ -22,18 +22,10 @@ type t
     field so the full set array stays usable. The default [(0, 0)] is the
     unbanked L2. Each bank owns its own {!Dram} channel and may be built
     inside its own partition, in which case the tick rule's declared tokens
-    let the static partition checker prove bank isolation.
-
-    [?in_lookahead] declares the epoch lookahead ({!Cmd.Fifo.cf}) on the six
-    child/walker-facing queues; [?declared_min] is the response-latency
-    floor the surrounding design derived that declaration from (minus any
-    slack attributed to other stages) — when the partition audit runs, a
-    grant stamped faster than the floor raises [Cmd.Sim.Audit_fail]. *)
+    let the static partition checker prove bank isolation. *)
 val create :
   ?name:string ->
   ?bank:int * int ->
-  ?declared_min:int ->
-  ?in_lookahead:int ->
   Cmd.Clock.t ->
   nchildren:int ->
   geom:Cache_geom.t ->

@@ -12,7 +12,6 @@ type config = {
   mesi : bool;
   mem_latency : int;
   mem_inflight : int;
-  lookahead_override : int option;
 }
 
 let default_config =
@@ -30,7 +29,6 @@ let default_config =
     mesi = false;
     mem_latency = 120;
     mem_inflight = 24;
-    lookahead_override = None;
   }
 
 type t = {
@@ -39,17 +37,8 @@ type t = {
   banks : L2_cache.t array;
   drams : Dram.t array;
   bank_of : int64 -> int;
-  lookahead : int;
   xbar_rules : Cmd.Rule.t list;
 }
-
-(* The minimum cycles between a core-side boundary enqueue and the earliest
-   consequence flowing back: one crossbar hop each way around the L2's
-   response pipeline. This is the epoch lookahead declared on every
-   cross-partition boundary FIFO; [lookahead_override] exists for the
-   audit's negative tests (declaring more than the hardware guarantees must
-   be caught, see [L2_cache] on [declared_min]). *)
-let lookahead_of cfg = Option.value cfg.lookahead_override ~default:(cfg.l2_latency + 2)
 
 let create clk pmem cfg ~ncores ~fetch_width ~stats =
   let nbanks = cfg.l2_banks in
@@ -57,7 +46,6 @@ let create clk pmem cfg ~ncores ~fetch_width ~stats =
     invalid_arg "Mem_sys.create: l2_banks must be a power of two";
   let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
   let bank_bits = log2 nbanks in
-  let la = lookahead_of cfg in
   let nchildren = 2 * ncores in
   (* Each bank gets an equal slice of the L2 capacity and MSHRs and its own
      DRAM channel (interleaving multiplies memory-level parallelism, as
@@ -70,7 +58,7 @@ let create clk pmem cfg ~ncores ~fetch_width ~stats =
           let dram_name = if nbanks = 1 then "dram" else Printf.sprintf "dramb%d" b in
           let dram = Dram.create ~name:dram_name clk pmem ~latency:cfg.mem_latency ~max_inflight:cfg.mem_inflight in
           let l2 =
-            L2_cache.create ~name ~bank:(b, bank_bits) ~declared_min:(la - 2) ~in_lookahead:la clk
+            L2_cache.create ~name ~bank:(b, bank_bits) clk
               ~nchildren
               ~geom:(Cache_geom.v ~size_bytes:(cfg.l2_bytes / nbanks) ~ways:cfg.l2_ways)
               ~mshrs:(max 1 (cfg.l2_mshrs / nbanks))
@@ -95,7 +83,7 @@ let create clk pmem cfg ~ncores ~fetch_width ~stats =
   let dcaches =
     Array.init ncores (fun i ->
         Cmd.Partition.scoped (i + 1) (fun () ->
-            L1_dcache.create ~name:(Printf.sprintf "c%d.l1d" i) ~boundary_lookahead:la clk
+            L1_dcache.create ~name:(Printf.sprintf "c%d.l1d" i) clk
               ~child_id:(2 * i)
               ~geom:(Cache_geom.v ~size_bytes:cfg.l1d_bytes ~ways:cfg.l1d_ways)
               ~mshrs:cfg.l1d_mshrs ~stats ()))
@@ -103,7 +91,7 @@ let create clk pmem cfg ~ncores ~fetch_width ~stats =
   let icaches =
     Array.init ncores (fun i ->
         Cmd.Partition.scoped (i + 1) (fun () ->
-            L1_icache.create ~name:(Printf.sprintf "c%d.l1i" i) ~boundary_lookahead:la clk
+            L1_icache.create ~name:(Printf.sprintf "c%d.l1i" i) clk
               ~child_id:((2 * i) + 1)
               ~geom:(Cache_geom.v ~size_bytes:cfg.l1i_bytes ~ways:cfg.l1i_ways)
               ~fetch_width ~stats ()))
@@ -133,7 +121,6 @@ let create clk pmem cfg ~ncores ~fetch_width ~stats =
     banks;
     drams;
     bank_of;
-    lookahead = la;
     xbar_rules = Crossbar.rules endpoints ~banks ~bank_of;
   }
 
@@ -144,7 +131,6 @@ let l2_banks t = t.banks
 let dram t = t.drams.(0)
 let drams t = t.drams
 let bank_of t = t.bank_of
-let lookahead t = t.lookahead
 
 let rules t =
   t.xbar_rules

@@ -18,17 +18,11 @@ type config = {
       (** line-address-interleaved L2 banks (power of two; 1 = the seed's
           single shared L2). Capacity and MSHRs split evenly across banks,
           each bank gets its own DRAM channel, and when banked each bank is
-          its own scheduler partition (so banks free-run under epoch
-          execution). *)
+          its own scheduler partition (so banks fire concurrently under
+          [jobs > 1]). *)
   mesi : bool;  (** grant exclusive-clean on unshared reads (MESI) *)
   mem_latency : int;
   mem_inflight : int;
-  lookahead_override : int option;
-      (** override the epoch lookahead declared on every cross-partition
-          boundary FIFO ([None] = the derived bound: crossbar round trip +
-          L2 response latency). Exists for the epoch audit's negative
-          tests — overstating the bound must be caught, not silently
-          trusted. *)
 }
 
 (** The paper's RiscyOO-B memory parameters (Fig. 12). *)
@@ -51,9 +45,6 @@ val l2_banks : t -> L2_cache.t array
 (** [bank_of t laddr] — which bank owns a line address (constant 0 when
     unbanked). The walker crossbar routes with this. *)
 val bank_of : t -> int64 -> int
-
-(** The epoch lookahead declared on the boundary FIFOs (see config). *)
-val lookahead : t -> int
 
 (** Bank 0's DRAM channel. *)
 val dram : t -> Dram.t

@@ -48,6 +48,7 @@ type t = {
   ras : Branch.Ras.t;
   mutable fpc : int64;
   mutable epoch : int;
+  redirect_sg : Wakeup.signal; (* touched whenever [epoch] changes *)
   fslots : fslot array;
   mutable f_alloc : int;
   mutable f_mem : int;
@@ -128,6 +129,7 @@ let create ?(name = "ooo") ?cosim ?(pipe = Obs.Pipe.null) clk (cfg : Config.t) ~
     ras = Branch.Ras.create ~entries:cfg.ras_entries ~stats ~name:(name ^ ".ras") ();
     fpc = Addr_map.dram_base;
     epoch = 0;
+    redirect_sg = Wakeup.make ();
     fslots =
       Array.init 8 (fun _ -> { fst = FFree; vpc = 0L; flen = 0; fpred = 0L; fepoch = 0; fcyc = 0 });
     f_alloc = 0;
@@ -334,7 +336,8 @@ let step_fetch_mem ctx t =
 
 let redirect_front ctx t target =
   Mut.field ctx t ~get:(fun o -> o.fpc) ~set:(fun o v -> o.fpc <- v) target;
-  Mut.field ctx t ~get:(fun o -> o.epoch) ~set:(fun o v -> o.epoch <- v) (t.epoch + 1)
+  Mut.field ctx t ~get:(fun o -> o.epoch) ~set:(fun o v -> o.epoch <- v) (t.epoch + 1);
+  Wakeup.touch t.redirect_sg
 
 let step_decode ctx t =
   let g = Fifo.deq ctx t.f2d in
@@ -1293,9 +1296,19 @@ let rules ?(schedule = `Aggressive) t =
           (fun ctx -> step_issue_mem ctx t);
       ]
   in
+  (* Front-end predicates test the queue downstream too: a group from the
+     current epoch needs room for at least one decoded instruction (or
+     fetch group) before the rule can commit, while a stale one is only
+     dropped. Staleness changes only with [epoch], hence the redirect
+     signal in the watch sets. *)
+  let stale epoch = epoch <> t.epoch in
   let decode =
     [
-      mk_fifo t.f2d
+      mk
+        ~can_fire:(fun () ->
+          Fifo.peek_size t.f2d > 0
+          && (stale (Fifo.peek_first t.f2d).gepoch || Fifo.peek_can_enq t.d2r))
+        ~watches:[ Fifo.signal t.f2d; Fifo.signal t.d2r; t.redirect_sg ]
         ~fp:[ Fifo.fp_deq t.f2d; Fifo.fp_enq t.d2r ]
         (n ^ ".decode")
         (fun ctx -> step_decode ctx t);
@@ -1315,14 +1328,19 @@ let rules ?(schedule = `Aggressive) t =
   let fetch =
     [
       mk
-        ~can_fire:(fun () -> Mem.L1_icache.resp_ready t.ic)
-        ~watches:[ Mem.L1_icache.resp_signal t.ic ]
+        ~can_fire:(fun () ->
+          Mem.L1_icache.resp_ready t.ic
+          && (stale t.fslots.(Mem.L1_icache.resp_tag t.ic).fepoch || Fifo.peek_can_enq t.f2d))
+        ~watches:[ Mem.L1_icache.resp_signal t.ic; Fifo.signal t.f2d; t.redirect_sg ]
         ~fp:(Mem.L1_icache.fp_resp t.ic @ [ Fifo.fp_enq t.f2d ])
         (n ^ ".fetch.mem")
         (fun ctx -> step_fetch_mem ctx t);
       mk
         ~can_fire:(fun () ->
-          match t.fslots.(t.f_mem mod 8).fst with FReady _ -> true | FFree | FWaitTlb | FWaitMem -> false)
+          let slot = t.fslots.(t.f_mem mod 8) in
+          match slot.fst with
+          | FReady _ -> stale slot.fepoch || Mem.L1_icache.req_room t.ic
+          | FFree | FWaitTlb | FWaitMem -> false)
         ~fp:(Mem.L1_icache.fp_req t.ic)
         (n ^ ".fetch.dispatch")
         (fun ctx -> step_fetch_dispatch ctx t);

@@ -87,7 +87,7 @@ let mk_side clk name n misses stats =
     c_miss = Stats.counter stats (name ^ ".misses");
   }
 
-let create ?(name = "tlb") ?walk_lookahead clk cfg ~stats () =
+let create ?(name = "tlb") clk cfg ~stats () =
   let t =
   {
     name;
@@ -102,9 +102,9 @@ let create ?(name = "tlb") ?walk_lookahead clk cfg ~stats () =
           { wvalid = false; wvpn = 0L; wva = 0L; level = 2; base = 0L; outstanding = false; result = None });
     wcache = Option.map (fun n -> Walk_cache.create ~entries_per_level:n) cfg.walk_cache_entries;
     (* The walk queues straddle the core/uncore boundary (walker crossbar
-       on the far side); [walk_lookahead] declares their epoch lookahead. *)
-    wreq = Fifo.cf ~name:(name ^ ".wreq") ?lookahead:walk_lookahead clk ~capacity:4 ();
-    wresp = Fifo.cf ~name:(name ^ ".wresp") ?lookahead:walk_lookahead clk ~capacity:4 ();
+       on the far side). *)
+    wreq = Fifo.cf ~name:(name ^ ".wreq") clk ~capacity:4 ();
+    wresp = Fifo.cf ~name:(name ^ ".wresp") clk ~capacity:4 ();
     part = Partition.ambient ();
     c_l2_access = Stats.counter stats (name ^ ".l2.accesses");
     c_l2_miss = Stats.counter stats (name ^ ".l2.misses");

@@ -31,10 +31,9 @@ val nonblocking_config : config
 
 type t
 
-(** [?walk_lookahead] declares the epoch lookahead ({!Cmd.Fifo.cf}) on the
-    page-walk request/response queues, which straddle the core/uncore
-    partition boundary. *)
-val create : ?name:string -> ?walk_lookahead:int -> Cmd.Clock.t -> config -> stats:Cmd.Stats.t -> unit -> t
+(** The page-walk request/response queues are conflict-free
+    ({!Cmd.Fifo.cf}): they straddle the core/uncore partition boundary. *)
+val create : ?name:string -> Cmd.Clock.t -> config -> stats:Cmd.Stats.t -> unit -> t
 
 (** Root page-table base; 0 = bare mode (identity translation). *)
 val set_satp : t -> int64 -> unit

@@ -66,12 +66,15 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
     ?(cosim = false) ?schedule ?(mode = Sim.Multi) ?(fastpath = true) ?(audit = false)
     ?(jobs = 1) ?(partition_audit = false) ?(compile = true) ?(compile_audit = false)
     ?(epoch = 1) ?(watchdog = 0) ?(invariants = false) ?(obligations = false) ?obs kind prog =
+  (* Benchmark pin: [epoch] survives only for callers written when windows
+     could be longer than one cycle. Both 0 and 1 mean one cycle; 0 also
+     keeps the old auto window's partition groups at jobs 1 (see
+     [Sim.create ~grouped]), which the harness's jobs-1 oracle expects. *)
+  if epoch <> 0 && epoch <> 1 then
+    invalid_arg "Machine.create: epoch must be 0 or 1 (the window is one cycle)";
   (* Cosim shares one Golden.t across every hart's commit hook, so its state
-     is not partition-private; force serial execution under cosim — and
-     per-cycle synchronization: the goldens share a private memory, so the
-     cross-hart commit interleaving must not depend on the window length. *)
+     is not partition-private; force serial execution under cosim. *)
   let jobs = if cosim then 1 else jobs in
-  let epoch = if cosim then 1 else epoch in
   (* The whole build runs inside a [State.collecting] scope: every primitive
      constructed along the way (EHRs, FIFOs, the PRF, caches, TLBs, the
      scheduler) registers its snapshot entry as a side effect, and the
@@ -103,8 +106,8 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
        bit-identical — so it stays out of [config_key] below and snapshots
        move freely between the two. *)
     let sim =
-      Sim.create ~mode ~fastpath ~audit ~jobs ~partition_audit ~compile ~compile_audit ~epoch
-        ~stats:stats_t clk rules
+      Sim.create ~mode ~fastpath ~audit ~jobs ~partition_audit ~compile ~compile_audit
+        ~grouped:(epoch = 0) ~stats:stats_t clk rules
     in
     (match obs with Some hub -> Obs.Hub.attach hub sim | None -> ());
     sim
@@ -142,8 +145,7 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
       Array.init ncores (fun i ->
           Partition.scoped (i + 1) (fun () ->
               let tl =
-                Tlb.Tlb_sys.create ~name:(Printf.sprintf "c%d.tlb" i)
-                  ~walk_lookahead:(Mem.Mem_sys.lookahead ms) clk tlb ~stats:stats_t ()
+                Tlb.Tlb_sys.create ~name:(Printf.sprintf "c%d.tlb" i) clk tlb ~stats:stats_t ()
               in
               Tlb.Tlb_sys.set_satp tl satp;
               tl))
@@ -217,8 +219,7 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
       Array.init ncores (fun i ->
           Partition.scoped (i + 1) (fun () ->
               let tl =
-                Tlb.Tlb_sys.create ~name:(Printf.sprintf "c%d.tlb" i)
-                  ~walk_lookahead:(Mem.Mem_sys.lookahead ms) clk cfg.Ooo.Config.tlb
+                Tlb.Tlb_sys.create ~name:(Printf.sprintf "c%d.tlb" i) clk cfg.Ooo.Config.tlb
                   ~stats:stats_t ()
               in
               Tlb.Tlb_sys.set_satp tl satp;
@@ -291,10 +292,7 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
   | None -> ());
   t
   in
-  (* Boundary collection wraps state collection: [Sim.create] (inside
-     [construct]) reads the boundary-FIFO registry accumulated so far to
-     derive the epoch lookahead bound. *)
-  let (t, registry), _boundaries = Boundary.collecting (fun () -> State.collecting construct) in
+  let t, registry = State.collecting construct in
   t.registry <- Some registry;
   (* The configuration key covers everything that shapes the machine's state
      inventory or its cycle-accurate behaviour: kind (including the full OOO
@@ -304,12 +302,8 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
      into a [--jobs 4] machine (and the round-trip tests rely on that).
      The [Shuffle] seed is normalized away: the schedule RNG travels inside
      the image ("sim.sched"), so a cycle-0 snapshot plus {!reseed_schedule}
-     forks one warm image across arbitrarily many seeds. The {e effective}
-     epoch window length is included — different window lengths quantize
-     boundary traffic differently, so they are distinct timing models (while
-     [jobs] at a fixed window length is not). *)
+     forks one warm image across arbitrarily many seeds. *)
   let mode_key = match mode with Sim.Shuffle _ -> Sim.Shuffle 0 | m -> m in
-  let elen = match t.sim with Some sim -> Sim.epoch_length sim | None -> 1 in
   t.config_key <-
     Digest.string
       (Marshal.to_string
@@ -321,7 +315,6 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
            cosim,
            schedule,
            mode_key,
-           elen,
            Asm.words prog.asm ~base,
            prog.regs )
          []);
@@ -382,7 +375,8 @@ let run ?(max_cycles = 50_000_000) ?on_cycle t =
 let stats t = t.stats_t
 
 let parallel t = match t.sim with Some s -> Sim.parallel s | None -> false
-let epoch_length t = match t.sim with Some s -> Sim.epoch_length s | None -> 1
+(* Benchmark pin, see [create]'s [epoch]. *)
+let epoch_length _ = 1
 
 let console t = Mmio.console t.mmio
 

@@ -41,14 +41,13 @@ type t
     {!Cmd.Kernel.Partition_overlap} on an undeclared cross-partition
     touch.
 
-    [epoch] (default 1) sets the lookahead-window length for epoch
-    execution (see {!Cmd.Sim.create}): partitions free-run that many cycles
-    between synchronizations. [epoch:0] asks for the full bound derived
-    from the boundary FIFOs' declared lookahead (the L2 response latency
-    plus the crossbar round trip). Results at a given window length are
-    bit-identical at any [jobs]. Forced back to 1 under [cosim] — the
-    golden models share private memory, so commit interleaving across harts
-    must not depend on the window length.
+    [epoch] is a benchmark pin: the benchmark harness still passes it.
+    Partitions synchronize every cycle (see {!Cmd.Sim.create}), so 0 and 1
+    (the default) both mean a one-cycle window, and any other value raises
+    [Invalid_argument]. [epoch:0] also keeps the partition groups at
+    [jobs:1] ([Cmd.Sim.create ~grouped]), so a jobs-1 run matches a
+    parallel one down to its fast-path skip counts, as the harness's
+    oracle checks.
 
     [obs] plugs an observability hub in: every core is built against the
     hub's per-hart instruction tracer and the hub is attached to the
@@ -100,8 +99,8 @@ val quiesced : t -> bool
     fall-back). *)
 val parallel : t -> bool
 
-(** The effective epoch window length the simulator settled on (1 when
-    epochs are off or the machine has no simulator). *)
+(** Always 1: the window is one cycle. A benchmark pin, kept because the
+    benchmark harness still prints it. *)
 val epoch_length : t -> int
 
 val console : t -> string

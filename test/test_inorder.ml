@@ -38,7 +38,6 @@ let build ?(paging = false) ?(mem_latency = 20) ?(tlb_cfg = Tlb.Tlb_sys.blocking
       mem_latency;
       mem_inflight = 8;
       l2_banks = 1;
-      lookahead_override = None;
     }
   in
   let ms = Mem.Mem_sys.create clk pmem mem_cfg ~ncores:1 ~fetch_width:2 ~stats in

@@ -14,7 +14,6 @@ let () =
       ("tlb-units", Test_tlb_units.suite);
       ("ooo", Test_ooo.suite);
       ("multicore", Test_multicore.suite);
-      ("epoch", Test_epoch.suite);
       ("workloads", Test_workloads.suite);
       ("obs", Test_obs.suite);
       ("verif", Test_verif.suite);

@@ -22,7 +22,6 @@ let small_config =
     mem_latency = 20;
     mem_inflight = 4;
     l2_banks = 1;
-    lookahead_override = None;
   }
 
 type harness = { sim : Sim.t; ms : Mem_sys.t; pmem : Isa.Phys_mem.t; hstats : Stats.t }

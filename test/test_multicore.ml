@@ -110,7 +110,6 @@ let small_mem =
     mem_latency = 20;
     mem_inflight = 8;
     l2_banks = 1;
-    lookahead_override = None;
   }
 
 let run_mc mm ~ncores prog expect =

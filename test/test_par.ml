@@ -269,6 +269,145 @@ let test_machine_equiv_inorder () =
   in
   check_mc_equiv "inorder/multi" (fp 1) (fp 4)
 
+(* 16-core machine shrunk to test size: tiny private L1s, a 4-bank L2. *)
+let mem16 = { Test_multicore.small_mem with Mem.Mem_sys.l2_banks = 4 }
+let cfg16 mm = { (Ooo.Config.multicore16 mm) with Ooo.Config.mem = mem16 }
+
+(* Everything observable, including the serialized counter export — two
+   runs agree exactly when these five components agree. *)
+let full_fingerprint ~jobs ~mode cfg prog =
+  let m = Machine.create ~ncores:16 ~mode ~jobs (Machine.Out_of_order cfg) prog in
+  let o = Machine.run ~max_cycles:6_000_000 m in
+  Alcotest.(check bool) "run completes" false o.Machine.timed_out;
+  let stats =
+    Obs.Stats_json.to_string ~cycles:o.Machine.cycles ~instrs:(Machine.instrs m)
+      ~stats:(Machine.stats m) ()
+  in
+  (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m,
+   Test_sched.fired_counts m, stats)
+
+let check_full_equiv name (c1, x1, i1, f1, s1) (c2, x2, i2, f2, s2) =
+  check_mc_equiv name (c1, x1, i1, f1) (c2, x2, i2, f2);
+  Alcotest.(check string) (name ^ ": stats json bytes identical") s1 s2
+
+(* A 16-core PARSEC-shaped run with banked L2 partitions is bit-identical
+   at --jobs 1, 4 and 8, under both the deterministic Multi schedule and a
+   shuffled one. *)
+let test_identity_16core () =
+  let prog = Parsec_kernels.find "blackscholes" ~harts:16 ~scale:1 in
+  let cfg = cfg16 Ooo.Config.WMM in
+  List.iter
+    (fun (mname, mode) ->
+      let j1 = full_fingerprint ~jobs:1 ~mode cfg prog in
+      let j4 = full_fingerprint ~jobs:4 ~mode cfg prog in
+      let j8 = full_fingerprint ~jobs:8 ~mode cfg prog in
+      check_full_equiv (Printf.sprintf "blackscholes-x16/%s jobs 1-vs-4" mname) j1 j4;
+      check_full_equiv (Printf.sprintf "blackscholes-x16/%s jobs 1-vs-8" mname) j1 j8)
+    [ ("multi", Sim.Multi); ("shuffle", Sim.Shuffle 20260808) ]
+
+(* Same invariant under AMO contention: every hart hammers one shared line
+   through the banked L2. *)
+let test_identity_16core_amo () =
+  let prog = Test_multicore.shared_counter_kernel ~harts:16 ~iters:4 in
+  let cfg = cfg16 Ooo.Config.TSO in
+  let j1 = full_fingerprint ~jobs:1 ~mode:Sim.Multi cfg prog in
+  let j8 = full_fingerprint ~jobs:8 ~mode:Sim.Multi cfg prog in
+  check_full_equiv "counter-x16/multi jobs 1-vs-8" j1 j8
+
+(* Snapshot a serial run mid-flight, restore into a fresh machine at a
+   different --jobs, continue: bit-identical to the uninterrupted run. *)
+let test_snapshot_across_jobs () =
+  let prog = Parsec_kernels.find "blackscholes" ~harts:4 ~scale:1 in
+  let cfg = { (Ooo.Config.multicore Ooo.Config.WMM) with Ooo.Config.mem = mem16 } in
+  let mk ~jobs = Machine.create ~ncores:4 ~jobs (Machine.Out_of_order cfg) prog in
+  let a = mk ~jobs:1 in
+  let o = Machine.run ~max_cycles:2_000 a in
+  Alcotest.(check bool) "still running at snapshot point" true o.Machine.timed_out;
+  let img = Machine.snapshot a in
+  let finish m =
+    let o = Machine.run ~max_cycles:6_000_000 m in
+    Alcotest.(check bool) "continuation completes" false o.Machine.timed_out;
+    (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m,
+     Test_sched.fired_counts m)
+  in
+  let fa = finish a in
+  let b = mk ~jobs:4 in
+  Alcotest.(check bool) "restored machine runs on the pool" true (Machine.parallel b);
+  Machine.restore b img;
+  check_mc_equiv "restored" fa (finish b)
+
+(* The watchdog's history ring is rebuilt at every cycle close from the
+   per-rule fire marks, whatever the engine, and must read the same
+   (cycle, fired names) list under each. Walk the whole run in chunks
+   short enough that the 32-cycle ring never wraps between looks, folding
+   every entry into one digest. *)
+let history_fingerprint m =
+  let seen = ref (-1) and fires = ref 0 and acc = ref (Digest.string "") in
+  let rec go () =
+    let o = Machine.run ~max_cycles:31 m in
+    List.iter
+      (fun (c, names) ->
+        if c > !seen then begin
+          Alcotest.(check int) "ring entries are consecutive cycles" (!seen + 1) c;
+          seen := c;
+          fires := !fires + List.length names;
+          acc := Digest.string (!acc ^ string_of_int c ^ ":" ^ String.concat " " names)
+        end)
+      (Machine.history m);
+    if o.Machine.timed_out then go () else o.Machine.cycles
+  in
+  let cycles = go () in
+  Alcotest.(check int) "every cycle recorded" cycles (!seen + 1);
+  Alcotest.(check bool) "rules fired" true (!fires > 0);
+  Digest.to_hex !acc
+
+let test_history_identity () =
+  let quad = { (Ooo.Config.multicore Ooo.Config.WMM) with Ooo.Config.mem = mem16 } in
+  let prog = Parsec_kernels.find "blackscholes" ~harts:4 ~scale:1 in
+  let mk ?(compile = true) ~jobs ~ncores cfg prog =
+    Machine.create ~ncores ~jobs ~compile ~watchdog:max_int (Machine.Out_of_order cfg) prog
+  in
+  let compiled = mk ~jobs:1 ~ncores:4 quad prog in
+  Alcotest.(check bool) "serial run compiled" true (Machine.compiled compiled);
+  let interpreted = mk ~compile:false ~jobs:1 ~ncores:4 quad prog in
+  let par = mk ~jobs:2 ~ncores:4 quad prog in
+  Alcotest.(check bool) "jobs 2 runs on the pool" true (Machine.parallel par);
+  let h = history_fingerprint compiled in
+  Alcotest.(check string) "quad: compile:false" h (history_fingerprint interpreted);
+  Alcotest.(check string) "quad: jobs 2" h (history_fingerprint par);
+  let prog = Test_multicore.shared_counter_kernel ~harts:16 ~iters:4 in
+  let j1 = mk ~jobs:1 ~ncores:16 (cfg16 Ooo.Config.TSO) prog in
+  let j2 = mk ~jobs:2 ~ncores:16 (cfg16 Ooo.Config.TSO) prog in
+  Alcotest.(check string) "16-core: jobs 1 vs jobs 2" (history_fingerprint j1)
+    (history_fingerprint j2)
+
+(* The window is one cycle: [~epoch] accepts only 0 and 1 (both mean one
+   cycle) and refuses anything longer. [~epoch:0] keeps the partition
+   groups at jobs 1, so every rule counter — fast-path skips included —
+   matches a parallel run. *)
+let test_epoch_pin () =
+  let prog = Test_multicore.shared_counter_kernel ~harts:4 ~iters:5 in
+  let mk ?(jobs = 1) epoch =
+    Machine.create ~ncores:4 ~jobs ~epoch (Machine.Out_of_order mc_cfg) prog
+  in
+  List.iter
+    (fun e -> Alcotest.(check int) "one-cycle window" 1 (Machine.epoch_length (mk e)))
+    [ 0; 1 ];
+  (match mk 2 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Machine.create ~epoch:2 accepted");
+  let counters m =
+    let o = Machine.run ~max_cycles:2_000_000 m in
+    Alcotest.(check bool) "run completes" false o.Machine.timed_out;
+    List.map
+      (fun (r : Rule.t) -> (r.name, [ r.fired; r.guard_failed; r.conflicted; r.skipped ]))
+      (Machine.rule_list m)
+  in
+  let grouped = mk 0 in
+  Alcotest.(check bool) "grouped jobs 1 stays off the pool" false (Machine.parallel grouped);
+  Alcotest.(check (list (pair string (list int))))
+    "epoch 0: jobs 1 rule counters == jobs 2" (counters (mk ~jobs:2 0)) (counters grouped)
+
 (* Regression: [shutdown_pool] used to leave the interrupted generation's
    task queue behind, and the first worker of the respawned pool would claim
    a stale task — a cached per-cycle step closure of a machine that may have
@@ -406,6 +545,11 @@ let suite =
     Alcotest.test_case "machine one-per-cycle fallback identical" `Slow test_machine_equiv_opc;
     Alcotest.test_case "machine partition audit clean" `Slow test_machine_audit_clean;
     Alcotest.test_case "in-order machine parallel == serial" `Quick test_machine_equiv_inorder;
+    Alcotest.test_case "16-core identity across jobs (multi/shuffle)" `Slow test_identity_16core;
+    Alcotest.test_case "16-core identity under AMO contention" `Slow test_identity_16core_amo;
+    Alcotest.test_case "snapshot/restore across jobs" `Slow test_snapshot_across_jobs;
+    Alcotest.test_case "history ring identical across engines" `Slow test_history_identity;
+    Alcotest.test_case "epoch pin: only 0 or 1; 0 keeps groups" `Quick test_epoch_pin;
     Alcotest.test_case "pool shutdown leaves compiled steps intact" `Quick
       test_pool_shutdown_compiled_steps;
     Alcotest.test_case "worker pool survives shutdown/restart" `Quick test_pool_restart;

@@ -120,7 +120,6 @@ let tiny_cfg =
         mem_latency = 15;
         mem_inflight = 4;
         l2_banks = 1;
-        lookahead_override = None;
       };
   }
 

@@ -29,7 +29,6 @@ let small_cfg =
         mem_latency = 24;
         mem_inflight = 8;
         l2_banks = 1;
-        lookahead_override = None;
       };
     tlb = Tlb.Tlb_sys.nonblocking_config;
   }

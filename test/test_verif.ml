@@ -23,7 +23,6 @@ let test_cfg =
         mem_latency = 30;
         mem_inflight = 8;
         l2_banks = 1;
-        lookahead_override = None;
       };
   }
 
