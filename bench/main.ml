@@ -582,24 +582,21 @@ let idle_sched_thunk ~fastpath =
      let sim = Cmd.Sim.create ~fastpath clk rules in
      fun () -> ignore (Cmd.Sim.cycle sim))
 
-(* Three engines per workload: the compiled schedule (default), the
-   interpreted fast path ([--no-compile]), and the stripped scheduler
-   ([--no-fastpath]). All three must be bit-identical; the JSON reports the
-   two engine-vs-engine ratios, which are what CI gates on (ratios cancel
+(* Two engines per workload: the fast path (default) and the stripped
+   scheduler ([--no-fastpath]). Both must be bit-identical; the JSON reports
+   the engine-vs-engine ratio, which is what CI gates on (a ratio cancels
    host-speed variation that makes absolute cycles/s untrustworthy there).
    Each wall is the fastest of its runs (scheduling noise only ever slows a
-   run down); each ratio is the median of per-round ratios, a round timing
-   the three engines back to back, so a host-speed swing between rounds
+   run down); the ratio is the median of per-round ratios, a round timing
+   the two engines back to back, so a host-speed swing between rounds
    cancels within a round instead of landing in one engine's best-of. *)
 type perf_row = {
   wname : string;
   pcycles : int;
   pinstrs : int;
-  wall_compiled : float;
-  wall_interp : float;
+  wall_fast : float;
   wall_stripped : float;
-  compile_ratio : float; (* median over rounds of interpreted / compiled wall *)
-  fastpath_ratio : float; (* median over rounds of stripped / compiled wall *)
+  fastpath_ratio : float; (* median over rounds of stripped / fast-path wall *)
 }
 
 let median xs =
@@ -614,10 +611,8 @@ let perf_rounds = 5
 let perf_workload ~budget kernel =
   let prog = Spec_kernels.find kernel ~scale:!scale in
   let snapshot = ref None in
-  let once (compile, fastpath) =
-    let m = Machine.create ~paging:true ~compile ~fastpath (ooo Ooo.Config.riscyoo_b) prog in
-    if Machine.compiled m <> (compile && fastpath) then
-      failwith (Printf.sprintf "perf: %s engine mismatch (%s)" kernel (Machine.compile_status m));
+  let once fastpath =
+    let m = Machine.create ~paging:true ~fastpath (ooo Ooo.Config.riscyoo_b) prog in
     let t0 = Unix.gettimeofday () in
     let o = Machine.run ~max_cycles:budget m in
     let dt = Unix.gettimeofday () -. t0 in
@@ -625,17 +620,16 @@ let perf_workload ~budget kernel =
     if !snapshot = None then snapshot := Some (Machine.stats m);
     ((o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m), dt)
   in
-  (* compiled, interpreted, stripped *)
-  let engines = [| (true, true); (false, true); (false, false) |] in
-  let ids = Array.make 3 None and best = Array.make 3 infinity in
+  (* engine 0 is the fast path, engine 1 the stripped scheduler *)
+  let ids = Array.make 2 None and best = Array.make 2 infinity in
   let rounds = ref [] and total = ref 0.0 and nr = ref 0 in
   (* at least [perf_rounds] rounds and ~3 s of wall time in all; the engine
-     order rotates each round so no engine always runs first *)
+     order alternates each round so neither engine always runs first *)
   while !nr < perf_rounds || !total < 3.0 do
-    let w = Array.make 3 0.0 in
-    for k = 0 to 2 do
-      let e = (k + !nr) mod 3 in
-      let id, dt = once engines.(e) in
+    let w = Array.make 2 0.0 in
+    for k = 0 to 1 do
+      let e = (k + !nr) mod 2 in
+      let id, dt = once (e = 0) in
       (match ids.(e) with
       | None -> ids.(e) <- Some id
       | Some id0 -> if id <> id0 then failwith ("perf: " ^ kernel ^ " is nondeterministic"));
@@ -647,39 +641,29 @@ let perf_workload ~budget kernel =
     incr nr
   done;
   let c_c, x_c, i_c = Option.get ids.(0) in
-  (* schedule compilation and the fast path must be pure speed optimizations *)
-  Array.iteri
-    (fun e id ->
-      let c, x, i = Option.get id in
-      if (c, x, i) <> (c_c, x_c, i_c) then
-        failwith
-          (Printf.sprintf "perf: %s diverges with %s (%d/%Ld/%d vs %d/%Ld/%d)" kernel
-             (if e = 1 then "compile off" else "fastpath off")
-             c_c x_c i_c c x i))
-    ids;
-  let ratio e = median (List.map (fun w -> w.(e) /. w.(0)) !rounds) in
+  (* the fast path must be a pure speed optimization *)
+  let c, x, i = Option.get ids.(1) in
+  if (c, x, i) <> (c_c, x_c, i_c) then
+    failwith
+      (Printf.sprintf "perf: %s diverges with fastpath off (%d/%Ld/%d vs %d/%Ld/%d)" kernel c_c
+         x_c i_c c x i);
   let row =
     {
       wname = kernel;
       pcycles = c_c;
       pinstrs = i_c;
-      wall_compiled = best.(0);
-      wall_interp = best.(1);
-      wall_stripped = best.(2);
-      compile_ratio = ratio 1;
-      fastpath_ratio = ratio 2;
+      wall_fast = best.(0);
+      wall_stripped = best.(1);
+      fastpath_ratio = median (List.map (fun w -> w.(1) /. w.(0)) !rounds);
     }
   in
-  Printf.eprintf
-    "  [perf/%s] %d cycles, %d rounds: %.0f c/s compiled, %.0f c/s interpreted, %.0f c/s stripped\n%!"
+  Printf.eprintf "  [perf/%s] %d cycles, %d rounds: %.0f c/s fast path, %.0f c/s stripped\n%!"
     kernel c_c !nr
-    (float_of_int c_c /. row.wall_compiled)
-    (float_of_int c_c /. row.wall_interp)
+    (float_of_int c_c /. row.wall_fast)
     (float_of_int c_c /. row.wall_stripped);
   (row, Option.get !snapshot)
 
-let cps r = float_of_int r.pcycles /. r.wall_compiled
-let compile_speedup r = r.compile_ratio
+let cps r = float_of_int r.pcycles /. r.wall_fast
 let fastpath_speedup r = r.fastpath_ratio
 
 (* Multicore workloads timed at --jobs 1/4/8, partitions synchronized every
@@ -881,7 +865,7 @@ let read_file path =
 
 let perf_json ~calib_s rows mc_rows farm micro_on micro_off =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"riscyoo-perf-v7\",\n";
+  Buffer.add_string b "{\n  \"schema\": \"riscyoo-perf-v8\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"calibration\": {\"name\": \"%s\", \"wall_s\": %.4f},\n" calib_name
        calib_s);
@@ -890,12 +874,12 @@ let perf_json ~calib_s rows mc_rows farm micro_on micro_off =
     (fun i r ->
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"name\": \"%s\", \"cycles\": %d, \"instrs\": %d, \"wall_s_compiled\": %.4f, \
-            \"wall_s_interpreted\": %.4f, \"wall_s_stripped\": %.4f, \"sim_cps\": %.1f, \
-            \"sim_kips\": %.2f, \"compile_speedup\": %.3f, \"fastpath_speedup\": %.3f}%s\n"
-           r.wname r.pcycles r.pinstrs r.wall_compiled r.wall_interp r.wall_stripped (cps r)
-           (float_of_int r.pinstrs /. r.wall_compiled /. 1000.0)
-           (compile_speedup r) (fastpath_speedup r)
+           "    {\"name\": \"%s\", \"cycles\": %d, \"instrs\": %d, \"wall_s_fastpath\": %.4f, \
+            \"wall_s_stripped\": %.4f, \"sim_cps\": %.1f, \"sim_kips\": %.2f, \
+            \"fastpath_speedup\": %.3f}%s\n"
+           r.wname r.pcycles r.pinstrs r.wall_fast r.wall_stripped (cps r)
+           (float_of_int r.pinstrs /. r.wall_fast /. 1000.0)
+           (fastpath_speedup r)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string b "  ],\n  \"multicore\": [\n";
@@ -956,7 +940,7 @@ let write_stats_json path entries =
   Printf.printf "wrote %s\n" path
 
 let perf ~quick ~out ~check ~stats_json () =
-  header "perf: simulation speed (compiled vs interpreted vs stripped)";
+  header "perf: simulation speed (fast path vs stripped)";
   (* calibrate first, on a quiet process — no worker domains alive yet *)
   let calib_s = calibrate () in
   let budget = 200_000_000 in
@@ -1004,11 +988,11 @@ let perf ~quick ~out ~check ~stats_json () =
   match check with
   | None -> ()
   | Some path ->
-    (* CI gate, two kinds of check. (1) Engine-ratio columns:
-       compiled-vs-interpreted and compiled-vs-stripped wall-time ratios of
-       the same binary in the same process, each the median over
-       interleaved rounds, cancel host speed; a ratio more than 5% below the checked-in baseline means the schedule
-       compiler (or the fast path) lost its advantage. (2) Absolute
+    (* CI gate, two kinds of check. (1) The engine ratio: the
+       stripped-vs-fast-path wall-time ratio of the same binary in the same
+       process, the median over interleaved rounds, cancels host speed; a
+       ratio more than 5% below the checked-in baseline means the fast path
+       lost its advantage. (2) Absolute
        sim-cycles/s, calibrated: raw cycles/s depend on the (shared, noisy)
        CI host, so the fixed-work calibration microbench rescales the
        baseline to this host first — expected = baseline_cps x
@@ -1082,8 +1066,7 @@ let perf ~quick ~out ~check ~stats_json () =
     let failures =
       List.concat_map
         (fun r ->
-          gate r.wname
-            [ ("compile_speedup", compile_speedup r); ("fastpath_speedup", fastpath_speedup r) ])
+          gate r.wname [ ("fastpath_speedup", fastpath_speedup r) ])
         rows
     in
     let failures = failures @ abs_failures in

@@ -123,22 +123,6 @@ let run_cmd =
           ~doc:"run serially while recording the partition behind every EHR/FIFO/wire access; \
                 exits 3 on an undeclared cross-partition touch")
   in
-  let no_compile =
-    Arg.(
-      value & flag
-      & info [ "no-compile" ]
-          ~doc:"skip schedule compilation and run every rule with full port bookkeeping; \
-                results are bit-identical to the compiled schedule")
-  in
-  let compile_audit =
-    Arg.(
-      value & flag
-      & info [ "compile-audit" ]
-          ~doc:"run interpreted while dynamically discharging the schedule compiler's proof \
-                obligations (declared footprints cover every tracked access; admissible rules \
-                never Retry), then print the conflict-matrix report; exits 3 on a violated \
-                obligation")
-  in
   let obs_konata =
     Arg.(
       value & opt (some string) None
@@ -168,9 +152,8 @@ let run_cmd =
   in
   let run kernel config cores scale parsec server cosim paging megapages mesi prefetch predictor
       trace rules watchdog invariants inject inject_seed no_fastpath audit jobs
-      partition_audit no_compile compile_audit obs_konata obs_chrome stats_json obs_window =
+      partition_audit obs_konata obs_chrome stats_json obs_window =
     let fastpath = not no_fastpath in
-    let compile = not no_compile in
     (* Asking for more domains than the host has cores just parks idle
        workers on the pool's condition variable while oversubscription slows
        the rest down — clamp, loudly, rather than crash or silently thrash. *)
@@ -270,15 +253,11 @@ let run_cmd =
     let m =
       try
         Machine.create ~ncores:cores ~paging ~megapages ~cosim ~fastpath ~audit ~jobs
-          ~partition_audit ~compile ~compile_audit ~watchdog ~invariants ?obs kind prog
+          ~partition_audit ~watchdog ~invariants ?obs kind prog
       with Cmd_sim.Partition_error msg ->
         Printf.printf "PARTITION ERROR: %s\n" msg;
         die 3
     in
-    if compile_audit then begin
-      Printf.printf "compile    : %s\n" (Machine.compile_status m);
-      print_string (Machine.compile_report m)
-    end;
     if trace then Machine.trace_commits m Format.std_formatter;
     let t0 = Unix.gettimeofday () in
     let o =
@@ -294,10 +273,6 @@ let run_cmd =
         die 3
       | Cmd_kernel.Partition_overlap msg ->
         Printf.printf "PARTITION AUDIT FAILURE: %s\n" msg;
-        die 3
-      | Cmd_kernel.Compile_audit_fail msg ->
-        Printf.printf "COMPILE AUDIT FAILURE: %s\n" msg;
-        print_string (Machine.compile_report m);
         die 3
     in
     let dt = Unix.gettimeofday () -. t0 in
@@ -318,7 +293,6 @@ let run_cmd =
       Printf.printf "IPC        : %.3f\n"
         (float_of_int (Machine.instrs m) /. float_of_int (max 1 o.Machine.cycles));
       Printf.printf "host       : %.1fs (%.0f sim-cycles/s)\n" dt (float_of_int o.Machine.cycles /. dt);
-      if rules then Printf.printf "compile    : %s\n" (Machine.compile_status m);
       print_endline "counters:";
       List.iter
         (fun (n, v) -> if v <> 0 then Printf.printf "  %-28s %d\n" n v)
@@ -330,7 +304,7 @@ let run_cmd =
     Term.(
       const run $ kernel $ config $ cores $ scale $ parsec $ server $ cosim $ paging $ megapages
       $ mesi $ prefetch $ predictor $ trace $ rules $ watchdog $ invariants $ inject $ inject_seed
-      $ no_fastpath $ audit $ jobs $ partition_audit $ no_compile $ compile_audit $ obs_konata
+      $ no_fastpath $ audit $ jobs $ partition_audit $ obs_konata
       $ obs_chrome $ stats_json $ obs_window)
 
 let synth_cmd =

@@ -1,16 +1,12 @@
 type 'a t = {
   wcell : Kernel.cell; (* write/write conflicts only; reads are untracked *)
-  prim : Conflict.prim;
   mutable cur : 'a;
   mutable nxt : 'a option;
 }
 
 let create ?name clk init =
   let nm = match name with Some n -> n ^ ".w" | None -> "configreg.w" in
-  let prim = Conflict.fresh_prim nm in
-  let wcell = Kernel.make_cell nm in
-  Kernel.set_cell_prim wcell prim.Conflict.pid;
-  let t = { wcell; prim; cur = init; nxt = None } in
+  let t = { wcell = Kernel.make_cell nm; cur = init; nxt = None } in
   Clock.on_cycle_end clk (fun () ->
       (match t.nxt with Some v -> t.cur <- v | None -> ());
       t.nxt <- None);
@@ -29,4 +25,3 @@ let write ctx t v =
 
 let peek t = match t.nxt with Some v -> v | None -> t.cur
 let poke t v = t.cur <- v
-let fp_write t = Conflict.atom ~prim:t.prim ~label:"w" [ (true, 0, 0) ]

@@ -20,7 +20,3 @@ val peek : 'a t -> 'a
 
 (** Untracked set of the current value (initialization). *)
 val poke : 'a t -> 'a -> unit
-
-(** Footprint atom of {!write} for [Rule.make ~fp]; reads are untracked and
-    need no atom. *)
-val fp_write : 'a t -> Conflict.atom

@@ -3,7 +3,6 @@ type 'a t = {
   mutable v : 'a;
   nm : string;
   sg : Wakeup.signal;
-  mutable prim : Conflict.prim;
 }
 
 (* Atomic so concurrent machine builds (farm workers) still get unique
@@ -36,10 +35,7 @@ let create ?name ?(inject = true) init =
     | Some n -> n
     | None -> Printf.sprintf "ehr#%d" (Atomic.fetch_and_add counter 1 + 1)
   in
-  let prim = Conflict.fresh_prim nm in
-  let cell = Kernel.make_cell nm in
-  Kernel.set_cell_prim cell prim.Conflict.pid;
-  let t = { cell; v = init; nm; sg = Wakeup.make (); prim } in
+  let t = { cell = Kernel.make_cell nm; v = init; nm; sg = Wakeup.make () } in
   Inject.register ~name:nm ~width:inject_width
     (if inject then flip_immediate t else fun _ -> false);
   State.register
@@ -81,17 +77,3 @@ let poke t v =
 
 let name t = t.nm
 let signal t = t.sg
-let prim t = t.prim
-
-(* Compound primitives (FIFOs, stages) fold their internal EHRs into one
-   conflict-analysis identity: the wrapper's footprint helpers then speak
-   for all of them, and the compile audit attributes accesses correctly. *)
-let adopt t (prim : Conflict.prim) =
-  t.prim <- prim;
-  Kernel.set_cell_prim t.cell prim.Conflict.pid
-
-let fp t ~label accs =
-  Conflict.atom ~prim:t.prim ~label (List.map (fun (w, p) -> (w, 0, p)) accs)
-
-let fp_read t p = fp t ~label:(Printf.sprintf "r%d" p) [ (false, p) ]
-let fp_write t p = fp t ~label:(Printf.sprintf "w%d" p) [ (true, p) ]

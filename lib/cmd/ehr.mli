@@ -34,22 +34,3 @@ val name : 'a t -> string
     that physically changes the value (and on fault-injection flips). Rules
     whose [can_fire] reads this EHR through {!peek} may watch it. *)
 val signal : 'a t -> Wakeup.signal
-
-(** {2 Conflict footprints}
-
-    Every EHR is born its own {!Conflict.prim}; compound primitives built
-    from EHRs (FIFOs, pipeline stages) {!adopt} their internals into one
-    identity so their own footprint helpers speak for all internal cells. *)
-
-val prim : 'a t -> Conflict.prim
-
-val adopt : 'a t -> Conflict.prim -> unit
-
-(** [fp t ~label accs] is a footprint atom for a method performing the
-    [(write?, port)] accesses on this EHR. *)
-val fp : 'a t -> label:string -> (bool * int) list -> Conflict.atom
-
-(** Single-access atoms for a direct port read / write. *)
-val fp_read : 'a t -> int -> Conflict.atom
-
-val fp_write : 'a t -> int -> Conflict.atom

@@ -10,15 +10,6 @@ type 'a t = {
      queues are the only legal cross-partition boundary). *)
   tk_enq : Partition.token;
   tk_deq : Partition.token;
-  (* Conflict-analysis identity plus per-method footprint atoms; variant
-     specific (the port scheme differs), built by the constructor. *)
-  prim : Conflict.prim;
-  a_enq : Conflict.atom;
-  a_deq : Conflict.atom;
-  a_first : Conflict.atom;
-  a_can_enq : Conflict.atom;
-  a_can_deq : Conflict.atom;
-  a_clear : Conflict.atom;
   enq_f : Kernel.ctx -> 'a -> unit;
   deq_f : Kernel.ctx -> 'a;
   first_f : Kernel.ctx -> 'a;
@@ -26,6 +17,7 @@ type 'a t = {
   can_deq_f : Kernel.ctx -> bool;
   clear_f : Kernel.ctx -> unit;
   size_f : unit -> int;
+  room_f : unit -> bool;
   peek_first_f : unit -> 'a;
   list_f : unit -> 'a list;
 }
@@ -101,31 +93,12 @@ let ring ~nm ~cap ~dp ~ep =
     Wakeup.touch sg
   in
   let size_f () = Ehr.peek count in
+  let room_f () = Ehr.peek count < cap in
   let peek_first_f () = get_slot nm (Ehr.peek slots.(Ehr.peek head)) in
   let list_f () = ring_list slots (Ehr.peek head) (Ehr.peek count) cap in
   let tk = Partition.mk_token nm in
-  (* One conflict primitive for the whole ring; abstract cells 0=count,
-     1=head, 2=tail, 3=slots (merged — distinct slot cells collapse to one,
-     which is conservative). Atoms mirror the accesses of each method. *)
-  let prim = Conflict.fresh_prim nm in
-  Array.iter (fun s -> Ehr.adopt s prim) slots;
-  Ehr.adopt count prim;
-  Ehr.adopt head prim;
-  Ehr.adopt tail prim;
-  let atom = Conflict.atom ~prim in
-  let a_enq =
-    atom ~label:"enq" [ (false, 0, ep); (false, 2, ep); (true, 3, ep); (true, 2, ep); (true, 0, ep) ]
-  in
-  let a_first = atom ~label:"first" [ (false, 0, dp); (false, 1, dp); (false, 3, dp) ] in
-  let a_deq =
-    atom ~label:"deq"
-      [ (false, 0, dp); (false, 1, dp); (false, 3, dp); (true, 3, dp); (true, 1, dp); (true, 0, dp) ]
-  in
-  let a_can_enq = atom ~label:"can_enq" [ (false, 0, ep) ] in
-  let a_can_deq = atom ~label:"can_deq" [ (false, 0, dp) ] in
-  let a_clear = atom ~label:"clear" [ (true, 0, 2); (true, 1, 2); (true, 2, 2); (true, 3, 2) ] in
-  { nm; cap; sg; tk_enq = tk; tk_deq = tk; prim; a_enq; a_deq; a_first; a_can_enq; a_can_deq;
-    a_clear; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; peek_first_f; list_f }
+  { nm; cap; sg; tk_enq = tk; tk_deq = tk; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f;
+    size_f; room_f; peek_first_f; list_f }
 
 let pipeline ?name ~capacity () =
   let nm = match name with Some n -> n | None -> "pfifo" in
@@ -218,6 +191,9 @@ let cf ?name clk ~capacity () =
     Wakeup.touch sg
   in
   let size_f () = Ehr.peek enq_total - Ehr.peek deq_total in
+  (* the enq guard's own comparison: a deq made earlier in this cycle does
+     not free a slot for the enq side until the snapshot advances *)
+  let room_f () = Ehr.peek enq_total - !deq_snap < cap in
   let peek_first_f () = get_slot nm (Ehr.peek slots.(Ehr.peek deq_total mod cap)) in
   let list_f () =
     let h = Ehr.peek deq_total and n = Ehr.peek enq_total - Ehr.peek deq_total in
@@ -225,29 +201,8 @@ let cf ?name clk ~capacity () =
   in
   let tk_enq = Partition.mk_token (nm ^ ".enq") in
   let tk_deq = Partition.mk_token (nm ^ ".deq") in
-  (* Abstract cells 0=enqTotal, 1=deqTotal, 2=slots. Same-side and
-     cross-side accesses use the dynamic ascending ports ([Conflict.dyn]):
-     any two compose in either order — the conflict-free design point —
-     while the static clear port sits above all of them, so everything is
-     admissible strictly before [clear] and nothing after it. Cross-side
-     slot accesses can only collide when a side's guard has already failed,
-     so the merged slot cell keeps the [dyn] composition sound. *)
-  let prim = Conflict.fresh_prim nm in
-  Array.iter (fun s -> Ehr.adopt s prim) slots;
-  Ehr.adopt enq_total prim;
-  Ehr.adopt deq_total prim;
-  let atom = Conflict.atom ~prim in
-  let dyn = Conflict.dyn in
-  let a_enq = atom ~label:"enq" [ (false, 0, dyn); (true, 2, dyn); (true, 0, dyn) ] in
-  let a_first = atom ~label:"first" [ (false, 1, dyn); (false, 2, dyn) ] in
-  let a_deq = atom ~label:"deq" [ (false, 1, dyn); (false, 2, dyn); (true, 2, dyn); (true, 1, dyn) ] in
-  let a_can_enq = atom ~label:"can_enq" [ (false, 0, dyn) ] in
-  let a_can_deq = atom ~label:"can_deq" [ (false, 1, dyn) ] in
-  let a_clear =
-    atom ~label:"clear" [ (true, 0, clear_port); (true, 1, clear_port); (true, 2, clear_port) ]
-  in
-  { nm; cap; sg; tk_enq; tk_deq; prim; a_enq; a_deq; a_first; a_can_enq; a_can_deq; a_clear;
-    enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; peek_first_f; list_f }
+  { nm; cap; sg; tk_enq; tk_deq; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f;
+    room_f; peek_first_f; list_f }
 
 let enq ctx t v = t.enq_f ctx v
 let deq ctx t = t.deq_f ctx
@@ -260,14 +215,7 @@ let name t = t.nm
 let signal t = t.sg
 let enq_token t = t.tk_enq
 let deq_token t = t.tk_deq
-let prim t = t.prim
-let fp_enq t = t.a_enq
-let fp_deq t = t.a_deq
-let fp_first t = t.a_first
-let fp_can_enq t = t.a_can_enq
-let fp_can_deq t = t.a_can_deq
-let fp_clear t = t.a_clear
 let peek_size t = t.size_f ()
 let peek_first t = t.peek_first_f ()
-let peek_can_enq t = t.size_f () < t.cap
+let peek_can_enq t = t.room_f ()
 let peek_list t = t.list_f ()

@@ -69,31 +69,17 @@ val enq_token : 'a t -> Partition.token
 
 val deq_token : 'a t -> Partition.token
 
-(** {2 Conflict footprints}
-
-    One {!Conflict.prim} per queue (both sides of a {!cf} queue included:
-    its methods are conflict-free by construction, which the atoms encode
-    via {!Conflict.dyn} ports). Pass the atoms of the methods a rule's body
-    may call to [Rule.make ~fp]. The [can_enq]/[can_deq] probes are tracked
-    reads and need their own atoms when called through a ctx. *)
-
-val prim : 'a t -> Conflict.prim
-
-val fp_enq : 'a t -> Conflict.atom
-val fp_deq : 'a t -> Conflict.atom
-val fp_first : 'a t -> Conflict.atom
-val fp_can_enq : 'a t -> Conflict.atom
-val fp_can_deq : 'a t -> Conflict.atom
-val fp_clear : 'a t -> Conflict.atom
-
 (** Untracked occupancy / contents, for statistics, tests and the ready
     tests of [Kernel.attempt_if]. [peek_size] counts every element
     currently held, including one a {!cf} queue's [deq] cannot see until
     the next cycle, so [peek_size q = 0] implies [first]/[deq] would fail. *)
 val peek_size : 'a t -> int
 
-(** [peek_can_enq q] is [peek_size q < capacity q]: when false, [enq]
-    would fail. *)
+(** [peek_can_enq q] is [enq]'s guard, read untracked: when false, [enq]
+    would fail; when true, the guard holds. For a {!pipeline} or {!bypass}
+    queue that is [peek_size q < capacity q]. A {!cf} queue's enq side
+    sees the deq side as it stood at the start of the cycle, so a deq made
+    earlier in the same cycle frees no slot until the next one. *)
 val peek_can_enq : 'a t -> bool
 
 (** [peek_first q] is the oldest element held, read untracked; call it only

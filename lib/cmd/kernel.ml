@@ -2,7 +2,6 @@ exception Guard_fail of string
 exception Retry of string
 exception Conflict_error of string
 exception Partition_overlap of string
-exception Compile_audit_fail of string
 exception Audit_fail of string
 
 (* A cell's bookkeeping lives in the cell; what a rule's abort must restore
@@ -22,7 +21,6 @@ type table = {
 
 and cell = {
   cell_name : string;
-  mutable prim : int; (* owning Conflict.prim pid; -1 until adopted *)
   (* Per-cycle access summary, lazily reset via the [stamp] generation. *)
   mutable max_r : int;  (* highest read port this cycle, -1 if none *)
   mutable max_w : int;  (* highest write port this cycle, -1 if none *)
@@ -98,16 +96,6 @@ type ctx = {
   mutable part : int;       (* partition currently executing on this ctx *)
   mutable stats_slot : int; (* shard index for Stats counters; -1 = direct *)
   mutable paudit : bool;    (* record per-partition cell touches *)
-  (* Compiled-schedule flag (Sim). [chk] gates the per-cell port
-     admissibility bookkeeping: the schedule compiler clears it for rules
-     whose every conflict pair is statically admissible, so no access of
-     theirs can raise or contribute to a [Retry]. *)
-  mutable chk : bool;
-  (* Compile-audit instrumentation (cold: stays 0/None in normal runs).
-     [retries] counts Retry raises; [fp_check] is called on every tracked
-     access with the touched cell. *)
-  mutable retries : int;
-  mutable fp_check : (cell -> write:bool -> unit) option;
   (* Ready audit (Sim's audit and no-fastpath modes): run the steps
      {!attempt_if}'s ready test turned away, and fail if one commits. *)
   mutable raudit : bool;
@@ -116,7 +104,6 @@ type ctx = {
 let make_cell name =
   {
     cell_name = name;
-    prim = -1;
     max_r = -1;
     max_w = -1;
     w_mask = 0;
@@ -149,9 +136,6 @@ let make_ctx ?(table = make_table ()) clk =
     part = 0;
     stats_slot = -1;
     paudit = false;
-    chk = true;
-    retries = 0;
-    fp_check = None;
     raudit = false;
   }
 
@@ -164,13 +148,6 @@ let stats_slot ctx = ctx.stats_slot
 let set_stats_slot ctx s = ctx.stats_slot <- s
 let set_partition_audit ctx b = ctx.paudit <- b
 
-let set_checked ctx b = ctx.chk <- b
-
-let cell_prim c = c.prim
-let cell_name c = c.cell_name
-let set_cell_prim c pid = c.prim <- pid
-let retries ctx = ctx.retries
-let set_fp_check ctx f = ctx.fp_check <- f
 let set_ready_audit ctx b = ctx.raudit <- b
 
 let overlap_fail ctx c all =
@@ -367,43 +344,32 @@ let refresh ctx c =
   end
 
 let retry ctx c kind port =
-  ctx.retries <- ctx.retries + 1;
   raise
     (Retry
        (Printf.sprintf "rule %s: %s port %d of %s inadmissible after this cycle's accesses (max_r=%d max_w=%d)"
           ctx.rule kind port c.cell_name c.max_r c.max_w))
 
-(* When [chk] is off (rule statically proven conflict-admissible), an access
-   is a plain read/write: no summary refresh, no admissibility test, no
-   bookkeeping undo. The summaries other rules consult stay consistent
-   because any pair that could ever retry has both endpoints checked. *)
 let record_read ctx c port =
-  if ctx.chk then begin
-    refresh ctx c;
-    if ctx.paudit then audit_touch ctx c ~write:false;
-    (match ctx.fp_check with Some f -> f c ~write:false | None -> ());
-    (* read[port] may follow write[j] only when j < port *)
-    if c.max_w >= port then retry ctx c "read" port;
-    ctx.accesses <- ctx.accesses + 1;
-    if port > c.max_r then begin
-      log_port ctx c;
-      c.max_r <- port
-    end
+  refresh ctx c;
+  if ctx.paudit then audit_touch ctx c ~write:false;
+  (* read[port] may follow write[j] only when j < port *)
+  if c.max_w >= port then retry ctx c "read" port;
+  ctx.accesses <- ctx.accesses + 1;
+  if port > c.max_r then begin
+    log_port ctx c;
+    c.max_r <- port
   end
 
 let record_write ctx c port =
-  if ctx.chk then begin
-    refresh ctx c;
-    if ctx.paudit then audit_touch ctx c ~write:true;
-    (match ctx.fp_check with Some f -> f c ~write:true | None -> ());
-    (* write[port] may follow read[j] when j <= port, write[j] when j < port *)
-    if c.max_r > port || c.max_w >= port || c.w_mask land (1 lsl port) <> 0 then
-      retry ctx c "write" port;
-    ctx.accesses <- ctx.accesses + 1;
-    log_port ctx c;
-    c.max_w <- port;
-    c.w_mask <- c.w_mask lor (1 lsl port)
-  end
+  refresh ctx c;
+  if ctx.paudit then audit_touch ctx c ~write:true;
+  (* write[port] may follow read[j] when j <= port, write[j] when j < port *)
+  if c.max_r > port || c.max_w >= port || c.w_mask land (1 lsl port) <> 0 then
+    retry ctx c "write" port;
+  ctx.accesses <- ctx.accesses + 1;
+  log_port ctx c;
+  c.max_w <- port;
+  c.w_mask <- c.w_mask lor (1 lsl port)
 
 (* No rule-name prefix: guards abort on the hot path (every non-firing
    attempted rule pays one), and the two string concatenations per failure

@@ -42,12 +42,6 @@ exception Conflict_error of string
     order-independent and is not reported. *)
 exception Partition_overlap of string
 
-(** Raised by the compile audit ([Sim.create ~compile_audit:true]) when a
-    rule's declared footprint is contradicted by an actual
-    access — the dynamic discharge of the schedule compiler's proof
-    obligations. *)
-exception Compile_audit_fail of string
-
 (** Raised by the scheduler audit ([Sim.create ~audit:true]) when a rule or
     one of its steps claimed it could not fire and then committed an
     effect. [Sim.Audit_fail] is the same exception. *)
@@ -104,34 +98,6 @@ val set_stats_slot : ctx -> int -> unit
     Audit masks are deliberately not rolled back on abort — even an aborted
     access read the cell concurrently. *)
 val set_partition_audit : ctx -> bool -> unit
-
-(** {2 Compiled-schedule support (used by [Sim])}
-
-    The schedule compiler proves, per rule, that the per-cell admissibility
-    bookkeeping is unnecessary, and runs the rule's body with [checked]
-    cleared. It defaults to [true]; the undo trail is kept either way, so
-    guard aborts still roll back. *)
-
-val set_checked : ctx -> bool -> unit
-
-(** Owning [Conflict.prim] pid of a cell; [-1] until adopted by a primitive
-    wrapper (EHR, FIFO, …). Used by the compile audit to map accesses back
-    to declared footprints. *)
-val cell_prim : cell -> int
-
-val set_cell_prim : cell -> int -> unit
-
-(** Diagnostic name of a cell. *)
-val cell_name : cell -> string
-
-(** Number of {!Retry} raises observed on this context (monotonic; the
-    compile audit diffs it around each rule attempt). *)
-val retries : ctx -> int
-
-(** Install a hook called on every tracked access with the touched cell
-    ([write] says in which direction); the compile audit uses it to verify
-    footprint coverage. [None] (the default) costs one load per access. *)
-val set_fp_check : ctx -> (cell -> write:bool -> unit) option -> unit
 
 (** Turn the ready-test audit of {!attempt_if} on or off (default off). The
     scheduler turns it on under [Sim.create ~audit:true] and

@@ -6,5 +6,3 @@ let write ctx t v = Ehr.write ctx t 0 v
 let modify ctx t f = write ctx t (f (read ctx t))
 let peek = Ehr.peek
 let poke = Ehr.poke
-let fp_read t = Ehr.fp_read t 0
-let fp_write t = Ehr.fp_write t 0

@@ -15,8 +15,3 @@ val modify : Kernel.ctx -> 'a t -> ('a -> 'a) -> unit
 
 val peek : 'a t -> 'a
 val poke : 'a t -> 'a -> unit
-
-(** Footprint atoms for [Rule.make ~fp]: [read < write], [write C write]. *)
-val fp_read : 'a t -> Conflict.atom
-
-val fp_write : 'a t -> Conflict.atom

@@ -6,7 +6,6 @@ type t = {
   vacuous : bool;
   part : int;
   touches : Partition.token array;
-  fp : Conflict.atom list option;
   mutable fired : int;
   mutable guard_failed : int;
   mutable conflicted : int;
@@ -16,7 +15,7 @@ type t = {
   mutable rid : int;
 }
 
-let make ?can_fire ?(watches = []) ?(touches = []) ?fp ?(vacuous = false) name body =
+let make ?can_fire ?(watches = []) ?(touches = []) ?(vacuous = false) name body =
   {
     name;
     body;
@@ -25,7 +24,6 @@ let make ?can_fire ?(watches = []) ?(touches = []) ?fp ?(vacuous = false) name b
     vacuous;
     part = Partition.ambient ();
     touches = Array.of_list touches;
-    fp;
     fired = 0;
     guard_failed = 0;
     conflicted = 0;

@@ -49,10 +49,6 @@ type t = {
   vacuous : bool;  (** an abort or a skip counts as a (vacuous) fire *)
   part : int;  (** partition, captured from [Partition.ambient] at [make] *)
   touches : Partition.token array;  (** declared boundary primitives *)
-  fp : Conflict.atom list option;
-      (** conflict footprint: every tracked primitive method the body may
-          call, as [Conflict.atom]s; [None] = opaque (conflicts with
-          everything, disables schedule compilation for the whole design) *)
   mutable fired : int;  (** cycles in which the rule fired *)
   mutable guard_failed : int;  (** attempts aborted by a guard *)
   mutable conflicted : int;  (** attempts aborted by an intra-cycle conflict *)
@@ -69,7 +65,6 @@ val make :
   ?can_fire:(unit -> bool) ->
   ?watches:Wakeup.signal list ->
   ?touches:Partition.token list ->
-  ?fp:Conflict.atom list ->
   ?vacuous:bool ->
   string ->
   (Kernel.ctx -> unit) ->

@@ -196,10 +196,6 @@ type t = {
   mutable n_cycles : int;
   mutable fires : int;
   mutable rr : int; (* rotating start offset for One_per_cycle fairness *)
-  compiled : bool; (* some runner skips port bookkeeping *)
-  cstats : int * int; (* rules unchecked / interpreted *)
-  cwhy : string; (* one-line compile status for reports *)
-  creport : string; (* tier table + conflict-matrix dump *)
   (* observability (verification layer): a ring buffer of which rules fired
      each cycle, monitors that watch liveness, and post-cycle checks *)
   mutable history : (int * string list) array; (* (cycle, fired rule names) *)
@@ -271,118 +267,6 @@ let refill_orders fill (src : Rule.t array) (dst : Rule.t array array) =
     fill.(pid) <- k + 1
   done
 
-(* ---------------------------------------------------------------------- *)
-(* Schedule compilation                                                   *)
-(*                                                                        *)
-(* At elaboration, derive the pairwise conflict matrix from the rules'    *)
-(* declared footprints and classify every rule:                           *)
-(*                                                                        *)
-(*   unchecked — conflict-admissible: port bookkeeping off, undo log on   *)
-(*               (guard aborts still roll back);                          *)
-(*   interp    — everything else runs the fully checked path.             *)
-(*                                                                       *)
-(* "Conflict-admissible" means: the rule's own atoms admit an execution   *)
-(* order, and every pair it forms with another rule is admissible in the  *)
-(* schedule's order (canonical order under Multi; both orders — i.e. CF — *)
-(* under Shuffle). Any pair that could ever [Retry] keeps BOTH endpoints  *)
-(* checked, so the per-cell summaries that checked rules consult remain   *)
-(* consistent even though unchecked rules stop contributing to them.      *)
-(* A single rule without a footprint disables compilation for the whole   *)
-(* design: an opaque body may touch any primitive.                        *)
-(* ---------------------------------------------------------------------- *)
-
-type analysis = {
-  an_chk_free : bool array;
-  an_reasons : string array; (* why a rule stays interpreted; "" otherwise *)
-  an_rel : Conflict.order array array;
-  an_opaque : string option; (* first footprint-less rule, if any *)
-}
-
-let analyze_schedule ~shuffled (rules_arr : Rule.t array) =
-  let n = Array.length rules_arr in
-  let opaque = ref None in
-  Array.iter
-    (fun (r : Rule.t) -> if r.Rule.fp = None && !opaque = None then opaque := Some r.Rule.name)
-    rules_arr;
-  match !opaque with
-  | Some _ as o ->
-    {
-      an_chk_free = Array.make n false;
-      an_reasons = Array.make n "opaque footprint in design";
-      an_rel = [||];
-      an_opaque = o;
-    }
-  | None ->
-    let fp = Array.map (fun (r : Rule.t) -> Option.get r.Rule.fp) rules_arr in
-    let relm = Array.make_matrix n n Conflict.Cf in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let r = Conflict.rel fp.(i) fp.(j) in
-        relm.(i).(j) <- r;
-        relm.(j).(i) <- Conflict.flip r
-      done
-    done;
-    let chk_free = Array.make n true in
-    let reasons = Array.make n "" in
-    for i = 0 to n - 1 do
-      (match Conflict.self_compatible fp.(i) with
-      | Some (a, b) ->
-        chk_free.(i) <- false;
-        reasons.(i) <-
-          Printf.sprintf "own atoms %s and %s conflict" (Conflict.atom_name a)
-            (Conflict.atom_name b)
-      | None -> ());
-      let j = ref 0 in
-      while chk_free.(i) && !j < n do
-        if !j <> i then begin
-          let ok =
-            if shuffled then relm.(i).(!j) = Conflict.Cf
-            else if i < !j then Conflict.allows_before relm.(i).(!j)
-            else Conflict.allows_before relm.(!j).(i)
-          in
-          if not ok then begin
-            chk_free.(i) <- false;
-            reasons.(i) <-
-              Printf.sprintf "%s %s in schedule order vs %s"
-                (Conflict.to_string relm.(i).(!j))
-                (if shuffled then "(needs CF under Shuffle)" else "inadmissible")
-                rules_arr.(!j).Rule.name
-          end
-        end;
-        incr j
-      done
-    done;
-    { an_chk_free = chk_free; an_reasons = reasons; an_rel = relm; an_opaque = None }
-
-let render_compile_report (rules_arr : Rule.t array) an ~tier =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "rule tiers (U = unchecked, I = interpreted):\n";
-  Array.iteri
-    (fun i (r : Rule.t) ->
-      Buffer.add_string b
-        (Printf.sprintf "  %c %-28s%s\n" (tier i)
-           r.Rule.name
-           (if an.an_reasons.(i) = "" then "" else "  [" ^ an.an_reasons.(i) ^ "]")))
-    rules_arr;
-  if an.an_rel <> [||] then begin
-    let n = Array.length rules_arr in
-    Buffer.add_string b "\nconflict matrix (row rel column, schedule order = listing order):\n";
-    Buffer.add_string b "      ";
-    for j = 0 to n - 1 do
-      Buffer.add_string b (Printf.sprintf "%3d" j)
-    done;
-    Buffer.add_char b '\n';
-    for i = 0 to n - 1 do
-      Buffer.add_string b (Printf.sprintf "  %3d " i);
-      for j = 0 to n - 1 do
-        Buffer.add_string b
-          (Printf.sprintf "%3s" (if i = j then "." else Conflict.to_string an.an_rel.(i).(j)))
-      done;
-      Buffer.add_string b (Printf.sprintf "  %s\n" rules_arr.(i).Rule.name)
-    done
-  end;
-  Buffer.contents b
-
 (* Fast-path decision: should [r] be skipped without an attempt this cycle?
    Only rules carrying a [can_fire] predicate are ever skipped. A skippable
    rule with a (non-empty) watch set parks: while parked, the per-cycle cost
@@ -412,78 +296,21 @@ let should_skip (r : Rule.t) =
       true
     end
 
-(* Per-rule footprint-coverage hook for the compile audit: every tracked
-   access must fall on a primitive the rule declared, in the declared
-   direction. *)
-let mk_fp_hook (r : Rule.t) =
-  match r.Rule.fp with
-  | None -> None
-  | Some atoms ->
-    let allowed : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (a : Conflict.atom) ->
-        List.iter
-          (fun (acc : Conflict.acc) ->
-            let bit = if acc.Conflict.awrite then 2 else 1 in
-            let prev = Option.value (Hashtbl.find_opt allowed a.Conflict.ap.Conflict.pid) ~default:0 in
-            Hashtbl.replace allowed a.Conflict.ap.Conflict.pid (prev lor bit))
-          a.Conflict.accs)
-      atoms;
-    Some
-      (fun c ~write ->
-        let pid = Kernel.cell_prim c in
-        if pid < 0 then
-          raise
-            (Kernel.Compile_audit_fail
-               (Printf.sprintf "rule %s: cell %s has no owning primitive" r.Rule.name
-                  (Kernel.cell_name c)));
-        let need = if write then 2 else 1 in
-        let have = Option.value (Hashtbl.find_opt allowed pid) ~default:0 in
-        if have land need = 0 then
-          raise
-            (Kernel.Compile_audit_fail
-               (Printf.sprintf
-                  "rule %s: undeclared %s of cell %s (prim #%d) — footprint is under-declared"
-                  r.Rule.name
-                  (if write then "write" else "read")
-                  (Kernel.cell_name c) pid)))
-
 (* The slow oracles, as a wrapper around a rule's body. The partition audit
    tags the context with the rule's partition. The scheduler audit checks
    the one-sided can_fire contract: [false] must imply the body cannot
-   commit anything this cycle. The compile audit ([caudit] = this rule's
-   footprint-coverage hook and whether the analysis classified it
-   conflict-admissible) fails a classified rule that raises Retry, even one
-   swallowed by an inner [attempt]. *)
-let audited_body t (r : Rule.t) ~audit ~paudit ~caudit ctx =
+   commit anything this cycle. *)
+let audited_body t (r : Rule.t) ~audit ~paudit ctx =
   if paudit then Kernel.set_partition ctx r.Rule.part;
   let claimed = (not audit) || match r.Rule.can_fire with None -> true | Some p -> p () in
-  let rbase = Kernel.retries ctx in
-  Option.iter (fun (hook, _) -> Kernel.set_fp_check ctx hook) caudit;
-  let retry_check () =
-    match caudit with
-    | Some (_, true) when Kernel.retries ctx > rbase ->
-      raise
-        (Kernel.Compile_audit_fail
-           (Printf.sprintf
-              "rule %s was classified conflict-admissible but raised Retry (cycle %d); its footprint or the conflict analysis is wrong"
-              r.Rule.name t.n_cycles))
-    | _ -> ()
-  in
-  match r.Rule.body ctx with
-  | () ->
-    retry_check ();
-    if (not claimed) && ((not r.Rule.vacuous) || Kernel.undo_depth ctx > 0) then begin
-      Kernel.rollback ctx;
-      raise
-        (Audit_fail
-           (Printf.sprintf "rule %s: can_fire returned false but the rule fired (cycle %d)"
-              r.Rule.name t.n_cycles))
-    end
-  | exception ((Kernel.Guard_fail _ | Kernel.Retry _) as e) ->
+  r.Rule.body ctx;
+  if (not claimed) && ((not r.Rule.vacuous) || Kernel.undo_depth ctx > 0) then begin
     Kernel.rollback ctx;
-    retry_check ();
-    raise e
+    raise
+      (Audit_fail
+         (Printf.sprintf "rule %s: can_fire returned false but the rule fired (cycle %d)"
+            r.Rule.name t.n_cycles))
+  end
 
 let note_fire t (r : Rule.t) fired =
   r.Rule.fired <- r.Rule.fired + 1;
@@ -495,14 +322,12 @@ let note_fire t (r : Rule.t) fired =
    for the outcome, taking and returning the group's fires so far this
    cycle (threaded through the loop rather than stored, so partitions on
    different domains write no shared counter per fire). Built once per rule
-   at elaboration, with its tier fixed: [skip] consults the fast path,
-   [chk] keeps the port bookkeeping (off only for compiled rules the
-   analysis proved conflict-admissible), and [body] is the rule's body or
-   its audited wrapper. A [vacuous] rule that aborts, on a guard or a
+   at elaboration: [skip] consults the fast path, and [body] is the rule's
+   body or its audited wrapper. A [vacuous] rule that aborts, on a guard or a
    conflict, rolls back and counts as a vacuous fire: exactly what wrapping
    its body in [Kernel.attempt] would produce, without the second
    transaction. *)
-let mk_runner t ctx (r : Rule.t) ~skip ~chk body =
+let mk_runner t ctx (r : Rule.t) ~skip body =
   fun fired ->
     if skip && should_skip r then begin
       (* Account the pruned attempt exactly as the seed scheduler would
@@ -519,7 +344,6 @@ let mk_runner t ctx (r : Rule.t) ~skip ~chk body =
     end
     else begin
       Kernel.set_rule_name ctx r.Rule.name;
-      Kernel.set_checked ctx chk;
       match body ctx with
       | () ->
         Kernel.reset_ctx ctx;
@@ -546,8 +370,7 @@ let mk_runner t ctx (r : Rule.t) ~skip ~chk body =
     end
 
 let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
-    ?(partition_audit = false) ?(compile = true) ?(compile_audit = false) ?(grouped = false) ?stats
-    clk rules =
+    ?(partition_audit = false) ?(grouped = false) ?stats clk rules =
   if jobs < 1 then invalid_arg "Sim.create: jobs must be >= 1";
   let rng = match mode with Shuffle seed -> Some (Random.State.make [| seed |]) | Multi | One_per_cycle -> None in
   let max_part = List.fold_left (fun m (r : Rule.t) -> max m r.Rule.part) 0 rules in
@@ -559,7 +382,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
      deliberately execute serially so their diagnostics are exact. *)
   let par =
     (jobs > 1 || grouped) && max_part > 0 && mode <> One_per_cycle && (not audit)
-    && (not partition_audit) && not compile_audit
+    && not partition_audit
   in
   let counts = Array.make (max_part + 1) 0 in
   List.iter (fun (r : Rule.t) -> counts.(r.Rule.part) <- counts.(r.Rule.part) + 1) rules;
@@ -600,43 +423,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
   in
   let fill = Array.make (max_part + 1) 0 in
   if par then refill_orders fill order porders;
-  (* Schedule compilation. Eligible only for the serial fast path: the
-     audit modes deliberately run fully checked, One_per_cycle commits at
-     most one rule per cycle, and partitioned runs would need a
-     partition-local analysis. The compile audit performs the same
-     analysis but keeps every rule checked, to verify the declarations the
-     compiled path would trust. *)
-  let shuffled = match mode with Shuffle _ -> true | Multi | One_per_cycle -> false in
-  let compilable =
-    compile && (not par) && fastpath && (not audit) && (not partition_audit)
-    && (not compile_audit)
-    && mode <> One_per_cycle
-    && rules <> []
-  in
   let n = Array.length rules_arr in
-  let an =
-    if compilable || compile_audit then Some (analyze_schedule ~shuffled rules_arr) else None
-  in
-  let chk_free = match an with Some an -> an.an_chk_free | None -> Array.make n false in
-  let nfree = Array.fold_left (fun c b -> if b then c + 1 else c) 0 chk_free in
-  let compiled = compilable && nfree > 0 in
-  let cwhy =
-    match an with
-    | Some _ when compile_audit -> "compile-audit: interpreted run verifying footprints"
-    | Some { an_opaque = Some nm; _ } ->
-      Printf.sprintf "interpreted: rule %s has no declared footprint" nm
-    | Some _ ->
-      Printf.sprintf "compiled: %d/%d rules run unchecked, %d interpreted" nfree n (n - nfree)
-    | None ->
-      if not compile then "interpreted: compilation disabled"
-      else if par && jobs > 1 then "interpreted: parallel partitions active (jobs > 1)"
-      else if par then "interpreted: partition groups run inline (grouped)"
-      else if not fastpath then "interpreted: fast path disabled"
-      else if audit then "interpreted: audit mode"
-      else if partition_audit then "interpreted: partition-audit mode"
-      else if mode = One_per_cycle then "interpreted: One_per_cycle mode"
-      else "interpreted: empty rule set"
-  in
   let t =
     {
       clk;
@@ -658,14 +445,6 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
       n_cycles = 0;
       fires = 0;
       rr = 0;
-      compiled;
-      cstats = (match an with Some _ -> (nfree, n - nfree) | None -> (0, 0));
-      cwhy;
-      creport =
-        (match an with
-        | Some an ->
-          render_compile_report rules_arr an ~tier:(fun i -> if chk_free.(i) then 'U' else 'I')
-        | None -> "");
       history = [||];
       history_depth = 0;
       monitors_rev = [];
@@ -683,20 +462,15 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
   Array.iter (fun g -> Kernel.set_ready_audit g.gctx ready_audit) t.parts;
   let ctx_of = Array.make (max_part + 1) uncore.gctx in
   Array.iter (fun g -> ctx_of.(g.pid) <- g.gctx) parts;
-  let oracle = audit || partition_audit || compile_audit in
+  let oracle = audit || partition_audit in
   t.runners <-
     Array.map
       (fun (r : Rule.t) ->
         let body =
           if not oracle then r.Rule.body
-          else
-            audited_body t r ~audit ~paudit:partition_audit
-              ~caudit:
-                (if compile_audit then Some (mk_fp_hook r, chk_free.(r.Rule.rid)) else None)
+          else audited_body t r ~audit ~paudit:partition_audit
         in
-        mk_runner t ctx_of.(r.Rule.part) r ~skip:(fastpath && not audit)
-          ~chk:(not (compiled && chk_free.(r.Rule.rid)))
-          body)
+        mk_runner t ctx_of.(r.Rule.part) r ~skip:(fastpath && not audit) body)
       rules_arr;
   State.register ~name:"sim.sched"
     ~save:(fun () ->
@@ -861,12 +635,9 @@ let run_cycle t g fired =
 (* Step 1 for one partition; traps its exception for the barrier. *)
 let run_part t g = match run_cycle t g 0 with n -> g.gfired <- n | exception e -> g.exn <- Some e
 
-(* Step 3: close a cycle that fired [fired] rules. The checked flag is
-   restored first so any code sharing [t.ctx] (monitors, snapshot glue)
-   sees a fully checked context. *)
+(* Step 3: close a cycle that fired [fired] rules. *)
 let close_cycle t fired =
   let cyc = t.n_cycles in
-  Kernel.set_checked t.ctx true;
   Clock.tick t.clk;
   (match t.stats with Some s -> Stats.merge s | None -> ());
   if t.history_depth > 0 then begin
@@ -930,11 +701,6 @@ let cycle_one t =
   close_cycle t !fired
 
 let cycle t = match t.mode with One_per_cycle -> cycle_one t | Multi | Shuffle _ -> cycle_multi t
-
-let compiled t = t.compiled
-let compile_status t = t.cwhy
-let compile_report t = t.creport
-let compile_stats t = t.cstats
 
 let run t n =
   for _ = 1 to n do

@@ -120,39 +120,19 @@ type t
     runs the same per-rule runners until one fires, then closes the cycle
     like any other.
 
-    {2 Schedule compilation}
+    {2 One checked engine}
 
-    With [compile] (the default), elaboration derives the pairwise conflict
-    matrix from the rules' declared footprints ([Rule.make ~fp]) plus the
-    EHR/FIFO port orderings, and fixes the tier of every rule's runner in a
-    serial fast-path schedule:
-
-    - {e unchecked} — every conflict pair the rule forms is statically
-      admissible in the schedule order: port-admissibility bookkeeping
-      off, undo log kept (guard aborts still roll back);
-    - {e interpreted} — everything else runs fully checked, in the same
-      loop.
-
-    A single rule without a footprint keeps the whole design interpreted
-    (an opaque body may touch anything). Compilation never changes results:
-    fire counts, history, traces and architectural state are bit-identical
-    with [compile] on or off. It applies only to serial ([jobs = 1] or no
-    partitions) fast-path runs in [Multi]/[Shuffle] modes; under [Shuffle]
-    a pair must be conflict-free both ways to count as admissible.
-
-    [~compile_audit:true] runs interpreted but dynamically discharges the
-    compiler's proof obligations: every tracked access must fall on a
-    declared (primitive, direction), and a [Retry] in a rule classified
-    admissible raises [Kernel.Compile_audit_fail] ([--compile-audit] in
-    the driver). *)
+    Every rule, in every mode, runs fully checked: each EHR port access
+    goes through the kernel's admissibility test and the port log, so the
+    paper's conflict matrix (Sec. IV-B) is enforced dynamically for the
+    whole design, and a conflict aborts only the rule that made it
+    ([Kernel.Retry], counted in [Rule.conflicted]). *)
 val create :
   ?mode:mode ->
   ?fastpath:bool ->
   ?audit:bool ->
   ?jobs:int ->
   ?partition_audit:bool ->
-  ?compile:bool ->
-  ?compile_audit:bool ->
   ?grouped:bool ->
   ?stats:Stats.t ->
   Clock.t ->
@@ -219,24 +199,6 @@ val run_until :
 val cycles : t -> int
 val total_fires : t -> int
 val rules : t -> Rule.t list
-
-(** {2 Schedule-compilation introspection} *)
-
-(** Whether this scheduler runs the compiled per-rule step closures. *)
-val compiled : t -> bool
-
-(** One-line outcome of the compilation phase: what was compiled, or why
-    the schedule stays interpreted. *)
-val compile_status : t -> string
-
-(** Tier table plus the full pairwise conflict-matrix dump (empty when no
-    analysis ran — e.g. [~compile:false] with no audit). The driver prints
-    this under [--compile-audit]; CI archives it when bit-identity fails. *)
-val compile_report : t -> string
-
-(** [(unchecked, interpreted)] rule counts from the analysis; [(0, 0)]
-    when no analysis ran. *)
-val compile_stats : t -> int * int
 
 (** {2 Observability (verification layer)} *)
 

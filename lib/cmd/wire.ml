@@ -15,5 +15,3 @@ let get_exn ctx t =
 
 let peek = Ehr.peek
 let signal = Ehr.signal
-let fp_set t = Ehr.fp_write t 0
-let fp_get t = Ehr.fp_read t 1

@@ -25,8 +25,3 @@ val peek : 'a t -> 'a option
 (** The underlying EHR's wakeup signal (touched on [set] and on the
     cycle-boundary drain of a non-empty wire). *)
 val signal : 'a t -> Wakeup.signal
-
-(** Footprint atoms for [Rule.make ~fp]: [set < get], [set C set]. *)
-val fp_set : 'a t -> Conflict.atom
-
-val fp_get : 'a t -> Conflict.atom

@@ -384,13 +384,11 @@ let rules t =
   [
     Rule.make (t.name ^ ".loadResp")
       ~can_fire:(fun () -> Mem.L1_dcache.resp_ld_ready t.dc)
-      ~watches:[ Mem.L1_dcache.resp_ld_signal t.dc ]
-      ~fp:(Mem.L1_dcache.fp_resp_ld t.dc) ~vacuous:true
+      ~watches:[ Mem.L1_dcache.resp_ld_signal t.dc ] ~vacuous:true
       (fun ctx -> step_load_resp ctx t);
     Rule.make (t.name ^ ".storeResp")
       ~can_fire:(fun () -> Mem.L1_dcache.resp_st_ready t.dc)
-      ~watches:[ Mem.L1_dcache.resp_st_signal t.dc ]
-      ~fp:(Mem.L1_dcache.fp_resp_st t.dc) ~vacuous:true
+      ~watches:[ Mem.L1_dcache.resp_st_signal t.dc ] ~vacuous:true
       (fun ctx -> step_store_resp ctx t);
     (* [xst] and [halted_f] are mutated only by this rule itself, so while
        parked (necessarily [XIdle] with [f2x] empty) the predicate can only
@@ -398,10 +396,6 @@ let rules t =
     Rule.make (t.name ^ ".execute")
       ~can_fire:(fun () -> (not t.halted_f) && (t.xst <> XIdle || Fifo.peek_size t.f2x > 0))
       ~watches:[ Fifo.signal t.f2x ]
-      ~fp:
-        ([ Fifo.fp_first t.f2x; Fifo.fp_deq t.f2x; Fifo.fp_clear t.f2x ]
-        @ Tlb.Tlb_sys.fp_dtlb_req t.tlb @ Tlb.Tlb_sys.fp_dtlb_resp t.tlb
-        @ Mem.L1_dcache.fp_req t.dc @ Mem.L1_dcache.fp_resp_at t.dc)
       ~vacuous:true
       (fun ctx -> step_execute ctx t);
     (* fetch slots are mutated only by this rule; the other work sources
@@ -412,11 +406,6 @@ let rules t =
         || Tlb.Tlb_sys.itlb_resp_ready t.tlb
         || ((not t.halted_f) && not t.fslots.(t.next_fslot).fvalid))
       ~watches:[ Mem.L1_icache.resp_signal t.ic; Tlb.Tlb_sys.itlb_resp_signal t.tlb ]
-      ~fp:
-        (Mem.L1_icache.fp_resp t.ic
-        @ [ Fifo.fp_enq t.f2x ]
-        @ Tlb.Tlb_sys.fp_itlb_resp t.tlb
-        @ Mem.L1_icache.fp_req t.ic @ Tlb.Tlb_sys.fp_itlb_req t.tlb)
       ~vacuous:true
       (* three steps behind peek-only ready tests, as in the out-of-order
          core; the steps are built once, so a skip allocates nothing *)

@@ -54,9 +54,6 @@ let rules children ~banks ~bank_of =
      of every bank queue, mirroring the bank ticks'. *)
   let child_tks f = Array.to_list (Array.map f children) in
   let bank_tks f = Array.to_list (Array.map f banks) in
-  (* Footprints: pure movers touch only their source/destination queues. *)
-  let child_fps f = List.concat_map f (Array.to_list children) in
-  let bank_fps f = List.concat_map f (Array.to_list banks) in
   let up_resp =
     Rule.make "xbar.up.resp"
       ~can_fire:(fun () -> Array.exists (fun ep -> Fifo.peek_size ep.cresp > 0) children)
@@ -64,10 +61,6 @@ let rules children ~banks ~bank_of =
       ~touches:
         (child_tks (fun ep -> Fifo.deq_token ep.cresp)
         @ bank_tks (fun l2 -> Fifo.enq_token (L2_cache.cresp_in l2)))
-      ~fp:
-        (child_fps (fun ep -> [ Fifo.fp_first ep.cresp; Fifo.fp_deq ep.cresp ])
-        @ bank_fps (fun l2 ->
-              [ Fifo.fp_can_enq (L2_cache.cresp_in l2); Fifo.fp_enq (L2_cache.cresp_in l2) ]))
       ~vacuous:true
       (let srcs = Array.map (fun ep -> ep.cresp) children in
        let dst (r : Msg.cresp) = L2_cache.cresp_in banks.(bank_of r.Msg.line) in
@@ -81,10 +74,6 @@ let rules children ~banks ~bank_of =
       ~touches:
         (child_tks (fun ep -> Fifo.deq_token ep.creq)
         @ bank_tks (fun l2 -> Fifo.enq_token (L2_cache.creq_in l2)))
-      ~fp:
-        (child_fps (fun ep -> [ Fifo.fp_first ep.creq; Fifo.fp_deq ep.creq ])
-        @ bank_fps (fun l2 ->
-              [ Fifo.fp_can_enq (L2_cache.creq_in l2); Fifo.fp_enq (L2_cache.creq_in l2) ]))
       ~vacuous:true
       (let srcs = Array.map (fun ep -> ep.creq) children in
        let dst (r : Msg.creq) = L2_cache.creq_in banks.(bank_of r.Msg.line) in
@@ -100,10 +89,6 @@ let rules children ~banks ~bank_of =
       ~touches:
         (child_tks (fun ep -> Fifo.enq_token ep.presp)
         @ bank_tks (fun l2 -> Fifo.deq_token (L2_cache.presp_out l2)))
-      ~fp:
-        (bank_fps (fun l2 ->
-             [ Fifo.fp_first (L2_cache.presp_out l2); Fifo.fp_deq (L2_cache.presp_out l2) ])
-        @ child_fps (fun ep -> [ Fifo.fp_can_enq ep.presp; Fifo.fp_enq ep.presp ]))
       ~vacuous:true
       (* drain as many grants as the destinations accept this cycle *)
       (let srcs = Array.map L2_cache.presp_out banks in
@@ -119,10 +104,6 @@ let rules children ~banks ~bank_of =
       ~touches:
         (child_tks (fun ep -> Fifo.enq_token ep.preq)
         @ bank_tks (fun l2 -> Fifo.deq_token (L2_cache.preq_out l2)))
-      ~fp:
-        (bank_fps (fun l2 ->
-             [ Fifo.fp_first (L2_cache.preq_out l2); Fifo.fp_deq (L2_cache.preq_out l2) ])
-        @ child_fps (fun ep -> [ Fifo.fp_can_enq ep.preq; Fifo.fp_enq ep.preq ]))
       ~vacuous:true
       (let srcs = Array.map L2_cache.preq_out banks in
        let dst (c, _) = children.(c).preq in

@@ -51,8 +51,6 @@ let resp ctx t =
   let _, line, data = Fifo.deq ctx t.pending in
   (line, data)
 
-let fp_use t =
-  [ Fifo.fp_enq t.pending; Fifo.fp_first t.pending; Fifo.fp_deq t.pending; Fifo.fp_can_deq t.pending ]
 
 let tokens t = [ Fifo.enq_token t.pending; Fifo.deq_token t.pending ]
 

@@ -24,12 +24,6 @@ val resp : Cmd.Kernel.ctx -> t -> int64 * Bytes.t
 
 val can_resp : Cmd.Kernel.ctx -> t -> bool
 
-(** Footprint atoms ([Rule.make ~fp]) covering every tracked access the DRAM
-    model can make on behalf of a calling rule — [req_read], [can_resp] and
-    [resp] all go through the pending queue; [req_write] touches no tracked
-    cell. *)
-val fp_use : t -> Cmd.Conflict.atom list
-
 (** Partition tokens for both sides of the pending queue ([Rule.make
     ~touches]): the DRAM channel is private to the L2 bank that owns it. *)
 val tokens : t -> Cmd.Partition.token list

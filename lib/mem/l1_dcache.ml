@@ -400,32 +400,12 @@ let tick t =
       Fifo.deq_token t.presp_i;
     ]
   in
-  (* Tracked footprint: the core-side request/response queues plus the four
-     crossbar-side queues. Lines, MSHRs and the rotor are raw [Mut] state
-     private to this rule. *)
-  let fp =
-    [
-      Fifo.fp_first t.req_q;
-      Fifo.fp_deq t.req_q;
-      Fifo.fp_can_enq t.resp_ld_q;
-      Fifo.fp_enq t.resp_ld_q;
-      Fifo.fp_can_enq t.resp_st_q;
-      Fifo.fp_enq t.resp_st_q;
-      Fifo.fp_can_enq t.resp_at_q;
-      Fifo.fp_enq t.resp_at_q;
-      Fifo.fp_enq t.creq_o;
-      Fifo.fp_enq t.cresp_o;
-      Fifo.fp_first t.preq_i;
-      Fifo.fp_deq t.preq_i;
-      Fifo.fp_deq t.presp_i;
-    ]
-  in
   (* The steps, built once: a skipped step allocates no closure. A drain
      indexes the MSHR array when run, as a snapshot restore replaces the
      MSHRs. *)
   let presp ctx = step_presp ctx t and preq ctx = step_preq ctx t and req ctx = step_req ctx t in
   let drain = Array.init (Array.length t.mshrs) (fun i ctx -> step_drain ctx t t.mshrs.(i)) in
-  Rule.make ~can_fire ~watches ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches ~touches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
       ignore (Kernel.attempt_if ctx (Fifo.peek_size t.presp_i > 0) presp);
       for i = 0 to Array.length t.mshrs - 1 do
         ignore (Kernel.attempt_if ctx (drain_ready t t.mshrs.(i)) drain.(i))
@@ -447,12 +427,6 @@ let can_resp_st ctx t = Fifo.can_deq ctx t.resp_st_q
 let resp_at ctx t = Fifo.deq ctx t.resp_at_q
 let can_resp_at ctx t = Fifo.can_deq ctx t.resp_at_q
 
-(* footprint atoms for the core rules calling the methods above; [write_data]
-   mutates only raw line state and needs no atoms *)
-let fp_req t = [ Fifo.fp_can_enq t.req_q; Fifo.fp_enq t.req_q ]
-let fp_resp_ld t = [ Fifo.fp_can_deq t.resp_ld_q; Fifo.fp_deq t.resp_ld_q ]
-let fp_resp_st t = [ Fifo.fp_can_deq t.resp_st_q; Fifo.fp_deq t.resp_st_q ]
-let fp_resp_at t = [ Fifo.fp_can_deq t.resp_at_q; Fifo.fp_deq t.resp_at_q ]
 
 (* untracked response-availability probes + signals, for core-rule can_fire *)
 let resp_ld_ready t = Fifo.peek_size t.resp_ld_q > 0

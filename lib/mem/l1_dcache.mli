@@ -48,17 +48,6 @@ val can_resp_st : Cmd.Kernel.ctx -> t -> bool
 val resp_at : Cmd.Kernel.ctx -> t -> int * int64
 val can_resp_at : Cmd.Kernel.ctx -> t -> bool
 
-(** {2 Conflict footprints} ([Rule.make ~fp])
-
-    Each list covers the method and its [can_*] probe; [write_data] mutates
-    only raw line state and contributes no atoms. *)
-
-val fp_req : t -> Cmd.Conflict.atom list
-
-val fp_resp_ld : t -> Cmd.Conflict.atom list
-val fp_resp_st : t -> Cmd.Conflict.atom list
-val fp_resp_at : t -> Cmd.Conflict.atom list
-
 (** {2 Fast-path scheduler probes}
 
     Untracked response availability ([peek_size > 0]) and the matching

@@ -179,23 +179,9 @@ let tick t =
       Fifo.deq_token t.presp_i;
     ]
   in
-  (* Tracked footprint: the core-side queues plus the four crossbar-side
-     queues. Lines, the miss slot and the rotor are raw [Mut] state. *)
-  let fp =
-    [
-      Fifo.fp_first t.req_q;
-      Fifo.fp_deq t.req_q;
-      Fifo.fp_enq t.resp_q;
-      Fifo.fp_enq t.creq_o;
-      Fifo.fp_enq t.cresp_o;
-      Fifo.fp_first t.preq_i;
-      Fifo.fp_deq t.preq_i;
-      Fifo.fp_deq t.presp_i;
-    ]
-  in
   (* The steps, built once: a skipped step allocates no closure. *)
   let presp ctx = step_presp ctx t and preq ctx = step_preq ctx t and req ctx = step_req ctx t in
-  Rule.make ~can_fire ~watches ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches ~touches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
       ignore (Kernel.attempt_if ctx (Fifo.peek_size t.presp_i > 0) presp);
       ignore
         (Kernel.attempt_if ctx (Fifo.peek_size t.preq_i > 0 && Fifo.peek_can_enq t.cresp_o) preq);
@@ -206,8 +192,6 @@ let req ctx t ~tag pc = Fifo.enq ctx t.req_q (tag, pc)
 let can_req ctx t = Fifo.can_enq ctx t.req_q
 let resp ctx t = Fifo.deq ctx t.resp_q
 let can_resp ctx t = Fifo.can_deq ctx t.resp_q
-let fp_req t = [ Fifo.fp_can_enq t.req_q; Fifo.fp_enq t.req_q ]
-let fp_resp t = [ Fifo.fp_can_deq t.resp_q; Fifo.fp_deq t.resp_q ]
 let resp_ready t = Fifo.peek_size t.resp_q > 0
 let resp_tag t =
   let tag, _, _ = Fifo.peek_first t.resp_q in

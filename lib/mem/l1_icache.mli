@@ -30,11 +30,6 @@ val resp : Cmd.Kernel.ctx -> t -> int * int64 * int array
 
 val can_resp : Cmd.Kernel.ctx -> t -> bool
 
-(** Footprint atoms ([Rule.make ~fp]): {!fp_req} covers [can_req]/[req],
-    {!fp_resp} covers [can_resp]/[resp]. *)
-val fp_req : t -> Cmd.Conflict.atom list
-
-val fp_resp : t -> Cmd.Conflict.atom list
 
 (** Untracked response availability + its wakeup signal, for the fetch
     rule's [can_fire]. *)

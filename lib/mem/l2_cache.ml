@@ -559,33 +559,6 @@ let tick t =
     ]
     @ Dram.tokens t.dram
   in
-  (* Tracked footprint: the six boundary queues, the three delay queues and
-     the DRAM pending queue. Lines, MSHRs and the rotor are raw [Mut] state
-     (invisible to the conflict matrix) private to this rule. *)
-  let fp =
-    [
-      Fifo.fp_first t.creq_q;
-      Fifo.fp_deq t.creq_q;
-      Fifo.fp_deq t.cresp_q;
-      Fifo.fp_can_enq t.preq_o;
-      Fifo.fp_enq t.preq_o;
-      Fifo.fp_can_enq t.presp_o;
-      Fifo.fp_enq t.presp_o;
-      Fifo.fp_first t.walk_req_q;
-      Fifo.fp_deq t.walk_req_q;
-      Fifo.fp_enq t.walk_resp_q;
-      Fifo.fp_enq t.presp_delay;
-      Fifo.fp_first t.presp_delay;
-      Fifo.fp_deq t.presp_delay;
-      Fifo.fp_enq t.preq_delay;
-      Fifo.fp_first t.preq_delay;
-      Fifo.fp_deq t.preq_delay;
-      Fifo.fp_enq t.walk_delay;
-      Fifo.fp_first t.walk_delay;
-      Fifo.fp_deq t.walk_delay;
-    ]
-    @ Dram.fp_use t.dram
-  in
   (* The steps, built once: a skipped step allocates no closure. An MSHR
      step indexes the MSHR array when run, as a snapshot restore replaces
      the MSHRs. *)
@@ -595,7 +568,7 @@ let tick t =
   let cresp ctx = step_cresp ctx t and dram_resp ctx = step_dram_resp ctx t in
   let mshr = Array.init (Array.length t.mshrs) (fun i ctx -> step_mshr ctx t t.mshrs.(i)) in
   let creq ctx = step_creq ctx t and walk_req ctx = step_walk_req ctx t in
-  Rule.make ~can_fire ~watches ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches ~touches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
       drain_delay ctx t t.presp_delay t.presp_o presp_delay;
       drain_delay ctx t t.preq_delay t.preq_o preq_delay;
       drain_delay ctx t t.walk_delay t.walk_resp_q walk_delay;
@@ -618,8 +591,6 @@ let creq_in t = t.creq_q
 let cresp_in t = t.cresp_q
 let preq_out t = t.preq_o
 let presp_out t = t.presp_o
-let fp_walk_req t = [ Fifo.fp_can_enq t.walk_req_q; Fifo.fp_enq t.walk_req_q ]
-let fp_walk_resp t = [ Fifo.fp_can_deq t.walk_resp_q; Fifo.fp_deq t.walk_resp_q ]
 let walk_req ctx t ~tag addr = Fifo.enq ctx t.walk_req_q (tag, addr)
 let can_walk_req ctx t = Fifo.can_enq ctx t.walk_req_q
 let walk_resp ctx t = Fifo.deq ctx t.walk_resp_q

@@ -54,12 +54,6 @@ val can_walk_req : Cmd.Kernel.ctx -> t -> bool
 val walk_resp : Cmd.Kernel.ctx -> t -> int * int64
 val can_walk_resp : Cmd.Kernel.ctx -> t -> bool
 
-(** Footprint atoms ([Rule.make ~fp]) for rules calling the walker port:
-    {!fp_walk_req} covers [can_walk_req]/[walk_req], {!fp_walk_resp} covers
-    [can_walk_resp]/[walk_resp]. *)
-val fp_walk_req : t -> Cmd.Conflict.atom list
-
-val fp_walk_resp : t -> Cmd.Conflict.atom list
 
 (** Untracked walk-response availability + its wakeup signal, for the walk
     crossbar's [can_fire]. *)

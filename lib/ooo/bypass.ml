@@ -16,5 +16,3 @@ let get ctx t preg =
     None t
 
 (* [get] scans every wire, so a reading rule declares all of them *)
-let fp_set t i = Wire.fp_set t.(i)
-let fp_get_all t = Array.to_list (Array.map Wire.fp_get t)

@@ -13,9 +13,3 @@ val set : Cmd.Kernel.ctx -> t -> int -> int -> int64 -> unit
 (** Search all wires for [preg]'s value this cycle. *)
 val get : Cmd.Kernel.ctx -> t -> int -> int64 option
 
-(** Footprint atoms ([Rule.make ~fp]): {!fp_set} for the producing rule of
-    wire [i]; {!fp_get_all} for any rule that may call {!get} (the scan
-    reads every wire). *)
-val fp_set : t -> int -> Cmd.Conflict.atom
-
-val fp_get_all : t -> Cmd.Conflict.atom list

@@ -1084,7 +1084,7 @@ let step_resp_at ctx t =
    [can_fire] and [watches] follow the one-sided contract documented in
    {!Cmd.Rule}: the predicate may be conservatively true, but must never be
    false when the body could commit an effect. *)
-let mk ?can_fire ?watches ?fp name f = Rule.make ?can_fire ?watches ?fp ~vacuous:true name f
+let mk ?can_fire ?watches name f = Rule.make ?can_fire ?watches ~vacuous:true name f
 
 let rules ?(schedule = `Aggressive) t =
   Partition.scoped (t.hart_id + 1) @@ fun () ->
@@ -1102,30 +1102,14 @@ let rules ?(schedule = `Aggressive) t =
   (* predicate/watch helpers *)
   let stage s = (Some (fun () -> Stage.occupied s), Some [ Stage.signal s ]) in
   let fifo q = (Some (fun () -> Fifo.peek_size q > 0), Some [ Fifo.signal q ]) in
-  let mk_stage s ~fp name f = let can_fire, watches = stage s in mk ?can_fire ?watches ~fp name f in
-  let mk_fifo q ~fp name f = let can_fire, watches = fifo q in mk ?can_fire ?watches ~fp name f in
-  (* conflict footprints ([Rule.make ~fp]): only EHR-backed state counts —
-     cf queues, stage slots, bypass wires, and the cache/TLB interface
-     queues. Everything else in the core is plain [Mut] state, invisible to
-     the port-order matrix. *)
-  let squash_fps =
-    Array.to_list (Array.map Stage.fp_squash t.alu_rr)
-    @ Array.to_list (Array.map Stage.fp_squash t.alu_ex)
-    @ Array.to_list (Array.map Stage.fp_squash t.alu_wb)
-    @ [ Stage.fp_squash t.md_rr; Stage.fp_squash t.md_ex; Stage.fp_squash t.md_wb;
-        Stage.fp_squash t.mem_rr ]
-  in
-  (* both flush paths (mispredict, commit-time load kill) clear d2r and
-     squash every stage slot *)
-  let flush_fps = Fifo.fp_clear t.d2r :: squash_fps in
-  let byp_read = if t.cfg.bypass then Bypass.fp_get_all t.byp else [] in
+  let mk_stage s name f = let can_fire, watches = stage s in mk ?can_fire ?watches name f in
+  let mk_fifo q name f = let can_fire, watches = fifo q in mk ?can_fire ?watches name f in
   let commit =
     (* [commit_one] guards on [not halted] and a ROB head; ROB occupancy is
        plain mutable state, so the rule is watchless (predicate re-checked
        every cycle). *)
     Rule.make ~vacuous:true
       ~can_fire:(fun () -> (not t.halted_f) && Rob.count t.rob > 0)
-      ~fp:(Mem.L1_dcache.fp_req t.dc @ flush_fps)
       (n ^ ".commit")
       (let commit ctx = commit_one ctx t in
        fun ctx -> step_commit ctx t commit)
@@ -1134,37 +1118,27 @@ let rules ?(schedule = `Aggressive) t =
     mk
       ~can_fire:(fun () -> Mem.L1_dcache.resp_at_ready t.dc)
       ~watches:[ Mem.L1_dcache.resp_at_signal t.dc ]
-      ~fp:(Mem.L1_dcache.fp_resp_at t.dc)
       (n ^ ".respAt")
       (fun ctx -> step_resp_at ctx t)
   in
   let wb_alu =
     List.init t.cfg.n_alu (fun i ->
         mk_stage t.alu_wb.(i)
-          ~fp:[ Stage.fp_take t.alu_wb.(i); Bypass.fp_set t.byp ((2 * i) + 1) ]
           (Printf.sprintf "%s.alu%d.wb" n i)
           (fun ctx -> step_wb_alu ctx t i))
   in
   let ex_alu =
     List.init t.cfg.n_alu (fun i ->
         mk_stage t.alu_ex.(i)
-          ~fp:
-            ([ Stage.fp_can_put t.alu_wb.(i);
-               Stage.fp_take t.alu_ex.(i); Bypass.fp_set t.byp (2 * i);
-               Stage.fp_put t.alu_wb.(i) ]
-            @ flush_fps)
           (Printf.sprintf "%s.alu%d.ex" n i)
           (fun ctx -> step_exec_alu ctx t i))
   in
   let md =
     [
-      mk_stage t.md_wb ~fp:[ Stage.fp_take t.md_wb ] (n ^ ".md.wb") (fun ctx -> step_wb_md ctx t);
+      mk_stage t.md_wb (n ^ ".md.wb") (fun ctx -> step_wb_md ctx t);
       (* the multiplier's completion-time guard is ignored by the predicate:
          an occupied-but-not-ready stage attempts and guard-fails, as before *)
       mk_stage t.md_ex
-        ~fp:
-          [ Stage.fp_can_put t.md_wb; Stage.fp_take t.md_ex;
-            Stage.fp_put t.md_wb ]
         (n ^ ".md.ex")
         (fun ctx -> step_exec_md ctx t);
     ]
@@ -1174,30 +1148,21 @@ let rules ?(schedule = `Aggressive) t =
       mk
         ~can_fire:(fun () -> Mem.L1_dcache.resp_ld_ready t.dc)
         ~watches:[ Mem.L1_dcache.resp_ld_signal t.dc ]
-        ~fp:(Mem.L1_dcache.fp_resp_ld t.dc)
         (n ^ ".respLd")
         (fun ctx -> step_resp_ld_cache ctx t);
-      mk_fifo t.forward_q ~fp:[ Fifo.fp_deq t.forward_q ] (n ^ ".respLdFwd")
+      mk_fifo t.forward_q (n ^ ".respLdFwd")
         (fun ctx -> step_resp_ld_fwd ctx t);
     ]
   in
   let rr_alu =
     List.init t.cfg.n_alu (fun i ->
         mk_stage t.alu_rr.(i)
-          ~fp:
-            ([ Stage.fp_can_put t.alu_ex.(i) ]
-            @ byp_read
-            @ [ Stage.fp_take t.alu_rr.(i); Stage.fp_put t.alu_ex.(i) ])
           (Printf.sprintf "%s.alu%d.rr" n i)
           (fun ctx -> step_regread_alu ctx t i))
   in
   let rr_md =
     [
       mk_stage t.md_rr
-        ~fp:
-          ([ Stage.fp_can_put t.md_ex ]
-          @ byp_read
-          @ [ Stage.fp_take t.md_rr; Stage.fp_put t.md_ex ])
         (n ^ ".md.rr")
         (fun ctx -> step_regread_md ctx t);
     ]
@@ -1205,9 +1170,6 @@ let rules ?(schedule = `Aggressive) t =
   let rr_mem =
     [
       mk_stage t.mem_rr
-        ~fp:
-          (byp_read @ Tlb.Tlb_sys.fp_dtlb_req t.tlbs
-          @ [ Stage.fp_take t.mem_rr ])
         (n ^ ".mem.rr")
         (fun ctx -> step_regread_mem ctx t);
     ]
@@ -1217,7 +1179,6 @@ let rules ?(schedule = `Aggressive) t =
       mk
         ~can_fire:(fun () -> Tlb.Tlb_sys.dtlb_resp_ready t.tlbs)
         ~watches:[ Tlb.Tlb_sys.dtlb_resp_signal t.tlbs ]
-        ~fp:(Tlb.Tlb_sys.fp_dtlb_resp t.tlbs)
         (n ^ ".updateLsq")
         (fun ctx -> step_update_lsq ctx t);
     ]
@@ -1228,7 +1189,6 @@ let rules ?(schedule = `Aggressive) t =
     [
       mk
         ~can_fire:(fun () -> Lsq.has_issue_ld t.lsq)
-        ~fp:(Fifo.fp_enq t.forward_q :: Mem.L1_dcache.fp_req t.dc)
         (n ^ ".issueLd")
         (fun ctx -> step_issue_ld ctx t);
     ]
@@ -1236,7 +1196,6 @@ let rules ?(schedule = `Aggressive) t =
          [
            mk
              ~can_fire:(fun () -> Lsq.prefetch_candidate t.lsq <> None)
-             ~fp:(Mem.L1_dcache.fp_req t.dc)
              (n ^ ".stPrefetch")
              (fun ctx -> step_st_prefetch ctx t);
          ]
@@ -1247,13 +1206,11 @@ let rules ?(schedule = `Aggressive) t =
           mk
             ~can_fire:(fun () -> Mem.L1_dcache.resp_st_ready t.dc)
             ~watches:[ Mem.L1_dcache.resp_st_signal t.dc ]
-            ~fp:(Mem.L1_dcache.fp_resp_st t.dc)
             (n ^ ".respSt")
             (fun ctx -> step_resp_st_tso ctx t);
           mk
             ~can_fire:(fun () ->
               (not (Lsq.sq_head_issued t.lsq)) && Lsq.committed_store_head t.lsq <> None)
-            ~fp:(Mem.L1_dcache.fp_req t.dc)
             (n ^ ".issueSt")
             (fun ctx -> step_issue_st_tso ctx t);
         ]
@@ -1262,17 +1219,14 @@ let rules ?(schedule = `Aggressive) t =
           mk
             ~can_fire:(fun () -> Mem.L1_dcache.resp_st_ready t.dc)
             ~watches:[ Mem.L1_dcache.resp_st_signal t.dc ]
-            ~fp:(Mem.L1_dcache.fp_resp_st t.dc)
             (n ^ ".respSt")
             (fun ctx -> step_resp_st_wmm ctx t);
           mk
-            ~can_fire:(fun () -> Store_buffer.has_unissued t.sb)
-            ~fp:(Mem.L1_dcache.fp_req t.dc) (n ^ ".sbIssue")
+            ~can_fire:(fun () -> Store_buffer.has_unissued t.sb) (n ^ ".sbIssue")
             (fun ctx -> step_sb_issue ctx t);
           (* SB/LSQ bookkeeping only — touches no EHR-backed state at all *)
           mk
-            ~can_fire:(fun () -> Lsq.committed_store_head t.lsq <> None)
-            ~fp:[] (n ^ ".deqSt")
+            ~can_fire:(fun () -> Lsq.committed_store_head t.lsq <> None) (n ^ ".deqSt")
             (fun ctx -> step_deq_st_wmm ctx t);
         ])
   in
@@ -1280,18 +1234,15 @@ let rules ?(schedule = `Aggressive) t =
     List.init t.cfg.n_alu (fun i ->
         mk
           ~can_fire:(fun () -> Issue_queue.has_ready t.alu_iqs.(i))
-          ~fp:[ Stage.fp_can_put t.alu_rr.(i); Stage.fp_put t.alu_rr.(i) ]
           (Printf.sprintf "%s.alu%d.issue" n i)
           (fun ctx -> step_issue_alu ctx t i))
     @ [
         mk
           ~can_fire:(fun () -> Issue_queue.has_ready t.md_iq)
-          ~fp:[ Stage.fp_can_put t.md_rr; Stage.fp_put t.md_rr ]
           (n ^ ".md.issue")
           (fun ctx -> step_issue_md ctx t);
         mk
           ~can_fire:(fun () -> Issue_queue.has_ready t.mem_iq)
-          ~fp:[ Stage.fp_can_put t.mem_rr; Stage.fp_put t.mem_rr ]
           (n ^ ".mem.issue")
           (fun ctx -> step_issue_mem ctx t);
       ]
@@ -1309,7 +1260,6 @@ let rules ?(schedule = `Aggressive) t =
           Fifo.peek_size t.f2d > 0
           && (stale (Fifo.peek_first t.f2d).gepoch || Fifo.peek_can_enq t.d2r))
         ~watches:[ Fifo.signal t.f2d; Fifo.signal t.d2r; t.redirect_sg ]
-        ~fp:[ Fifo.fp_deq t.f2d; Fifo.fp_enq t.d2r ]
         (n ^ ".decode")
         (fun ctx -> step_decode ctx t);
     ]
@@ -1319,7 +1269,6 @@ let rules ?(schedule = `Aggressive) t =
       Rule.make ~vacuous:true
         ~can_fire:(fun () -> Fifo.peek_size t.d2r > 0)
         ~watches:[ Fifo.signal t.d2r ]
-        ~fp:[ Fifo.fp_first t.d2r; Fifo.fp_deq t.d2r ]
         (n ^ ".rename")
         (let rename ctx = rename_one ctx t in
          fun ctx -> step_rename ctx t rename);
@@ -1332,7 +1281,6 @@ let rules ?(schedule = `Aggressive) t =
           Mem.L1_icache.resp_ready t.ic
           && (stale t.fslots.(Mem.L1_icache.resp_tag t.ic).fepoch || Fifo.peek_can_enq t.f2d))
         ~watches:[ Mem.L1_icache.resp_signal t.ic; Fifo.signal t.f2d; t.redirect_sg ]
-        ~fp:(Mem.L1_icache.fp_resp t.ic @ [ Fifo.fp_enq t.f2d ])
         (n ^ ".fetch.mem")
         (fun ctx -> step_fetch_mem ctx t);
       mk
@@ -1341,18 +1289,15 @@ let rules ?(schedule = `Aggressive) t =
           match slot.fst with
           | FReady _ -> stale slot.fepoch || Mem.L1_icache.req_room t.ic
           | FFree | FWaitTlb | FWaitMem -> false)
-        ~fp:(Mem.L1_icache.fp_req t.ic)
         (n ^ ".fetch.dispatch")
         (fun ctx -> step_fetch_dispatch ctx t);
       mk
         ~can_fire:(fun () -> Tlb.Tlb_sys.itlb_resp_ready t.tlbs)
         ~watches:[ Tlb.Tlb_sys.itlb_resp_signal t.tlbs ]
-        ~fp:(Tlb.Tlb_sys.fp_itlb_resp t.tlbs)
         (n ^ ".fetch.tlb")
         (fun ctx -> step_fetch_tlb ctx t);
       mk
         ~can_fire:(fun () -> (not t.halted_f) && t.fslots.(t.f_alloc mod 8).fst = FFree)
-        ~fp:(Tlb.Tlb_sys.fp_itlb_req t.tlbs)
         (n ^ ".fetch.issue")
         (fun ctx -> step_fetch_issue ctx t);
     ]

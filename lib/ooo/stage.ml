@@ -48,10 +48,3 @@ let peek_opt t = Ehr.peek t.slot
 let occupied t = Ehr.peek t.slot <> None
 let signal t = Ehr.signal t.slot
 
-(* Conflict footprints. [take]/[peek] go through [drop_if_dead], which may
-   WRITE port 0 (dropping a dead occupant), so both declare the write. *)
-let fp_take t = Ehr.fp t.slot ~label:(t.nm ^ ".take") [ (false, 0); (true, 0) ]
-let fp_peek t = Ehr.fp t.slot ~label:(t.nm ^ ".peek") [ (false, 0); (true, 0) ]
-let fp_put t = Ehr.fp t.slot ~label:(t.nm ^ ".put") [ (false, 1); (true, 1) ]
-let fp_can_put t = Ehr.fp t.slot ~label:(t.nm ^ ".can_put") [ (false, 1) ]
-let fp_squash t = Ehr.fp t.slot ~label:(t.nm ^ ".squash") [ (false, 2); (true, 2) ]

@@ -33,12 +33,3 @@ val occupied : 'a t -> bool
     {!occupied}. *)
 val signal : 'a t -> Cmd.Wakeup.signal
 
-(** {2 Conflict footprints} ([Rule.make ~fp]). [take]/[peek] declare a
-    port-0 write as well as the read: dropping a dead occupant writes
-    through port 0. *)
-
-val fp_take : 'a t -> Cmd.Conflict.atom
-val fp_peek : 'a t -> Cmd.Conflict.atom
-val fp_put : 'a t -> Cmd.Conflict.atom
-val fp_can_put : 'a t -> Cmd.Conflict.atom
-val fp_squash : 'a t -> Cmd.Conflict.atom

@@ -350,21 +350,6 @@ let tick t =
      crossbar (this TLB enqs requests, deqs responses). The core-side
      req/resp queues stay inside the core's partition. *)
   let touches = [ Fifo.enq_token t.wreq; Fifo.deq_token t.wresp ] in
-  (* Tracked footprint: both L1-side queue pairs and the walk-memory pair.
-     TLB arrays, miss slots, walk slots and the walk cache are raw [Mut]
-     state private to this rule. *)
-  let fp =
-    [
-      Fifo.fp_first t.i.req_q;
-      Fifo.fp_deq t.i.req_q;
-      Fifo.fp_enq t.i.resp_q;
-      Fifo.fp_first t.d.req_q;
-      Fifo.fp_deq t.d.req_q;
-      Fifo.fp_enq t.d.resp_q;
-      Fifo.fp_enq t.wreq;
-      Fifo.fp_deq t.wresp;
-    ]
-  in
   (* The steps, built once: a skipped step allocates no closure. They index
      the slot arrays when run, as a snapshot restore replaces the slots. *)
   let walk_resp ctx = step_walk_resp ctx t in
@@ -376,7 +361,7 @@ let tick t =
   let d_misses = misses t.d and i_misses = misses t.i in
   let d_req ctx = step_l1_req ctx t t.d and i_req ctx = step_l1_req ctx t t.i in
   let walk_retire = per_walk (fun ctx _ w -> step_walk_retire ctx t w) in
-  Rule.make ~can_fire ~watches ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches ~touches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
       ignore (Kernel.attempt_if ctx (Fifo.peek_size t.wresp > 0) walk_resp);
       for i = 0 to Array.length t.walks - 1 do
         ignore (Kernel.attempt_if ctx (issue_ready t t.walks.(i)) walk_issue.(i))
@@ -397,10 +382,6 @@ let dtlb_req ctx t ~tag va = Fifo.enq ctx t.d.req_q (tag, va)
 let can_dtlb_req ctx t = Fifo.can_enq ctx t.d.req_q
 let dtlb_resp ctx t = Fifo.deq ctx t.d.resp_q
 let can_dtlb_resp ctx t = Fifo.can_deq ctx t.d.resp_q
-let fp_itlb_req t = [ Fifo.fp_can_enq t.i.req_q; Fifo.fp_enq t.i.req_q ]
-let fp_itlb_resp t = [ Fifo.fp_can_deq t.i.resp_q; Fifo.fp_deq t.i.resp_q ]
-let fp_dtlb_req t = [ Fifo.fp_can_enq t.d.req_q; Fifo.fp_enq t.d.req_q ]
-let fp_dtlb_resp t = [ Fifo.fp_can_deq t.d.resp_q; Fifo.fp_deq t.d.resp_q ]
 let walk_mem_req t = t.wreq
 let walk_mem_resp t = t.wresp
 let itlb_resp_ready t = Fifo.peek_size t.i.resp_q > 0

@@ -51,13 +51,6 @@ val can_dtlb_req : Cmd.Kernel.ctx -> t -> bool
 val dtlb_resp : Cmd.Kernel.ctx -> t -> int * result
 val can_dtlb_resp : Cmd.Kernel.ctx -> t -> bool
 
-(** Footprint atoms ([Rule.make ~fp]); each list covers the method and its
-    [can_*] probe. *)
-val fp_itlb_req : t -> Cmd.Conflict.atom list
-
-val fp_itlb_resp : t -> Cmd.Conflict.atom list
-val fp_dtlb_req : t -> Cmd.Conflict.atom list
-val fp_dtlb_resp : t -> Cmd.Conflict.atom list
 
 (** {2 Fast-path scheduler probes}
 

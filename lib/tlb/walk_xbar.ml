@@ -47,11 +47,6 @@ let rules tlbs ~banks ~bank_of =
         Array.exists (fun t -> Fifo.peek_size (Tlb_sys.walk_mem_req t) > 0) tlbs)
       ~watches:(Array.to_list (Array.map (fun t -> Fifo.signal (Tlb_sys.walk_mem_req t)) tlbs))
       ~touches:(Array.to_list (Array.map (fun t -> Fifo.deq_token (Tlb_sys.walk_mem_req t)) tlbs))
-      ~fp:
-        (List.concat_map
-           (fun t -> [ Fifo.fp_first (Tlb_sys.walk_mem_req t); Fifo.fp_deq (Tlb_sys.walk_mem_req t) ])
-           (Array.to_list tlbs)
-        @ List.concat (bank_list Mem.L2_cache.fp_walk_req))
       ~vacuous:true
       (let steps = Array.mapi (fun core _ -> up_step tlbs banks bank_of core) tlbs in
        fun ctx ->
@@ -64,11 +59,6 @@ let rules tlbs ~banks ~bank_of =
       ~can_fire:(fun () -> Array.exists Mem.L2_cache.walk_resp_ready banks)
       ~watches:(bank_list Mem.L2_cache.walk_resp_signal)
       ~touches:(Array.to_list (Array.map (fun t -> Fifo.enq_token (Tlb_sys.walk_mem_resp t)) tlbs))
-      ~fp:
-        (List.concat (bank_list Mem.L2_cache.fp_walk_resp)
-        @ List.concat_map
-            (fun t -> [ Fifo.fp_enq (Tlb_sys.walk_mem_resp t) ])
-            (Array.to_list tlbs))
       ~vacuous:true
       (let steps = Array.map (down_step tlbs) banks in
        fun ctx ->

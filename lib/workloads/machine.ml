@@ -64,12 +64,14 @@ let instrs t =
 
 let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64)
     ?(cosim = false) ?schedule ?(mode = Sim.Multi) ?(fastpath = true) ?(audit = false)
-    ?(jobs = 1) ?(partition_audit = false) ?(compile = true) ?(compile_audit = false)
-    ?(epoch = 1) ?(watchdog = 0) ?(invariants = false) ?(obligations = false) ?obs kind prog =
-  (* Benchmark pin: [epoch] survives only for callers written when windows
+    ?(jobs = 1) ?(partition_audit = false) ?compile:(_ : bool option) ?(epoch = 1) ?(watchdog = 0)
+    ?(invariants = false) ?(obligations = false) ?obs kind prog =
+  (* Benchmark pins: [epoch] survives only for callers written when windows
      could be longer than one cycle. Both 0 and 1 mean one cycle; 0 also
      keeps the old auto window's partition groups at jobs 1 (see
-     [Sim.create ~grouped]), which the harness's jobs-1 oracle expects. *)
+     [Sim.create ~grouped]), which the harness's jobs-1 oracle expects.
+     [compile] is accepted and ignored: every rule runs on the one checked
+     engine. *)
   if epoch <> 0 && epoch <> 1 then
     invalid_arg "Machine.create: epoch must be 0 or 1 (the window is one cycle)";
   (* Cosim shares one Golden.t across every hart's commit hook, so its state
@@ -102,12 +104,9 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
     match obs with Some hub -> Obs.Hub.pipe hub ~hart:i | None -> Obs.Pipe.null
   in
   let mk_sim clk rules =
-    (* [compile] is pure strategy — compiled and interpreted schedules are
-       bit-identical — so it stays out of [config_key] below and snapshots
-       move freely between the two. *)
     let sim =
-      Sim.create ~mode ~fastpath ~audit ~jobs ~partition_audit ~compile ~compile_audit
-        ~grouped:(epoch = 0) ~stats:stats_t clk rules
+      Sim.create ~mode ~fastpath ~audit ~jobs ~partition_audit ~grouped:(epoch = 0) ~stats:stats_t
+        clk rules
     in
     (match obs with Some hub -> Obs.Hub.attach hub sim | None -> ());
     sim
@@ -392,9 +391,6 @@ let pp_rule_stats fmt t =
   match t.sim with Some sim -> Sim.pp_stats fmt sim | None -> ()
 
 let rule_list t = match t.sim with Some sim -> Sim.rules sim | None -> []
-let compiled t = match t.sim with Some sim -> Sim.compiled sim | None -> false
-let compile_status t = match t.sim with Some sim -> Sim.compile_status sim | None -> "no scheduler"
-let compile_report t = match t.sim with Some sim -> Sim.compile_report sim | None -> ""
 
 (* Trace committed instructions of every OOO core. Lines land in a
    per-hart Obs.Commit_log (abort-safe, single writer per partition) and

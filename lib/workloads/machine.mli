@@ -47,7 +47,8 @@ type t
     [Invalid_argument]. [epoch:0] also keeps the partition groups at
     [jobs:1] ([Cmd.Sim.create ~grouped]), so a jobs-1 run matches a
     parallel one down to its fast-path skip counts, as the harness's
-    oracle checks.
+    oracle checks. [compile] is a benchmark pin too: it is accepted and
+    ignored, since every rule runs on the one checked engine.
 
     [obs] plugs an observability hub in: every core is built against the
     hub's per-hart instruction tracer and the hub is attached to the
@@ -67,7 +68,6 @@ val create :
   ?jobs:int ->
   ?partition_audit:bool ->
   ?compile:bool ->
-  ?compile_audit:bool ->
   ?epoch:int ->
   ?watchdog:int ->
   ?invariants:bool ->
@@ -146,12 +146,6 @@ val pp_rule_stats : Format.formatter -> t -> unit
     per-rule [fired] counters are how the snapshot tests check bit-identity. *)
 val rule_list : t -> Cmd.Rule.t list
 
-(** {2 Schedule compilation} — see {!Cmd.Sim.compiled} and friends. *)
-
-val compiled : t -> bool
-
-val compile_status : t -> string
-val compile_report : t -> string
 val pp_core_debug : Format.formatter -> t -> unit
 
 (** {2 Snapshot / restore}

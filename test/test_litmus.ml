@@ -252,12 +252,10 @@ let test_dut_ctrl () =
     Alcotest.failf "MP+ctrl (WMM): %s" (Format.asprintf "%a" Run.pp_report wmm)
 
 (* Cross-engine identity on litmus machines. With stagger off the image
-   is seed-independent, so a cold [Shuffle seed] build, the same build with
-   [~compile:false], one at jobs 2 and a warm fork (cycle-0 restore +
-   reseed) must agree on the outcome registers, the cycle count and every
-   rule's fire count. The outcome class is deliberately not asserted: MP
-   under TSO at seed 2224653 reads an outcome TSO forbids on every engine,
-   a bug in the modeled machine rather than in an engine. *)
+   is seed-independent, so a cold [Shuffle seed] build, one at jobs 2 and
+   a warm fork (cycle-0 restore + reseed) must agree on the outcome
+   registers, the cycle count and every rule's fire count, and the outcome
+   must be one the memory model admits. *)
 let test_engines_agree () =
   let module M = Workloads.Machine in
   let cases =
@@ -286,8 +284,8 @@ let test_engines_agree () =
       let img = M.snapshot warm in
       List.iter
         (fun seed ->
-          let cold ?(compile = true) ?(jobs = 1) () =
-            run (M.create ~ncores ~jobs ~compile ~mode:(Cmd.Sim.Shuffle seed) kind prog)
+          let cold ?(jobs = 1) () =
+            run (M.create ~ncores ~jobs ~mode:(Cmd.Sim.Shuffle seed) kind prog)
           in
           let check engine (o1, c1, f1) (o2, c2, f2) =
             let name = Printf.sprintf "%s seed %d, %s" test.Test.name seed engine in
@@ -303,7 +301,6 @@ let test_engines_agree () =
             (Printf.sprintf "%s seed %d: outcome %s admitted by the model" test.Test.name seed
                (Test.outcome_to_string test outcome))
             true (mem admitted outcome);
-          check "compile:false" reference (cold ~compile:false ());
           check "jobs 2" reference (cold ~jobs:2 ());
           M.restore warm img;
           M.reseed_schedule warm seed;

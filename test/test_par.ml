@@ -364,17 +364,13 @@ let history_fingerprint m =
 let test_history_identity () =
   let quad = { (Ooo.Config.multicore Ooo.Config.WMM) with Ooo.Config.mem = mem16 } in
   let prog = Parsec_kernels.find "blackscholes" ~harts:4 ~scale:1 in
-  let mk ?(compile = true) ~jobs ~ncores cfg prog =
-    Machine.create ~ncores ~jobs ~compile ~watchdog:max_int (Machine.Out_of_order cfg) prog
+  let mk ~jobs ~ncores cfg prog =
+    Machine.create ~ncores ~jobs ~watchdog:max_int (Machine.Out_of_order cfg) prog
   in
-  let compiled = mk ~jobs:1 ~ncores:4 quad prog in
-  Alcotest.(check bool) "serial run compiled" true (Machine.compiled compiled);
-  let interpreted = mk ~compile:false ~jobs:1 ~ncores:4 quad prog in
+  let serial = mk ~jobs:1 ~ncores:4 quad prog in
   let par = mk ~jobs:2 ~ncores:4 quad prog in
   Alcotest.(check bool) "jobs 2 runs on the pool" true (Machine.parallel par);
-  let h = history_fingerprint compiled in
-  Alcotest.(check string) "quad: compile:false" h (history_fingerprint interpreted);
-  Alcotest.(check string) "quad: jobs 2" h (history_fingerprint par);
+  Alcotest.(check string) "quad: jobs 2" (history_fingerprint serial) (history_fingerprint par);
   let prog = Test_multicore.shared_counter_kernel ~harts:16 ~iters:4 in
   let j1 = mk ~jobs:1 ~ncores:16 (cfg16 Ooo.Config.TSO) prog in
   let j2 = mk ~jobs:2 ~ncores:16 (cfg16 Ooo.Config.TSO) prog in
@@ -384,11 +380,12 @@ let test_history_identity () =
 (* The window is one cycle: [~epoch] accepts only 0 and 1 (both mean one
    cycle) and refuses anything longer. [~epoch:0] keeps the partition
    groups at jobs 1, so every rule counter — fast-path skips included —
-   matches a parallel run. *)
+   matches a parallel run. [~compile], the other benchmark pin, is
+   accepted and changes nothing. *)
 let test_epoch_pin () =
   let prog = Test_multicore.shared_counter_kernel ~harts:4 ~iters:5 in
-  let mk ?(jobs = 1) epoch =
-    Machine.create ~ncores:4 ~jobs ~epoch (Machine.Out_of_order mc_cfg) prog
+  let mk ?compile ?(jobs = 1) epoch =
+    Machine.create ~ncores:4 ?compile ~jobs ~epoch (Machine.Out_of_order mc_cfg) prog
   in
   List.iter
     (fun e -> Alcotest.(check int) "one-cycle window" 1 (Machine.epoch_length (mk e)))
@@ -405,27 +402,25 @@ let test_epoch_pin () =
   in
   let grouped = mk 0 in
   Alcotest.(check bool) "grouped jobs 1 stays off the pool" false (Machine.parallel grouped);
+  let par = counters (mk ~jobs:2 0) in
   Alcotest.(check (list (pair string (list int))))
-    "epoch 0: jobs 1 rule counters == jobs 2" (counters (mk ~jobs:2 0)) (counters grouped)
+    "epoch 0: jobs 1 rule counters == jobs 2" par (counters grouped);
+  Alcotest.(check (list (pair string (list int))))
+    "epoch 0, compile:false: rule counters == jobs 2" par (counters (mk ~compile:false 0))
 
 (* Regression: [shutdown_pool] used to leave the interrupted generation's
    task queue behind, and the first worker of the respawned pool would claim
    a stale task — a cached per-cycle step closure of a machine that may have
    been mutated or discarded since. The shutdown now clears the queue, so
    tearing the pool down at any point between runs must neither disturb a
-   live compiled sim's cached closures nor leak work into the next parallel
-   generation. *)
+   live serial sim's compiled steps (its per-rule runners, built once at
+   elaboration) nor leak work into the next parallel generation. *)
 let test_pool_shutdown_compiled_steps () =
   let run_with ~interrupt =
     let clk = Clock.create () in
     let e = Ehr.create ~name:"ps" 0 in
-    let bump =
-      Rule.make "bump"
-        ~fp:[ Ehr.fp e ~label:"bump" [ (false, 0); (true, 0) ] ]
-        (fun ctx -> Ehr.write ctx e 0 (Ehr.read ctx e 0 + 1))
-    in
+    let bump = Rule.make "bump" (fun ctx -> Ehr.write ctx e 0 (Ehr.read ctx e 0 + 1)) in
     let sim = Sim.create clk [ bump ] in
-    Alcotest.(check bool) "synthetic sim compiled" true (Sim.compiled sim);
     Sim.run sim 60;
     if interrupt then begin
       (* put real work through the pool, then kill it mid-session *)
@@ -433,14 +428,14 @@ let test_pool_shutdown_compiled_steps () =
       Sim.run t.sim 20;
       Sim.shutdown_pool ()
     end;
-    (* the compiled sim keeps stepping through its cached closures *)
+    (* the serial sim keeps stepping through its cached runners *)
     Sim.run sim 40;
     Ehr.peek e
   in
   let clean = run_with ~interrupt:false in
   let interrupted = run_with ~interrupt:true in
-  Alcotest.(check int) "compiled sim unaffected by pool shutdown" clean interrupted;
-  Alcotest.(check int) "compiled rule fired every cycle" 100 interrupted;
+  Alcotest.(check int) "serial sim unaffected by pool shutdown" clean interrupted;
+  Alcotest.(check int) "rule fired every cycle" 100 interrupted;
   (* and the respawned pool starts from a blank slate: no stale task runs,
      the next parallel generation computes exactly a fresh toy's result *)
   let fresh = toy_fingerprint (make_toy ~jobs:4 2) 50 in

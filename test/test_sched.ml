@@ -358,71 +358,6 @@ let test_smoke_audit_clean () =
   let o = Machine.run ~max_cycles:2_000_000 m in
   Alcotest.(check bool) "audited quad-TSO blackscholes completes" false o.Machine.timed_out
 
-(* ---------------------------------------------------------------- *)
-(* Schedule compilation: compiled engine == interpreted engine        *)
-(* ---------------------------------------------------------------- *)
-
-(* Like [run_full] but selecting the engine explicitly. Jobs is pinned to 1
-   because the parallel path disables compilation by design (test_par covers
-   compiled-serial vs parallel-interpreted); the helper asserts the engine
-   the machine actually took, so a silently-uncompiled "compiled" leg cannot
-   degenerate into interpreted-vs-interpreted. *)
-let run_engine ~compile ~mode ?(cfg = Ooo.Config.riscyoo_b) ~budget prog =
-  let m = Machine.create ~paging:true ~mode ~jobs:1 ~compile (Machine.Out_of_order cfg) prog in
-  Alcotest.(check bool)
-    (Printf.sprintf "engine matches request (%s)" (Machine.compile_status m))
-    (compile && mode <> Sim.One_per_cycle)
-    (Machine.compiled m);
-  let o = Machine.run ~max_cycles:budget m in
-  Alcotest.(check bool) "run completes" false o.Machine.timed_out;
-  (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, fired_counts m)
-
-let test_smoke_compile_equivalence () =
-  let prog = Spec_kernels.find "smoke" ~scale:1 in
-  List.iter
-    (fun (mname, mode) ->
-      let compiled = run_engine ~compile:true ~mode ~budget:1_000_000 prog in
-      let interp = run_engine ~compile:false ~mode ~budget:1_000_000 prog in
-      check_equiv ("smoke-compile/" ^ mname) compiled interp)
-    [ ("multi", Sim.Multi); ("shuffle", Sim.Shuffle 20260807) ];
-  (* One_per_cycle serializes the schedule and must refuse the compiled
-     path (its fire-one-rule contract needs the interpreted arbiter);
-     [run_engine]'s engine assertion is the whole test — no need to pay
-     for the 60M-cycle serial run twice here, the fastpath suite covers
-     serial-mode bit-identity. *)
-  let m =
-    Machine.create ~paging:true ~mode:Sim.One_per_cycle ~jobs:1
-      (Machine.Out_of_order Ooo.Config.riscyoo_b)
-      prog
-  in
-  Alcotest.(check bool) "one-per-cycle machine not compiled" false (Machine.compiled m)
-
-let test_spec_compile_equivalence () =
-  List.iter
-    (fun kernel ->
-      let prog = Spec_kernels.find kernel ~scale:1 in
-      let compiled =
-        run_engine ~compile:true ~mode:Sim.Multi ~cfg:small_cfg ~budget:10_000_000 prog
-      in
-      let interp =
-        run_engine ~compile:false ~mode:Sim.Multi ~cfg:small_cfg ~budget:10_000_000 prog
-      in
-      check_equiv (kernel ^ "-compile") compiled interp)
-    [ "gcc"; "gobmk" ]
-
-(* The full processor's footprint declarations pass the dynamic obligation
-   check: every tracked access lands on a declared atom. *)
-let test_smoke_compile_audit_clean () =
-  let prog = Spec_kernels.find "smoke" ~scale:1 in
-  let m =
-    Machine.create ~paging:true ~compile_audit:true
-      (Machine.Out_of_order Ooo.Config.riscyoo_b)
-      prog
-  in
-  Alcotest.(check bool) "audit mode runs interpreted" false (Machine.compiled m);
-  let o = Machine.run ~max_cycles:1_000_000 m in
-  Alcotest.(check bool) "compile-audited run completes" false o.Machine.timed_out
-
 let suite =
   let t = Alcotest.test_case in
   [
@@ -436,7 +371,4 @@ let suite =
     t "smoke equivalence (multi/shuffle/serial)" `Slow test_smoke_equivalence;
     t "spec kernel equivalence (gcc, gobmk)" `Slow test_spec_equivalence;
     t "smoke audit clean" `Quick test_smoke_audit_clean;
-    t "smoke compiled == interpreted (multi/shuffle)" `Slow test_smoke_compile_equivalence;
-    t "spec kernel compiled == interpreted (gcc, gobmk)" `Slow test_spec_compile_equivalence;
-    t "smoke compile-audit clean" `Quick test_smoke_compile_audit_clean;
   ]
