@@ -586,14 +586,18 @@ let idle_sched_thunk ~fastpath =
    scheduler ([--no-fastpath]). Both must be bit-identical; the JSON reports
    the engine-vs-engine ratio, which is what CI gates on (a ratio cancels
    host-speed variation that makes absolute cycles/s untrustworthy there).
-   Each wall is the fastest of its runs (scheduling noise only ever slows a
-   run down); the ratio is the median of per-round ratios, a round timing
-   the two engines back to back, so a host-speed swing between rounds
-   cancels within a round instead of landing in one engine's best-of. *)
+   Each wall is the fastest of its measurements (scheduling noise only ever
+   slows a run down); the ratio is the median of per-round ratios, a round
+   timing the two engines back to back, so a host-speed swing between rounds
+   cancels within a round instead of landing in one engine's best-of. A
+   measurement lasts at least [min_timed_s]: a kernel shorter than that
+   (smoke runs for about 0.03 s) is run [reps] times on fresh machines
+   within one measurement, and its wall is the mean per run. *)
 type perf_row = {
   wname : string;
   pcycles : int;
   pinstrs : int;
+  reps : int; (* kernel runs per timed measurement *)
   wall_fast : float;
   wall_stripped : float;
   fastpath_ratio : float; (* median over rounds of stripped / fast-path wall *)
@@ -608,10 +612,13 @@ let median xs =
 (* the fewest engine rounds a ratio is the median of *)
 let perf_rounds = 5
 
+(* the shortest timed measurement, seconds *)
+let min_timed_s = 0.3
+
 let perf_workload ~budget kernel =
   let prog = Spec_kernels.find kernel ~scale:!scale in
   let snapshot = ref None in
-  let once fastpath =
+  let run1 fastpath =
     let m = Machine.create ~paging:true ~fastpath (ooo Ooo.Config.riscyoo_b) prog in
     let t0 = Unix.gettimeofday () in
     let o = Machine.run ~max_cycles:budget m in
@@ -619,6 +626,28 @@ let perf_workload ~budget kernel =
     if o.Machine.timed_out then failwith ("perf: " ^ kernel ^ " timed out");
     if !snapshot = None then snapshot := Some (Machine.stats m);
     ((o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m), dt)
+  in
+  (* untimed fast-path runs, [min_timed_s] of them, warm the process up and
+     size the repeat count from the fastest *)
+  let reps =
+    let fastest = ref infinity and spent = ref 0.0 in
+    while !spent < min_timed_s do
+      let _, dt = run1 true in
+      fastest := Float.min !fastest dt;
+      spent := !spent +. dt
+    done;
+    max 1 (int_of_float (Float.ceil (min_timed_s /. !fastest)))
+  in
+  (* one timed measurement: [reps] runs, returning the mean wall per run *)
+  let once fastpath =
+    let id, dt = run1 fastpath in
+    let sum = ref dt in
+    for _ = 2 to reps do
+      let id', dt' = run1 fastpath in
+      if id' <> id then failwith ("perf: " ^ kernel ^ " is nondeterministic");
+      sum := !sum +. dt'
+    done;
+    (id, !sum /. float_of_int reps)
   in
   (* engine 0 is the fast path, engine 1 the stripped scheduler *)
   let ids = Array.make 2 None and best = Array.make 2 infinity in
@@ -635,7 +664,7 @@ let perf_workload ~budget kernel =
       | Some id0 -> if id <> id0 then failwith ("perf: " ^ kernel ^ " is nondeterministic"));
       w.(e) <- dt;
       best.(e) <- Float.min best.(e) dt;
-      total := !total +. dt
+      total := !total +. (dt *. float_of_int reps)
     done;
     rounds := w :: !rounds;
     incr nr
@@ -652,13 +681,15 @@ let perf_workload ~budget kernel =
       wname = kernel;
       pcycles = c_c;
       pinstrs = i_c;
+      reps;
       wall_fast = best.(0);
       wall_stripped = best.(1);
       fastpath_ratio = median (List.map (fun w -> w.(1) /. w.(0)) !rounds);
     }
   in
-  Printf.eprintf "  [perf/%s] %d cycles, %d rounds: %.0f c/s fast path, %.0f c/s stripped\n%!"
-    kernel c_c !nr
+  Printf.eprintf
+    "  [perf/%s] %d cycles, %d rounds of %d runs: %.0f c/s fast path, %.0f c/s stripped\n%!"
+    kernel c_c !nr reps
     (float_of_int c_c /. row.wall_fast)
     (float_of_int c_c /. row.wall_stripped);
   (row, Option.get !snapshot)
@@ -666,69 +697,43 @@ let perf_workload ~budget kernel =
 let cps r = float_of_int r.pcycles /. r.wall_fast
 let fastpath_speedup r = r.fastpath_ratio
 
-(* Multicore workloads timed at --jobs 1/4/8, partitions synchronized every
-   cycle. Serial speed and the wall(jobs1)/wall(jobs4) speedup are
-   reported, both informational: a barrier every cycle makes the ratio a
-   measurement of OS scheduling noise on small hosts, and the serial wall
-   swings with the worker-domain pool. *)
+(* Multicore workloads: simulation speed, informational (their wall
+   carries OS-scheduler noise that calibration cannot cancel). *)
 type mc_row = {
   mcname : string;
   mccycles : int;
   mcinstrs : int;
-  mcwall : (int * float) list; (* jobs -> best wall seconds *)
+  mcwall : float; (* best wall seconds *)
 }
 
 let perf_multicore ~budget ~harts ~cfg kernel =
   let prog = Parsec_kernels.find kernel ~harts ~scale:!parsec_scale in
   let snapshot = ref None in
-  let timed jobs =
-    let once () =
-      let m = Machine.create ~ncores:harts ~paging:true ~jobs (ooo cfg) prog in
-      let t0 = Unix.gettimeofday () in
-      let o = Machine.run ~max_cycles:budget m in
-      let dt = Unix.gettimeofday () -. t0 in
-      if o.Machine.timed_out then failwith (Printf.sprintf "perf: %s x%d timed out" kernel harts);
-      if !snapshot = None then snapshot := Some (Machine.stats m);
-      (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m, dt)
-    in
-    let c, x, i, dt = once () in
-    let best = ref dt and total = ref dt in
-    (* parallel wall clocks carry OS-scheduler noise on top of the usual
-       measurement jitter; a longer best-of window steadies them *)
-    while !total < 2.5 do
-      let c2, x2, i2, dt2 = once () in
-      if (c2, x2, i2) <> (c, x, i) then
-        failwith (Printf.sprintf "perf: %s x%d is nondeterministic at --jobs %d" kernel harts jobs);
-      if dt2 < !best then best := dt2;
-      total := !total +. dt2
-    done;
-    (c, x, i, !best)
+  let once () =
+    let m = Machine.create ~ncores:harts ~paging:true (ooo cfg) prog in
+    let t0 = Unix.gettimeofday () in
+    let o = Machine.run ~max_cycles:budget m in
+    let dt = Unix.gettimeofday () -. t0 in
+    if o.Machine.timed_out then failwith (Printf.sprintf "perf: %s x%d timed out" kernel harts);
+    if !snapshot = None then snapshot := Some (Machine.stats m);
+    (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m, dt)
   in
-  (* serial first on a quiet process (idle worker domains tax the GC), then
-     ascending jobs so the domain pool only ever grows *)
-  Cmd.Sim.shutdown_pool ();
-  let runs = List.map (fun j -> (j, timed j)) [ 1; 4; 8 ] in
-  Cmd.Sim.shutdown_pool ();
-  let c1, x1, i1, _ = List.assoc 1 runs in
-  List.iter
-    (fun (j, (c, x, i, _)) ->
-      (* parallel execution must be bit-identical to serial *)
-      if (c, x, i) <> (c1, x1, i1) then
-        failwith (Printf.sprintf "perf: %s x%d diverges at --jobs %d" kernel harts j))
-    runs;
+  let c, x, i, dt = once () in
+  let best = ref dt and total = ref dt in
+  while !total < 2.5 do
+    let c2, x2, i2, dt2 = once () in
+    if (c2, x2, i2) <> (c, x, i) then
+      failwith (Printf.sprintf "perf: %s x%d is nondeterministic" kernel harts);
+    if dt2 < !best then best := dt2;
+    total := !total +. dt2
+  done;
   let row =
-    { mcname = Printf.sprintf "%s-x%d" kernel harts; mccycles = c1; mcinstrs = i1;
-      mcwall = List.map (fun (j, (_, _, _, w)) -> (j, w)) runs }
+    { mcname = Printf.sprintf "%s-x%d" kernel harts; mccycles = c; mcinstrs = i; mcwall = !best }
   in
-  let w j = List.assoc j row.mcwall in
-  Printf.eprintf "  [perf/%s] %d cycles: %.0f c/s serial, x%.2f jobs4, x%.2f jobs8\n%!"
-    row.mcname c1
-    (float_of_int c1 /. w 1)
-    (w 1 /. w 4) (w 1 /. w 8);
+  Printf.eprintf "  [perf/%s] %d cycles: %.0f c/s\n%!" row.mcname c (float_of_int c /. !best);
   (row, Option.get !snapshot)
 
-let mc_cps r = float_of_int r.mccycles /. List.assoc 1 r.mcwall
-let mc_speedup r j = List.assoc 1 r.mcwall /. List.assoc j r.mcwall
+let mc_cps r = float_of_int r.mccycles /. r.mcwall
 
 (* ---------------------------------------------------------------- *)
 (* Farm / snapshot measurements                                       *)
@@ -865,7 +870,7 @@ let read_file path =
 
 let perf_json ~calib_s rows mc_rows farm micro_on micro_off =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"riscyoo-perf-v8\",\n";
+  Buffer.add_string b "{\n  \"schema\": \"riscyoo-perf-v9\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"calibration\": {\"name\": \"%s\", \"wall_s\": %.4f},\n" calib_name
        calib_s);
@@ -874,10 +879,10 @@ let perf_json ~calib_s rows mc_rows farm micro_on micro_off =
     (fun i r ->
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"name\": \"%s\", \"cycles\": %d, \"instrs\": %d, \"wall_s_fastpath\": %.4f, \
-            \"wall_s_stripped\": %.4f, \"sim_cps\": %.1f, \"sim_kips\": %.2f, \
-            \"fastpath_speedup\": %.3f}%s\n"
-           r.wname r.pcycles r.pinstrs r.wall_fast r.wall_stripped (cps r)
+           "    {\"name\": \"%s\", \"cycles\": %d, \"instrs\": %d, \"reps\": %d, \
+            \"wall_s_fastpath\": %.4f, \"wall_s_stripped\": %.4f, \"sim_cps\": %.1f, \
+            \"sim_kips\": %.2f, \"fastpath_speedup\": %.3f}%s\n"
+           r.wname r.pcycles r.pinstrs r.reps r.wall_fast r.wall_stripped (cps r)
            (float_of_int r.pinstrs /. r.wall_fast /. 1000.0)
            (fastpath_speedup r)
            (if i = List.length rows - 1 then "" else ",")))
@@ -885,15 +890,11 @@ let perf_json ~calib_s rows mc_rows farm micro_on micro_off =
   Buffer.add_string b "  ],\n  \"multicore\": [\n";
   List.iteri
     (fun i r ->
-      let w j = List.assoc j r.mcwall in
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"name\": \"%s\", \"cycles\": %d, \"instrs\": %d, \
-            \"wall_s_jobs1\": %.4f, \"wall_s_jobs4\": %.4f, \"wall_s_jobs8\": %.4f, \
-            \"sim_cps\": %.1f, \"speedup_vs_serial_jobs4\": %.3f, \
-            \"speedup_vs_serial_jobs8\": %.3f}%s\n"
-           r.mcname r.mccycles r.mcinstrs (w 1) (w 4) (w 8) (mc_cps r)
-           (mc_speedup r 4) (mc_speedup r 8)
+           "    {\"name\": \"%s\", \"cycles\": %d, \"instrs\": %d, \"wall_s\": %.4f, \
+            \"sim_cps\": %.1f}%s\n"
+           r.mcname r.mccycles r.mcinstrs r.mcwall (mc_cps r)
            (if i = List.length mc_rows - 1 then "" else ",")))
     mc_rows;
   Buffer.add_string b "  ],\n  \"farm\": {\n";
@@ -941,7 +942,7 @@ let write_stats_json path entries =
 
 let perf ~quick ~out ~check ~stats_json () =
   header "perf: simulation speed (fast path vs stripped)";
-  (* calibrate first, on a quiet process — no worker domains alive yet *)
+  (* calibrate first, on a quiet process *)
   let calib_s = calibrate () in
   let budget = 200_000_000 in
   let kernels = if quick then [ "smoke" ] else [ "smoke"; "gcc"; "gobmk" ] in
@@ -960,12 +961,7 @@ let perf ~quick ~out ~check ~stats_json () =
     write_stats_json path
       (List.map (fun (r, st) -> (r.wname, r.pcycles, r.pinstrs, st)) rows_s
       @ List.map (fun (r, st) -> (r.mcname, r.mccycles, r.mcinstrs, st)) mc_rows_s));
-  List.iter
-    (fun r ->
-      Printf.printf "%s: %.0f sim-cycles/s serial; domain-parallel speedup %.2fx at \
-                     --jobs 4, %.2fx at --jobs 8\n"
-        r.mcname (mc_cps r) (mc_speedup r 4) (mc_speedup r 8))
-    mc_rows;
+  List.iter (fun r -> Printf.printf "%s: %.0f sim-cycles/s\n" r.mcname (mc_cps r)) mc_rows;
   let farm = perf_farm ~seeds:50 in
   Printf.printf
     "farm: %d-byte snapshots, save %.2f ms / restore %.2f ms; warm-forked %d-seed litmus sweep \
@@ -998,9 +994,9 @@ let perf ~quick ~out ~check ~stats_json () =
        baseline to this host first — expected = baseline_cps x
        (baseline_calib_wall / current_calib_wall) — and the gate fires only
        10% below that, replacing the old flat host-speed fudge. Only the
-       single-core rows gate absolutely: the multicore rows' serial wall
-       swings with the OS scheduler and the worker-domain pool, which
-       calibration cannot cancel, so their cycles/s stay informational. A
+       single-core rows gate absolutely: the multicore rows' wall swings
+       with the OS scheduler, which calibration cannot cancel, so their
+       cycles/s stay informational. A
        baseline without a calibration entry keeps absolutes informational
        everywhere. *)
     let base = read_file path in
@@ -1040,13 +1036,11 @@ let perf ~quick ~out ~check ~stats_json () =
     in
     List.iter
       (fun r ->
-        (match baseline_cps base r.mcname with
+        match baseline_cps base r.mcname with
         | None -> ()
         | Some b ->
           Printf.printf "check: %s %.0f c/s vs baseline %.0f c/s (%.2fx) [informational]\n"
-            r.mcname (mc_cps r) b (mc_cps r /. b));
-        Printf.printf "check: %s speedup_vs_serial_jobs4 %.3f [informational]\n" r.mcname
-          (mc_speedup r 4))
+            r.mcname (mc_cps r) b (mc_cps r /. b))
       mc_rows;
     let gate name fields =
       List.filter_map

@@ -8,13 +8,12 @@
 
 module Cmd_stats = Cmd.Stats
 module Cmd_sim = Cmd.Sim
-module Cmd_kernel = Cmd.Kernel
 open Cmdliner
 open Workloads
 
-(* Single exit funnel: the domain pool is shut down explicitly on every
-   path, so a failing run never leaves worker domains blocked on the job
-   queue at process teardown. *)
+(* Single exit funnel: the farm's domain pool is shut down explicitly on
+   every path, so a failing run never leaves worker domains blocked on the
+   job queue at process teardown. *)
 let die code =
   Cmd_sim.shutdown_pool ();
   exit code
@@ -109,20 +108,6 @@ let run_cmd =
           ~doc:"attempt every rule and verify each can_fire predicate against what its rule \
                 actually did; exits 3 on a lying predicate")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:"fire each core's rule partition on its own domain, N domains at a time; results \
-                are bit-identical to --jobs 1 (clamped to the host's recommended domain count)")
-  in
-  let partition_audit =
-    Arg.(
-      value & flag
-      & info [ "partition-audit" ]
-          ~doc:"run serially while recording the partition behind every EHR/FIFO/wire access; \
-                exits 3 on an undeclared cross-partition touch")
-  in
   let obs_konata =
     Arg.(
       value & opt (some string) None
@@ -134,7 +119,7 @@ let run_cmd =
       value & opt (some string) None
       & info [ "obs-chrome" ] ~docv:"FILE"
           ~doc:"write a rule-level cycle trace as Chrome trace_event JSON (chrome://tracing, \
-                Perfetto), one track per partition")
+                Perfetto), one track per cluster: uncore, each core, each L2 bank")
   in
   let stats_json =
     Arg.(
@@ -151,22 +136,9 @@ let run_cmd =
                 outside the window are not recorded (in-flight ones still complete)")
   in
   let run kernel config cores scale parsec server cosim paging megapages mesi prefetch predictor
-      trace rules watchdog invariants inject inject_seed no_fastpath audit jobs
-      partition_audit obs_konata obs_chrome stats_json obs_window =
+      trace rules watchdog invariants inject inject_seed no_fastpath audit obs_konata obs_chrome
+      stats_json obs_window =
     let fastpath = not no_fastpath in
-    (* Asking for more domains than the host has cores just parks idle
-       workers on the pool's condition variable while oversubscription slows
-       the rest down — clamp, loudly, rather than crash or silently thrash. *)
-    let jobs =
-      let cap = Domain.recommended_domain_count () in
-      if jobs > cap then begin
-        Printf.eprintf
-          "riscyoo: --jobs %d oversubscribes this host (recommended domain count %d); clamping\n%!"
-          jobs cap;
-        cap
-      end
-      else jobs
-    in
     let prog =
       if server then Server_kernels.find kernel ~harts:cores ~scale
       else if parsec then Parsec_kernels.find kernel ~harts:cores ~scale
@@ -207,7 +179,7 @@ let run_cmd =
       let gm = Machine.create ~ncores:cores ~paging ~megapages Machine.Golden_only prog in
       let go = Machine.run gm in
       if go.Machine.timed_out then failwith "golden reference run timed out";
-      let clean = Machine.create ~ncores:cores ~paging ~megapages ~jobs kind prog in
+      let clean = Machine.create ~ncores:cores ~paging ~megapages kind prog in
       let co = Machine.run clean in
       if co.Machine.timed_out then failwith "fault-free run timed out";
       let horizon = co.Machine.cycles in
@@ -216,7 +188,7 @@ let run_cmd =
         {
           Verif.Fault.build =
             (fun () ->
-              Machine.create ~ncores:cores ~paging ~megapages ~cosim:(cores = 1) ~jobs
+              Machine.create ~ncores:cores ~paging ~megapages ~cosim:(cores = 1)
                 ~watchdog:wd_limit ~invariants:true kind prog);
           exec =
             (fun m ~on_cycle ->
@@ -241,22 +213,13 @@ let run_cmd =
           (Obs.Hub.create ?window:obs_window ?konata:obs_konata ?chrome:obs_chrome
              ?stats_json
              ~meta:
-               [
-                 ("kernel", kernel);
-                 ("config", config);
-                 ("cores", string_of_int cores);
-                 ("jobs", string_of_int jobs);
-               ]
+               [ ("kernel", kernel); ("config", config); ("cores", string_of_int cores) ]
              ~nharts:cores ())
       else None
     in
     let m =
-      try
-        Machine.create ~ncores:cores ~paging ~megapages ~cosim ~fastpath ~audit ~jobs
-          ~partition_audit ~watchdog ~invariants ?obs kind prog
-      with Cmd_sim.Partition_error msg ->
-        Printf.printf "PARTITION ERROR: %s\n" msg;
-        die 3
+      Machine.create ~ncores:cores ~paging ~megapages ~cosim ~fastpath ~audit ~watchdog
+        ~invariants ?obs kind prog
     in
     if trace then Machine.trace_commits m Format.std_formatter;
     let t0 = Unix.gettimeofday () in
@@ -270,9 +233,6 @@ let run_cmd =
         die 2
       | Cmd_sim.Audit_fail msg ->
         Printf.printf "SCHEDULER AUDIT FAILURE: %s\n" msg;
-        die 3
-      | Cmd_kernel.Partition_overlap msg ->
-        Printf.printf "PARTITION AUDIT FAILURE: %s\n" msg;
         die 3
     in
     let dt = Unix.gettimeofday () -. t0 in
@@ -304,8 +264,7 @@ let run_cmd =
     Term.(
       const run $ kernel $ config $ cores $ scale $ parsec $ server $ cosim $ paging $ megapages
       $ mesi $ prefetch $ predictor $ trace $ rules $ watchdog $ invariants $ inject $ inject_seed
-      $ no_fastpath $ audit $ jobs $ partition_audit $ obs_konata
-      $ obs_chrome $ stats_json $ obs_window)
+      $ no_fastpath $ audit $ obs_konata $ obs_chrome $ stats_json $ obs_window)
 
 let synth_cmd =
   let doc = "Print the synthesis model's area/frequency estimates" in
@@ -328,8 +287,8 @@ let litmus_cmd =
         "Runs each litmus test of the classic suite (SB, MP, LB, S, R, 2+2W, CoRR, CoWW, IRIW \
          and fence variants) on the quad-core machine across shuffled rule schedules, and checks \
          every observed outcome against the set an operational SC/TSO/WMM reference model \
-         allows. Exits 1 if a forbidden outcome, a --jobs disagreement or an unmet \
-         --require-relaxed is found; 2 on harness errors.";
+         allows. Exits 1 if a forbidden outcome or an unmet --require-relaxed is found; 2 on \
+         harness errors.";
     ]
   in
   let model =
@@ -341,7 +300,7 @@ let litmus_cmd =
     Arg.(
       value & opt int 0
       & info [ "seeds" ] ~docv:"N"
-          ~doc:"schedule seeds per (test, model, jobs); 0 = auto (200, or 12 with --quick)")
+          ~doc:"schedule seeds per (test, model); 0 = auto (200, or 12 with --quick)")
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"small sweep for PR CI (12 seeds)") in
   let test_name =
@@ -360,13 +319,6 @@ let litmus_cmd =
       & info [ "trace-dir" ] ~docv:"DIR"
           ~doc:"replay the first run of each forbidden outcome with the Konata pipeline tracer \
                 and drop the trace here")
-  in
-  let jobs_only =
-    Arg.(
-      value & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:"run only at N domains (default: every seed runs at both --jobs 1 and 4, and the \
-                outcomes must be bit-identical)")
   in
   let no_stagger =
     Arg.(
@@ -406,8 +358,8 @@ let litmus_cmd =
           ~doc:"enable a seeded implementation bug (ld-bypass-sq: load issue skips the \
                 store-queue overlap scan) — for demonstrating --obligations catches it")
   in
-  let run model seeds quick test_name hist trace_dir jobs_only no_stagger require_relaxed dut
-      mesi obligations inject =
+  let run model seeds quick test_name hist trace_dir no_stagger require_relaxed dut mesi
+      obligations inject =
     let models =
       match String.lowercase_ascii model with
       | "tso" -> [ Ooo.Config.TSO ]
@@ -429,7 +381,6 @@ let litmus_cmd =
             (String.concat " " (List.map (fun (t : Litmus.Test.t) -> t.name) Litmus.Test.all));
           die 2)
     in
-    let jobs_list = match jobs_only with Some j -> [ j ] | None -> [ 1; 4 ] in
     let dut =
       match String.lowercase_ascii dut with
       | "ooo" -> Litmus.Run.Dut_ooo
@@ -454,8 +405,8 @@ let litmus_cmd =
           List.map
             (fun t ->
               let r =
-                Litmus.Run.sweep ~seeds ~jobs_list ~stagger:(not no_stagger) ?trace_dir ~dut
-                  ~mesi ~obligations ~inject_lsq_bug ~model:m t
+                Litmus.Run.sweep ~seeds ~stagger:(not no_stagger) ?trace_dir ~dut ~mesi
+                  ~obligations ~inject_lsq_bug ~model:m t
               in
               Format.printf "%a" Litmus.Run.pp_report r;
               r)
@@ -492,7 +443,7 @@ let litmus_cmd =
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "litmus" ~doc ~man)
     Term.(
-      const run $ model $ seeds $ quick $ test_name $ hist $ trace_dir $ jobs_only $ no_stagger
+      const run $ model $ seeds $ quick $ test_name $ hist $ trace_dir $ no_stagger
       $ require_relaxed $ dut $ mesi $ obligations $ inject)
 
 let farm_cmd =

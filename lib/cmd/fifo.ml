@@ -2,14 +2,6 @@ type 'a t = {
   nm : string;
   cap : int;
   sg : Wakeup.signal; (* touched whenever occupancy may have changed *)
-  (* Partition-checker tokens. A ring FIFO is one primitive whose sides
-     conflict (shared count cell), so both tokens alias one identity — it
-     can never legally span two partitions. A conflict-free FIFO's sides
-     touch disjoint cells, so each side is its own primitive identity and
-     the two sides may live in different partitions (the whole point: cf
-     queues are the only legal cross-partition boundary). *)
-  tk_enq : Partition.token;
-  tk_deq : Partition.token;
   enq_f : Kernel.ctx -> 'a -> unit;
   deq_f : Kernel.ctx -> 'a;
   first_f : Kernel.ctx -> 'a;
@@ -96,9 +88,8 @@ let ring ~nm ~cap ~dp ~ep =
   let room_f () = Ehr.peek count < cap in
   let peek_first_f () = get_slot nm (Ehr.peek slots.(Ehr.peek head)) in
   let list_f () = ring_list slots (Ehr.peek head) (Ehr.peek count) cap in
-  let tk = Partition.mk_token nm in
-  { nm; cap; sg; tk_enq = tk; tk_deq = tk; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f;
-    size_f; room_f; peek_first_f; list_f }
+  { nm; cap; sg; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; room_f;
+    peek_first_f; list_f }
 
 let pipeline ?name ~capacity () =
   let nm = match name with Some n -> n | None -> "pfifo" in
@@ -199,10 +190,8 @@ let cf ?name clk ~capacity () =
     let h = Ehr.peek deq_total and n = Ehr.peek enq_total - Ehr.peek deq_total in
     List.init n (fun i -> get_slot nm (Ehr.peek slots.((h + i) mod cap)))
   in
-  let tk_enq = Partition.mk_token (nm ^ ".enq") in
-  let tk_deq = Partition.mk_token (nm ^ ".deq") in
-  { nm; cap; sg; tk_enq; tk_deq; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f;
-    room_f; peek_first_f; list_f }
+  { nm; cap; sg; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; room_f;
+    peek_first_f; list_f }
 
 let enq ctx t v = t.enq_f ctx v
 let deq ctx t = t.deq_f ctx
@@ -213,8 +202,6 @@ let clear ctx t = t.clear_f ctx
 let capacity t = t.cap
 let name t = t.nm
 let signal t = t.sg
-let enq_token t = t.tk_enq
-let deq_token t = t.tk_deq
 let peek_size t = t.size_f ()
 let peek_first t = t.peek_first_f ()
 let peek_can_enq t = t.room_f ()

@@ -24,10 +24,9 @@ val bypass : ?name:string -> capacity:int -> unit -> 'a t
 (** A conflict-free queue: each side's guard reads the other side's total
     as it stood at the start of the cycle, refreshed by a clock hook. An
     element enqueued at cycle [c] can be dequeued at [c + 1] at the
-    earliest, and a slot freed at [c] can be refilled at [c + 1]. This
-    one-cycle latency is what lets the two sides live in different
-    partitions that fire concurrently within a cycle; it is also why the
-    scheduler synchronizes partitions every cycle (see [Sim]). *)
+    earliest, and a slot freed at [c] can be refilled at [c + 1]: a link
+    latency of one cycle, which lets the enq and deq rules be listed in
+    either order. *)
 val cf : ?name:string -> Clock.t -> capacity:int -> unit -> 'a t
 
 (** [enq ctx q v] appends [v]; guarded on the queue not being full. *)
@@ -57,17 +56,6 @@ val name : 'a t -> string
     [clear] (and, for {!cf}, when the cycle-boundary snapshots advance).
     Rules whose [can_fire] consults {!peek_size} may watch it. *)
 val signal : 'a t -> Wakeup.signal
-
-(** Partition-checker tokens for [Rule.make ~touches]. A {!pipeline} or
-    {!bypass} FIFO is a single primitive (its sides share the count cell),
-    so both tokens carry the same identity and the queue can never legally
-    span two partitions. A {!cf} FIFO's sides touch disjoint cells, so each
-    side is its own primitive identity — the enq side and the deq side may
-    live in different partitions, which makes cf queues the only legal
-    cross-partition boundary. *)
-val enq_token : 'a t -> Partition.token
-
-val deq_token : 'a t -> Partition.token
 
 (** Untracked occupancy / contents, for statistics, tests and the ready
     tests of [Kernel.attempt_if]. [peek_size] counts every element

@@ -1,20 +1,16 @@
 exception Guard_fail of string
 exception Retry of string
 exception Conflict_error of string
-exception Partition_overlap of string
 exception Audit_fail of string
 
 (* A cell's bookkeeping lives in the cell; what a rule's abort must restore
    is logged in the ctx's port log as plain ints keyed by a cell id. Ids
-   index a [table] shared by the contexts of one scheduler (one machine):
-   a cell gets its id lazily, on its first checked access through a
-   context of that table. The directory is fixed-size and a chunk is never
-   moved once published, so a context reading an id it logged needs no
-   lock even while another domain adopts cells into the same table. Small
-   chunks keep a table cheap: a litmus farm builds a scheduler per job,
-   and even a 16-core machine enters about 3,300 cells. *)
+   index the context's own [table] (one context per scheduler, so one per
+   machine): a cell gets its id lazily, on its first checked access through
+   that context. Small chunks keep a table cheap: a litmus farm builds a
+   scheduler per job, and even a 16-core machine enters about 3,300
+   cells. *)
 type table = {
-  tlock : Mutex.t;
   dir : cell array array; (* chunks of [chunk] cells *)
   mutable n : int;
 }
@@ -26,20 +22,13 @@ and cell = {
   mutable max_w : int;  (* highest write port this cycle, -1 if none *)
   mutable w_mask : int; (* bitmask of write ports used this cycle *)
   mutable stamp : int;  (* cycle the summary belongs to *)
-  (* Partition-audit summary, kept on its own stamp so the hot path stays
-     untouched when auditing is off. Masks are never rolled back on abort:
-     even an aborted access read the cell concurrently, so it counts. *)
-  mutable p_rmask : int; (* partitions that read this cell this cycle *)
-  mutable p_wmask : int; (* partitions that wrote this cell this cycle *)
-  mutable p_stamp : int;
   mutable ctab : table; (* table [cid] indexes *)
   mutable cid : int;
 }
 
 let chunk_bits = 8
 let chunk = 1 lsl chunk_bits
-let no_table = { tlock = Mutex.create (); dir = [||]; n = 0 }
-let make_table () = { tlock = Mutex.create (); dir = Array.make 1024 [||]; n = 0 }
+let no_table = { dir = [||]; n = 0 }
 
 (* The undo trail. Each entry is a row of parallel columns: a kind tag,
    two ints, and up to three values (the mutated object, its boxed old
@@ -93,9 +82,6 @@ type ctx = {
   mutable plen : int;
   mutable rule : string;
   mutable accesses : int;
-  mutable part : int;       (* partition currently executing on this ctx *)
-  mutable stats_slot : int; (* shard index for Stats counters; -1 = direct *)
-  mutable paudit : bool;    (* record per-partition cell touches *)
   (* Ready audit (Sim's audit and no-fastpath modes): run the steps
      {!attempt_if}'s ready test turned away, and fail if one commits. *)
   mutable raudit : bool;
@@ -108,18 +94,15 @@ let make_cell name =
     max_w = -1;
     w_mask = 0;
     stamp = -1;
-    p_rmask = 0;
-    p_wmask = 0;
-    p_stamp = -1;
     ctab = no_table;
     cid = -1;
   }
 
-let make_ctx ?(table = make_table ()) clk =
+let make_ctx clk =
   let n = 64 in
   {
     clk;
-    tab = table;
+    tab = { dir = Array.make 1024 [||]; n = 0 };
     tg = Array.make n 0;
     ia = Array.make n 0;
     ib = Array.make n 0;
@@ -133,50 +116,13 @@ let make_ctx ?(table = make_table ()) clk =
     plen = 0;
     rule = "?";
     accesses = 0;
-    part = 0;
-    stats_slot = -1;
-    paudit = false;
     raudit = false;
   }
 
 let clock ctx = ctx.clk
 let rule_name ctx = ctx.rule
 let set_rule_name ctx n = ctx.rule <- n
-let partition ctx = ctx.part
-let set_partition ctx p = ctx.part <- p
-let stats_slot ctx = ctx.stats_slot
-let set_stats_slot ctx s = ctx.stats_slot <- s
-let set_partition_audit ctx b = ctx.paudit <- b
-
 let set_ready_audit ctx b = ctx.raudit <- b
-
-let overlap_fail ctx c all =
-  let parts = ref [] in
-  for p = 60 downto 0 do
-    if all land (1 lsl p) <> 0 then parts := string_of_int p :: !parts
-  done;
-  raise
-    (Partition_overlap
-       (Printf.sprintf
-          "cycle %d: cell %s touched by partitions {%s} with a write involved (last access by rule %s)"
-          (Clock.now ctx.clk) c.cell_name
-          (String.concat "," !parts)
-          ctx.rule))
-
-(* Record a cell touch for the partition audit. Read-read sharing across
-   partitions is harmless (no order dependence); any sharing that involves
-   a write is an overlap the static checker should have excluded. *)
-let audit_touch ctx c ~write =
-  let now = Clock.uid ctx.clk in
-  if c.p_stamp <> now then begin
-    c.p_stamp <- now;
-    c.p_rmask <- 0;
-    c.p_wmask <- 0
-  end;
-  let bit = 1 lsl ctx.part in
-  if write then c.p_wmask <- c.p_wmask lor bit else c.p_rmask <- c.p_rmask lor bit;
-  let all = c.p_rmask lor c.p_wmask in
-  if c.p_wmask <> 0 && all land (all - 1) <> 0 then overlap_fail ctx c all
 
 (* ---- undo trail ---- *)
 
@@ -290,21 +236,14 @@ let cell_of tab id =
   Array.unsafe_get (Array.unsafe_get tab.dir (id lsr chunk_bits)) (id land (chunk - 1))
 
 let[@inline never] adopt tab c =
-  Mutex.lock tab.tlock;
-  if c.ctab != tab then begin
-    let id = tab.n in
-    let k = id lsr chunk_bits in
-    if k >= Array.length tab.dir then begin
-      Mutex.unlock tab.tlock;
-      failwith "Kernel: cell table full"
-    end;
-    if id land (chunk - 1) = 0 then tab.dir.(k) <- Array.make chunk c;
-    tab.dir.(k).(id land (chunk - 1)) <- c;
-    tab.n <- id + 1;
-    c.cid <- id;
-    c.ctab <- tab
-  end;
-  Mutex.unlock tab.tlock
+  let id = tab.n in
+  let k = id lsr chunk_bits in
+  if k >= Array.length tab.dir then failwith "Kernel: cell table full";
+  if id land (chunk - 1) = 0 then tab.dir.(k) <- Array.make chunk c;
+  tab.dir.(k).(id land (chunk - 1)) <- c;
+  tab.n <- id + 1;
+  c.cid <- id;
+  c.ctab <- tab
 
 (* Log [c]'s summary as it is before this access changes it. *)
 let log_port ctx c =
@@ -351,7 +290,6 @@ let retry ctx c kind port =
 
 let record_read ctx c port =
   refresh ctx c;
-  if ctx.paudit then audit_touch ctx c ~write:false;
   (* read[port] may follow write[j] only when j < port *)
   if c.max_w >= port then retry ctx c "read" port;
   ctx.accesses <- ctx.accesses + 1;
@@ -362,7 +300,6 @@ let record_read ctx c port =
 
 let record_write ctx c port =
   refresh ctx c;
-  if ctx.paudit then audit_touch ctx c ~write:true;
   (* write[port] may follow read[j] when j <= port, write[j] when j < port *)
   if c.max_r > port || c.max_w >= port || c.w_mask land (1 lsl port) <> 0 then
     retry ctx c "write" port;

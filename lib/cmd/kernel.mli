@@ -35,13 +35,6 @@ exception Retry of string
     which no schedule can fix. *)
 exception Conflict_error of string
 
-(** Raised by the partition audit ([Sim.create ~partition_audit:true]) when a
-    cell is touched by two different partitions within one cycle with at
-    least one write involved — an overlap the static partition checker
-    should have made impossible. Read-read sharing across partitions is
-    order-independent and is not reported. *)
-exception Partition_overlap of string
-
 (** Raised by the scheduler audit ([Sim.create ~audit:true]) when a rule or
     one of its steps claimed it could not fire and then committed an
     effect. [Sim.Audit_fail] is the same exception. *)
@@ -50,15 +43,6 @@ exception Audit_fail of string
 type cell
 type ctx
 
-(** The id table behind a context's port log. Contexts that can touch the
-    same cells — the per-partition contexts of one scheduler — share one
-    table; a cell is entered on its first checked access through any of
-    them. Adoption takes the table's lock, so contexts running on different
-    domains may share it. *)
-type table
-
-val make_table : unit -> table
-
 (** [make_cell name] allocates the conflict-tracking bookkeeping for one EHR.
     [name] appears in conflict diagnostics. *)
 val make_cell : string -> cell
@@ -66,9 +50,8 @@ val make_cell : string -> cell
 (** A transaction context. Method implementations thread it through every
     state access. The context owns a reusable undo trail, so the scheduler
     keeps one context alive across all rule attempts of a run; call
-    {!reset_ctx} between attempts after a commit. [table] defaults to a
-    fresh table of its own. *)
-val make_ctx : ?table:table -> Clock.t -> ctx
+    {!reset_ctx} between attempts after a commit. *)
+val make_ctx : Clock.t -> ctx
 
 (** Forget the committed undo log (without running it) and reset the access
     counter, readying the context for the next rule attempt. *)
@@ -80,24 +63,6 @@ val clock : ctx -> Clock.t
 (** Name of the rule currently executing (for diagnostics). *)
 val rule_name : ctx -> string
 val set_rule_name : ctx -> string -> unit
-
-(** Partition attributed to accesses made through this context. The
-    scheduler sets it per execution context (parallel mode) or per rule
-    (partition-audit mode); module code never touches it. *)
-val partition : ctx -> int
-val set_partition : ctx -> int -> unit
-
-(** Shard index used by [Stats.incr] for counters incremented through this
-    context; [-1] (the default) increments the counter directly. Parallel
-    partitions each get a distinct slot so counter updates never race. *)
-val stats_slot : ctx -> int
-val set_stats_slot : ctx -> int -> unit
-
-(** Enable per-partition cell-touch recording on this context; any
-    cross-partition overlap involving a write raises {!Partition_overlap}.
-    Audit masks are deliberately not rolled back on abort — even an aborted
-    access read the cell concurrently. *)
-val set_partition_audit : ctx -> bool -> unit
 
 (** Turn the ready-test audit of {!attempt_if} on or off (default off). The
     scheduler turns it on under [Sim.create ~audit:true] and

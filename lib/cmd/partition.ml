@@ -1,23 +1,13 @@
-(* Ambient partition scoping and boundary-primitive tokens.
-
-   A partition is an integer: 0 is the "uncore" (always executed serially),
-   1.. are parallel partitions (one per core). Module constructors and rule
-   constructors capture the ambient partition, so a machine builder tags a
+(* Ambient cluster scoping. A cluster is an integer: 0 is the shared
+   "uncore", 1.. label cores (and the banks of a banked L2). Rule
+   constructors capture the ambient cluster, so a machine builder labels a
    whole subtree (core + private caches + TLB) by wrapping its construction
-   in [scoped].
-
-   A [token] names one primitive (an EHR cell group, a FIFO, a wire) for the
-   static partition checker. Rules declare the boundary primitives they
-   touch via [Rule.make ~touches]; the checker proves that no primitive is
-   claimed by two different parallel partitions. Partition-private state
-   needs no declaration — the dynamic [--partition-audit] mode backstops the
-   static argument by recording every cell actually touched per partition
-   per cycle. *)
+   in [scoped]; the observability layer groups trace tracks by it. *)
 
 let uncore = 0
 
 (* Domain-local so farm workers can build machines concurrently: each
-   domain's ambient partition is its own. *)
+   domain's ambient cluster is its own. *)
 let cur : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref uncore)
 let ambient () = !(Domain.DLS.get cur)
 
@@ -27,15 +17,3 @@ let scoped p f =
   let old = !cur in
   cur := p;
   Fun.protect ~finally:(fun () -> cur := old) f
-
-type token = { tk_name : string; prim : int }
-
-(* Atomic, not domain-local: primitive identities need only be unique, and
-   machines built on different domains must never alias each other's. *)
-let prim_ctr = Atomic.make 0
-let fresh_prim () = Atomic.fetch_and_add prim_ctr 1 + 1
-
-let token ~prim tk_name = { tk_name; prim }
-let mk_token tk_name = { tk_name; prim = fresh_prim () }
-let name tk = tk.tk_name
-let prim tk = tk.prim

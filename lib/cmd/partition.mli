@@ -1,36 +1,19 @@
-(** Ambient partition scoping and boundary-primitive tokens.
+(** Ambient cluster scoping: a label for where a rule lives in the machine.
 
-    Partitions shard the rule set for parallel simulation: partition 0 (the
-    {e uncore}) always executes serially on the main domain; partitions 1..
-    may execute concurrently, one domain each. Constructors ([Rule.make],
-    [Wakeup.make], [Fifo.ring]/[Fifo.cf]) capture the ambient partition, so
-    wrapping a core's construction in [scoped (hart_id + 1)] tags every rule
-    and primitive it builds. *)
+    Every rule records the cluster that was ambient when it was built
+    ([Rule.t.part]). A machine builder wraps each core's construction
+    (pipeline, private caches, TLB) in [scoped (hart_id + 1)], and a banked
+    L2's banks in their own clusters, so the label says which core or bank
+    a rule belongs to. Only [lib/obs] reads it, to give each cluster its own
+    Chrome trace track; the scheduler ignores it. *)
 
 val uncore : int
-(** The serial partition, [0]. The ambient default. *)
+(** The shared cluster, [0]. The ambient default. *)
 
 val ambient : unit -> int
-(** Current ambient partition (set by an enclosing [scoped]). *)
+(** Current ambient cluster (set by an enclosing [scoped]). *)
 
 val scoped : int -> (unit -> 'a) -> 'a
-(** [scoped p f] runs [f] with ambient partition [p] (restored on exit,
+(** [scoped p f] runs [f] with ambient cluster [p] (restored on exit,
     including on exception). Raises [Invalid_argument] unless
     [0 <= p <= 60]. *)
-
-type token
-(** Names one shared primitive for the static partition checker. A
-    conflict-free FIFO exposes two tokens (enq side, deq side) over the same
-    primitive; a ring FIFO exposes one token for both sides. *)
-
-val fresh_prim : unit -> int
-(** A fresh primitive identity (process-global). *)
-
-val token : prim:int -> string -> token
-(** A token over an existing primitive identity. *)
-
-val mk_token : string -> token
-(** A token over a fresh primitive identity. *)
-
-val name : token -> string
-val prim : token -> int

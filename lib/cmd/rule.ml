@@ -5,7 +5,6 @@ type t = {
   watches : Wakeup.signal array;
   vacuous : bool;
   part : int;
-  touches : Partition.token array;
   mutable fired : int;
   mutable guard_failed : int;
   mutable conflicted : int;
@@ -15,7 +14,7 @@ type t = {
   mutable rid : int;
 }
 
-let make ?can_fire ?(watches = []) ?(touches = []) ?(vacuous = false) name body =
+let make ?can_fire ?(watches = []) ?(vacuous = false) name body =
   {
     name;
     body;
@@ -23,7 +22,6 @@ let make ?can_fire ?(watches = []) ?(touches = []) ?(vacuous = false) name body 
     watches = Array.of_list watches;
     vacuous;
     part = Partition.ambient ();
-    touches = Array.of_list touches;
     fired = 0;
     guard_failed = 0;
     conflicted = 0;

@@ -30,16 +30,13 @@
     same way, keeping cycle-by-cycle firing statistics bit-identical with
     and without the fast path.
 
-    {2 Partition metadata}
+    {2 Cluster label}
 
-    [part] is the partition the rule belongs to, captured from
-    [Partition.ambient] at construction. [touches] declares the {e boundary}
-    primitives the rule's body may access — primitives also accessible from
-    another partition (in practice the conflict-free FIFOs between a core
-    cluster and the uncore). Partition-private state needs no declaration;
-    the static checker in [Sim] proves no primitive is claimed by two
-    parallel partitions, and [--partition-audit] dynamically backstops the
-    private-state assumption. *)
+    [part] is the cluster the rule belongs to, captured from
+    [Partition.ambient] at construction: 0 for the shared uncore, [i + 1]
+    for core [i]'s pipeline, private caches and TLB, and one cluster per
+    bank of a banked L2. The scheduler ignores it; [lib/obs] groups trace
+    tracks by it. *)
 
 type t = {
   name : string;
@@ -47,8 +44,7 @@ type t = {
   can_fire : (unit -> bool) option;  (** cheap pre-attempt predicate *)
   watches : Wakeup.signal array;  (** sensitivity set for parking *)
   vacuous : bool;  (** an abort or a skip counts as a (vacuous) fire *)
-  part : int;  (** partition, captured from [Partition.ambient] at [make] *)
-  touches : Partition.token array;  (** declared boundary primitives *)
+  part : int;  (** cluster, captured from [Partition.ambient] at [make] *)
   mutable fired : int;  (** cycles in which the rule fired *)
   mutable guard_failed : int;  (** attempts aborted by a guard *)
   mutable conflicted : int;  (** attempts aborted by an intra-cycle conflict *)
@@ -64,7 +60,6 @@ type t = {
 val make :
   ?can_fire:(unit -> bool) ->
   ?watches:Wakeup.signal list ->
-  ?touches:Partition.token list ->
   ?vacuous:bool ->
   string ->
   (Kernel.ctx -> unit) ->

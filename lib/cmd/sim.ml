@@ -1,20 +1,18 @@
 type mode = Multi | One_per_cycle | Shuffle of int
 
 exception Audit_fail = Kernel.Audit_fail
-exception Partition_error of string
 
 (* ---------------------------------------------------------------------- *)
 (* Domain pool                                                            *)
 (*                                                                        *)
-(* One process-global pool, grown lazily and shared by every Sim so that  *)
-(* repeated Machine builds (tests, fault campaigns) do not spawn domains  *)
-(* per machine. Workers block on a condition variable between cycles: on  *)
-(* few-core hosts a spinning barrier would fight the partitions for the   *)
-(* CPU, and a blocked worker costs nothing. The mutex acquire/release     *)
-(* around every task grab and completion also provides the happens-before *)
-(* edges that make each partition's writes visible to the main domain at  *)
-(* the barrier (and the main domain's inter-cycle writes visible to the   *)
-(* partitions at dispatch).                                               *)
+(* The simulation farm's job executor ([pool_run], used by Farm.Sweep):   *)
+(* one process-global pool, grown lazily, so repeated sweeps do not spawn *)
+(* domains per batch. Every simulator cycle runs on the calling domain;   *)
+(* a farm task builds and runs a whole machine of its own. Workers block  *)
+(* on a condition variable between batches, and a blocked worker costs   *)
+(* nothing. The mutex acquire/release around every task grab and          *)
+(* completion also provides the happens-before edges that make a task's   *)
+(* writes visible to the caller when [run] returns.                       *)
 (* ---------------------------------------------------------------------- *)
 
 module Pool = struct
@@ -51,8 +49,8 @@ module Pool = struct
     if p.remaining = 0 then Condition.signal p.done_cv;
     Mutex.unlock p.m
 
-  (* Tasks trap their own exceptions (see [run_part]); the catch-all here
-     only guards against a raising task deadlocking the barrier. The array
+  (* Tasks trap their own exceptions (see [pool_run]); the catch-all here
+     only guards against a raising task deadlocking the batch. The array
      is re-read and bounds-checked because [shutdown] may clear it between
      a worker claiming an index and executing it. *)
   let exec i =
@@ -85,7 +83,7 @@ module Pool = struct
      instead of double-joining the domains or deadlocking on [p.m].
      Signal handlers should still prefer setting a flag and letting the
      main loop call this (see [riscyoo farm]): a handler that interrupts
-     the pool mid-cycle would block in [Domain.join] until the cycle's
+     the pool mid-batch would block in [Domain.join] until the batch's
      tasks drain. *)
   let in_shutdown = Atomic.make false
 
@@ -101,8 +99,8 @@ module Pool = struct
              shutdown that interrupts a run (signal handlers) used to leave
              [tasks]/[next]/[remaining] populated, and the first worker of
              the NEXT generation would claim and execute a stale task — a
-             cached per-cycle step closure of a machine that may since have
-             been mutated or discarded. Clearing the queue here makes a
+             job closure over state that may since have been mutated or
+             discarded. Clearing the queue here makes a
              restarted pool start from a blank slate; [max_helpers] is
              zeroed so freshly spawned workers stay parked until a run
              hands them work. *)
@@ -153,7 +151,7 @@ module Pool = struct
         while p.remaining > 0 do
           Condition.wait p.done_cv p.m
         done;
-        p.tasks <- [||] (* don't pin dead sims via task closures *);
+        p.tasks <- [||] (* don't pin finished jobs via task closures *);
         continue := false;
         Mutex.unlock p.m
       end
@@ -162,35 +160,13 @@ end
 
 (* ---------------------------------------------------------------------- *)
 
-(* One group of rules run on a private transaction context (own undo trail,
-   stats shard, partition id). A partitioned run has one group per core
-   partition plus the uncore group (pid 0); a serial run has only the
-   uncore group, holding every rule. *)
-type group = {
-  pid : int;
-  gctx : Kernel.ctx;
-  mutable gfired : int; (* partitions: fires this cycle *)
-  mutable exn : exn option; (* raised during a partition's phase *)
-}
-
 type t = {
   clk : Clock.t;
   rule_list : Rule.t list;
   order : Rule.t array; (* attempt order; permuted in Shuffle mode *)
   mode : mode;
   mutable rng : Random.State.t option; (* mutable for [reseed] and restore *)
-  ctx : Kernel.ctx; (* the uncore group's context *)
-  jobs : int;
-  stats : Stats.t option; (* merged at the cycle close; partitioned runs only *)
-  (* The cycle engine (see [cycle_multi]): the partition groups run — on
-     the pool when [pool], inline in pid order otherwise — then the uncore
-     group runs on the main domain. A serial run has no partition groups. *)
-  pool : bool;
-  parts : group array; (* partition groups (pid >= 1), ascending *)
-  uncore : group;
-  porders : Rule.t array array; (* by pid: this cycle's schedule order *)
-  fill : int array; (* scratch fill pointers for Shuffle refills *)
-  mutable tasks : (unit -> unit) array; (* one per partition, reused *)
+  ctx : Kernel.ctx; (* the one transaction context every rule runs on *)
   mutable runners : (int -> int) array; (* by rid, see [mk_runner] *)
   fmask : bool array; (* by rid: fired this cycle, while history is on *)
   mutable n_cycles : int;
@@ -205,67 +181,13 @@ type t = {
   mutable hooks_cache : (int -> int -> unit) array option;
       (* post-cycle checks then monitors, registration order, as one array *)
   (* rule-level trace sink (observability layer). A flat bool guards every
-     call site so the disabled cost is one load+branch per fire; the callback
-     runs on whichever domain fired the rule, so a sink must write only
-     per-partition state (see lib/obs). Skipped-but-vacuous rules are traced
-     exactly like real fires, mirroring the fire-count accounting, so traces
-     are bit-identical with the fast path on or off. *)
+     call site so the disabled cost is one load+branch per fire.
+     Skipped-but-vacuous rules are traced exactly like real fires, mirroring
+     the fire-count accounting, so traces are bit-identical with the fast
+     path on or off. *)
   mutable rtrace_on : bool;
   mutable rtrace : Rule.t -> int -> unit;
 }
-
-(* Static partition checker: prove, from the declared boundary tokens and
-   watch sets, that no primitive is reachable from two different partitions.
-   Rules declare the boundary primitives they touch ([Rule.make ~touches]);
-   partition-private state is implicit and backstopped by the dynamic
-   [partition_audit]. A conflict-free FIFO contributes one primitive per
-   side, so its enq and deq halves may live in different partitions; a ring
-   FIFO is a single primitive and is confined to one partition. *)
-let check_partitions rules =
-  let owner : (int, int * string * string) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Rule.t) ->
-      Array.iter
-        (fun tk ->
-          let prim = Partition.prim tk in
-          match Hashtbl.find_opt owner prim with
-          | None -> Hashtbl.add owner prim (r.part, r.name, Partition.name tk)
-          | Some (p0, r0, tk0) ->
-            if p0 <> r.part then
-              raise
-                (Partition_error
-                   (Printf.sprintf
-                      "primitive %s is touched from partition %d (rule %s) and partition %d (rule %s, token %s); only the two sides of a conflict-free FIFO may cross a partition boundary"
-                      tk0 p0 r0 r.part r.name (Partition.name tk))))
-        r.touches)
-    rules;
-  List.iter
-    (fun (r : Rule.t) ->
-      if r.part > 0 then
-        Array.iter
-          (fun s ->
-            let o = Wakeup.owner s in
-            if o <> r.part && o <> Partition.uncore then
-              raise
-                (Partition_error
-                   (Printf.sprintf
-                      "rule %s (partition %d) watches a signal owned by partition %d; parallel rules may only watch their own partition's signals (or the uncore's, which are quiescent during the parallel phase)"
-                      r.name r.part o)))
-          r.watches)
-    rules
-
-(* Refill per-partition order arrays from a (possibly just shuffled) global
-   order, one pass, preserving relative order — so the partitioned schedule
-   permutes exactly like the serial one. *)
-let refill_orders fill (src : Rule.t array) (dst : Rule.t array array) =
-  Array.fill fill 0 (Array.length fill) 0;
-  for i = 0 to Array.length src - 1 do
-    let r = Array.unsafe_get src i in
-    let pid = r.Rule.part in
-    let k = fill.(pid) in
-    dst.(pid).(k) <- r;
-    fill.(pid) <- k + 1
-  done
 
 (* Fast-path decision: should [r] be skipped without an attempt this cycle?
    Only rules carrying a [can_fire] predicate are ever skipped. A skippable
@@ -296,13 +218,11 @@ let should_skip (r : Rule.t) =
       true
     end
 
-(* The slow oracles, as a wrapper around a rule's body. The partition audit
-   tags the context with the rule's partition. The scheduler audit checks
-   the one-sided can_fire contract: [false] must imply the body cannot
-   commit anything this cycle. *)
-let audited_body t (r : Rule.t) ~audit ~paudit ctx =
-  if paudit then Kernel.set_partition ctx r.Rule.part;
-  let claimed = (not audit) || match r.Rule.can_fire with None -> true | Some p -> p () in
+(* The slow oracle, as a wrapper around a rule's body: the scheduler audit
+   checks the one-sided can_fire contract, [false] must imply the body
+   cannot commit anything this cycle. *)
+let audited_body t (r : Rule.t) ctx =
+  let claimed = match r.Rule.can_fire with None -> true | Some p -> p () in
   r.Rule.body ctx;
   if (not claimed) && ((not r.Rule.vacuous) || Kernel.undo_depth ctx > 0) then begin
     Kernel.rollback ctx;
@@ -318,16 +238,15 @@ let note_fire t (r : Rule.t) fired =
   if t.rtrace_on then t.rtrace r t.n_cycles;
   fired + 1
 
-(* The one per-rule step: attempt [r] on its group's context and account
-   for the outcome, taking and returning the group's fires so far this
-   cycle (threaded through the loop rather than stored, so partitions on
-   different domains write no shared counter per fire). Built once per rule
-   at elaboration: [skip] consults the fast path, and [body] is the rule's
-   body or its audited wrapper. A [vacuous] rule that aborts, on a guard or a
-   conflict, rolls back and counts as a vacuous fire: exactly what wrapping
-   its body in [Kernel.attempt] would produce, without the second
-   transaction. *)
-let mk_runner t ctx (r : Rule.t) ~skip body =
+(* The one per-rule step: attempt [r] on the scheduler's context and
+   account for the outcome, taking and returning the cycle's fires so far.
+   Built once per rule at elaboration: [skip] consults the fast path, and
+   [body] is the rule's body or its audited wrapper. A [vacuous] rule that
+   aborts, on a guard or a conflict, rolls back and counts as a vacuous
+   fire: exactly what wrapping its body in [Kernel.attempt] would produce,
+   without the second transaction. *)
+let mk_runner t (r : Rule.t) ~skip body =
+  let ctx = t.ctx in
   fun fired ->
     if skip && should_skip r then begin
       (* Account the pruned attempt exactly as the seed scheduler would
@@ -362,84 +281,29 @@ let mk_runner t ctx (r : Rule.t) ~skip body =
         Kernel.reset_ctx ctx;
         (* If nothing fired yet this cycle, the conflict is within the rule
            itself: no schedule can ever admit it. Fail loudly, like the BSV
-           compiler rejecting an ill-formed rule. A partition counts only
-           its own fires: its cells are touched by it alone. *)
+           compiler rejecting an ill-formed rule. *)
         if fired = 0 then raise (Kernel.Conflict_error msg);
         r.Rule.conflicted <- r.Rule.conflicted + 1;
         fired
     end
 
-let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
-    ?(partition_audit = false) ?(grouped = false) ?stats clk rules =
-  if jobs < 1 then invalid_arg "Sim.create: jobs must be >= 1";
+let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) clk rules =
   let rng = match mode with Shuffle seed -> Some (Random.State.make [| seed |]) | Multi | One_per_cycle -> None in
-  let max_part = List.fold_left (fun m (r : Rule.t) -> max m r.Rule.part) 0 rules in
-  if jobs > 1 || partition_audit then check_partitions rules;
-  (* Partitions run as groups of their own when something can actually run
-     off-main (or [grouped] asks for the structure at jobs 1) and the
-     execution strategy is not inherently serial: One_per_cycle commits a
-     single rule per cycle across the whole machine, and the audit modes
-     deliberately execute serially so their diagnostics are exact. *)
-  let par =
-    (jobs > 1 || grouped) && max_part > 0 && mode <> One_per_cycle && (not audit)
-    && not partition_audit
-  in
-  let counts = Array.make (max_part + 1) 0 in
-  List.iter (fun (r : Rule.t) -> counts.(r.Rule.part) <- counts.(r.Rule.part) + 1) rules;
   (* Stamp every rule with its index in the canonical (rule_list) order.
      [Obs.Hub] stamps the same indices from the same list, so the two
      agree; the stamps let the snapshot express the current schedule
      permutation as plain indices. *)
   let rules_arr = Array.of_list rules in
   Array.iteri (fun i (r : Rule.t) -> r.Rule.rid <- i) rules_arr;
-  let order = Array.copy rules_arr in
-  let group pid gctx = { pid; gctx; gfired = 0; exn = None } in
-  (* One cell-id table for every group's port log: a boundary FIFO's slots
-     are touched by the groups on both of its sides. *)
-  let table = Kernel.make_table () in
-  let uncore = group Partition.uncore (Kernel.make_ctx ~table clk) in
-  let parts =
-    if not par then [||]
-    else
-      Array.of_list
-        (List.filter_map
-           (fun pid ->
-             if counts.(pid) = 0 then None
-             else begin
-               let pctx = Kernel.make_ctx ~table clk in
-               Kernel.set_partition pctx pid;
-               Kernel.set_stats_slot pctx pid;
-               Some (group pid pctx)
-             end)
-           (List.init max_part (fun i -> i + 1)))
-  in
-  (match stats with Some s when par -> Stats.prepare s ~slots:(max_part + 1) | _ -> ());
-  (* Per-group schedules. A serial run's single group reads the global
-     order itself; partition groups get private arrays, refilled from the
-     global order whenever Shuffle permutes it. *)
-  let porders =
-    if not par then [| order |]
-    else Array.init (max_part + 1) (fun pid -> Array.make counts.(pid) order.(0))
-  in
-  let fill = Array.make (max_part + 1) 0 in
-  if par then refill_orders fill order porders;
   let n = Array.length rules_arr in
   let t =
     {
       clk;
       rule_list = rules;
-      order;
+      order = Array.copy rules_arr;
       mode;
       rng;
-      ctx = uncore.gctx;
-      jobs;
-      stats = (if par then stats else None);
-      pool = par && jobs > 1;
-      parts;
-      uncore;
-      porders;
-      fill;
-      tasks = [||];
+      ctx = Kernel.make_ctx clk;
       runners = [||];
       fmask = Array.make n false;
       n_cycles = 0;
@@ -454,23 +318,14 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
       rtrace = (fun _ _ -> ());
     }
   in
-  Kernel.set_partition_audit t.ctx partition_audit;
   (* Step ready tests are a fast path too: without it every step runs, and
      the audit checks the tests that would have turned it away. *)
-  let ready_audit = audit || not fastpath in
-  Kernel.set_ready_audit t.ctx ready_audit;
-  Array.iter (fun g -> Kernel.set_ready_audit g.gctx ready_audit) t.parts;
-  let ctx_of = Array.make (max_part + 1) uncore.gctx in
-  Array.iter (fun g -> ctx_of.(g.pid) <- g.gctx) parts;
-  let oracle = audit || partition_audit in
+  Kernel.set_ready_audit t.ctx (audit || not fastpath);
   t.runners <-
     Array.map
       (fun (r : Rule.t) ->
-        let body =
-          if not oracle then r.Rule.body
-          else audited_body t r ~audit ~paudit:partition_audit
-        in
-        mk_runner t ctx_of.(r.Rule.part) r ~skip:(fastpath && not audit) body)
+        let body = if audit then audited_body t r else r.Rule.body in
+        mk_runner t r ~skip:(fastpath && not audit) body)
       rules_arr;
   State.register ~name:"sim.sched"
     ~save:(fun () ->
@@ -525,8 +380,6 @@ let clock t = t.clk
 let cycles t = t.n_cycles
 let total_fires t = t.fires
 let rules t = t.rule_list
-let jobs t = t.jobs
-let parallel t = t.pool
 let shutdown_pool () = Pool.shutdown ()
 let pool_run ~helpers tasks = Pool.run ~helpers tasks
 
@@ -597,49 +450,21 @@ let shuffle rng a =
 
 
 (* ---------------------------------------------------------------------- *)
-(* The cycle engine                                                       *)
+(* The cycle loop                                                         *)
 (*                                                                        *)
-(* Every cycle runs in three deterministic steps:                         *)
-(*                                                                        *)
-(*   1. every core partition runs its rules, concurrently across the pool *)
-(*      when jobs > 1, inline in pid order under [grouped];               *)
-(*   2. after the barrier the uncore group runs on the main domain;       *)
-(*   3. the cycle closes: [Clock.tick] runs every clock hook (this also   *)
-(*      advances the conflict-free FIFO snapshots, waking parked rules on *)
-(*      both sides), the per-partition stats shards merge, and the        *)
-(*      history ring and end-of-cycle hooks see the quiescent state.      *)
-(*                                                                        *)
-(* The only channels between partitions are conflict-free FIFOs, whose    *)
-(* guards read the other side as it stood at the start of the cycle: what *)
-(* one partition enqueues at cycle c is visible to another at c + 1, so   *)
-(* the partitions of one cycle commute and results are bit-identical at   *)
-(* any --jobs. A window longer than one cycle would be exact only if      *)
-(* every boundary link had a latency of at least its length; a link of    *)
-(* latency 1 makes the exact window one cycle (see DESIGN, "Why the       *)
-(* window is one cycle"). Serial execution is the same cycle with no      *)
-(* partition groups: the uncore group then holds every rule in schedule   *)
-(* order.                                                                 *)
+(* Every Multi/Shuffle cycle runs each rule once, in schedule order, on   *)
+(* the one context; then the cycle closes: [Clock.tick] runs every clock  *)
+(* hook (this also advances the conflict-free FIFO snapshots, waking      *)
+(* parked rules on both sides), and the history ring and end-of-cycle     *)
+(* hooks see the quiescent state. A serial pass over the schedule is the  *)
+(* direct software reading of CMD's "a cycle's fired rules are explained  *)
+(* by firing them one by one".                                            *)
 (* ---------------------------------------------------------------------- *)
 
-(* Run one cycle of group [g], one runner per rule of its order, starting
-   from [fired] fires; returns the fires after the last rule. *)
-let run_cycle t g fired =
-  let order = t.porders.(g.pid) in
-  let runners = t.runners in
-  let fired = ref fired in
-  for i = 0 to Array.length order - 1 do
-    fired := (Array.unsafe_get runners (Array.unsafe_get order i).Rule.rid) !fired
-  done;
-  !fired
-
-(* Step 1 for one partition; traps its exception for the barrier. *)
-let run_part t g = match run_cycle t g 0 with n -> g.gfired <- n | exception e -> g.exn <- Some e
-
-(* Step 3: close a cycle that fired [fired] rules. *)
+(* Close a cycle that fired [fired] rules. *)
 let close_cycle t fired =
   let cyc = t.n_cycles in
   Clock.tick t.clk;
-  (match t.stats with Some s -> Stats.merge s | None -> ());
   if t.history_depth > 0 then begin
     let names = ref [] in
     for i = Array.length t.order - 1 downto 0 do
@@ -660,33 +485,13 @@ let close_cycle t fired =
   fired
 
 let cycle_multi t =
-  (* The main domain owns the RNG: draw the cycle's permutation and split
-     it per partition before dispatch. *)
-  (match t.rng with
-  | Some rng ->
-    shuffle rng t.order;
-    if Array.length t.parts > 0 then refill_orders t.fill t.order t.porders
-  | None -> ());
-  let pfired =
-    if Array.length t.parts = 0 then 0
-    else begin
-      if Array.length t.tasks = 0 then t.tasks <- Array.map (fun g () -> run_part t g) t.parts;
-      if t.pool then Pool.run ~helpers:(min (t.jobs - 1) (Array.length t.parts - 1)) t.tasks
-      else Array.iter (fun task -> task ()) t.tasks;
-      (* Barrier passed: every partition's writes are visible. Re-raise the
-         lowest partition's exception (deterministic pick). *)
-      let first_exn = ref None and n = ref 0 in
-      Array.iter
-        (fun g ->
-          if !first_exn = None then first_exn := g.exn;
-          g.exn <- None;
-          n := !n + g.gfired)
-        t.parts;
-      Option.iter raise !first_exn;
-      !n
-    end
-  in
-  close_cycle t (run_cycle t t.uncore pfired)
+  (match t.rng with Some rng -> shuffle rng t.order | None -> ());
+  let order = t.order and runners = t.runners in
+  let fired = ref 0 in
+  for i = 0 to Array.length order - 1 do
+    fired := (Array.unsafe_get runners (Array.unsafe_get order i).Rule.rid) !fired
+  done;
+  close_cycle t !fired
 
 (* One_per_cycle: the reference executor commits at most one rule per
    cycle, trying the rules from a rotating start so none starves. *)

@@ -24,15 +24,10 @@ type mode =
     step. The same exception as [Kernel.Audit_fail]. *)
 exception Audit_fail of string
 
-(** Raised by {!create} when the static partition checker finds a primitive
-    declared (via [Rule.make ~touches]) by rules in two different
-    partitions, or a parallel rule watching a signal it does not own. *)
-exception Partition_error of string
-
 type t
 
-(** [create ?mode ?fastpath ?audit ?jobs ?partition_audit ?stats clk rules]
-    builds a scheduler.
+(** [create ?mode ?fastpath ?audit clk rules] builds a scheduler. Every rule
+    runs on the calling domain, through one transaction context.
 
     With [fastpath] (the default), a rule carrying a [can_fire] predicate is
     skipped — no transaction, no exception, no rollback — in cycles where
@@ -48,73 +43,20 @@ type t
     [~audit:true] disables skipping but evaluates every [can_fire] and raises
     {!Audit_fail} if a rule fires in a cycle its predicate vetoed — the
     debug oracle for predicate truthfulness ([--scheduler-audit] in the
-    driver). It also turns on the ready audit of every context
+    driver). It also turns on the ready audit of its context
     ([Kernel.set_ready_audit]): a step whose [Kernel.attempt_if] ready test
     said false still runs, and raises {!Audit_fail} if it commits.
 
-    {2 Partitioned parallel execution}
-
-    With [jobs > 1], rules tagged with a non-zero partition (captured from
-    [Partition.ambient] at construction — one partition per core cluster)
-    are fired concurrently, one OCaml domain per partition, using at most
-    [jobs] domains; rules in partition 0 (the {e uncore}) then run serially
-    on the main domain. The static checker proves from the declared
-    [~touches] tokens and watch sets that no primitive is reachable from
-    two partitions (raising {!Partition_error} otherwise), so every
-    interleaving of the parallel phase commutes — the paper's conflict-free
-    rules — and results are bit-identical to [jobs = 1] in every mode:
-    cycle counts, per-rule fire counts, firing history, architectural
-    state.
-
-    Parallel execution is inherently about firing {e many} rules per cycle,
-    so [One_per_cycle] and the two audit modes execute serially regardless
-    of [jobs] (with identical results, as always).
-
-    [~partition_audit:true] executes serially while recording, per cell per
-    cycle, which partitions touched it; any cross-partition overlap
-    involving a write raises [Kernel.Partition_overlap]. This is the
-    dynamic backstop for the static checker's private-state assumption
-    ([--partition-audit] in the driver). Overlap detection within a cycle
-    is order-independent, so the serial audit certifies the parallel
-    schedule.
-
-    [~grouped:true] builds the partition groups even at [jobs = 1] and
-    runs them inline, in pid order, on the main domain. That is the
-    execution structure of a parallel run: architectural results are the
-    same either way, but fast-path skip counts ([Rule.skipped]) can depend
-    on whether a partition's rules run before or after an uncore rule
-    within a cycle, and a grouped run matches a parallel one exactly. It
-    exists for the benchmark harness, whose jobs-1 oracle compares skip
-    counts with a [jobs = 2] run ([Machine.create ~epoch:0]).
-
-    [~stats] hands the machine's counter groups to the barrier: their
-    per-partition shard accumulators (see [Stats.incr]) are merged at the
-    end of every partitioned cycle, before post-cycle hooks run.
-
     {2 Cycle structure and hook ordering}
 
-    Every [Multi]/[Shuffle] cycle proceeds: (1) partition phase — every
-    non-zero partition runs its rules, concurrently on the pool when
-    [jobs > 1] (inline under [~grouped]); (2) barrier — all partition effects become visible to the
-    main domain; (3) uncore phase — the partition-0 rules run serially;
-    (4) close — [Clock.tick], running every clock hook (wire resets,
-    conflict-free FIFO snapshot advance); (5) stats shard merge; (6) the
-    history ring; (7) {!on_post_cycle} hooks (invariant checks);
-    (8) {!add_monitor} monitors (watchdog). A serial run is that cycle
-    with no partition phase: one group holding every rule in schedule
-    order. Steps 4–8 run on the main domain after the barrier, so
-    invariant checks, watchdog monitors and anything else observing the
-    machine between cycles always sees the merged, quiescent state —
-    [--watchdog]/[--check-invariants] campaigns behave identically at any
-    [jobs]. [run_until]'s [on_cycle] (the fault-injection hook) runs on
-    the main domain {e before} the cycle's partition phase is dispatched,
-    so injected flips are ordinary pre-cycle state changes and campaigns
-    stay deterministic under [jobs > 1].
-
-    Partitions synchronize every cycle. Their only channels are
-    conflict-free FIFOs ({!Fifo.cf}), whose enq at cycle [c] is visible
-    to the other side at [c + 1]: a link latency of one cycle, so a
-    longer free-running window could not be cycle-exact.
+    Every [Multi]/[Shuffle] cycle proceeds: (1) every rule, once, in the
+    cycle's schedule order; (2) close — [Clock.tick], running every clock
+    hook (wire resets, conflict-free FIFO snapshot advance); (3) the
+    history ring; (4) {!on_post_cycle} hooks (invariant checks); (5)
+    {!add_monitor} monitors (watchdog). Steps 2–5 therefore always see the
+    quiescent state between cycles. [run_until]'s [on_cycle] (the
+    fault-injection hook) runs before the cycle, so injected flips are
+    ordinary pre-cycle state changes.
 
     [One_per_cycle] alone has its own short loop: from a rotating start it
     runs the same per-rule runners until one fires, then closes the cycle
@@ -131,45 +73,39 @@ val create :
   ?mode:mode ->
   ?fastpath:bool ->
   ?audit:bool ->
-  ?jobs:int ->
-  ?partition_audit:bool ->
-  ?grouped:bool ->
-  ?stats:Stats.t ->
   Clock.t ->
   Rule.t list ->
   t
 
 val clock : t -> Clock.t
 
-(** The [jobs] the scheduler was created with. *)
-val jobs : t -> int
+(** {2 The farm's worker pool}
 
-(** Whether partitions actually run on the domain pool (i.e. [jobs > 1],
-    at least one non-zero partition, and a mode that is neither inherently
-    serial nor the partition audit). *)
-val parallel : t -> bool
+    The simulator itself never leaves the calling domain. The pool below
+    is the simulation farm's job executor ([Farm.Sweep]); it lives here
+    because the benchmark harness calls {!pool_run} and {!shutdown_pool}
+    by these names. *)
 
-(** Join the process-global worker-domain pool. Parallel simulations share
-    one lazily-spawned pool that persists between runs; on OCaml 5 even
+(** Join the process-global worker-domain pool. Farm sweeps share one
+    lazily-spawned pool that persists between batches; on OCaml 5 even
     idle domains tax every minor collection, so call this before timing
-    serial code after a parallel run. The pool respawns transparently on
-    the next parallel cycle. Also registered via [at_exit].
+    single-domain code after a sweep. The pool respawns transparently on
+    the next {!pool_run}. Also registered via [at_exit].
 
     Idempotent and reentrancy-safe: a second call — including one from a
     signal handler interrupting the first — returns immediately. Signal
     handlers should nevertheless prefer setting a flag and letting the
-    main loop shut down (see [riscyoo farm]): a handler firing mid-cycle
-    would block here until the in-flight cycle's tasks drain. *)
+    main loop shut down (see [riscyoo farm]): a handler firing mid-batch
+    would block here until the in-flight batch's tasks drain. *)
 val shutdown_pool : unit -> unit
 
-(** [pool_run ~helpers tasks] runs a batch of independent tasks on the same
-    shared worker-domain pool the partitioned simulator uses: the calling
-    domain participates, at most [helpers] pool workers steal tasks, and
-    the call returns when every task has completed. Tasks must trap their
-    own exceptions (an escaping one is silently dropped by the barrier).
-    This is the simulation farm's job executor — a farm task typically
-    builds and runs a whole [jobs:1] machine, which is safe because the
-    snapshot/injection/invariant registries are all domain-local. *)
+(** [pool_run ~helpers tasks] runs a batch of independent tasks on the
+    shared worker-domain pool: the calling domain participates, at most
+    [helpers] pool workers steal tasks, and the call returns when every
+    task has completed. Tasks must trap their own exceptions (an escaping
+    one is silently dropped). A farm task typically builds and runs a
+    whole machine, which is safe because the snapshot/injection/invariant
+    registries and the ambient cluster are all domain-local. *)
 val pool_run : helpers:int -> (unit -> unit) array -> unit
 
 (** [reseed t seed] re-keys a [Shuffle] schedule: attempt order back to
@@ -221,11 +157,8 @@ val on_post_cycle : t -> (int -> unit) -> unit
 
 (** [set_rule_trace t f] — [f rule cycle] runs once per rule fire (including
     vacuous fires accounted for skipped rules, so the trace matches
-    [Rule.fired] exactly, fast path on or off). The callback runs on
-    whichever domain fired the rule: under [jobs > 1] it must confine its
-    writes to per-partition state indexed by [rule.part] (see [Obs] in
-    lib/obs). The disabled cost at every fire site is a single flat-[bool]
-    load and branch. *)
+    [Rule.fired] exactly, fast path on or off). The disabled cost at every
+    fire site is a single flat-[bool] load and branch. *)
 val set_rule_trace : t -> (Rule.t -> int -> unit) -> unit
 
 (** Detach the rule-trace sink; fire sites go back to the bare branch. *)

@@ -17,26 +17,13 @@ type counter
 val counter : t -> string -> counter
 
 (** [incr ?ctx ?by t c] adds [by] (default 1). With [~ctx], the increment is
-    undone if the enclosing rule aborts. When the ctx carries a non-negative
-    [Kernel.stats_slot] (parallel execution), the increment lands in a
-    per-partition shard instead of the shared total, so concurrent rule
-    bodies never race; {!merge} folds the shards back at the cycle
-    barrier. *)
+    undone if the enclosing rule aborts. *)
 val incr : ?ctx:Kernel.ctx -> ?by:int -> counter -> unit
 
-(** Current value including any unmerged shards. *)
+(** Current value. *)
 val get : counter -> int
 
 val set : counter -> int -> unit
-
-(** [prepare t ~slots] pre-sizes every counter's shard array for [slots]
-    partitions so no allocation happens inside parallel rule bodies. *)
-val prepare : t -> slots:int -> unit
-
-(** Fold all shard accumulators into the shared totals. The scheduler calls
-    this at every cycle barrier, before post-cycle hooks run, so invariant
-    checks and watchdog monitors observe merged values. *)
-val merge : t -> unit
 
 (** [find t name] is the current value of [name], 0 if never touched. *)
 val find : t -> string -> int

@@ -14,12 +14,11 @@
    make spurious wakeups cheap (one predicate re-evaluation) and missed
    wakeups impossible as long as primitives touch on every value change. *)
 
-type signal = { mutable gen : int; owner : int }
+type signal = { mutable gen : int }
 
-let make () = { gen = 0; owner = Partition.ambient () }
+let make () = { gen = 0 }
 let touch s = s.gen <- s.gen + 1
 let gen s = s.gen
-let owner s = s.owner
 
 let sum (a : signal array) =
   let acc = ref 0 in

@@ -18,12 +18,5 @@ val touch : signal -> unit
 
 val gen : signal -> int
 
-(** The partition that was ambient when the signal was created — i.e. the
-    partition whose primitives may touch it. The static partition checker
-    requires every signal watched by a parallel rule to be owned by that
-    rule's partition or by the uncore (uncore touches happen strictly
-    between parallel phases, so they are race-free and monotone). *)
-val owner : signal -> int
-
 (** Sum of the generations of a watch set (O(n), allocation-free). *)
 val sum : signal array -> int

@@ -3,7 +3,7 @@
    {!Sweep.job}s.
 
    Three sweep types:
-   - [litmus]: the (tests x models x seeds) product, one jobs:1 machine
+   - [litmus]: the (tests x models x seeds) product, one machine
      per seed, via {!Litmus.Run.farm_jobs}. With [stagger:false] the
      warm-fork cache restores one cycle-0 snapshot per domain instead of
      rebuilding the machine per seed.
@@ -446,7 +446,7 @@ let litmus_reports (o : Sweep.outcome) =
             | _ -> ());
             if cls = Litmus.Run.Forbidden then begin
               let seed = opt_int (Json.Obj r.spec) "seed" 0 in
-              forbidden := (o, seed, 1, None) :: !forbidden
+              forbidden := (o, seed, None) :: !forbidden
             end)
         records;
       let hist =
@@ -460,7 +460,6 @@ let litmus_reports (o : Sweep.outcome) =
         total_runs = List.length records;
         hist;
         forbidden = List.rev !forbidden;
-        mismatches = [];
         errors = List.rev !errors;
         relaxed_seen = !relaxed;
         wmm_only_seen = !wmm_only;

@@ -1,11 +1,12 @@
 (* The crash-safe simulation farm.
 
    A sweep is thousands of independent jobs — litmus seeds, fault trials,
-   perf configs — drained work-stealing style over the same worker-domain
-   pool the partitioned simulator uses ([Cmd.Sim.pool_run]): the main
-   domain participates, pool workers steal, and each job builds and runs
-   its machines at [jobs:1] (the snapshot/injection/invariant registries
-   are all domain-local, so concurrent builds don't interfere).
+   perf configs — drained work-stealing style over the process-global
+   worker-domain pool ([Cmd.Sim.pool_run], which exists for this farm):
+   the main domain participates, pool workers steal, and each job builds
+   and runs its machines on the domain that claimed it (the
+   snapshot/injection/invariant registries and the ambient cluster are
+   all domain-local, so concurrent builds don't interfere).
 
    Fault tolerance:
    - a monitor thread enforces a per-attempt wall-clock timeout by setting

@@ -45,8 +45,8 @@ type t = {
 
 let create ?(name = "inorder") ?(pipe = Obs.Pipe.null) clk ~hart_id ~icache ~dcache ~tlb ~mmio
     ~stats () =
-  (* Core-private state is built in the core's partition (hart 0 ->
-     partition 1; partition 0 is the uncore). *)
+  (* Core-private state is built in the core's cluster (hart 0 ->
+     cluster 1; cluster 0 is the uncore). *)
   Partition.scoped (hart_id + 1) @@ fun () ->
   {
     name;

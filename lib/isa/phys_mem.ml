@@ -3,38 +3,23 @@ let page_size = 1 lsl page_bits
 
 (* Two-level radix over the page index (no hashing): a fixed root of 2^16
    slots, each pointing at a leaf of 2^12 page slots — covering physical
-   addresses up to 2^40 (1 TiB). The flat layout replaces the original
-   hashtable for two reasons:
-
-   - lookups on the hot load/store path are two array indexes instead of a
-     hash + probe;
-   - several simulator partitions (L2 banks interleaved by line address)
-     may fault pages in concurrently during a parallel phase. A hashtable
-     add can resize mid-read; here readers only ever follow immutable-once-
-     published pointers. Slot publication happens under [t.lock] (so two
-     banks racing to allocate the same page agree on one Bytes), and a
-     racy reader either sees [None] — and takes the locked slow path — or
-     sees the published pointer, whose zero-filled contents it reaches
-     through an address dependency. Byte-level writes need no
-     synchronization: the partition checker guarantees disjoint lines, and
-     cross-partition data only flows across the scheduler barrier. *)
+   addresses up to 2^40 (1 TiB). Lookups on the hot load/store path are two
+   array indexes instead of a hash + probe; a missing page is allocated
+   zero-filled on first touch. A memory belongs to one machine, which runs
+   on one domain. *)
 let leaf_bits = 12
 let leaf_size = 1 lsl leaf_bits
 let root_bits = 16
 let root_size = 1 lsl root_bits
 
-type t = {
-  root : Bytes.t option array option array;
-  lock : Mutex.t;
-}
+type t = { root : Bytes.t option array option array }
 
-let create () = { root = Array.make root_size None; lock = Mutex.create () }
+let create () = { root = Array.make root_size None }
 
 let bad_addr idx =
   invalid_arg (Printf.sprintf "Phys_mem: address out of range (page %#x)" idx)
 
 let alloc_slow t hi lo =
-  Mutex.lock t.lock;
   let leaf =
     match Array.unsafe_get t.root hi with
     | Some l -> l
@@ -43,16 +28,12 @@ let alloc_slow t hi lo =
       Array.unsafe_set t.root hi (Some l);
       l
   in
-  let p =
-    match Array.unsafe_get leaf lo with
-    | Some p -> p
-    | None ->
-      let p = Bytes.make page_size '\000' in
-      Array.unsafe_set leaf lo (Some p);
-      p
-  in
-  Mutex.unlock t.lock;
-  p
+  match Array.unsafe_get leaf lo with
+  | Some p -> p
+  | None ->
+    let p = Bytes.make page_size '\000' in
+    Array.unsafe_set leaf lo (Some p);
+    p
 
 let page t idx =
   if idx lsr (root_bits + leaf_bits) <> 0 then bad_addr idx;

@@ -78,7 +78,7 @@ let exec_machine ?on_cycle ?obs m meta =
   Compile.read_outcome meta ~reg:(fun ~hart r -> Machine.reg m ~hart r)
 
 (* Warm-fork cache for farm sweeps, one per domain: a litmus machine per
-   (test, model, jobs) plus its cycle-0 snapshot. With [stagger:false] the
+   (test, dut, model, options) plus its cycle-0 snapshot. With [stagger:false] the
    compiled image is seed-independent, so re-virginizing the machine
    (restore + reseed) is schedule-identical to a cold [Shuffle seed] build
    — machine construction is paid once per domain instead of once per
@@ -86,7 +86,7 @@ let exec_machine ?on_cycle ?obs m meta =
 let warm_cache : (string, Machine.t * string) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let run_one ?(jobs = 1) ?(seed = 1) ?(stagger = true) ?konata ?on_cycle ?(warm = false)
+let run_one ?(seed = 1) ?(stagger = true) ?konata ?on_cycle ?(warm = false)
     ?(dut = Dut_ooo) ?(mesi = false) ?(obligations = false) ?(inject_lsq_bug = false) ?on_machine
     ~model test =
   let prog, meta = Compile.program ~seed ~stagger test in
@@ -105,9 +105,8 @@ let run_one ?(jobs = 1) ?(seed = 1) ?(stagger = true) ?konata ?on_cycle ?(warm =
   in
   if warm && (not stagger) && konata = None then begin
     let key =
-      Printf.sprintf "%s/%s/%s/j%d%s%s%s" test.Test.name (dut_to_string dut)
+      Printf.sprintf "%s/%s/%s%s%s%s" test.Test.name (dut_to_string dut)
         (match model with Ooo.Config.TSO -> "tso" | Ooo.Config.WMM -> "wmm")
-        jobs
         (if mesi then "/mesi" else "")
         (if obligations then "/ob" else "")
         (if inject_lsq_bug then "/bug" else "")
@@ -119,7 +118,7 @@ let run_one ?(jobs = 1) ?(seed = 1) ?(stagger = true) ?konata ?on_cycle ?(warm =
       | None ->
         (* seed 1 is arbitrary: the image is taken at cycle 0 and the
            schedule RNG is re-keyed per run below *)
-        let m = Machine.create ~ncores ~jobs ~mode:(Cmd.Sim.Shuffle 1) ~obligations kind prog in
+        let m = Machine.create ~ncores ~mode:(Cmd.Sim.Shuffle 1) ~obligations kind prog in
         let img = Machine.snapshot m in
         Hashtbl.add cache key (m, img);
         (m, img)
@@ -141,12 +140,11 @@ let run_one ?(jobs = 1) ?(seed = 1) ?(stagger = true) ?konata ?on_cycle ?(warm =
                 ("dut", dut_to_string dut);
                 ("model", Ref_model.model_to_string (Ref_model.of_mem_model model));
                 ("seed", string_of_int seed);
-                ("jobs", string_of_int jobs);
               ]
             ~nharts:ncores ())
         konata
     in
-    let m = Machine.create ~ncores ~jobs ~mode:(Cmd.Sim.Shuffle seed) ~obligations ?obs kind prog in
+    let m = Machine.create ~ncores ~mode:(Cmd.Sim.Shuffle seed) ~obligations ?obs kind prog in
     let out = exec_machine ?on_cycle ?obs m meta in
     Option.iter (fun f -> f m) on_machine;
     out
@@ -158,8 +156,7 @@ type report = {
   model : Ooo.Config.mem_model;
   total_runs : int;
   hist : (int array * cls * int) list;
-  forbidden : (int array * int * int * string option) list;
-  mismatches : (int * int array * int array) list;
+  forbidden : (int array * int * string option) list;
   errors : string list;
   relaxed_seen : bool;
   wmm_only_seen : bool;
@@ -167,9 +164,9 @@ type report = {
   obligation_events : (string * int) list;
 }
 
-let ok r = r.forbidden = [] && r.mismatches = [] && r.errors = []
+let ok r = r.forbidden = [] && r.errors = []
 
-let sweep ?(seeds = 20) ?(jobs_list = [ 1; 4 ]) ?(stagger = true) ?trace_dir ?(dut = Dut_ooo)
+let sweep ?(seeds = 20) ?(stagger = true) ?trace_dir ?(dut = Dut_ooo)
     ?(mesi = false) ?(obligations = false) ?(inject_lsq_bug = false) ~model test =
   let sc, sc_st = Ref_model.allowed_stats test ~model:Ref_model.SC in
   let tso, tso_st = Ref_model.allowed_stats test ~model:Ref_model.TSO in
@@ -193,7 +190,6 @@ let sweep ?(seeds = 20) ?(jobs_list = [ 1; 4 ]) ?(stagger = true) ?trace_dir ?(d
   in
   let counts = Hashtbl.create 32 in
   let forbidden = ref [] in
-  let mismatches = ref [] in
   let errors = ref [] in
   let ob_events = Hashtbl.create 8 in
   let on_machine m =
@@ -204,47 +200,35 @@ let sweep ?(seeds = 20) ?(jobs_list = [ 1; 4 ]) ?(stagger = true) ?trace_dir ?(d
         (Machine.obligation_stats m)
   in
   for seed = 1 to seeds do
-    let first = ref None in
-    List.iter
-      (fun jobs ->
-        match
-          run_one ~jobs ~seed ~stagger ~dut ~mesi ~obligations ~inject_lsq_bug ~on_machine ~model
-            test
-        with
-        | o ->
-          Hashtbl.replace counts o (1 + Option.value ~default:0 (Hashtbl.find_opt counts o));
-          (match !first with
-          | None -> first := Some o
-          | Some o0 -> if o0 <> o then mismatches := (seed, o0, o) :: !mismatches);
-          if not (Ref_model.is_allowed model_set o) then
-            if not (List.exists (fun (o', _, _, _) -> o' = o) !forbidden) then begin
-              let trace =
-                Option.map
-                  (fun dir ->
-                    let f =
-                      Filename.concat dir
-                        (Printf.sprintf "litmus-%s-%s-seed%d-j%d.konata"
-                           test.Test.name
-                           (Ref_model.model_to_string (Ref_model.of_mem_model model))
-                           seed jobs)
-                    in
-                    (* replay the identical run with the pipeline tracer on *)
-                    (try
-                       ignore
-                         (run_one ~jobs ~seed ~stagger ~konata:f ~dut ~mesi ~obligations
-                            ~inject_lsq_bug ~model test)
-                     with Harness_error _ -> ());
-                    f)
-                  trace_dir
-              in
-              forbidden := (o, seed, jobs, trace) :: !forbidden
-            end
-        | exception Harness_error e ->
-          errors :=
-            Printf.sprintf "%s seed=%d jobs=%d: %s" test.Test.name seed jobs
-              (error_to_string e)
-            :: !errors)
-      jobs_list
+    match
+      run_one ~seed ~stagger ~dut ~mesi ~obligations ~inject_lsq_bug ~on_machine ~model test
+    with
+    | o ->
+      Hashtbl.replace counts o (1 + Option.value ~default:0 (Hashtbl.find_opt counts o));
+      if not (Ref_model.is_allowed model_set o) then
+        if not (List.exists (fun (o', _, _) -> o' = o) !forbidden) then begin
+          let trace =
+            Option.map
+              (fun dir ->
+                let f =
+                  Filename.concat dir
+                    (Printf.sprintf "litmus-%s-%s-seed%d.konata" test.Test.name
+                       (Ref_model.model_to_string (Ref_model.of_mem_model model))
+                       seed)
+                in
+                (* replay the identical run with the pipeline tracer on *)
+                (try
+                   ignore
+                     (run_one ~seed ~stagger ~konata:f ~dut ~mesi ~obligations ~inject_lsq_bug
+                        ~model test)
+                 with Harness_error _ -> ());
+                f)
+              trace_dir
+          in
+          forbidden := (o, seed, trace) :: !forbidden
+        end
+    | exception Harness_error e ->
+      errors := Printf.sprintf "%s seed=%d: %s" test.Test.name seed (error_to_string e) :: !errors
   done;
   let hist =
     Hashtbl.fold (fun o n acc -> (o, classify o, n) :: acc) counts []
@@ -255,10 +239,9 @@ let sweep ?(seeds = 20) ?(jobs_list = [ 1; 4 ]) ?(stagger = true) ?trace_dir ?(d
     test;
     dut;
     model;
-    total_runs = seeds * List.length jobs_list;
+    total_runs = seeds;
     hist;
     forbidden = List.rev !forbidden;
-    mismatches = List.rev !mismatches;
     errors = List.rev !errors;
     relaxed_seen = seen (fun c -> c <> In_sc);
     wmm_only_seen = seen (fun c -> c = Wmm_relaxed || c = Forbidden);
@@ -287,24 +270,17 @@ let pp_report fmt r =
         (Test.outcome_to_string r.test o))
     r.hist;
   List.iter
-    (fun (o, seed, jobs, trace) ->
-      Format.fprintf fmt "    FORBIDDEN %s (seed %d, jobs %d)%s@."
+    (fun (o, seed, trace) ->
+      Format.fprintf fmt "    FORBIDDEN %s (seed %d)%s@."
         (Test.outcome_to_string r.test o)
-        seed jobs
+        seed
         (match trace with Some f -> " trace: " ^ f | None -> ""))
     r.forbidden;
-  List.iter
-    (fun (seed, a, b) ->
-      Format.fprintf fmt "    JOBS MISMATCH seed %d: %s vs %s@." seed
-        (Test.outcome_to_string r.test a)
-        (Test.outcome_to_string r.test b))
-    r.mismatches;
   List.iter (fun e -> Format.fprintf fmt "    ERROR %s@." e) r.errors
 
 (* ---------------------------- farm job producers ----------------------- *)
 
-(* A farm job is one deterministic (test, model, seed) run at [jobs:1]; the
-   farm layer wraps these into its generic job records. Ids encode every
+(* A farm job is one deterministic (test, model, seed) run; the farm layer wraps these into its generic job records. Ids encode every
    parameter, so they double as resume keys and replay specs. *)
 type farm_job = {
   fj_test : Test.t;
@@ -441,16 +417,16 @@ let reports_to_json ~seeds reports =
         r.hist;
       add "],\n     \"forbidden\": [";
       List.iteri
-        (fun j (o, seed, jobs, trace) ->
+        (fun j (o, seed, trace) ->
           if j > 0 then add ", ";
-          add "{\"outcome\": \"%s\", \"seed\": %d, \"jobs\": %d%s}"
+          add "{\"outcome\": \"%s\", \"seed\": %d%s}"
             (json_escape (Test.outcome_to_string r.test o))
-            seed jobs
+            seed
             (match trace with
             | Some f -> Printf.sprintf ", \"trace\": \"%s\"" (json_escape f)
             | None -> ""))
         r.forbidden;
-      add "],\n     \"mismatches\": %d, \"errors\": [" (List.length r.mismatches);
+      add "],\n     \"errors\": [";
       List.iteri
         (fun j e ->
           if j > 0 then add ", ";

@@ -1,7 +1,7 @@
-(** Sweep driver: run a test across shuffled schedules and job counts,
-    accumulate outcome histograms, and flag forbidden outcomes.
+(** Sweep driver: run a test across shuffled schedules, accumulate outcome
+    histograms, and flag forbidden outcomes.
 
-    Every (seed, jobs) pair is deterministic: the machine runs in
+    Every seed is deterministic: the machine runs in
     [Sim.Shuffle seed] mode on a seed-staggered image, so a forbidden run
     can be replayed exactly — which is how {!sweep} attaches a Konata
     pipeline trace to the first forbidden outcome it sees. *)
@@ -51,7 +51,6 @@ val dut_to_string : dut -> string
     the sweep collects obligation event counts). Raises {!Harness_error} on
     timeout or a harness self-check failure. *)
 val run_one :
-  ?jobs:int ->
   ?seed:int ->
   ?stagger:bool ->
   ?konata:string ->
@@ -72,12 +71,8 @@ type report = {
   model : Ooo.Config.mem_model;
   total_runs : int;
   hist : (int array * cls * int) list;  (** outcome, class, count; count desc *)
-  forbidden : (int array * int * int * string option) list;
-      (** outcome, seed, jobs, trace file (first occurrence per outcome) *)
-  mismatches : (int * int array * int array) list;
-      (** seed, outcome at [jobs_list] head, differing outcome — the
-          domain-parallel engine must be bit-identical, so any entry here is
-          a simulator bug, not a memory-model bug *)
+  forbidden : (int array * int * string option) list;
+      (** outcome, seed, trace file (first occurrence per outcome) *)
   errors : string list;
   relaxed_seen : bool;  (** some outcome outside the SC set was observed *)
   wmm_only_seen : bool;  (** some outcome outside the TSO set was observed *)
@@ -89,16 +84,13 @@ type report = {
           runs (empty unless [obligations]) *)
 }
 
-(** Whether the sweep found no forbidden outcomes, no jobs mismatches and no
-    harness errors. *)
+(** Whether the sweep found no forbidden outcomes and no harness errors. *)
 val ok : report -> bool
 
-(** [sweep ~seeds ~jobs_list ~model test] — seeds run from 1 to [seeds];
-    each seed runs once per entry of [jobs_list] (default [[1; 4]]).
+(** [sweep ~seeds ~model test] — seeds run from 1 to [seeds], each once.
     [trace_dir] enables Konata replay dumps for forbidden outcomes. *)
 val sweep :
   ?seeds:int ->
-  ?jobs_list:int list ->
   ?stagger:bool ->
   ?trace_dir:string ->
   ?dut:dut ->
@@ -116,8 +108,8 @@ val reports_to_json : seeds:int -> report list -> string
 
 (** {2 Farm job producers}
 
-    One farm job = one deterministic (test, model, seed) run at [jobs:1];
-    the farm layer schedules thousands of them across worker domains. *)
+    One farm job = one deterministic (test, model, seed) run; the farm
+    layer schedules thousands of them across worker domains. *)
 
 type farm_job = {
   fj_test : Test.t;

@@ -48,19 +48,10 @@ let drain_each ctx srcs dst steps =
 
 let rules children ~banks ~bank_of =
   let child_sigs f = Array.to_list (Array.map f children) in
-  (* Declared boundary tokens: the crossbar owns the uncore side of every
-     child queue — deq of creq/cresp, enq of preq/presp — mirroring the
-     L1 ticks' declarations of the opposite sides; likewise the uncore side
-     of every bank queue, mirroring the bank ticks'. *)
-  let child_tks f = Array.to_list (Array.map f children) in
-  let bank_tks f = Array.to_list (Array.map f banks) in
   let up_resp =
     Rule.make "xbar.up.resp"
       ~can_fire:(fun () -> Array.exists (fun ep -> Fifo.peek_size ep.cresp > 0) children)
       ~watches:(child_sigs (fun ep -> Fifo.signal ep.cresp))
-      ~touches:
-        (child_tks (fun ep -> Fifo.deq_token ep.cresp)
-        @ bank_tks (fun l2 -> Fifo.enq_token (L2_cache.cresp_in l2)))
       ~vacuous:true
       (let srcs = Array.map (fun ep -> ep.cresp) children in
        let dst (r : Msg.cresp) = L2_cache.cresp_in banks.(bank_of r.Msg.line) in
@@ -71,9 +62,6 @@ let rules children ~banks ~bank_of =
     Rule.make "xbar.up.req"
       ~can_fire:(fun () -> Array.exists (fun ep -> Fifo.peek_size ep.creq > 0) children)
       ~watches:(child_sigs (fun ep -> Fifo.signal ep.creq))
-      ~touches:
-        (child_tks (fun ep -> Fifo.deq_token ep.creq)
-        @ bank_tks (fun l2 -> Fifo.enq_token (L2_cache.creq_in l2)))
       ~vacuous:true
       (let srcs = Array.map (fun ep -> ep.creq) children in
        let dst (r : Msg.creq) = L2_cache.creq_in banks.(bank_of r.Msg.line) in
@@ -86,9 +74,6 @@ let rules children ~banks ~bank_of =
       ~can_fire:(fun () ->
         Array.exists (fun l2 -> Fifo.peek_size (L2_cache.presp_out l2) > 0) banks)
       ~watches:(bank_sigs (fun l2 -> Fifo.signal (L2_cache.presp_out l2)))
-      ~touches:
-        (child_tks (fun ep -> Fifo.enq_token ep.presp)
-        @ bank_tks (fun l2 -> Fifo.deq_token (L2_cache.presp_out l2)))
       ~vacuous:true
       (* drain as many grants as the destinations accept this cycle *)
       (let srcs = Array.map L2_cache.presp_out banks in
@@ -101,9 +86,6 @@ let rules children ~banks ~bank_of =
       ~can_fire:(fun () ->
         Array.exists (fun l2 -> Fifo.peek_size (L2_cache.preq_out l2) > 0) banks)
       ~watches:(bank_sigs (fun l2 -> Fifo.signal (L2_cache.preq_out l2)))
-      ~touches:
-        (child_tks (fun ep -> Fifo.enq_token ep.preq)
-        @ bank_tks (fun l2 -> Fifo.deq_token (L2_cache.preq_out l2)))
       ~vacuous:true
       (let srcs = Array.map L2_cache.preq_out banks in
        let dst (c, _) = children.(c).preq in

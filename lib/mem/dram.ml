@@ -52,8 +52,6 @@ let resp ctx t =
   (line, data)
 
 
-let tokens t = [ Fifo.enq_token t.pending; Fifo.deq_token t.pending ]
-
 let busy t = Fifo.peek_size t.pending > 0
 
 let resp_ready t =

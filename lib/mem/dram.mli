@@ -24,10 +24,6 @@ val resp : Cmd.Kernel.ctx -> t -> int64 * Bytes.t
 
 val can_resp : Cmd.Kernel.ctx -> t -> bool
 
-(** Partition tokens for both sides of the pending queue ([Rule.make
-    ~touches]): the DRAM channel is private to the L2 bank that owns it. *)
-val tokens : t -> Cmd.Partition.token list
-
 (** Untracked: some read is in flight (possibly not yet ready) — part of the
     L2 tick rule's [can_fire]. *)
 val busy : t -> bool

@@ -43,7 +43,7 @@ type t = {
   preq_i : Msg.preq Fifo.t;
   presp_i : Msg.presp Fifo.t;
   child_id : int;
-  part : int; (* partition this cache was built in (its core's) *)
+  part : int; (* cluster this cache was built in (its core's) *)
   mutable evict_hook : Kernel.ctx -> int64 -> unit;
   mutable rotor : int;
   c_hit : Stats.counter;
@@ -66,8 +66,7 @@ let create ?(name = "l1d") clk ~child_id ~geom ~mshrs ~stats () =
     resp_ld_q = Fifo.cf ~name:(name ^ ".respLd") clk ~capacity:8 ();
     resp_st_q = Fifo.cf ~name:(name ^ ".respSt") clk ~capacity:2 ();
     resp_at_q = Fifo.cf ~name:(name ^ ".respAt") clk ~capacity:2 ();
-    (* The four crossbar-facing queues straddle the core/uncore partition
-       boundary. *)
+    (* The four crossbar-facing queues are conflict-free. *)
     creq_o = Fifo.cf ~name:(name ^ ".creq") clk ~capacity:4 ();
     cresp_o = Fifo.cf ~name:(name ^ ".cresp") clk ~capacity:4 ();
     preq_i = Fifo.cf ~name:(name ^ ".preq") clk ~capacity:4 ();
@@ -388,24 +387,12 @@ let tick t =
     || Array.exists (fun m -> m.valid && m.filled) t.mshrs
   in
   let watches = [ Fifo.signal t.presp_i; Fifo.signal t.preq_i; Fifo.signal t.req_q ] in
-  (* Declared boundary: the four child-side queues shared with the crossbar
-     (this cache drives creq/cresp enq and preq/presp deq; the crossbar
-     drives the opposite sides). Everything else the tick touches is
-     core-private. *)
-  let touches =
-    [
-      Fifo.enq_token t.creq_o;
-      Fifo.enq_token t.cresp_o;
-      Fifo.deq_token t.preq_i;
-      Fifo.deq_token t.presp_i;
-    ]
-  in
   (* The steps, built once: a skipped step allocates no closure. A drain
      indexes the MSHR array when run, as a snapshot restore replaces the
      MSHRs. *)
   let presp ctx = step_presp ctx t and preq ctx = step_preq ctx t and req ctx = step_req ctx t in
   let drain = Array.init (Array.length t.mshrs) (fun i ctx -> step_drain ctx t t.mshrs.(i)) in
-  Rule.make ~can_fire ~watches ~touches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
       ignore (Kernel.attempt_if ctx (Fifo.peek_size t.presp_i > 0) presp);
       for i = 0 to Array.length t.mshrs - 1 do
         ignore (Kernel.attempt_if ctx (drain_ready t t.mshrs.(i)) drain.(i))

@@ -25,8 +25,8 @@ type req =
       (** store prefetch (paper, Sec. V-B): acquire exclusive permission
           early; best-effort, no response *)
 
-(** The four crossbar-facing queues are conflict-free ({!Cmd.Fifo.cf}):
-    they straddle the core/uncore partition boundary. *)
+(** The four crossbar-facing queues are conflict-free ({!Cmd.Fifo.cf}), so
+    the cache's rule and the crossbar's may be listed in either order. *)
 val create :
   ?name:string ->
   Cmd.Clock.t ->

@@ -14,7 +14,7 @@ type t = {
   preq_i : Msg.preq Fifo.t;
   presp_i : Msg.presp Fifo.t;
   child_id : int;
-  part : int; (* partition this cache was built in (its core's) *)
+  part : int; (* cluster this cache was built in (its core's) *)
   (* single blocking miss *)
   mutable miss : (int * int64) option; (* waiting request: tag, pc *)
   mutable miss_way : int;
@@ -169,19 +169,9 @@ let tick t =
     || (Fifo.peek_size t.req_q > 0 && t.miss = None)
   in
   let watches = [ Fifo.signal t.presp_i; Fifo.signal t.preq_i; Fifo.signal t.req_q ] in
-  (* Declared boundary: the four child-side queues shared with the
-     crossbar; everything else is core-private. *)
-  let touches =
-    [
-      Fifo.enq_token t.creq_o;
-      Fifo.enq_token t.cresp_o;
-      Fifo.deq_token t.preq_i;
-      Fifo.deq_token t.presp_i;
-    ]
-  in
   (* The steps, built once: a skipped step allocates no closure. *)
   let presp ctx = step_presp ctx t and preq ctx = step_preq ctx t and req ctx = step_req ctx t in
-  Rule.make ~can_fire ~watches ~touches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
       ignore (Kernel.attempt_if ctx (Fifo.peek_size t.presp_i > 0) presp);
       ignore
         (Kernel.attempt_if ctx (Fifo.peek_size t.preq_i > 0 && Fifo.peek_can_enq t.cresp_o) preq);

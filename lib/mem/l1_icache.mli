@@ -8,8 +8,8 @@
 
 type t
 
-(** The four crossbar-facing queues are conflict-free ({!Cmd.Fifo.cf}):
-    they straddle the core/uncore partition boundary. *)
+(** The four crossbar-facing queues are conflict-free ({!Cmd.Fifo.cf}), so
+    the cache's rule and the crossbar's may be listed in either order. *)
 val create :
   ?name:string ->
   Cmd.Clock.t ->

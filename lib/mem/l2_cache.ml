@@ -47,7 +47,7 @@ type t = {
      address split. *)
   bank_id : int;
   bank_bits : int;
-  part : int; (* partition this bank was built in (uncore for the unbanked L2) *)
+  part : int; (* cluster this bank was built in (uncore for the unbanked L2) *)
   presp_delay : (int * int * Msg.presp) Fifo.t; (* ready, child, grant *)
   preq_delay : (int * int * Msg.preq) Fifo.t; (* ready, child, demand *)
   walk_delay : (int * int * int64) Fifo.t; (* ready, tag, data *)
@@ -92,10 +92,7 @@ let create ?(name = "l2") ?(bank = (0, 0)) clk ~nchildren ~geom
     lines = Array.init geom.Cache_geom.sets (fun _ -> Array.init geom.Cache_geom.ways (fun _ -> mk_line ()));
     mshrs = Array.init mshrs (fun _ -> mk_mshr ());
     dram;
-    (* The six child/walker-facing queues may straddle a partition boundary
-       when the bank is its own partition. The delay queues and the DRAM
-       pipe are bank-private.
-       Capacities clamp to the cf FIFO's 56-slot ceiling at high core
+    (* Capacities clamp to the cf FIFO's 56-slot ceiling at high core
        counts; the tick rule enqueues at most once per cycle, so a delay
        queue never holds more than [latency + 1] entries anyway, and input
        queues just backpressure through their guards. *)
@@ -135,8 +132,7 @@ let create ?(name = "l2") ?(bank = (0, 0)) clk ~nchildren ~geom
       Array.blit mshrs 0 t.mshrs 0 (Array.length t.mshrs);
       t.rotor <- rotor);
   (* MSHR occupancy sampled at the clock edge; divide by cycles for the
-     average. The hook runs at the cycle close on the main domain and only
-     ever touches this bank's counter. *)
+     average. The hook runs at the cycle close, between rules. *)
   Clock.on_cycle_end clk (fun () ->
       let n = Array.fold_left (fun a (m : mshr) -> if m.valid then a + 1 else a) 0 t.mshrs in
       if n > 0 then Stats.incr ~by:n t.c_mshr_occ);
@@ -538,27 +534,6 @@ let tick t =
     || Fifo.peek_size t.walk_req_q > 0
   in
   let watches = [ Fifo.signal t.cresp_q; Fifo.signal t.creq_q; Fifo.signal t.walk_req_q ] in
-  (* Declared partition tokens: the bank side of every child/walker queue,
-     plus both sides of the bank-private delay queues and DRAM pipe. When
-     the bank runs as its own partition the static checker uses these to
-     prove the crossbar (uncore) and the bank never share a primitive. *)
-  let touches =
-    [
-      Fifo.deq_token t.creq_q;
-      Fifo.deq_token t.cresp_q;
-      Fifo.deq_token t.walk_req_q;
-      Fifo.enq_token t.preq_o;
-      Fifo.enq_token t.presp_o;
-      Fifo.enq_token t.walk_resp_q;
-      Fifo.enq_token t.presp_delay;
-      Fifo.deq_token t.presp_delay;
-      Fifo.enq_token t.preq_delay;
-      Fifo.deq_token t.preq_delay;
-      Fifo.enq_token t.walk_delay;
-      Fifo.deq_token t.walk_delay;
-    ]
-    @ Dram.tokens t.dram
-  in
   (* The steps, built once: a skipped step allocates no closure. An MSHR
      step indexes the MSHR array when run, as a snapshot restore replaces
      the MSHRs. *)
@@ -568,7 +543,7 @@ let tick t =
   let cresp ctx = step_cresp ctx t and dram_resp ctx = step_dram_resp ctx t in
   let mshr = Array.init (Array.length t.mshrs) (fun i ctx -> step_mshr ctx t t.mshrs.(i)) in
   let creq ctx = step_creq ctx t and walk_req ctx = step_walk_req ctx t in
-  Rule.make ~can_fire ~watches ~touches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
       drain_delay ctx t t.presp_delay t.presp_o presp_delay;
       drain_delay ctx t t.preq_delay t.preq_o preq_delay;
       drain_delay ctx t t.walk_delay t.walk_resp_q walk_delay;

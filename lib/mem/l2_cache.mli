@@ -20,9 +20,7 @@ type t
     interleaved L2: it serves exactly the lines whose [bits]-wide field just
     above the line offset equals [id], and its set index and tag skip that
     field so the full set array stays usable. The default [(0, 0)] is the
-    unbanked L2. Each bank owns its own {!Dram} channel and may be built
-    inside its own partition, in which case the tick rule's declared tokens
-    let the static partition checker prove bank isolation. *)
+    unbanked L2. Each bank owns its own {!Dram} channel. *)
 val create :
   ?name:string ->
   ?bank:int * int ->

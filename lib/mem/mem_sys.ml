@@ -50,7 +50,7 @@ let create clk pmem cfg ~ncores ~fetch_width ~stats =
   (* Each bank gets an equal slice of the L2 capacity and MSHRs and its own
      DRAM channel (interleaving multiplies memory-level parallelism, as
      banking is meant to). A single bank reproduces the seed machine
-     exactly: uncore partition, "l2"/"dram" names, unbanked address split. *)
+     exactly: uncore cluster, "l2"/"dram" names, unbanked address split. *)
   let banks_drams =
     Array.init nbanks (fun b ->
         let build () =
@@ -75,11 +75,9 @@ let create clk pmem cfg ~ncores ~fetch_width ~stats =
     Int64.to_int (Int64.shift_right_logical laddr Cache_geom.line_bits) land (nbanks - 1)
   in
   (* L1s are private to their core, so they are built — queues, signals and
-     tick rule alike — inside that core's partition; the crossbar stays in
-     the ambient (uncore) partition, and each L2 bank (with its DRAM
-     channel) lives in its own partition when banked. The L1↔crossbar and
-     crossbar↔bank queues are conflict-free, which is what lets their two
-     sides straddle a partition boundary. *)
+     tick rule alike — inside that core's cluster; the crossbar stays in
+     the ambient (uncore) cluster, and each L2 bank (with its DRAM channel)
+     gets a cluster of its own when banked: [ncores + 1 + b]. *)
   let dcaches =
     Array.init ncores (fun i ->
         Cmd.Partition.scoped (i + 1) (fun () ->

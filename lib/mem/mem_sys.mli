@@ -17,9 +17,8 @@ type config = {
   l2_banks : int;
       (** line-address-interleaved L2 banks (power of two; 1 = the seed's
           single shared L2). Capacity and MSHRs split evenly across banks,
-          each bank gets its own DRAM channel, and when banked each bank is
-          its own scheduler partition (so banks fire concurrently under
-          [jobs > 1]). *)
+          and each bank gets its own DRAM channel and, when banked, its own
+          cluster label (its own Chrome trace track). *)
   mesi : bool;  (** grant exclusive-clean on unshared reads (MESI) *)
   mem_latency : int;
   mem_inflight : int;

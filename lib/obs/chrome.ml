@@ -1,16 +1,15 @@
 (* Chrome trace_event export (the JSON array format read by chrome://tracing
    and https://ui.perfetto.dev).
 
-   Layout: one process (pid 0), one thread per simulator partition. Each
-   rule fire becomes a complete ("X") event on its partition's track, with
-   consecutive-cycle fires of the same rule merged into one slice;
-   per-partition fire counts become counter ("C") events; cycles where at
-   least one core partition fired become "barrier" instants on the uncore
-   track, marking where the parallel scheduler's end-of-cycle merge did real
-   work. Timestamps are cycles, expressed as microseconds (1 cycle = 1 us).
+   Layout: one process (pid 0), one thread per cluster (the uncore, each
+   core, each L2 bank; see [Partition]). Each rule fire becomes a complete
+   ("X") event on its cluster's track, with consecutive-cycle fires of the
+   same rule merged into one slice; per-cluster fire counts become counter
+   ("C") events. Timestamps are cycles, expressed as microseconds (1 cycle
+   = 1 us).
 
    Everything is computed from [Rule_trace] buffers by deterministic sorts,
-   so the bytes are identical at any [--jobs]. *)
+   so the bytes are a pure function of the run. *)
 
 let esc s =
   let b = Buffer.create (String.length s + 8) in
@@ -27,7 +26,7 @@ let esc s =
     s;
   Buffer.contents b
 
-(* Merge a partition's chronological (rid, cycle) fires into slices
+(* Merge a cluster's chronological (rid, cycle) fires into slices
    (rid, start, len): consecutive-cycle fires of one rule fuse. *)
 let slices fires =
   let open_runs = Hashtbl.create 64 in
@@ -50,7 +49,7 @@ let slices fires =
     arr;
   arr
 
-(* Per-cycle fire counts of one partition, as a chronological
+(* Per-cycle fire counts of one cluster, as a chronological
    (cycle, count) list with explicit drops to 0 after gaps, deduplicated so
    only changes remain. *)
 let counts fires =
@@ -64,10 +63,15 @@ let counts fires =
     fires;
   List.rev !raw
 
-let part_label p = if p = 0 then "partition 0 (uncore)" else Printf.sprintf "partition %d (core %d)" p (p - 1)
+(* Cluster 0 is the uncore, 1..ncores the cores, and the clusters above
+   them the banks of a banked L2 ([Mem_sys] builds bank b in cluster
+   ncores + 1 + b). *)
+let label ~ncores p =
+  if p = 0 then "uncore"
+  else if p <= ncores then Printf.sprintf "core %d" (p - 1)
+  else Printf.sprintf "L2 bank %d" (p - ncores - 1)
 
-let to_string ~names ~parts ~rt =
-  ignore parts;
+let to_string ~names ~ncores ~rt =
   let np = Rule_trace.nparts rt in
   let b = Buffer.create 65536 in
   Buffer.add_string b "[\n";
@@ -82,13 +86,10 @@ let to_string ~names ~parts ~rt =
     add
       (Printf.sprintf
          "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-         p (esc (part_label p)))
+         p (esc (label ~ncores p)))
   done;
-  let barrier = Hashtbl.create 256 in
   for p = 0 to np - 1 do
     let fires = Rule_trace.fires rt p in
-    if p > 0 then
-      List.iter (fun (_, cyc) -> Hashtbl.replace barrier cyc ()) fires;
     Array.iter
       (fun (rid, st, len) ->
         add
@@ -106,20 +107,5 @@ let to_string ~names ~parts ~rt =
              p cyc p n))
       (counts fires)
   done;
-  let bcycles =
-    List.sort compare (Hashtbl.fold (fun c () acc -> c :: acc) barrier [])
-  in
-  List.iter
-    (fun cyc ->
-      add
-        (Printf.sprintf
-           "{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":%d,\"name\":\"barrier\",\"s\":\"t\"}"
-           cyc))
-    bcycles;
   Buffer.add_string b "\n]\n";
   Buffer.contents b
-
-let write ~out ~names ~parts ~rt =
-  let oc = open_out out in
-  output_string oc (to_string ~names ~parts ~rt);
-  close_out oc

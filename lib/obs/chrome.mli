@@ -1,18 +1,13 @@
 (** Chrome trace_event (chrome://tracing, Perfetto) export of rule firing.
 
-    One process (pid 0) with one thread track per simulator partition
-    (track 0 = uncore, track [i+1] = core [i]). Rule fires become complete
-    ("X") slices — consecutive-cycle fires of the same rule are merged —
-    per-partition fire counts become counter ("C") series, and cycles where
-    any core partition fired are marked with a "barrier" instant on the
-    uncore track. One simulated cycle is rendered as one microsecond.
+    One process (pid 0) with one thread track per cluster: track 0 is the
+    uncore, track [i + 1] core [i], and track [ncores + 1 + b] bank [b] of
+    a banked L2. Rule fires become complete ("X") slices — consecutive-cycle
+    fires of the same rule are merged — and per-cluster fire counts become
+    counter ("C") series. One simulated cycle is rendered as one
+    microsecond.
 
-    [names].(rid) / [parts].(rid) describe the rules as numbered by
-    [Hub.attach]. Output is a deterministic function of the recorded fires,
-    hence byte-identical at any [--jobs]. *)
+    [names].(rid) names the rules as numbered by [Hub.attach]. Output is a
+    deterministic function of the recorded fires. *)
 
-val to_string :
-  names:string array -> parts:int array -> rt:Rule_trace.t -> string
-
-val write :
-  out:string -> names:string array -> parts:int array -> rt:Rule_trace.t -> unit
+val to_string : names:string array -> ncores:int -> rt:Rule_trace.t -> string

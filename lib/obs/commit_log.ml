@@ -4,10 +4,9 @@ open Cmd
 
    Printing straight from a commit hook interleaves harts in firing order,
    which differs between schedule modes and is awkward to diff. Instead each
-   hart appends to its own buffer (single writer: the hook runs inside that
-   hart's partition) and the driver dumps hart 0, then hart 1, ... after the
-   run — the convention the Mmio console already established. Appends are
-   abort-safe: a rolled-back commit truncates its bytes away. *)
+   hart appends to its own buffer and the driver dumps hart 0, then hart 1,
+   ... after the run — the convention the Mmio console already established.
+   Appends are abort-safe: a rolled-back commit truncates its bytes away. *)
 
 type t = { mutable active : bool; bufs : Buffer.t array }
 

@@ -2,11 +2,9 @@
 
     [--trace] output used to be printed straight from the commit hooks,
     interleaving harts in rule-firing order. This sink buffers each hart's
-    lines separately (single writer — the hook runs inside that hart's own
-    partition, so this is parallel-safe) and {!dump} emits hart 0's lines,
-    then hart 1's, ..., following the hart-ordered convention of the Mmio
-    console. Appends take a [ctx] and are undone if the enclosing rule
-    aborts. *)
+    lines separately and {!dump} emits hart 0's lines, then hart 1's, ...,
+    following the hart-ordered convention of the Mmio console. Appends take
+    a [ctx] and are undone if the enclosing rule aborts. *)
 
 type t
 

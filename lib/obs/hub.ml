@@ -23,7 +23,6 @@ type t = {
   pipes : Pipe.t array;
   mutable rt : Rule_trace.t option;
   mutable rule_names : string array;
-  mutable rule_parts : int array;
 }
 
 let create ?window ?konata ?chrome ?stats_json ?(meta = []) ~nharts () =
@@ -36,7 +35,6 @@ let create ?window ?konata ?chrome ?stats_json ?(meta = []) ~nharts () =
     pipes = Array.init (max 1 nharts) (fun h -> Pipe.create ~hart:h);
     rt = None;
     rule_names = [||];
-    rule_parts = [||];
   }
 
 let pipe t ~hart = t.pipes.(hart)
@@ -56,7 +54,6 @@ let attach t sim =
   let rules = Sim.rules sim in
   List.iteri (fun i (r : Rule.t) -> r.Rule.rid <- i) rules;
   t.rule_names <- Array.of_list (List.map (fun (r : Rule.t) -> r.Rule.name) rules);
-  t.rule_parts <- Array.of_list (List.map (fun (r : Rule.t) -> r.Rule.part) rules);
   (if t.chrome <> None then begin
      let nparts =
        1 + List.fold_left (fun m (r : Rule.t) -> max m r.Rule.part) 0 rules
@@ -81,9 +78,10 @@ let attach t sim =
 let konata_string t = Konata.to_string ~pipes:(Array.to_list t.pipes)
 
 let chrome_string t =
+  let ncores = Array.length t.pipes in
   match t.rt with
-  | None -> Chrome.to_string ~names:[||] ~parts:[||] ~rt:(Rule_trace.create ~nparts:1)
-  | Some rt -> Chrome.to_string ~names:t.rule_names ~parts:t.rule_parts ~rt
+  | None -> Chrome.to_string ~names:[||] ~ncores ~rt:(Rule_trace.create ~nparts:1)
+  | Some rt -> Chrome.to_string ~names:t.rule_names ~ncores ~rt
 
 let stats_string t ~cycles ~instrs ~stats =
   Stats_json.to_string ~meta:t.meta ~cycles ~instrs ~stats ()

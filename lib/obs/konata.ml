@@ -2,7 +2,7 @@
 
    Everything here is derived from the per-hart [Pipe.irec] arrays by
    sorting on (cycle, hart, tid) keys, so the output is a pure function of
-   the recorded event streams — byte-identical at any [--jobs]. *)
+   the recorded event streams. *)
 
 type line = {
   lcyc : int; (* cycle the line belongs to *)

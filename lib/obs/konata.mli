@@ -4,9 +4,8 @@
     One file covers all harts: each instruction's [I] line carries its hart
     as the thread id, so the viewer can colour or filter by hart. File ids
     are assigned in (fetch cycle, hart, tid) order and retire ids in
-    (retire cycle, hart, tid) order; since both keys are derived purely from
-    the recorded per-hart streams, the output is byte-identical at any
-    [--jobs]. Instructions still in flight at run end are closed with a
+    (retire cycle, hart, tid) order; both keys are derived purely from the
+    recorded per-hart streams. Instructions still in flight at run end are closed with a
     synthetic flush at their last recorded cycle. *)
 
 (** Render the whole trace. *)

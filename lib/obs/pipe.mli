@@ -11,11 +11,10 @@
     equally flat [tid >= 0] it implies — and skips emission entirely. No
     sink attached means one load-and-branch per potential event.
 
-    {b Race freedom.} The buffer is written only from emission sites inside
-    the owning hart's rules, which all execute on that hart's partition
-    domain (or the main domain when serial). No lock is needed, and the
-    per-hart event sequence is identical at any [--jobs] because a
-    partition's rules always run serially in schedule order.
+    {b Determinism.} The buffer is written only from emission sites inside
+    the owning hart's rules, which run in schedule order on the
+    simulator's one domain, so the per-hart event sequence is a pure
+    function of the run.
 
     {b Abort safety.} Every emission registers a [Kernel.on_abort] undo that
     truncates the buffer back to its pre-emission fill pointer (and

@@ -2,7 +2,7 @@ open Cmd
 
 type t = {
   mutable active : bool;
-  bufs : Buf.t array; (* per partition: (rid, cycle) pairs in fire order *)
+  bufs : Buf.t array; (* per cluster: (rid, cycle) pairs in fire order *)
 }
 
 let create ~nparts =
@@ -11,11 +11,9 @@ let create ~nparts =
 let set_active t b = t.active <- b
 let nparts t = Array.length t.bufs
 
-(* The Sim fire-site callback. Runs on whichever domain fired the rule, so
-   it may only touch the firing rule's own partition buffer — which is
-   exactly the single-writer discipline that keeps the parallel path
-   race-free. No ctx: the scheduler invokes it strictly after the fire has
-   committed, so there is nothing to undo. *)
+(* The Sim fire-site callback: append to the firing rule's cluster buffer.
+   No ctx: the scheduler invokes it strictly after the fire has committed,
+   so there is nothing to undo. *)
 let emit t (r : Rule.t) cyc =
   if t.active && r.Rule.rid >= 0 then begin
     let b = Array.unsafe_get t.bufs r.Rule.part in
@@ -23,7 +21,7 @@ let emit t (r : Rule.t) cyc =
     Buf.push b cyc
   end
 
-(* Per-partition fire list: (rid, cycle) pairs, chronological. *)
+(* Per-cluster fire list: (rid, cycle) pairs, chronological. *)
 let fires t p =
   let b = t.bufs.(p) in
   List.init (Buf.length b / 2) (fun k -> (Buf.get b (2 * k), Buf.get b ((2 * k) + 1)))

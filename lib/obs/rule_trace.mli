@@ -1,12 +1,10 @@
-(** Per-partition rule-firing trace.
+(** Per-cluster rule-firing trace.
 
     The scheduler's fire sites call {!emit} (installed via
     [Cmd.Sim.set_rule_trace]) once per rule fire — including the vacuous
     fires accounted for fast-path skips, so the trace matches [Rule.fired]
     exactly with the fast path on or off. Fires land in the firing rule's
-    own partition buffer (single writer per domain), so the per-partition
-    sequences are bit-identical at any [--jobs]: within a partition, rules
-    always fire serially in schedule order. *)
+    cluster buffer ([Rule.t.part]), one buffer per Chrome track. *)
 
 type t
 
@@ -19,6 +17,6 @@ val nparts : t -> int
     never assigned a trace id. *)
 val emit : t -> Cmd.Rule.t -> int -> unit
 
-(** All recorded fires of partition [p] as (rid, cycle) pairs,
+(** All recorded fires of cluster [p] as (rid, cycle) pairs,
     chronological. *)
 val fires : t -> int -> (int * int) list

@@ -67,9 +67,8 @@ val denver_proxy : t
 val multicore : mem_model -> t
 
 (** Sixteen-core scale-up of {!multicore}: smaller private L1s, a 2 MB L2
-    interleaved across 4 banks (each bank its own scheduler partition and
-    DRAM channel), deeper MSHR/memory parallelism. Built for
-    [Machine.create ~ncores:16 ~jobs]. *)
+    interleaved across 4 banks (each bank its own DRAM channel),
+    deeper MSHR/memory parallelism. Built for [Machine.create ~ncores:16]. *)
 val multicore16 : mem_model -> t
 
 val pp : Format.formatter -> t -> unit

@@ -104,8 +104,8 @@ exception Cosim_mismatch of string
 let create ?(name = "ooo") ?cosim ?(pipe = Obs.Pipe.null) clk (cfg : Config.t) ~hart_id ~icache
     ~dcache ~tlb ~mmio ~stats () =
   (* Everything a core builds — pipeline FIFOs, stages, bypass wires — is
-     private to it, so the whole construction runs in the core's partition
-     (hart 0 -> partition 1; partition 0 is the uncore). *)
+     private to it, so the whole construction runs in the core's cluster
+     (hart 0 -> cluster 1; cluster 0 is the uncore). *)
   Partition.scoped (hart_id + 1) @@ fun () ->
   let nregs = cfg.n_phys_regs in
   let dead_u (u : Uop.t) = u.killed in
@@ -184,9 +184,9 @@ let create ?(name = "ooo") ?cosim ?(pipe = Obs.Pipe.null) clk (cfg : Config.t) ~
   (* The cycle counter used to be bumped inside the (always-firing) commit
      rule's body; counting at the clock edge instead lets the commit rule
      carry a [can_fire] predicate and be skipped on idle cycles. Structure
-     occupancies are sampled here too: the hook runs on the main domain
-     after the barrier, so untracked increments are race- and
-     rollback-free, and sampling at the edge sees the settled state. *)
+     occupancies are sampled here too: the hook runs between cycles, so
+     untracked increments are rollback-free, and sampling at the edge sees
+     the settled state. *)
   Clock.on_cycle_end clk (fun () ->
       Stats.incr t.c_cycles;
       let rc = Rob.count t.rob in

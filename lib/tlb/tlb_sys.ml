@@ -70,7 +70,7 @@ type t = {
   wcache : Walk_cache.t option;
   wreq : (int * int64) Fifo.t;
   wresp : (int * int64) Fifo.t;
-  part : int; (* partition this TLB was built in (its core's) *)
+  part : int; (* cluster this TLB was built in (its core's) *)
   c_l2_access : Stats.counter;
   c_l2_miss : Stats.counter;
   c_walk_cycles : Stats.counter;
@@ -112,7 +112,7 @@ let create ?(name = "tlb") clk cfg ~stats () =
   }
   in
   (* cycles with at least one page walk in flight, sampled at the clock
-     edge (main domain, post-barrier: untracked increments are safe) *)
+     edge (between cycles: untracked increments are safe) *)
   Clock.on_cycle_end clk (fun () ->
       if Array.exists (fun w -> w.wvalid) t.walks then Stats.incr t.c_walk_cycles);
   let side_save s = (s.entries, s.misses, s.rotor) in
@@ -346,10 +346,6 @@ let tick t =
     || Fifo.peek_size t.d.req_q > 0
   in
   let watches = [ Fifo.signal t.wresp; Fifo.signal t.i.req_q; Fifo.signal t.d.req_q ] in
-  (* Declared boundary: the walk-memory queues shared with the walk
-     crossbar (this TLB enqs requests, deqs responses). The core-side
-     req/resp queues stay inside the core's partition. *)
-  let touches = [ Fifo.enq_token t.wreq; Fifo.deq_token t.wresp ] in
   (* The steps, built once: a skipped step allocates no closure. They index
      the slot arrays when run, as a snapshot restore replaces the slots. *)
   let walk_resp ctx = step_walk_resp ctx t in
@@ -361,7 +357,7 @@ let tick t =
   let d_misses = misses t.d and i_misses = misses t.i in
   let d_req ctx = step_l1_req ctx t t.d and i_req ctx = step_l1_req ctx t t.i in
   let walk_retire = per_walk (fun ctx _ w -> step_walk_retire ctx t w) in
-  Rule.make ~can_fire ~watches ~touches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
       ignore (Kernel.attempt_if ctx (Fifo.peek_size t.wresp > 0) walk_resp);
       for i = 0 to Array.length t.walks - 1 do
         ignore (Kernel.attempt_if ctx (issue_ready t t.walks.(i)) walk_issue.(i))

@@ -32,7 +32,7 @@ val nonblocking_config : config
 type t
 
 (** The page-walk request/response queues are conflict-free
-    ({!Cmd.Fifo.cf}): they straddle the core/uncore partition boundary. *)
+    ({!Cmd.Fifo.cf}), like every link between a core and the uncore. *)
 val create : ?name:string -> Cmd.Clock.t -> config -> stats:Cmd.Stats.t -> unit -> t
 
 (** Root page-table base; 0 = bare mode (identity translation). *)

@@ -46,7 +46,6 @@ let rules tlbs ~banks ~bank_of =
       ~can_fire:(fun () ->
         Array.exists (fun t -> Fifo.peek_size (Tlb_sys.walk_mem_req t) > 0) tlbs)
       ~watches:(Array.to_list (Array.map (fun t -> Fifo.signal (Tlb_sys.walk_mem_req t)) tlbs))
-      ~touches:(Array.to_list (Array.map (fun t -> Fifo.deq_token (Tlb_sys.walk_mem_req t)) tlbs))
       ~vacuous:true
       (let steps = Array.mapi (fun core _ -> up_step tlbs banks bank_of core) tlbs in
        fun ctx ->
@@ -58,7 +57,6 @@ let rules tlbs ~banks ~bank_of =
     Rule.make "walkxbar.down"
       ~can_fire:(fun () -> Array.exists Mem.L2_cache.walk_resp_ready banks)
       ~watches:(bank_list Mem.L2_cache.walk_resp_signal)
-      ~touches:(Array.to_list (Array.map (fun t -> Fifo.enq_token (Tlb_sys.walk_mem_resp t)) tlbs))
       ~vacuous:true
       (let steps = Array.map (down_step tlbs) banks in
        fun ctx ->

@@ -64,19 +64,14 @@ let instrs t =
 
 let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64)
     ?(cosim = false) ?schedule ?(mode = Sim.Multi) ?(fastpath = true) ?(audit = false)
-    ?(jobs = 1) ?(partition_audit = false) ?compile:(_ : bool option) ?(epoch = 1) ?(watchdog = 0)
+    ?jobs:(_ : int option) ?compile:(_ : bool option) ?(epoch = 1) ?(watchdog = 0)
     ?(invariants = false) ?(obligations = false) ?obs kind prog =
   (* Benchmark pins: [epoch] survives only for callers written when windows
-     could be longer than one cycle. Both 0 and 1 mean one cycle; 0 also
-     keeps the old auto window's partition groups at jobs 1 (see
-     [Sim.create ~grouped]), which the harness's jobs-1 oracle expects.
-     [compile] is accepted and ignored: every rule runs on the one checked
-     engine. *)
+     could be longer than one cycle; 0 and 1 both mean one cycle. [jobs]
+     and [compile] are accepted and ignored: every machine runs the one
+     serial cycle loop on the one checked engine. *)
   if epoch <> 0 && epoch <> 1 then
     invalid_arg "Machine.create: epoch must be 0 or 1 (the window is one cycle)";
-  (* Cosim shares one Golden.t across every hart's commit hook, so its state
-     is not partition-private; force serial execution under cosim. *)
-  let jobs = if cosim then 1 else jobs in
   (* The whole build runs inside a [State.collecting] scope: every primitive
      constructed along the way (EHRs, FIFOs, the PRF, caches, TLBs, the
      scheduler) registers its snapshot entry as a side effect, and the
@@ -104,10 +99,7 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
     match obs with Some hub -> Obs.Hub.pipe hub ~hart:i | None -> Obs.Pipe.null
   in
   let mk_sim clk rules =
-    let sim =
-      Sim.create ~mode ~fastpath ~audit ~jobs ~partition_audit ~grouped:(epoch = 0) ~stats:stats_t
-        clk rules
-    in
+    let sim = Sim.create ~mode ~fastpath ~audit clk rules in
     (match obs with Some hub -> Obs.Hub.attach hub sim | None -> ());
     sim
   in
@@ -296,9 +288,9 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
   (* The configuration key covers everything that shapes the machine's state
      inventory or its cycle-accurate behaviour: kind (including the full OOO
      config), topology, paging, the program image and initial registers.
-     [jobs]/[fastpath]/[audit] are excluded on purpose — they are
-     state-identical by design, so an image snapshotted at [--jobs 1] loads
-     into a [--jobs 4] machine (and the round-trip tests rely on that).
+     [fastpath]/[audit] are excluded on purpose — they are state-identical
+     by design, so an image snapshotted with the fast path loads into a
+     stripped machine.
      The [Shuffle] seed is normalized away: the schedule RNG travels inside
      the image ("sim.sched"), so a cycle-0 snapshot plus {!reseed_schedule}
      forks one warm image across arbitrarily many seeds. *)
@@ -373,7 +365,6 @@ let run ?(max_cycles = 50_000_000) ?on_cycle t =
 
 let stats t = t.stats_t
 
-let parallel t = match t.sim with Some s -> Sim.parallel s | None -> false
 (* Benchmark pin, see [create]'s [epoch]. *)
 let epoch_length _ = 1
 
@@ -393,7 +384,7 @@ let pp_rule_stats fmt t =
 let rule_list t = match t.sim with Some sim -> Sim.rules sim | None -> []
 
 (* Trace committed instructions of every OOO core. Lines land in a
-   per-hart Obs.Commit_log (abort-safe, single writer per partition) and
+   per-hart Obs.Commit_log (abort-safe, one log per hart) and
    [flush_trace] prints them hart-ordered after the run — printing straight
    from the hook would interleave harts in rule-firing order. *)
 let trace_commits t fmt =

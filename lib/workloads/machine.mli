@@ -31,24 +31,11 @@ type t
     and L2 directory during construction and runs them once per cycle
     (raising {!Verif.Invariant.Violation} on corruption).
 
-    [jobs] (default 1) enables domain-parallel rule execution: each core's
-    pipeline, L1 caches and TLB form a private partition fired concurrently
-    with the others, while the crossbar, L2 and DRAM run serially after a
-    cycle barrier (see {!Cmd.Sim.create}). Results are bit-identical to
-    [jobs:1]. Forced back to 1 under [cosim], whose golden model is shared
-    across harts. [partition_audit] runs serially while checking every
-    EHR/FIFO/wire access against the partition that makes it, raising
-    {!Cmd.Kernel.Partition_overlap} on an undeclared cross-partition
-    touch.
-
-    [epoch] is a benchmark pin: the benchmark harness still passes it.
-    Partitions synchronize every cycle (see {!Cmd.Sim.create}), so 0 and 1
-    (the default) both mean a one-cycle window, and any other value raises
-    [Invalid_argument]. [epoch:0] also keeps the partition groups at
-    [jobs:1] ([Cmd.Sim.create ~grouped]), so a jobs-1 run matches a
-    parallel one down to its fast-path skip counts, as the harness's
-    oracle checks. [compile] is a benchmark pin too: it is accepted and
-    ignored, since every rule runs on the one checked engine.
+    [epoch], [jobs] and [compile] are benchmark pins: the benchmark harness
+    still passes them. Every machine runs the one serial cycle loop (see
+    {!Cmd.Sim.create}), so [jobs] and [compile] are accepted and ignored,
+    and [epoch] accepts 0 and 1 (the default), both meaning a one-cycle
+    window; any other value raises [Invalid_argument].
 
     [obs] plugs an observability hub in: every core is built against the
     hub's per-hart instruction tracer and the hub is attached to the
@@ -66,7 +53,6 @@ val create :
   ?fastpath:bool ->
   ?audit:bool ->
   ?jobs:int ->
-  ?partition_audit:bool ->
   ?compile:bool ->
   ?epoch:int ->
   ?watchdog:int ->
@@ -93,11 +79,6 @@ val reg : t -> hart:int -> int -> int64
     all harts having exited, this means every store has reached the
     coherent hierarchy. Vacuously true for golden/in-order machines. *)
 val quiesced : t -> bool
-
-(** True when the machine's simulator took the domain-parallel path (i.e.
-    [jobs > 1], partitions exist, and no serializing option forced the
-    fall-back). *)
-val parallel : t -> bool
 
 (** Always 1: the window is one cycle. A benchmark pin, kept because the
     benchmark harness still prints it. *)
@@ -131,8 +112,7 @@ val obligation_stats : t -> (string * int) list
 
 (** Record every committed instruction of the OOO cores; {!flush_trace}
     prints them to the formatter after the run, hart-ordered (all of hart
-    0's commits, then hart 1's, ...) so the output is deterministic at any
-    [jobs] and schedule mode. *)
+    0's commits, then hart 1's, ...). *)
 val trace_commits : t -> Format.formatter -> unit
 
 (** Print the recorded commit trace (no-op when {!trace_commits} was never
@@ -155,7 +135,7 @@ val pp_core_debug : Format.formatter -> t -> unit
     registry into a self-describing image with a format-version magic, a
     binary digest, a configuration digest and a payload checksum.
     [restore] writes an image back into a machine built with the {e same}
-    configuration (kind, cores, paging, program — [jobs]/[fastpath]/[audit]
+    configuration (kind, cores, paging, program — [fastpath]/[audit]
     excluded: they are state-identical by design), raising
     {!Cmd.State.Error} on any mismatch, truncation or corruption before
     touching machine state. A restored machine continues bit-identically to

@@ -582,7 +582,7 @@ let show_prog prog =
     (List.map
        (fun rules ->
          String.concat " , "
-           (List.map (fun (sh, ops) -> (if sh then "S:" else "D:") ^ show_ops ops) rules))
+           (List.map show_ops rules))
        prog)
 
 let gen_prog =
@@ -608,7 +608,7 @@ let gen_prog =
       (if depth = 0 then leaf
        else frequency [ (6, leaf); (1, map (fun o -> Attempt o) (ops (depth - 1))) ])
   in
-  list_size (1 -- 4) (list_size (1 -- 4) (pair bool (ops 2)))
+  list_size (1 -- 4) (list_size (1 -- 4) (ops 2))
 
 (* --- the model --- *)
 type mstate = {
@@ -694,7 +694,7 @@ let model prog =
        (fun st rules ->
          let st =
            List.fold_left
-             (fun st (_, ops) ->
+             (fun st ops ->
                match mrun st ops with
                | st' ->
                  outcomes := true :: !outcomes;
@@ -751,8 +751,7 @@ let implementation prog =
   List.iter
     (fun rules ->
       List.iter
-        (fun (sharded, ops) ->
-          Kernel.set_stats_slot ctx (if sharded then 0 else -1);
+        (fun ops ->
           (match run ctx ops with
           | () -> outcomes := true :: !outcomes
           | exception (Kernel.Guard_fail _ | Kernel.Retry _) ->
@@ -805,14 +804,14 @@ let test_nested_abort_levels () =
   in
   (* inner aborts: outer's write survives, inner's is undone *)
   check "inner aborts"
-    [ [ (false, [ Field 1; Attempt [ Field 2; Fail ]; Set_arr (1, 7) ]) ] ]
+    [ [ [ Field 1; Attempt [ Field 2; Fail ]; Set_arr (1, 7) ] ] ]
     [ true ];
   (* outer aborts after a committed inner attempt: both undone *)
-  check "outer aborts" [ [ (true, [ Field 1; Attempt [ Field 2; Stat 2 ]; Fail ]) ] ] [ false ];
+  check "outer aborts" [ [ [ Field 1; Attempt [ Field 2; Stat 2 ]; Fail ] ] ] [ false ];
   (* aborted rule wrote EHR port 1 and enqueued: a later rule still reads
      port 1 and enqueues at the same FIFO port without a Retry *)
   check "no Retry after abort"
-    [ [ (false, [ Ehr_w (1, 5); Enq 3; Fail ]); (false, [ Ehr_r 1; Enq 4 ]) ] ]
+    [ [ [ Ehr_w (1, 5); Enq 3; Fail ]; [ Ehr_r 1; Enq 4 ] ] ]
     [ false; true ]
 
 (* Allocation regression: a committed write of an immediate value through

@@ -4,12 +4,6 @@
 
 open Litmus
 
-(* CI runs this suite at RISCYOO_JOBS=1 and =4; results must not depend on it. *)
-let jobs =
-  match Option.bind (Sys.getenv_opt "RISCYOO_JOBS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 1
-
 let allowed m t = Ref_model.allowed t ~model:m
 let mem set o = Ref_model.is_allowed set o
 let subset a b = List.for_all (mem b) a
@@ -181,18 +175,16 @@ let test_compile_deterministic () =
 
 (* --- the real machine ----------------------------------------------------- *)
 
-let jobs_list = if jobs = 1 then [ 1 ] else [ 1; jobs ]
-
 let test_run_one_deterministic () =
-  let run () = Run.run_one ~jobs ~seed:5 ~model:Ooo.Config.WMM Test.sb in
+  let run () = Run.run_one ~seed:5 ~model:Ooo.Config.WMM Test.sb in
   Alcotest.(check (array Alcotest.int)) "replay is exact" (run ()) (run ())
 
 (* Every observed outcome of every classic test must be in its model's
-   reference set; jobs 1 and N must agree run-for-run. *)
+   reference set. *)
 let sweep_suite model =
   List.iter
     (fun t ->
-      let r = Run.sweep ~seeds:6 ~jobs_list ~model t in
+      let r = Run.sweep ~seeds:6 ~model t in
       if not (Run.ok r) then
         Alcotest.failf "%s: %s" t.Test.name (Format.asprintf "%a" Run.pp_report r))
     Test.all
@@ -206,7 +198,7 @@ let test_dut_wmm () = sweep_suite Ooo.Config.WMM
 let test_dut_inorder () =
   List.iter
     (fun t ->
-      let r = Run.sweep ~seeds:4 ~jobs_list ~dut:Run.Dut_inorder ~model:Ooo.Config.TSO t in
+      let r = Run.sweep ~seeds:4 ~dut:Run.Dut_inorder ~model:Ooo.Config.TSO t in
       if not (Run.ok r) then
         Alcotest.failf "%s (inorder): %s" t.Test.name (Format.asprintf "%a" Run.pp_report r))
     Test.all
@@ -214,7 +206,7 @@ let test_dut_inorder () =
 let test_dut_mesi () =
   List.iter
     (fun t ->
-      let r = Run.sweep ~seeds:4 ~jobs_list ~mesi:true ~model:Ooo.Config.WMM t in
+      let r = Run.sweep ~seeds:4 ~mesi:true ~model:Ooo.Config.WMM t in
       if not (Run.ok r) then
         Alcotest.failf "%s (mesi): %s" t.Test.name (Format.asprintf "%a" Run.pp_report r))
     Test.all
@@ -223,16 +215,16 @@ let test_dut_mesi () =
    reach its non-SC outcome (store buffering is always visible), and MP has
    to reach its WMM-only outcome under WMM but never under TSO. *)
 let test_relaxation_observed () =
-  let sb = Run.sweep ~seeds:8 ~jobs_list ~model:Ooo.Config.WMM Test.sb in
+  let sb = Run.sweep ~seeds:8 ~model:Ooo.Config.WMM Test.sb in
   Alcotest.(check bool) "SB non-SC outcome reached" true sb.Run.relaxed_seen;
-  let mp = Run.sweep ~seeds:25 ~jobs_list ~model:Ooo.Config.WMM Test.mp in
+  let mp = Run.sweep ~seeds:25 ~model:Ooo.Config.WMM Test.mp in
   Alcotest.(check bool) "MP WMM-only outcome reached" true mp.Run.wmm_only_seen;
-  let mp_tso = Run.sweep ~seeds:25 ~jobs_list ~model:Ooo.Config.TSO Test.mp in
+  let mp_tso = Run.sweep ~seeds:25 ~model:Ooo.Config.TSO Test.mp in
   Alcotest.(check bool) "MP stays in TSO set under TSO" true
     (Run.ok mp_tso && not mp_tso.Run.wmm_only_seen);
   (* the atomics suite must relax too: the consumer's plain payload load
      performs under the slow amoadd-0 flag read *)
-  let mp_amo = Run.sweep ~seeds:60 ~jobs_list ~model:Ooo.Config.WMM Test.mp_amo in
+  let mp_amo = Run.sweep ~seeds:60 ~model:Ooo.Config.WMM Test.mp_amo in
   Alcotest.(check bool) "MP+amo WMM-only outcome reached" true mp_amo.Run.wmm_only_seen
 
 (* Dedicated control-dependency sweep, deeper than the whole-suite pass.
@@ -242,18 +234,18 @@ let test_relaxation_observed () =
    demand here - reaching it needs the stale payload copy to outlive the
    whole flag->relay->reader chain - so we check containment, not reach. *)
 let test_dut_ctrl () =
-  let tso = Run.sweep ~seeds:30 ~jobs_list ~model:Ooo.Config.TSO Test.mp_ctrl in
+  let tso = Run.sweep ~seeds:30 ~model:Ooo.Config.TSO Test.mp_ctrl in
   if not (Run.ok tso) then
     Alcotest.failf "MP+ctrl (TSO): %s" (Format.asprintf "%a" Run.pp_report tso);
   Alcotest.(check bool) "MP+ctrl never outside TSO set under TSO" true
     (not tso.Run.wmm_only_seen);
-  let wmm = Run.sweep ~seeds:30 ~jobs_list ~model:Ooo.Config.WMM Test.mp_ctrl in
+  let wmm = Run.sweep ~seeds:30 ~model:Ooo.Config.WMM Test.mp_ctrl in
   if not (Run.ok wmm) then
     Alcotest.failf "MP+ctrl (WMM): %s" (Format.asprintf "%a" Run.pp_report wmm)
 
 (* Cross-engine identity on litmus machines. With stagger off the image
-   is seed-independent, so a cold [Shuffle seed] build, one at jobs 2 and
-   a warm fork (cycle-0 restore + reseed) must agree on the outcome
+   is seed-independent, so a cold [Shuffle seed] build, one with the fast
+   path off and a warm fork (cycle-0 restore + reseed) must agree on the outcome
    registers, the cycle count and every rule's fire count, and the outcome
    must be one the memory model admits. *)
 let test_engines_agree () =
@@ -284,8 +276,8 @@ let test_engines_agree () =
       let img = M.snapshot warm in
       List.iter
         (fun seed ->
-          let cold ?(jobs = 1) () =
-            run (M.create ~ncores ~jobs ~mode:(Cmd.Sim.Shuffle seed) kind prog)
+          let cold ?(fastpath = true) () =
+            run (M.create ~ncores ~fastpath ~mode:(Cmd.Sim.Shuffle seed) kind prog)
           in
           let check engine (o1, c1, f1) (o2, c2, f2) =
             let name = Printf.sprintf "%s seed %d, %s" test.Test.name seed engine in
@@ -301,7 +293,7 @@ let test_engines_agree () =
             (Printf.sprintf "%s seed %d: outcome %s admitted by the model" test.Test.name seed
                (Test.outcome_to_string test outcome))
             true (mem admitted outcome);
-          check "jobs 2" reference (cold ~jobs:2 ());
+          check "fast path off" reference (cold ~fastpath:false ());
           M.restore warm img;
           M.reseed_schedule warm seed;
           check "warm fork" reference (run warm))

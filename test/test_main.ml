@@ -4,7 +4,6 @@ let () =
       ("cmd", Test_cmd.suite);
       ("conflict", Test_conflict.suite);
       ("sched", Test_sched.suite);
-      ("par", Test_par.suite);
       ("isa", Test_isa.suite);
       ("mem", Test_mem.suite);
       ("branch", Test_branch.suite);
@@ -23,5 +22,6 @@ let () =
       ("mcheck", Test_mcheck.suite);
       ("snapshot", Test_snapshot.suite);
       ("farm", Test_farm.suite);
+      ("pool", Test_pool.suite);
       ("explore", Test_explore.suite);
     ]

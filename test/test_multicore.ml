@@ -6,12 +6,6 @@ open Workloads
 
 let i64 = Alcotest.testable (Fmt.fmt "%Ld") Int64.equal
 
-(* CI runs this suite at RISCYOO_JOBS=1 and =4; results must not depend on it. *)
-let jobs =
-  match Option.bind (Sys.getenv_opt "RISCYOO_JOBS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 1
-
 (* Each of [n] harts adds its hart id + 1 to a shared counter [iters] times
    under an amoadd; hart 0 waits for all to finish (spin on a done-counter)
    and exits with the total. Other harts exit 0. *)
@@ -114,7 +108,7 @@ let small_mem =
 
 let run_mc mm ~ncores prog expect =
   let cfg = { (Ooo.Config.multicore mm) with Ooo.Config.mem = small_mem } in
-  let m = Machine.create ~ncores ~jobs ~invariants:true (Machine.Out_of_order cfg) prog in
+  let m = Machine.create ~ncores ~invariants:true (Machine.Out_of_order cfg) prog in
   let o = Machine.run ~max_cycles:2_000_000 m in
   Alcotest.(check bool)
     (Printf.sprintf "%s x%d exits" cfg.Ooo.Config.name ncores)
@@ -135,7 +129,7 @@ let test_lock_wmm () = run_mc Ooo.Config.WMM ~ncores:4 (lock_kernel ~harts:4 ~it
 let test_inorder_multicore () =
   let prog = shared_counter_kernel ~harts:2 ~iters:30 in
   let m =
-    Machine.create ~ncores:2 ~jobs ~invariants:true
+    Machine.create ~ncores:2 ~invariants:true
       (Machine.In_order { mem = small_mem; tlb = Tlb.Tlb_sys.blocking_config })
       prog
   in

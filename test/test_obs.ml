@@ -2,8 +2,8 @@
 
    The load-bearing property is determinism: every exported artifact —
    Konata pipeline trace, Chrome rule trace, stats JSON — must be
-   byte-identical at any --jobs and schedule mode, because the per-hart /
-   per-partition event buffers are single-writer and the exporters sort on
+   byte-identical with the fast path on and off, in every schedule mode,
+   because the exporters read only committed events and sort on
    deterministic keys. The rest checks the exports are well-formed enough
    for their consumers (the Konata viewer, chrome://tracing, jq). *)
 
@@ -26,20 +26,21 @@ let exports hub (o : Machine.outcome) m =
       ~stats:(Machine.stats m) )
 
 (* Quad-core run, returning the three export strings plus instret. *)
-let run_mc ~jobs ~mode prog =
+let run_mc ?(fastpath = true) ~mode prog =
   let hub = fresh_hub ~nharts:4 in
-  let m = Machine.create ~ncores:4 ~jobs ~mode ~obs:hub (Machine.Out_of_order mc_cfg) prog in
+  let m = Machine.create ~ncores:4 ~fastpath ~mode ~obs:hub (Machine.Out_of_order mc_cfg) prog in
   let o = Machine.run ~max_cycles:2_000_000 m in
   Alcotest.(check bool) "obs quad-core run completes" false o.Machine.timed_out;
   let k, c, s = exports hub o m in
   (k, c, s, Machine.instrs m)
 
-(* Single-core smoke kernel under paging (partitions: core 1 + uncore). *)
-let run_smoke ~jobs =
+(* Single-core smoke kernel under paging (clusters: core 0 + uncore). *)
+let run_smoke ?(fastpath = true) () =
   let prog = Spec_kernels.find "smoke" ~scale:1 in
   let hub = fresh_hub ~nharts:1 in
   let m =
-    Machine.create ~paging:true ~jobs ~obs:hub (Machine.Out_of_order Ooo.Config.riscyoo_b) prog
+    Machine.create ~paging:true ~fastpath ~obs:hub (Machine.Out_of_order Ooo.Config.riscyoo_b)
+      prog
   in
   let o = Machine.run ~max_cycles:1_000_000 m in
   Alcotest.(check bool) "obs smoke run completes" false o.Machine.timed_out;
@@ -56,11 +57,10 @@ let test_identity_mc () =
   let prog = Test_multicore.shared_counter_kernel ~harts:4 ~iters:25 in
   List.iter
     (fun (mname, mode) ->
-      check_identical ("counter/" ^ mname) (run_mc ~jobs:1 ~mode prog) (run_mc ~jobs:4 ~mode prog))
+      check_identical ("counter/" ^ mname) (run_mc ~mode prog) (run_mc ~fastpath:false ~mode prog))
     [ ("multi", Sim.Multi); ("shuffle", Sim.Shuffle 20260807) ]
 
-let test_identity_smoke () =
-  check_identical "smoke" (run_smoke ~jobs:1) (run_smoke ~jobs:4)
+let test_identity_smoke () = check_identical "smoke" (run_smoke ()) (run_smoke ~fastpath:false ())
 
 (* ---------------------------------------------------------------- *)
 (* Konata well-formedness                                             *)
@@ -151,10 +151,10 @@ let check_konata ~instrs s =
   Alcotest.(check int) "konata: type-0 retires = committed instrs" instrs !committed
 
 let test_konata_wellformed () =
-  let k, _, _, instrs = run_smoke ~jobs:1 in
+  let k, _, _, instrs = run_smoke () in
   check_konata ~instrs k;
   let prog = Test_multicore.shared_counter_kernel ~harts:4 ~iters:25 in
-  let k, _, _, instrs = run_mc ~jobs:4 ~mode:Sim.Multi prog in
+  let k, _, _, instrs = run_mc ~mode:Sim.Multi prog in
   check_konata ~instrs k
 
 (* ---------------------------------------------------------------- *)
@@ -253,17 +253,44 @@ let count_substr s needle =
 
 let test_chrome_wellformed () =
   let prog = Test_multicore.shared_counter_kernel ~harts:4 ~iters:25 in
-  let _, c, _, _ = run_mc ~jobs:4 ~mode:Sim.Multi prog in
+  let _, c, _, _ = run_mc ~mode:Sim.Multi prog in
   check_json "chrome" c;
-  (* one named track per partition: uncore + 4 cores *)
-  Alcotest.(check int) "chrome: one thread_name track per partition" 5
+  (* one named track per cluster: uncore + 4 cores *)
+  Alcotest.(check int) "chrome: one thread_name track per cluster" 5
     (count_substr c "\"thread_name\"");
   Alcotest.(check bool) "chrome: has rule-firing slices" true (count_substr c "\"ph\":\"X\"" > 0);
-  Alcotest.(check bool) "chrome: has per-partition fire counters" true
+  Alcotest.(check bool) "chrome: has per-cluster fire counters" true
     (count_substr c "fires.p" > 0)
 
+(* Track names follow the machine's clusters: the uncore, one track per
+   core, and one per bank of a banked L2 (built in clusters ncores + 1 + b). *)
+let test_chrome_track_names () =
+  let hub = Obs.Hub.create ~chrome:"unused.json" ~nharts:16 () in
+  let m =
+    Machine.create ~ncores:16 ~obs:hub
+      (Machine.Out_of_order (Test_sched.cfg16 Ooo.Config.TSO))
+      (Test_multicore.shared_counter_kernel ~harts:16 ~iters:2)
+  in
+  let o = Machine.run ~max_cycles:2_000_000 m in
+  Alcotest.(check bool) "16-core run completes" false o.Machine.timed_out;
+  let c = Obs.Hub.chrome_string hub in
+  check_json "chrome" c;
+  let names =
+    ("uncore" :: List.init 16 (Printf.sprintf "core %d"))
+    @ List.init 4 (Printf.sprintf "L2 bank %d")
+  in
+  Alcotest.(check int) "chrome: 21 tracks" 21 (count_substr c "\"thread_name\"");
+  List.iteri
+    (fun tid name ->
+      let track =
+        Printf.sprintf "\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}" tid name
+      in
+      Alcotest.(check int) ("chrome: track " ^ name) 1 (count_substr c track))
+    names;
+  Alcotest.(check int) "chrome: no barrier instants" 0 (count_substr c "\"ph\":\"i\"")
+
 let test_stats_json_wellformed () =
-  let _, _, s, _ = run_smoke ~jobs:1 in
+  let _, _, s, _ = run_smoke () in
   check_json "stats" s;
   Alcotest.(check bool) "stats: schema tag" true
     (count_substr s "\"schema\": \"riscyoo-stats-v1\"" = 1);
@@ -300,10 +327,10 @@ let test_window () =
 
 let test_trace_hart_ordered () =
   let prog = Test_multicore.shared_counter_kernel ~harts:2 ~iters:10 in
-  let dump jobs =
+  let dump fastpath =
     let buf = Buffer.create 4096 in
     let fmt = Format.formatter_of_buffer buf in
-    let m = Machine.create ~ncores:2 ~jobs (Machine.Out_of_order mc_cfg) prog in
+    let m = Machine.create ~ncores:2 ~fastpath (Machine.Out_of_order mc_cfg) prog in
     Machine.trace_commits m fmt;
     let o = Machine.run ~max_cycles:2_000_000 m in
     Alcotest.(check bool) "traced run completes" false o.Machine.timed_out;
@@ -311,7 +338,7 @@ let test_trace_hart_ordered () =
     Format.pp_print_flush fmt ();
     Buffer.contents buf
   in
-  let s = dump 4 in
+  let s = dump true in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' s) in
   Alcotest.(check bool) "trace non-empty" true (lines <> []);
   let seen1 = ref false in
@@ -323,17 +350,18 @@ let test_trace_hart_ordered () =
       | _ -> Alcotest.fail ("trace line without hart prefix: " ^ l))
     lines;
   Alcotest.(check bool) "hart 1 commits traced" true !seen1;
-  Alcotest.(check string) "trace byte-identical jobs 1 vs 4" (dump 1) s
+  Alcotest.(check string) "trace byte-identical with the fast path off" (dump false) s
 
 let test_pool_shutdown () = Sim.shutdown_pool ()
 
 let suite =
   [
-    Alcotest.test_case "exports byte-identical jobs 1 vs 4 (quad-core)" `Quick test_identity_mc;
-    Alcotest.test_case "exports byte-identical jobs 1 vs 4 (smoke)" `Quick test_identity_smoke;
+    Alcotest.test_case "exports fast path vs stripped (quad-core)" `Quick test_identity_mc;
+    Alcotest.test_case "exports fast path vs stripped (smoke)" `Quick test_identity_smoke;
     Alcotest.test_case "konata stream well-formed, chains complete" `Quick test_konata_wellformed;
     Alcotest.test_case "chrome trace well-formed, track per partition" `Quick
       test_chrome_wellformed;
+    Alcotest.test_case "chrome track names on a 16-core machine" `Quick test_chrome_track_names;
     Alcotest.test_case "stats json well-formed" `Quick test_stats_json_wellformed;
     Alcotest.test_case "capture window gates tracing" `Quick test_window;
     Alcotest.test_case "commit trace hart-ordered and deterministic" `Quick

@@ -269,14 +269,8 @@ let fired_counts m =
              rest
          | [] -> None)
 
-(* CI runs this suite at RISCYOO_JOBS=1 and =4; equivalence must hold at both. *)
-let jobs =
-  match Option.bind (Sys.getenv_opt "RISCYOO_JOBS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 1
-
 let run_full ~fastpath ~mode ?(cfg = Ooo.Config.riscyoo_b) ~budget prog =
-  let m = Machine.create ~paging:true ~mode ~fastpath ~jobs (Machine.Out_of_order cfg) prog in
+  let m = Machine.create ~paging:true ~mode ~fastpath (Machine.Out_of_order cfg) prog in
   let o = Machine.run ~max_cycles:budget m in
   Alcotest.(check bool) "run completes" false o.Machine.timed_out;
   (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, fired_counts m)
@@ -358,6 +352,107 @@ let test_smoke_audit_clean () =
   let o = Machine.run ~max_cycles:2_000_000 m in
   Alcotest.(check bool) "audited quad-TSO blackscholes completes" false o.Machine.timed_out
 
+(* ---------------------------------------------------------------- *)
+(* Multicore engine identity                                          *)
+(* ---------------------------------------------------------------- *)
+
+let mc_cfg =
+  { (Ooo.Config.multicore Ooo.Config.TSO) with Ooo.Config.mem = Test_multicore.small_mem }
+
+(* 16-core machine shrunk to test size: tiny private L1s, a 4-bank L2. *)
+let mem16 = { Test_multicore.small_mem with Mem.Mem_sys.l2_banks = 4 }
+let cfg16 mm = { (Ooo.Config.multicore16 mm) with Ooo.Config.mem = mem16 }
+
+(* Every rule counter, skips included. *)
+let rule_counters m =
+  List.map
+    (fun (r : Rule.t) -> (r.name, [ r.fired; r.guard_failed; r.conflicted; r.skipped ]))
+    (Machine.rule_list m)
+
+(* One_per_cycle, the reference executor, is as bit-identical with the fast
+   path on and off as the Multi engine. *)
+let test_machine_equiv_opc () =
+  let prog = Test_multicore.shared_counter_kernel ~harts:2 ~iters:5 in
+  let fp fastpath =
+    let m =
+      Machine.create ~ncores:2 ~mode:Sim.One_per_cycle ~fastpath (Machine.Out_of_order mc_cfg)
+        prog
+    in
+    let o = Machine.run ~max_cycles:20_000_000 m in
+    Alcotest.(check bool) "machine run completes" false o.Machine.timed_out;
+    (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, fired_counts m)
+  in
+  check_equiv "counter/one-per-cycle" (fp true) (fp false)
+
+(* The watchdog's history ring is rebuilt at every cycle close from the
+   per-rule fire marks, whatever the engine, and must read the same
+   (cycle, fired names) list with the fast path on and off. Walk the whole
+   run in chunks short enough that the 32-cycle ring never wraps between
+   looks, folding every entry into one digest. *)
+let history_fingerprint m =
+  let seen = ref (-1) and fires = ref 0 and acc = ref (Digest.string "") in
+  let rec go () =
+    let o = Machine.run ~max_cycles:31 m in
+    List.iter
+      (fun (c, names) ->
+        if c > !seen then begin
+          Alcotest.(check int) "ring entries are consecutive cycles" (!seen + 1) c;
+          seen := c;
+          fires := !fires + List.length names;
+          acc := Digest.string (!acc ^ string_of_int c ^ ":" ^ String.concat " " names)
+        end)
+      (Machine.history m);
+    if o.Machine.timed_out then go () else o.Machine.cycles
+  in
+  let cycles = go () in
+  Alcotest.(check int) "every cycle recorded" cycles (!seen + 1);
+  Alcotest.(check bool) "rules fired" true (!fires > 0);
+  Digest.to_hex !acc
+
+let test_history_identity () =
+  let fp ~ncores cfg prog =
+    let mk fastpath =
+      Machine.create ~ncores ~fastpath ~watchdog:max_int (Machine.Out_of_order cfg) prog
+    in
+    (history_fingerprint (mk true), history_fingerprint (mk false))
+  in
+  let quad = { (Ooo.Config.multicore Ooo.Config.WMM) with Ooo.Config.mem = mem16 } in
+  let fast, stripped = fp ~ncores:4 quad (Parsec_kernels.find "blackscholes" ~harts:4 ~scale:1) in
+  Alcotest.(check string) "quad: fast path vs stripped" fast stripped;
+  let fast, stripped =
+    fp ~ncores:16 (cfg16 Ooo.Config.TSO) (Test_multicore.shared_counter_kernel ~harts:16 ~iters:4)
+  in
+  Alcotest.(check string) "16-core: fast path vs stripped" fast stripped
+
+(* The benchmark pins of [Machine.create] change nothing: [~jobs:2 ~epoch:0]
+   (what the benchmark harness passes) and [~compile:false] build the same
+   machine as the defaults, down to every rule counter; [~epoch] accepts
+   only 0 and 1, both a one-cycle window. *)
+let test_benchmark_pins () =
+  let prog = Parsec_kernels.find "blackscholes" ~harts:16 ~scale:1 in
+  let mk ?jobs ?epoch ?compile () =
+    Machine.create ~ncores:16 ?jobs ?epoch ?compile (Machine.Out_of_order (cfg16 Ooo.Config.TSO))
+      prog
+  in
+  let run m =
+    let o = Machine.run ~max_cycles:6_000_000 m in
+    Alcotest.(check bool) "run completes" false o.Machine.timed_out;
+    (o.Machine.cycles, Array.to_list o.Machine.exits, rule_counters m)
+  in
+  let reference = run (mk ~jobs:1 ()) in
+  let same name got =
+    Alcotest.(check (triple int (list i64) (list (pair string (list int)))))
+      (name ^ ": cycles, exits and rule counters") reference got
+  in
+  same "jobs 2, epoch 0" (run (mk ~jobs:2 ~epoch:0 ()));
+  same "compile false" (run (mk ~compile:false ()));
+  List.iter
+    (fun e -> Alcotest.(check int) "one-cycle window" 1 (Machine.epoch_length (mk ~epoch:e ())))
+    [ 0; 1 ];
+  match mk ~epoch:2 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Machine.create ~epoch:2 accepted"
+
 let suite =
   let t = Alcotest.test_case in
   [
@@ -371,4 +466,7 @@ let suite =
     t "smoke equivalence (multi/shuffle/serial)" `Slow test_smoke_equivalence;
     t "spec kernel equivalence (gcc, gobmk)" `Slow test_spec_equivalence;
     t "smoke audit clean" `Quick test_smoke_audit_clean;
+    t "machine one-per-cycle fallback identical" `Slow test_machine_equiv_opc;
+    t "history ring identical across engines" `Slow test_history_identity;
+    t "benchmark pins: jobs, epoch and compile change nothing" `Quick test_benchmark_pins;
   ]

@@ -64,22 +64,23 @@ let check_fingerprint name a b =
   Alcotest.(check (list (pair string int))) (name ^ ": per-rule fires") a.f_fires b.f_fires
 
 (* Snapshot machine [a] at cycle [at], restore into a fresh machine built by
-   [mk ~jobs:restore_jobs], run both to completion, compare fingerprints. *)
-let round_trip ?(restore_jobs = 1) name mk ~at =
-  let a = mk ~jobs:1 in
+   [mk ~fastpath:restore_fastpath], run both to completion, compare
+   fingerprints. *)
+let round_trip ?(restore_fastpath = true) name mk ~at =
+  let a = mk ~fastpath:true in
   let o = Machine.run ~max_cycles:at a in
   Alcotest.(check bool) (name ^ ": still running at snapshot point") true o.Machine.timed_out;
   let img = Machine.snapshot a in
   let fa = finish a in
-  let b = mk ~jobs:restore_jobs in
+  let b = mk ~fastpath:restore_fastpath in
   Machine.restore b img;
   let fb = finish b in
   check_fingerprint name fa fb;
   String.length img
 
 let test_roundtrip_smoke () =
-  let mk ~jobs =
-    Machine.create ~jobs (Machine.Out_of_order small_cfg) (Spec_kernels.find "gcc" ~scale:1)
+  let mk ~fastpath =
+    Machine.create ~fastpath (Machine.Out_of_order small_cfg) (Spec_kernels.find "gcc" ~scale:1)
   in
   ignore (round_trip "gcc/1-core" mk ~at:2_000)
 
@@ -88,16 +89,17 @@ let test_roundtrip_quad () =
   let cfg =
     { (Ooo.Config.multicore Ooo.Config.WMM) with Ooo.Config.mem = small_cfg.Ooo.Config.mem }
   in
-  let mk ~jobs = Machine.create ~ncores:4 ~jobs (Machine.Out_of_order cfg) prog in
-  (* restore into a domain-parallel machine: the image must be jobs-agnostic *)
-  ignore (round_trip "blackscholes/quad jobs:1" mk ~at:3_000);
-  ignore (round_trip "blackscholes/quad jobs:4" ~restore_jobs:4 mk ~at:3_000)
+  let mk ~fastpath = Machine.create ~ncores:4 ~fastpath (Machine.Out_of_order cfg) prog in
+  (* restore into a stripped-scheduler machine: the image must be
+     engine-agnostic *)
+  ignore (round_trip "blackscholes/quad" mk ~at:3_000);
+  ignore (round_trip "blackscholes/quad, stripped" ~restore_fastpath:false mk ~at:3_000)
 
 let test_roundtrip_inorder_golden () =
   (* the registry covers the other machine kinds too *)
   let prog = Spec_kernels.find "mcf" ~scale:1 in
-  let mk_io ~jobs =
-    Machine.create ~jobs
+  let mk_io ~fastpath =
+    Machine.create ~fastpath
       (Machine.In_order { mem = small_cfg.Ooo.Config.mem; tlb = Tlb.Tlb_sys.blocking_config })
       prog
   in
@@ -115,8 +117,8 @@ let test_roundtrip_inorder_golden () =
 let test_roundtrip_cosim_paging () =
   (* cosim registers the lockstep golden model's private memory too; a
      restored machine must keep passing the commit-by-commit comparison *)
-  let mk ~jobs =
-    Machine.create ~jobs ~paging:true ~cosim:true (Machine.Out_of_order small_cfg)
+  let mk ~fastpath =
+    Machine.create ~fastpath ~paging:true ~cosim:true (Machine.Out_of_order small_cfg)
       (Spec_kernels.find "omnetpp" ~scale:1)
   in
   ignore (round_trip "omnetpp/cosim+paging" mk ~at:2_000)
@@ -212,7 +214,7 @@ let suite =
   let t = Alcotest.test_case in
   [
     t "round trip: gcc on 1 core" `Quick test_roundtrip_smoke;
-    t "round trip: blackscholes on quad (jobs 1 and 4)" `Slow test_roundtrip_quad;
+    t "round trip: blackscholes on quad (fast path and stripped)" `Slow test_roundtrip_quad;
     t "round trip: in-order and golden kinds" `Quick test_roundtrip_inorder_golden;
     t "round trip: cosim + paging" `Slow test_roundtrip_cosim_paging;
     t "rejects corrupt and mismatched images" `Quick test_rejects_bad_images;
