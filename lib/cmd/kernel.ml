@@ -366,3 +366,9 @@ let[@inline never] audit_unready ctx f =
 
 let[@inline] attempt_if ctx ready f =
   if ready then attempt ctx f else if ctx.raudit then audit_unready ctx f else None
+
+(* Preallocated, so an aggregate rule that found nothing to do raises its
+   guard failure without allocating. *)
+let no_effect = Guard_fail "no step committed"
+
+let require_effect ctx = if undo_depth ctx = 0 then raise_notrace no_effect

@@ -143,12 +143,20 @@ val attempt : ctx -> (ctx -> 'a) -> 'a option
     rule and raises {!Audit_fail}. *)
 val attempt_if : ctx -> bool -> (ctx -> 'a) -> 'a option
 
+(** [require_effect ctx] is the guard of an aggregate rule, one whose
+    body is a loop of {!attempt_if} steps: it raises {!Guard_fail} when
+    nothing is on either log ([undo_depth ctx = 0]), the same "did nothing"
+    the ready audit uses. A rule fires only if it updates some module
+    (paper, Sec. II), so an aggregate body ends with this call: when every
+    step declined, the rule fails its guard instead of firing empty. The
+    exception is preallocated, so the call allocates nothing. *)
+val require_effect : ctx -> unit
+
 (** Number of accesses recorded so far in this transaction (diagnostics). *)
 val access_count : ctx -> int
 
 (** Number of undo entries (trail plus port log): 0 right after
     {!make_ctx}, {!reset_ctx} or a full {!rollback}; positive once the
-    transaction has committed-but-revocable effects. The scheduler's audit
-    mode uses this to detect that a rule claiming [can_fire = false]
-    actually did something. *)
+    transaction has committed-but-revocable effects. {!require_effect}
+    fails a rule's guard when it is 0. *)
 val undo_depth : ctx -> int

@@ -14,13 +14,13 @@ type t = {
   mutable rid : int;
 }
 
-let make ?can_fire ?(watches = []) ?(vacuous = false) name body =
+let make ?can_fire ?(watches = []) name body =
   {
     name;
     body;
     can_fire;
     watches = Array.of_list watches;
-    vacuous;
+    vacuous = false;
     part = Partition.ambient ();
     fired = 0;
     guard_failed = 0;

@@ -20,15 +20,11 @@
     rules reading plain mutable state (no signal) must stay watchless so the
     predicate is re-evaluated every cycle.
 
-    [vacuous] declares that the rule "fires" even when it does nothing: its
-    body runs its steps as nested transactions ([Kernel.attempt],
-    [Kernel.attempt_if]) and returns normally when they all abort. The
-    scheduler counts a vacuous rule's own guard failure or conflict
-    ([Kernel.Guard_fail], [Kernel.Retry] escaping the body) as a vacuous
-    fire too, after rolling it back, so a one-step rule need not wrap its
-    body in a second transaction. A skipped vacuous rule is accounted the
-    same way, keeping cycle-by-cycle firing statistics bit-identical with
-    and without the fast path.
+    A rule fires when its body returns normally; [Kernel.Guard_fail] is a
+    guard failure and [Kernel.Retry] a conflict. A skip by the fast path is
+    counted in [skipped] and as a guard failure. An aggregate rule, whose
+    body is a loop of [Kernel.attempt_if] steps, states its own guard by
+    ending with [Kernel.require_effect].
 
     {2 Cluster label}
 
@@ -43,7 +39,9 @@ type t = {
   body : Kernel.ctx -> unit;
   can_fire : (unit -> bool) option;  (** cheap pre-attempt predicate *)
   watches : Wakeup.signal array;  (** sensitivity set for parking *)
-  vacuous : bool;  (** an abort or a skip counts as a (vacuous) fire *)
+  vacuous : bool;
+      (** always [false]: a pinned field that no scheduler reads, kept for
+          the benchmark harness *)
   part : int;  (** cluster, captured from [Partition.ambient] at [make] *)
   mutable fired : int;  (** cycles in which the rule fired *)
   mutable guard_failed : int;  (** attempts aborted by a guard *)
@@ -60,7 +58,6 @@ type t = {
 val make :
   ?can_fire:(unit -> bool) ->
   ?watches:Wakeup.signal list ->
-  ?vacuous:bool ->
   string ->
   (Kernel.ctx -> unit) ->
   t

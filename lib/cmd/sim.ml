@@ -181,10 +181,8 @@ type t = {
   mutable hooks_cache : (int -> int -> unit) array option;
       (* post-cycle checks then monitors, registration order, as one array *)
   (* rule-level trace sink (observability layer). A flat bool guards every
-     call site so the disabled cost is one load+branch per fire.
-     Skipped-but-vacuous rules are traced exactly like real fires, mirroring
-     the fire-count accounting, so traces are bit-identical with the fast
-     path on or off. *)
+     call site so the disabled cost is one load+branch per fire. A skip is
+     never a fire, so the trace is the same with the fast path on or off. *)
   mutable rtrace_on : bool;
   mutable rtrace : Rule.t -> int -> unit;
 }
@@ -220,11 +218,12 @@ let should_skip (r : Rule.t) =
 
 (* The slow oracle, as a wrapper around a rule's body: the scheduler audit
    checks the one-sided can_fire contract, [false] must imply the body
-   cannot commit anything this cycle. *)
+   cannot fire this cycle. A body that returns normally fired, so a false
+   predicate followed by a normal return is a lie. *)
 let audited_body t (r : Rule.t) ctx =
   let claimed = match r.Rule.can_fire with None -> true | Some p -> p () in
   r.Rule.body ctx;
-  if (not claimed) && ((not r.Rule.vacuous) || Kernel.undo_depth ctx > 0) then begin
+  if not claimed then begin
     Kernel.rollback ctx;
     raise
       (Audit_fail
@@ -241,34 +240,24 @@ let note_fire t (r : Rule.t) fired =
 (* The one per-rule step: attempt [r] on the scheduler's context and
    account for the outcome, taking and returning the cycle's fires so far.
    Built once per rule at elaboration: [skip] consults the fast path, and
-   [body] is the rule's body or its audited wrapper. A [vacuous] rule that
-   aborts, on a guard or a conflict, rolls back and counts as a vacuous
-   fire: exactly what wrapping its body in [Kernel.attempt] would produce,
-   without the second transaction. *)
+   [body] is the rule's body or its audited wrapper. One accounting for
+   every rule: a body that returns normally fired, [Guard_fail] is a guard
+   failure and [Retry] a conflict. *)
 let mk_runner t (r : Rule.t) ~skip body =
   let ctx = t.ctx in
   fun fired ->
     if skip && should_skip r then begin
-      (* Account the pruned attempt exactly as the seed scheduler would
-         have: an attempt-wrapped ([vacuous]) body swallows its inner guard
-         failure and "fires" vacuously; a bare guarded body fails its
-         guard. This keeps fire counts, the history ring and One_per_cycle
-         rotation bit-identical with the fast path on or off. *)
+      (* A pruned attempt is the guard failure the predicate foresaw, so
+         fire counts, the history ring and One_per_cycle rotation are the
+         same with the fast path on or off. *)
       r.Rule.skipped <- r.Rule.skipped + 1;
-      if r.Rule.vacuous then note_fire t r fired
-      else begin
-        r.Rule.guard_failed <- r.Rule.guard_failed + 1;
-        fired
-      end
+      r.Rule.guard_failed <- r.Rule.guard_failed + 1;
+      fired
     end
     else begin
       Kernel.set_rule_name ctx r.Rule.name;
       match body ctx with
       | () ->
-        Kernel.reset_ctx ctx;
-        note_fire t r fired
-      | exception (Kernel.Guard_fail _ | Kernel.Retry _) when r.Rule.vacuous ->
-        Kernel.rollback ctx;
         Kernel.reset_ctx ctx;
         note_fire t r fired
       | exception Kernel.Guard_fail _ ->

@@ -32,20 +32,29 @@ type t
     With [fastpath] (the default), a rule carrying a [can_fire] predicate is
     skipped — no transaction, no exception, no rollback — in cycles where
     the predicate returns [false], and parked on its watch set until a
-    watched primitive is touched. Skips are accounted exactly as the seed
-    scheduler would have accounted the doomed attempt, so cycle counts, fire
-    counts, rule-firing history and all architectural state are bit-identical
-    with [fastpath] on or off, in every mode. [~fastpath:false] strips the
-    predicates (every rule is attempted, as before this optimization), and
-    every step behind a [Kernel.attempt_if] ready test runs too, under the
-    ready audit described below.
+    watched primitive is touched. A skip is counted in [Rule.skipped] and
+    as the guard failure the predicate foresaw ([Rule.guard_failed]).
+
+    Engine identity, with [fastpath] on or off and in every mode: cycle
+    counts, [Rule.fired], the rule-firing history ring, the rule trace and
+    all architectural state are identical, and so is each rule's
+    [guard_failed + conflicted]. The split between those two counters may
+    differ: an attempt the fast path skips as a guard failure can, when it
+    runs, hit a port conflict ([Kernel.Retry]) before its guard. A rule
+    fires only by returning normally, so a body that did nothing raises: an
+    aggregate body ends with [Kernel.require_effect].
+
+    [~fastpath:false] strips the predicates (every rule is attempted, as
+    before this optimization), and every step behind a [Kernel.attempt_if]
+    ready test runs too, under the ready audit described below.
 
     [~audit:true] disables skipping but evaluates every [can_fire] and raises
-    {!Audit_fail} if a rule fires in a cycle its predicate vetoed — the
-    debug oracle for predicate truthfulness ([--scheduler-audit] in the
-    driver). It also turns on the ready audit of its context
-    ([Kernel.set_ready_audit]): a step whose [Kernel.attempt_if] ready test
-    said false still runs, and raises {!Audit_fail} if it commits.
+    {!Audit_fail} if a rule fires (its body returns normally) in a cycle
+    its predicate vetoed — the debug oracle for predicate truthfulness
+    ([--scheduler-audit] in the driver). It also turns on the ready audit of
+    its context ([Kernel.set_ready_audit]): a step whose [Kernel.attempt_if]
+    ready test said false still runs, and raises {!Audit_fail} if it
+    commits.
 
     {2 Cycle structure and hook ordering}
 
@@ -155,10 +164,10 @@ val add_monitor : t -> (t -> int -> unit) -> unit
     monitors: the invariant-checking hook. *)
 val on_post_cycle : t -> (int -> unit) -> unit
 
-(** [set_rule_trace t f] — [f rule cycle] runs once per rule fire (including
-    vacuous fires accounted for skipped rules, so the trace matches
-    [Rule.fired] exactly, fast path on or off). The disabled cost at every
-    fire site is a single flat-[bool] load and branch. *)
+(** [set_rule_trace t f] — [f rule cycle] runs once per rule fire, so the
+    trace matches [Rule.fired] exactly, fast path on or off; a skip is not a
+    fire and is not traced. The disabled cost at every fire site is a single
+    flat-[bool] load and branch. *)
 val set_rule_trace : t -> (Rule.t -> int -> unit) -> unit
 
 (** Detach the rule-trace sink; fire sites go back to the bare branch. *)

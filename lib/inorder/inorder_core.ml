@@ -384,11 +384,11 @@ let rules t =
   [
     Rule.make (t.name ^ ".loadResp")
       ~can_fire:(fun () -> Mem.L1_dcache.resp_ld_ready t.dc)
-      ~watches:[ Mem.L1_dcache.resp_ld_signal t.dc ] ~vacuous:true
+      ~watches:[ Mem.L1_dcache.resp_ld_signal t.dc ]
       (fun ctx -> step_load_resp ctx t);
     Rule.make (t.name ^ ".storeResp")
       ~can_fire:(fun () -> Mem.L1_dcache.resp_st_ready t.dc)
-      ~watches:[ Mem.L1_dcache.resp_st_signal t.dc ] ~vacuous:true
+      ~watches:[ Mem.L1_dcache.resp_st_signal t.dc ]
       (fun ctx -> step_store_resp ctx t);
     (* [xst] and [halted_f] are mutated only by this rule itself, so while
        parked (necessarily [XIdle] with [f2x] empty) the predicate can only
@@ -396,7 +396,6 @@ let rules t =
     Rule.make (t.name ^ ".execute")
       ~can_fire:(fun () -> (not t.halted_f) && (t.xst <> XIdle || Fifo.peek_size t.f2x > 0))
       ~watches:[ Fifo.signal t.f2x ]
-      ~vacuous:true
       (fun ctx -> step_execute ctx t);
     (* fetch slots are mutated only by this rule; the other work sources
        (I$ and I-TLB responses) are watched queues *)
@@ -406,7 +405,6 @@ let rules t =
         || Tlb.Tlb_sys.itlb_resp_ready t.tlb
         || ((not t.halted_f) && not t.fslots.(t.next_fslot).fvalid))
       ~watches:[ Mem.L1_icache.resp_signal t.ic; Tlb.Tlb_sys.itlb_resp_signal t.tlb ]
-      ~vacuous:true
       (* three steps behind peek-only ready tests, as in the out-of-order
          core; the steps are built once, so a skip allocates nothing *)
       (let fetch_mem ctx = step_fetch_mem ctx t
@@ -418,5 +416,6 @@ let rules t =
          ignore
            (Kernel.attempt_if ctx
               ((not t.halted_f) && not t.fslots.(t.next_fslot).fvalid)
-              fetch_issue));
+              fetch_issue);
+         Kernel.require_effect ctx);
   ]

@@ -32,19 +32,22 @@ let move src dst payload ctx =
   ignore (Fifo.deq ctx src);
   Fifo.enq ctx d (payload m)
 
-(* One move from each source. *)
+(* One move from each source; with no move, the rule fails its guard. *)
 let move_each ctx srcs dst steps =
   for i = 0 to Array.length srcs - 1 do
     ignore (Kernel.attempt_if ctx (move_ready srcs.(i) dst) steps.(i))
-  done
+  done;
+  Kernel.require_effect ctx
 
-(* As many moves from each source as the destinations accept. *)
+(* As many moves from each source as the destinations accept; with no
+   move, the rule fails its guard. *)
 let drain_each ctx srcs dst steps =
   for i = 0 to Array.length srcs - 1 do
     while Option.is_some (Kernel.attempt_if ctx (move_ready srcs.(i) dst) steps.(i)) do
       ()
     done
-  done
+  done;
+  Kernel.require_effect ctx
 
 let rules children ~banks ~bank_of =
   let child_sigs f = Array.to_list (Array.map f children) in
@@ -52,7 +55,6 @@ let rules children ~banks ~bank_of =
     Rule.make "xbar.up.resp"
       ~can_fire:(fun () -> Array.exists (fun ep -> Fifo.peek_size ep.cresp > 0) children)
       ~watches:(child_sigs (fun ep -> Fifo.signal ep.cresp))
-      ~vacuous:true
       (let srcs = Array.map (fun ep -> ep.cresp) children in
        let dst (r : Msg.cresp) = L2_cache.cresp_in banks.(bank_of r.Msg.line) in
        let steps = Array.map (fun src -> move src dst Fun.id) srcs in
@@ -62,7 +64,6 @@ let rules children ~banks ~bank_of =
     Rule.make "xbar.up.req"
       ~can_fire:(fun () -> Array.exists (fun ep -> Fifo.peek_size ep.creq > 0) children)
       ~watches:(child_sigs (fun ep -> Fifo.signal ep.creq))
-      ~vacuous:true
       (let srcs = Array.map (fun ep -> ep.creq) children in
        let dst (r : Msg.creq) = L2_cache.creq_in banks.(bank_of r.Msg.line) in
        let steps = Array.map (fun src -> move src dst Fun.id) srcs in
@@ -74,7 +75,6 @@ let rules children ~banks ~bank_of =
       ~can_fire:(fun () ->
         Array.exists (fun l2 -> Fifo.peek_size (L2_cache.presp_out l2) > 0) banks)
       ~watches:(bank_sigs (fun l2 -> Fifo.signal (L2_cache.presp_out l2)))
-      ~vacuous:true
       (* drain as many grants as the destinations accept this cycle *)
       (let srcs = Array.map L2_cache.presp_out banks in
        let dst (c, _) = children.(c).presp in
@@ -86,7 +86,6 @@ let rules children ~banks ~bank_of =
       ~can_fire:(fun () ->
         Array.exists (fun l2 -> Fifo.peek_size (L2_cache.preq_out l2) > 0) banks)
       ~watches:(bank_sigs (fun l2 -> Fifo.signal (L2_cache.preq_out l2)))
-      ~vacuous:true
       (let srcs = Array.map L2_cache.preq_out banks in
        let dst (c, _) = children.(c).preq in
        let steps = Array.map (fun src -> move src dst snd) srcs in

@@ -392,14 +392,15 @@ let tick t =
      MSHRs. *)
   let presp ctx = step_presp ctx t and preq ctx = step_preq ctx t and req ctx = step_req ctx t in
   let drain = Array.init (Array.length t.mshrs) (fun i ctx -> step_drain ctx t t.mshrs.(i)) in
-  Rule.make ~can_fire ~watches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches (t.name ^ ".tick") (fun ctx ->
       ignore (Kernel.attempt_if ctx (Fifo.peek_size t.presp_i > 0) presp);
       for i = 0 to Array.length t.mshrs - 1 do
         ignore (Kernel.attempt_if ctx (drain_ready t t.mshrs.(i)) drain.(i))
       done;
       ignore
         (Kernel.attempt_if ctx (Fifo.peek_size t.preq_i > 0 && Fifo.peek_can_enq t.cresp_o) preq);
-      ignore (Kernel.attempt_if ctx (Fifo.peek_size t.req_q > 0) req))
+      ignore (Kernel.attempt_if ctx (Fifo.peek_size t.req_q > 0) req);
+      Kernel.require_effect ctx)
 
 let rules t = Partition.scoped t.part (fun () -> [ tick t ])
 

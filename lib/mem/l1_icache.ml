@@ -171,11 +171,12 @@ let tick t =
   let watches = [ Fifo.signal t.presp_i; Fifo.signal t.preq_i; Fifo.signal t.req_q ] in
   (* The steps, built once: a skipped step allocates no closure. *)
   let presp ctx = step_presp ctx t and preq ctx = step_preq ctx t and req ctx = step_req ctx t in
-  Rule.make ~can_fire ~watches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches (t.name ^ ".tick") (fun ctx ->
       ignore (Kernel.attempt_if ctx (Fifo.peek_size t.presp_i > 0) presp);
       ignore
         (Kernel.attempt_if ctx (Fifo.peek_size t.preq_i > 0 && Fifo.peek_can_enq t.cresp_o) preq);
-      ignore (Kernel.attempt_if ctx (req_ready t) req))
+      ignore (Kernel.attempt_if ctx (req_ready t) req);
+      Kernel.require_effect ctx)
 
 let rules t = Partition.scoped t.part (fun () -> [ tick t ])
 let req ctx t ~tag pc = Fifo.enq ctx t.req_q (tag, pc)

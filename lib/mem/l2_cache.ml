@@ -543,7 +543,7 @@ let tick t =
   let cresp ctx = step_cresp ctx t and dram_resp ctx = step_dram_resp ctx t in
   let mshr = Array.init (Array.length t.mshrs) (fun i ctx -> step_mshr ctx t t.mshrs.(i)) in
   let creq ctx = step_creq ctx t and walk_req ctx = step_walk_req ctx t in
-  Rule.make ~can_fire ~watches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches (t.name ^ ".tick") (fun ctx ->
       drain_delay ctx t t.presp_delay t.presp_o presp_delay;
       drain_delay ctx t t.preq_delay t.preq_o preq_delay;
       drain_delay ctx t t.walk_delay t.walk_resp_q walk_delay;
@@ -558,7 +558,8 @@ let tick t =
         ignore (Kernel.attempt_if ctx (mshr_ready t t.mshrs.(i)) mshr.(i))
       done;
       ignore (Kernel.attempt_if ctx (creq_ready t) creq);
-      ignore (Kernel.attempt_if ctx (walk_req_ready t) walk_req))
+      ignore (Kernel.attempt_if ctx (walk_req_ready t) walk_req);
+      Kernel.require_effect ctx)
 
 let rules t = Partition.scoped t.part (fun () -> [ tick t ])
 

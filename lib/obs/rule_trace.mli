@@ -1,10 +1,10 @@
 (** Per-cluster rule-firing trace.
 
     The scheduler's fire sites call {!emit} (installed via
-    [Cmd.Sim.set_rule_trace]) once per rule fire — including the vacuous
-    fires accounted for fast-path skips, so the trace matches [Rule.fired]
-    exactly with the fast path on or off. Fires land in the firing rule's
-    cluster buffer ([Rule.t.part]), one buffer per Chrome track. *)
+    [Cmd.Sim.set_rule_trace]) once per rule fire. A fast-path skip is a
+    guard failure, not a fire, so the trace matches [Rule.fired] exactly
+    with the fast path on or off. Fires land in the firing rule's cluster
+    buffer ([Rule.t.part]), one buffer per Chrome track. *)
 
 type t
 

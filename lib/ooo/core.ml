@@ -503,13 +503,14 @@ let rename_one ctx t =
 let rename_ready t = Fifo.peek_size t.d2r > 0 && Rob.can_enq t.rob
 
 (* Up to [width] renames. An aborted rename would abort again on the
-   rolled-back state, so the group ends at the first. [rename] is
-   [rename_one] for this core, built once. *)
+   rolled-back state, so the group ends at the first; with none, the rule
+   fails its guard. [rename] is [rename_one] for this core, built once. *)
 let step_rename ctx t rename =
   let k = ref 0 in
   while !k < t.cfg.width && Option.is_some (Kernel.attempt_if ctx (rename_ready t) rename) do
     incr k
-  done
+  done;
+  Kernel.require_effect ctx
 
 (* ------------------------------------------------------------------ *)
 (* Speculation events                                                  *)
@@ -1046,7 +1047,8 @@ let commit_ready t =
     | _ -> u.completed)
 
 (* Up to [width] commits, ending at the first that aborts or stops the
-   group. [commit] is [commit_one] for this core, built once. *)
+   group; with no effect at all, the rule fails its guard. [commit] is
+   [commit_one] for this core, built once. *)
 let step_commit ctx t commit =
   let stop = ref false and k = ref 0 in
   while (not !stop) && !k < t.cfg.width do
@@ -1054,7 +1056,8 @@ let step_commit ctx t commit =
     match Kernel.attempt_if ctx (commit_ready t) commit with
     | Some `Ok -> ()
     | Some `Stop | None -> stop := true
-  done
+  done;
+  Kernel.require_effect ctx
 
 let step_resp_at ctx t =
   let _tag, result = Mem.L1_dcache.resp_at ctx t.dc in
@@ -1079,12 +1082,9 @@ let step_resp_at ctx t =
 (* Rule list                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* These rules fire vacuously even with nothing to do: [vacuous] tells the
-   scheduler to count a guard failure or a skip as a (vacuous) firing.
-   [can_fire] and [watches] follow the one-sided contract documented in
+(* [can_fire] and [watches] follow the one-sided contract documented in
    {!Cmd.Rule}: the predicate may be conservatively true, but must never be
-   false when the body could commit an effect. *)
-let mk ?can_fire ?watches name f = Rule.make ?can_fire ?watches ~vacuous:true name f
+   false when the body could fire. *)
 
 let rules ?(schedule = `Aggressive) t =
   Partition.scoped (t.hart_id + 1) @@ fun () ->
@@ -1102,20 +1102,26 @@ let rules ?(schedule = `Aggressive) t =
   (* predicate/watch helpers *)
   let stage s = (Some (fun () -> Stage.occupied s), Some [ Stage.signal s ]) in
   let fifo q = (Some (fun () -> Fifo.peek_size q > 0), Some [ Fifo.signal q ]) in
-  let mk_stage s name f = let can_fire, watches = stage s in mk ?can_fire ?watches name f in
-  let mk_fifo q name f = let can_fire, watches = fifo q in mk ?can_fire ?watches name f in
+  let mk_stage s name f =
+    let can_fire, watches = stage s in
+    Rule.make ?can_fire ?watches name f
+  in
+  let mk_fifo q name f =
+    let can_fire, watches = fifo q in
+    Rule.make ?can_fire ?watches name f
+  in
   let commit =
     (* [commit_one] guards on [not halted] and a ROB head; ROB occupancy is
        plain mutable state, so the rule is watchless (predicate re-checked
        every cycle). *)
-    Rule.make ~vacuous:true
+    Rule.make
       ~can_fire:(fun () -> (not t.halted_f) && Rob.count t.rob > 0)
       (n ^ ".commit")
       (let commit ctx = commit_one ctx t in
        fun ctx -> step_commit ctx t commit)
   in
   let resp_at =
-    mk
+    Rule.make
       ~can_fire:(fun () -> Mem.L1_dcache.resp_at_ready t.dc)
       ~watches:[ Mem.L1_dcache.resp_at_signal t.dc ]
       (n ^ ".respAt")
@@ -1145,7 +1151,7 @@ let rules ?(schedule = `Aggressive) t =
   in
   let resp_ld =
     [
-      mk
+      Rule.make
         ~can_fire:(fun () -> Mem.L1_dcache.resp_ld_ready t.dc)
         ~watches:[ Mem.L1_dcache.resp_ld_signal t.dc ]
         (n ^ ".respLd")
@@ -1176,7 +1182,7 @@ let rules ?(schedule = `Aggressive) t =
   in
   let update_lsq =
     [
-      mk
+      Rule.make
         ~can_fire:(fun () -> Tlb.Tlb_sys.dtlb_resp_ready t.tlbs)
         ~watches:[ Tlb.Tlb_sys.dtlb_resp_signal t.tlbs ]
         (n ^ ".updateLsq")
@@ -1187,14 +1193,14 @@ let rules ?(schedule = `Aggressive) t =
     (* LSQ/store-buffer occupancy is plain mutable state: these predicates
        are watchless scans, mirroring the guards of the corresponding step *)
     [
-      mk
+      Rule.make
         ~can_fire:(fun () -> Lsq.has_issue_ld t.lsq)
         (n ^ ".issueLd")
         (fun ctx -> step_issue_ld ctx t);
     ]
     @ (if t.cfg.st_prefetch then
          [
-           mk
+           Rule.make
              ~can_fire:(fun () -> Lsq.prefetch_candidate t.lsq <> None)
              (n ^ ".stPrefetch")
              (fun ctx -> step_st_prefetch ctx t);
@@ -1203,12 +1209,12 @@ let rules ?(schedule = `Aggressive) t =
     @ (match t.cfg.mem_model with
       | Config.TSO ->
         [
-          mk
+          Rule.make
             ~can_fire:(fun () -> Mem.L1_dcache.resp_st_ready t.dc)
             ~watches:[ Mem.L1_dcache.resp_st_signal t.dc ]
             (n ^ ".respSt")
             (fun ctx -> step_resp_st_tso ctx t);
-          mk
+          Rule.make
             ~can_fire:(fun () ->
               (not (Lsq.sq_head_issued t.lsq)) && Lsq.committed_store_head t.lsq <> None)
             (n ^ ".issueSt")
@@ -1216,32 +1222,32 @@ let rules ?(schedule = `Aggressive) t =
         ]
       | Config.WMM ->
         [
-          mk
+          Rule.make
             ~can_fire:(fun () -> Mem.L1_dcache.resp_st_ready t.dc)
             ~watches:[ Mem.L1_dcache.resp_st_signal t.dc ]
             (n ^ ".respSt")
             (fun ctx -> step_resp_st_wmm ctx t);
-          mk
+          Rule.make
             ~can_fire:(fun () -> Store_buffer.has_unissued t.sb) (n ^ ".sbIssue")
             (fun ctx -> step_sb_issue ctx t);
           (* SB/LSQ bookkeeping only — touches no EHR-backed state at all *)
-          mk
+          Rule.make
             ~can_fire:(fun () -> Lsq.committed_store_head t.lsq <> None) (n ^ ".deqSt")
             (fun ctx -> step_deq_st_wmm ctx t);
         ])
   in
   let issue =
     List.init t.cfg.n_alu (fun i ->
-        mk
+        Rule.make
           ~can_fire:(fun () -> Issue_queue.has_ready t.alu_iqs.(i))
           (Printf.sprintf "%s.alu%d.issue" n i)
           (fun ctx -> step_issue_alu ctx t i))
     @ [
-        mk
+        Rule.make
           ~can_fire:(fun () -> Issue_queue.has_ready t.md_iq)
           (n ^ ".md.issue")
           (fun ctx -> step_issue_md ctx t);
-        mk
+        Rule.make
           ~can_fire:(fun () -> Issue_queue.has_ready t.mem_iq)
           (n ^ ".mem.issue")
           (fun ctx -> step_issue_mem ctx t);
@@ -1255,7 +1261,7 @@ let rules ?(schedule = `Aggressive) t =
   let stale epoch = epoch <> t.epoch in
   let decode =
     [
-      mk
+      Rule.make
         ~can_fire:(fun () ->
           Fifo.peek_size t.f2d > 0
           && (stale (Fifo.peek_first t.f2d).gepoch || Fifo.peek_can_enq t.d2r))
@@ -1266,7 +1272,7 @@ let rules ?(schedule = `Aggressive) t =
   in
   let rename =
     [
-      Rule.make ~vacuous:true
+      Rule.make
         ~can_fire:(fun () -> Fifo.peek_size t.d2r > 0)
         ~watches:[ Fifo.signal t.d2r ]
         (n ^ ".rename")
@@ -1276,14 +1282,14 @@ let rules ?(schedule = `Aggressive) t =
   in
   let fetch =
     [
-      mk
+      Rule.make
         ~can_fire:(fun () ->
           Mem.L1_icache.resp_ready t.ic
           && (stale t.fslots.(Mem.L1_icache.resp_tag t.ic).fepoch || Fifo.peek_can_enq t.f2d))
         ~watches:[ Mem.L1_icache.resp_signal t.ic; Fifo.signal t.f2d; t.redirect_sg ]
         (n ^ ".fetch.mem")
         (fun ctx -> step_fetch_mem ctx t);
-      mk
+      Rule.make
         ~can_fire:(fun () ->
           let slot = t.fslots.(t.f_mem mod 8) in
           match slot.fst with
@@ -1291,12 +1297,12 @@ let rules ?(schedule = `Aggressive) t =
           | FFree | FWaitTlb | FWaitMem -> false)
         (n ^ ".fetch.dispatch")
         (fun ctx -> step_fetch_dispatch ctx t);
-      mk
+      Rule.make
         ~can_fire:(fun () -> Tlb.Tlb_sys.itlb_resp_ready t.tlbs)
         ~watches:[ Tlb.Tlb_sys.itlb_resp_signal t.tlbs ]
         (n ^ ".fetch.tlb")
         (fun ctx -> step_fetch_tlb ctx t);
-      mk
+      Rule.make
         ~can_fire:(fun () -> (not t.halted_f) && t.fslots.(t.f_alloc mod 8).fst = FFree)
         (n ^ ".fetch.issue")
         (fun ctx -> step_fetch_issue ctx t);

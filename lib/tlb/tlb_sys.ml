@@ -357,7 +357,7 @@ let tick t =
   let d_misses = misses t.d and i_misses = misses t.i in
   let d_req ctx = step_l1_req ctx t t.d and i_req ctx = step_l1_req ctx t t.i in
   let walk_retire = per_walk (fun ctx _ w -> step_walk_retire ctx t w) in
-  Rule.make ~can_fire ~watches ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~watches (t.name ^ ".tick") (fun ctx ->
       ignore (Kernel.attempt_if ctx (Fifo.peek_size t.wresp > 0) walk_resp);
       for i = 0 to Array.length t.walks - 1 do
         ignore (Kernel.attempt_if ctx (issue_ready t t.walks.(i)) walk_issue.(i))
@@ -366,7 +366,8 @@ let tick t =
       side_steps ctx t t.i i_misses i_req;
       for i = 0 to Array.length t.walks - 1 do
         ignore (Kernel.attempt_if ctx (retire_ready t.walks.(i)) walk_retire.(i))
-      done)
+      done;
+      Kernel.require_effect ctx)
 
 let rules t = Partition.scoped t.part (fun () -> [ tick t ])
 

@@ -46,24 +46,24 @@ let rules tlbs ~banks ~bank_of =
       ~can_fire:(fun () ->
         Array.exists (fun t -> Fifo.peek_size (Tlb_sys.walk_mem_req t) > 0) tlbs)
       ~watches:(Array.to_list (Array.map (fun t -> Fifo.signal (Tlb_sys.walk_mem_req t)) tlbs))
-      ~vacuous:true
       (let steps = Array.mapi (fun core _ -> up_step tlbs banks bank_of core) tlbs in
        fun ctx ->
          for core = 0 to Array.length tlbs - 1 do
            ignore (Kernel.attempt_if ctx (up_ready tlbs banks bank_of core) steps.(core))
-         done)
+         done;
+         Kernel.require_effect ctx)
   in
   let down =
     Rule.make "walkxbar.down"
       ~can_fire:(fun () -> Array.exists Mem.L2_cache.walk_resp_ready banks)
       ~watches:(bank_list Mem.L2_cache.walk_resp_signal)
-      ~vacuous:true
       (let steps = Array.map (down_step tlbs) banks in
        fun ctx ->
          for b = 0 to Array.length banks - 1 do
            while Option.is_some (Kernel.attempt_if ctx (down_ready tlbs banks.(b)) steps.(b)) do
              ()
            done
-         done)
+         done;
+         Kernel.require_effect ctx)
   in
   [ down; up ]

@@ -8,7 +8,12 @@
    [limit] consecutive cycles, and its report carries the last cycles of
    rule-firing history plus every rule's guard-fail/conflict counters —
    the scheduler diagnosing its own pathology, as the open-source BSV
-   compiler note advocates. *)
+   compiler note advocates.
+
+   Both checks are live on the processor models: a rule fires only when
+   its body returns normally, and an aggregate rule whose steps all
+   decline fails its guard ([Kernel.require_effect]), so a wedged machine
+   shows zero fires and an empty history ring. *)
 
 type info = { at_cycle : int; reason : string; report : string }
 

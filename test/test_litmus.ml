@@ -269,7 +269,7 @@ let test_engines_agree () =
         Alcotest.(check bool) "litmus run completes" false o.M.timed_out;
         ( Compile.read_outcome meta ~reg:(fun ~hart r -> M.reg m ~hart r),
           o.M.cycles,
-          Test_sched.fired_counts m )
+          Test_sched.rule_counts m )
       in
       let admitted = allowed (Ref_model.of_mem_model model) test in
       let warm = M.create ~ncores ~mode:(Cmd.Sim.Shuffle 1) kind prog in
@@ -283,7 +283,7 @@ let test_engines_agree () =
             let name = Printf.sprintf "%s seed %d, %s" test.Test.name seed engine in
             Alcotest.(check (array int)) (name ^ ": outcome") o1 o2;
             Alcotest.(check int) (name ^ ": cycles") c1 c2;
-            Alcotest.(check (list (pair string string))) (name ^ ": per-rule fires") f1 f2
+            Alcotest.(check (list (pair string (pair int int)))) (name ^ ": per-rule fires and aborts") f1 f2
           in
           let reference = cold () in
           (* MP/TSO seed 2224653 once delivered a value read before its

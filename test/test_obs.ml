@@ -262,6 +262,23 @@ let test_chrome_wellformed () =
   Alcotest.(check bool) "chrome: has per-cluster fire counters" true
     (count_substr c "fires.p" > 0)
 
+(* Slices follow fires: a rule's slice ends at a cycle it did not fire,
+   so a quad-core run, where most rules are idle most cycles, has more
+   slices than rules. *)
+let test_chrome_slices_follow_fires () =
+  let hub = fresh_hub ~nharts:4 in
+  let m =
+    Machine.create ~ncores:4 ~obs:hub (Machine.Out_of_order mc_cfg)
+      (Test_multicore.shared_counter_kernel ~harts:4 ~iters:25)
+  in
+  let o = Machine.run ~max_cycles:2_000_000 m in
+  Alcotest.(check bool) "obs quad-core run completes" false o.Machine.timed_out;
+  let slices = count_substr (Obs.Hub.chrome_string hub) "\"ph\":\"X\"" in
+  let nrules = List.length (Machine.rule_list m) in
+  Alcotest.(check bool)
+    (Printf.sprintf "chrome: %d slices, more than %d rules" slices nrules)
+    true (slices > nrules)
+
 (* Track names follow the machine's clusters: the uncore, one track per
    core, and one per bank of a banked L2 (built in clusters ncores + 1 + b). *)
 let test_chrome_track_names () =
@@ -362,6 +379,8 @@ let suite =
     Alcotest.test_case "chrome trace well-formed, track per partition" `Quick
       test_chrome_wellformed;
     Alcotest.test_case "chrome track names on a 16-core machine" `Quick test_chrome_track_names;
+    Alcotest.test_case "chrome slices follow fires (quad-core)" `Quick
+      test_chrome_slices_follow_fires;
     Alcotest.test_case "stats json well-formed" `Quick test_stats_json_wellformed;
     Alcotest.test_case "capture window gates tracing" `Quick test_window;
     Alcotest.test_case "commit trace hart-ordered and deterministic" `Quick

@@ -9,13 +9,13 @@ let fingerprint ?(ncores = 1) ?(paging = false) kind prog =
   let m = Machine.create ~ncores ~paging kind prog in
   let o = Machine.run ~max_cycles:2_000_000 m in
   Alcotest.(check bool) "machine run completes" false o.Machine.timed_out;
-  (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m, Test_sched.fired_counts m)
+  (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m, Test_sched.rule_counts m)
 
 let check_same name (c1, x1, i1, f1) (c2, x2, i2, f2) =
   Alcotest.(check int) (name ^ ": cycles identical") c1 c2;
   Alcotest.(check (list Test_multicore.i64)) (name ^ ": exits identical") x1 x2;
   Alcotest.(check int) (name ^ ": instret identical") i1 i2;
-  Alcotest.(check (list (pair string string))) (name ^ ": per-rule fire counts identical") f1 f2
+  Alcotest.(check (list (pair string (pair int int)))) (name ^ ": per-rule fires and aborts identical") f1 f2
 
 (* A batch of independent sims on the pool: every task runs, on whichever
    domain claims it, and writes only its own slot. *)

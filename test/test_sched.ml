@@ -17,7 +17,7 @@ let i64 = Alcotest.testable (Fmt.fmt "%Ld") Int64.equal
 (* ---------------------------------------------------------------- *)
 
 (* A small producer/consumer system exercising every fast-path feature:
-   watched parking rules (vacuous and bare), a watchless predicate rule, and
+   watched parking rules (aggregate and bare), a watchless predicate rule, and
    a predicate-free rule. Returns the observable trajectory. *)
 let run_synthetic ~fastpath ~mode ~cycles =
   let clk = Clock.create () in
@@ -34,15 +34,16 @@ let run_synthetic ~fastpath ~mode ~cycles =
         (fun ctx ->
           let v = Fifo.deq ctx q in
           Mut.set ctx consumed (!consumed + v));
-      (* vacuous (attempt-wrapped) watched rule on the accumulator EHR *)
-      Rule.make "drain-acc" ~vacuous:true
+      (* aggregate (attempt-wrapped) watched rule on the accumulator EHR *)
+      Rule.make "drain-acc"
         ~can_fire:(fun () -> Ehr.peek acc >= 10)
         ~watches:[ Ehr.signal acc ]
         (fun ctx ->
           ignore
             (Kernel.attempt ctx (fun ctx ->
                  Kernel.guard ctx (Ehr.read ctx acc 0 >= 10) "acc below threshold";
-                 Ehr.write ctx acc 0 0)));
+                 Ehr.write ctx acc 0 0));
+          Kernel.require_effect ctx);
       (* watchless predicate: produced is private state of this rule *)
       Rule.make "produce"
         ~can_fire:(fun () -> !produced < 60)
@@ -126,18 +127,20 @@ let test_audit_catches_liar () =
   Alcotest.check_raises "bare liar trips the audit"
     (Sim.Audit_fail "rule liar: can_fire returned false but the rule fired (cycle 0)")
     (fun () -> ignore (Sim.cycle sim));
-  (* vacuous rule: the attempt swallows nothing — it commits state, so a
+  (* aggregate rule: the attempt swallows nothing — it commits state, so a
      false predicate is still a lie *)
   let clk = Clock.create () in
   let e = Ehr.create 0 in
-  let vliar =
-    Rule.make "vliar" ~vacuous:true
+  let aliar =
+    Rule.make "aliar"
       ~can_fire:(fun () -> false)
-      (fun ctx -> ignore (Kernel.attempt ctx (fun ctx -> Ehr.write ctx e 0 2)))
+      (fun ctx ->
+        ignore (Kernel.attempt ctx (fun ctx -> Ehr.write ctx e 0 2));
+        Kernel.require_effect ctx)
   in
-  let sim = Sim.create ~audit:true clk [ vliar ] in
-  Alcotest.check_raises "vacuous liar trips the audit"
-    (Sim.Audit_fail "rule vliar: can_fire returned false but the rule fired (cycle 0)")
+  let sim = Sim.create ~audit:true clk [ aliar ] in
+  Alcotest.check_raises "aggregate liar trips the audit"
+    (Sim.Audit_fail "rule aliar: can_fire returned false but the rule fired (cycle 0)")
     (fun () -> ignore (Sim.cycle sim))
 
 (* The same oracle one level down: a step's ready test
@@ -152,9 +155,10 @@ let test_audit_catches_lying_ready () =
     let q = Fifo.pipeline ~name:"rq" ~capacity:2 () in
     let take ctx = ignore (Fifo.deq ctx q) in
     let r =
-      Rule.make "stepper" ~vacuous:true (fun ctx ->
+      Rule.make "stepper" (fun ctx ->
           ignore (Kernel.attempt_if ctx false step);
-          ignore (Kernel.attempt_if ctx (Fifo.peek_size q > 0) take))
+          ignore (Kernel.attempt_if ctx (Fifo.peek_size q > 0) take);
+          Kernel.require_effect ctx)
     in
     (clk, e, r)
   in
@@ -174,7 +178,9 @@ let test_audit_catches_lying_ready () =
     Clock.tick clk
   done;
   Alcotest.(check int) "the skipped step never ran" 0 (Ehr.peek e);
-  Alcotest.(check int) "the rule fired vacuously every cycle" 10 r.Rule.fired;
+  Alcotest.(check (pair int int))
+    "no step ran, so the rule failed its guard every cycle" (0, 10)
+    (r.Rule.fired, r.Rule.guard_failed);
   (* an honest test passes the audit: a turned-away step that aborts, or
      returns having done nothing, is what the test promised *)
   let clk = Clock.create () in
@@ -182,53 +188,79 @@ let test_audit_catches_lying_ready () =
   let take ctx = ignore (Fifo.deq ctx q) in
   let idle _ = () in
   let honest =
-    Rule.make "honest-steps" ~vacuous:true (fun ctx ->
+    Rule.make "honest-steps" (fun ctx ->
         ignore (Kernel.attempt_if ctx (Fifo.peek_size q > 0) take);
-        ignore (Kernel.attempt_if ctx false idle))
+        ignore (Kernel.attempt_if ctx false idle);
+        Kernel.require_effect ctx)
   in
   let sim = Sim.create ~audit:true clk [ honest ] in
   for _ = 1 to 20 do
     ignore (Sim.cycle sim);
     Clock.tick clk
   done;
-  Alcotest.(check int) "honest steps pass the audit" 20 honest.Rule.fired
-
-(* A vacuous rule's own guard failure or conflict is a vacuous fire, with
-   its effects rolled back: the accounting an [attempt] wrapper around the
-   body used to produce. *)
-let test_vacuous_abort_is_fire () =
-  let clk = Clock.create () in
-  let e = Ehr.create 0 in
-  let r =
-    Rule.make "half-done" ~vacuous:true (fun ctx ->
-        Ehr.write ctx e 0 1;
-        Kernel.guard ctx false "never ready")
-  in
-  let sim = Sim.create clk [ r ] in
-  for _ = 1 to 5 do
-    ignore (Sim.cycle sim);
-    Clock.tick clk
-  done;
-  Alcotest.(check int) "effects rolled back" 0 (Ehr.peek e);
   Alcotest.(check (pair int int))
-    "fired, not guard-failed" (5, 0) (r.Rule.fired, r.Rule.guard_failed)
+    "honest steps pass the audit, failing the rule's guard" (0, 20)
+    (honest.Rule.fired, honest.Rule.guard_failed)
+
+(* An aggregate rule states its own guard: when every step declines, it
+   fails its guard instead of firing empty, and its effects roll back. With
+   the fast path the predicate skips it; stripped, its steps run and
+   decline; both count the same fires and guard failures. *)
+let test_aggregate_declined_is_guard_fail () =
+  let run fastpath =
+    let clk = Clock.create () in
+    let q = Fifo.pipeline ~name:"aq" ~capacity:2 () in
+    let e = Ehr.create 0 in
+    let take ctx = ignore (Fifo.deq ctx q) and never _ = () in
+    let agg =
+      Rule.make "agg"
+        ~can_fire:(fun () -> Fifo.peek_size q > 0)
+        ~watches:[ Fifo.signal q ]
+        (fun ctx ->
+          ignore (Kernel.attempt_if ctx (Fifo.peek_size q > 0) take);
+          ignore (Kernel.attempt_if ctx false never);
+          Kernel.require_effect ctx)
+    in
+    (* a bare rule whose effect is undone by its own guard failure *)
+    let half =
+      Rule.make "half-done" (fun ctx ->
+          Ehr.write ctx e 0 1;
+          Kernel.guard ctx false "never ready")
+    in
+    let feed =
+      Rule.make "feed" (fun ctx ->
+          Kernel.guard ctx (Clock.now clk mod 3 = 0) "not this cycle";
+          Fifo.enq ctx q 1)
+    in
+    let sim = Sim.create ~fastpath clk [ agg; half; feed ] in
+    Sim.run sim 30;
+    Alcotest.(check int) "effects rolled back" 0 (Ehr.peek e);
+    List.map (fun (r : Rule.t) -> (r.Rule.fired, r.Rule.guard_failed)) [ agg; half; feed ]
+  in
+  let expect = [ (10, 20); (0, 30); (10, 20) ] in
+  Alcotest.(check (list (pair int int))) "fast path: fired, guard_failed" expect (run true);
+  Alcotest.(check (list (pair int int))) "stripped: fired, guard_failed" expect (run false)
 
 let test_audit_passes_honest () =
-  (* a vacuous rule whose inner guard fails commits nothing: can_fire=false
-     is truthful and the audit must stay quiet *)
+  (* an aggregate rule whose inner guard fails commits nothing:
+     can_fire=false is truthful and the audit must stay quiet *)
   let clk = Clock.create () in
   let q = Fifo.pipeline ~name:"hq" ~capacity:2 () in
   let honest =
-    Rule.make "honest" ~vacuous:true
+    Rule.make "honest"
       ~can_fire:(fun () -> Fifo.peek_size q > 0)
-      (fun ctx -> ignore (Kernel.attempt ctx (fun ctx -> ignore (Fifo.deq ctx q))))
+      (fun ctx ->
+        ignore (Kernel.attempt ctx (fun ctx -> ignore (Fifo.deq ctx q)));
+        Kernel.require_effect ctx)
   in
   let sim = Sim.create ~audit:true clk [ honest ] in
   for _ = 1 to 50 do
     ignore (Sim.cycle sim);
     Clock.tick clk
   done;
-  Alcotest.(check int) "honest rule fired vacuously every cycle" 50 honest.Rule.fired
+  Alcotest.(check (pair int int))
+    "honest rule failed its guard every cycle" (0, 50)
+    (honest.Rule.fired, honest.Rule.guard_failed)
 
 let test_fastpath_starves_liar () =
   (* the positive justification for the audit: under the fast path a lying
@@ -250,10 +282,13 @@ let test_fastpath_starves_liar () =
 
 open Workloads
 
-(* (rule name, fired count) pairs, parsed from the scheduler report. The
-   skipped/guard_failed columns are scheduling detail; fired counts plus the
-   architectural outcome are the equivalence contract. *)
-let fired_counts m =
+(* (rule name, (fired, guard_failed + conflicted)) pairs, parsed from the
+   scheduler report. Fire counts, each rule's aborts and the architectural
+   outcome are the equivalence contract. The skipped column is scheduling
+   detail, and so is the split of aborts into guard failures and
+   conflicts: a stripped attempt can hit a port conflict before the guard
+   the fast path's predicate foresaw. *)
+let rule_counts m =
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
   Machine.pp_rule_stats fmt m;
@@ -261,25 +296,33 @@ let fired_counts m =
   String.split_on_char '\n' (Buffer.contents buf)
   |> List.filter_map (fun line ->
          match List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim line)) with
-         | name :: rest ->
-           List.find_map
-             (fun tok ->
-               if String.length tok > 6 && String.sub tok 0 6 = "fired=" then Some (name, tok)
-               else None)
-             rest
+         | name :: rest -> (
+           let col key =
+             let k = String.length key in
+             List.find_map
+               (fun tok ->
+                 if String.length tok > k && String.sub tok 0 k = key then
+                   int_of_string_opt (String.sub tok k (String.length tok - k))
+                 else None)
+               rest
+           in
+           match (col "fired=", col "guard_failed=", col "conflicted=") with
+           | Some f, Some g, Some c -> Some (name, (f, g + c))
+           | _ -> None)
          | [] -> None)
 
 let run_full ~fastpath ~mode ?(cfg = Ooo.Config.riscyoo_b) ~budget prog =
   let m = Machine.create ~paging:true ~mode ~fastpath (Machine.Out_of_order cfg) prog in
   let o = Machine.run ~max_cycles:budget m in
   Alcotest.(check bool) "run completes" false o.Machine.timed_out;
-  (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, fired_counts m)
+  (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, rule_counts m)
 
 let check_equiv name (c1, x1, i1, f1) (c2, x2, i2, f2) =
   Alcotest.(check int) (name ^ ": cycles identical") c1 c2;
   Alcotest.check i64 (name ^ ": exit checksum identical") x1 x2;
   Alcotest.(check int) (name ^ ": instret identical") i1 i2;
-  Alcotest.(check (list (pair string string))) (name ^ ": per-rule fire counts identical") f1 f2
+  Alcotest.(check (list (pair string (pair int int))))
+    (name ^ ": per-rule fires and aborts identical") f1 f2
 
 let test_smoke_equivalence () =
   let prog = Spec_kernels.find "smoke" ~scale:1 in
@@ -380,7 +423,7 @@ let test_machine_equiv_opc () =
     in
     let o = Machine.run ~max_cycles:20_000_000 m in
     Alcotest.(check bool) "machine run completes" false o.Machine.timed_out;
-    (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, fired_counts m)
+    (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, rule_counts m)
   in
   check_equiv "counter/one-per-cycle" (fp true) (fp false)
 
@@ -408,6 +451,31 @@ let history_fingerprint m =
   Alcotest.(check int) "every cycle recorded" cycles (!seen + 1);
   Alcotest.(check bool) "rules fired" true (!fires > 0);
   Digest.to_hex !acc
+
+(* The ring records fires, not attempts: a window of smoke, mid-run and
+   at the end, names fewer rules than (its cycles) × (rule count), and all
+   of them fired. *)
+let test_history_names_fires () =
+  let m =
+    Machine.create ~paging:true ~watchdog:max_int
+      (Machine.Out_of_order Ooo.Config.riscyoo_b)
+      (Spec_kernels.find "smoke" ~scale:1)
+  in
+  let nrules = List.length (Machine.rule_list m) in
+  let check_window what =
+    let h = Machine.history m in
+    let named = List.fold_left (fun acc (_, names) -> acc + List.length names) 0 h in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d names in %d cycles of %d rules" what named (List.length h) nrules)
+      true
+      (h <> [] && named > 0 && named < List.length h * nrules)
+  in
+  let o = Machine.run ~max_cycles:3_000 m in
+  Alcotest.(check bool) "smoke is still running" true o.Machine.timed_out;
+  check_window "mid-run";
+  let o = Machine.run ~max_cycles:1_000_000 m in
+  Alcotest.(check bool) "run completes" false o.Machine.timed_out;
+  check_window "end"
 
 let test_history_identity () =
   let fp ~ncores cfg prog =
@@ -460,7 +528,7 @@ let suite =
     t "late wakeup of a parked rule" `Quick test_late_wakeup;
     t "audit catches lying can_fire" `Quick test_audit_catches_liar;
     t "audit catches a lying step ready test" `Quick test_audit_catches_lying_ready;
-    t "vacuous rule: abort counts as a fire" `Quick test_vacuous_abort_is_fire;
+    t "declined aggregate: guard failure" `Quick test_aggregate_declined_is_guard_fail;
     t "audit passes honest predicates" `Quick test_audit_passes_honest;
     t "fast path starves a liar (why audit exists)" `Quick test_fastpath_starves_liar;
     t "smoke equivalence (multi/shuffle/serial)" `Slow test_smoke_equivalence;
@@ -468,5 +536,6 @@ let suite =
     t "smoke audit clean" `Quick test_smoke_audit_clean;
     t "machine one-per-cycle fallback identical" `Slow test_machine_equiv_opc;
     t "history ring identical across engines" `Slow test_history_identity;
+    t "history ring names fires, not attempts" `Quick test_history_names_fires;
     t "benchmark pins: jobs, epoch and compile change nothing" `Quick test_benchmark_pins;
   ]
