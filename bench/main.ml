@@ -553,7 +553,7 @@ let measure_ns name staged =
 (* A 64-rule mostly-idle system: one live producer/consumer pair plus 62
    rules parked on empty FIFOs. This is the scheduler shape the fast path
    targets — a wide processor where most rules are blocked most cycles. With
-   [fastpath] the 62 idle rules cost one generation-sum compare each; without
+   [fastpath] the 62 idle rules cost two wake-board byte loads each; without
    it each costs a transactional attempt ending in an exception + rollback. *)
 let idle_sched_thunk ~fastpath =
   let open Bechamel in

@@ -29,7 +29,7 @@ let flip_immediate t bit =
   end
   else false
 
-let create ?name ?(inject = true) init =
+let create ?name ?(inject = true) ?edge init =
   let nm =
     match name with
     | Some n -> n
@@ -37,7 +37,12 @@ let create ?name ?(inject = true) init =
   in
   let t = { cell = Kernel.make_cell nm; v = init; nm; sg = Wakeup.make () } in
   Inject.register ~name:nm ~width:inject_width
-    (if inject then flip_immediate t else fun _ -> false);
+    (if inject then (fun bit ->
+       (* a flip changes the value behind its owner's back *)
+       let flipped = flip_immediate t bit in
+       (match edge with Some e when flipped -> Clock.arm e | Some _ | None -> ());
+       flipped)
+     else fun _ -> false);
   State.register
     ~name:(match name with Some n -> n | None -> "ehr")
     ~save:(fun () -> Obj.repr t.v)

@@ -11,10 +11,17 @@
 
 type 'a t
 
-(** [create ?name ?inject init] makes an EHR holding [init]. With
+(** Bits of an EHR's fault-injection site ([Inject.site.width]). *)
+val inject_width : int
+
+(** [create ?name ?inject ?edge init] makes an EHR holding [init]. With
     [~inject:false] its fault-injection site never flips (the site is still
-    registered, so a campaign's site numbering does not depend on it). *)
-val create : ?name:string -> ?inject:bool -> 'a -> 'a t
+    registered, so a campaign's site numbering does not depend on it). With
+    [~edge], a fault-injection flip arms that edge worker: the owner's
+    cycle-boundary work sees the flip as it sees its own writes. (A
+    snapshot is taken between cycles, where every edge worker has done its
+    work, so a restore needs none.) *)
+val create : ?name:string -> ?inject:bool -> ?edge:Clock.edge -> 'a -> 'a t
 
 (** [read ctx t p] reads through port [p]. *)
 val read : Kernel.ctx -> 'a t -> int -> 'a

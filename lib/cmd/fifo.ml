@@ -104,36 +104,62 @@ let bypass ?name ~capacity () =
    snapshot of the other side's, so guards are conservative by up to one
    cycle — exactly BSV's mkCFFifo. Each side is multi-ported: the k-th enq
    (or deq) of a cycle uses EHR port k, so any number of same-cycle enqs and
-   deqs compose, within one rule or across rules (enq_k < enq_{k+1}). *)
+   deqs compose, within one rule or across rules (enq_k < enq_{k+1}).
+
+   The payload slots are a plain array, not EHRs: the totals already order
+   every slot access. An enq writes slot [t mod cap] for the total [t] it
+   read, which lies in [deq_snap, deq_snap + cap) and at or past [enq_snap];
+   a deq or first reads slot [h mod cap] for an [h] in [deq_snap, enq_snap).
+   So within a cycle the two sides touch disjoint slots, the k-th enq (deq)
+   owns the slot that port k of its total admitted, and a [clear] writes
+   both totals at the top port, which aborts any later access of the cycle.
+   A slot port check could only refuse what a total port check already
+   refuses. *)
+
+(* Undo of an enq's slot write: the slot was free. An int-only trail row
+   (the index rides in the kernel's int column). *)
+let free_slot (slots : 'a array) i = Array.unsafe_set slots i (free ())
+
 let cf ?name clk ~capacity () =
   let nm = match name with Some n -> n | None -> "cffifo" in
   let cap = capacity in
   assert (cap <= 56);
   let clear_port = 60 in
-  let enq_total = Ehr.create ~name:(nm ^ ".enqTotal") 0 in
-  let deq_total = Ehr.create ~name:(nm ^ ".deqTotal") 0 in
-  let slots = make_slots nm cap in
+  let edge = Clock.edge clk ~name:nm in
+  let enq_total = Ehr.create ~name:(nm ^ ".enqTotal") ~edge 0 in
+  let deq_total = Ehr.create ~name:(nm ^ ".deqTotal") ~edge 0 in
+  let slots : 'a array = Array.make cap (free ()) in
+  (* The slot EHRs these replaced were fault-injection sites that never
+     flipped; the sites stay, so a campaign's site numbering (and so the
+     sites it picks) does not change. *)
+  for i = 0 to cap - 1 do
+    Inject.register ~name:(Printf.sprintf "%s.slot%d" nm i) ~width:Ehr.inject_width
+      (fun _ -> false)
+  done;
+  State.field ~name:(nm ^ ".slots") (fun () -> slots) (fun a -> Array.blit a 0 slots 0 cap);
   let enq_snap = ref 0 (* enq_total at cycle start *)
   and deq_snap = ref 0 (* deq_total at cycle start *)
   and eport = ref 0
   and dport = ref 0 in
   let sg = Wakeup.make () in
-  (* The guards compare against cycle-start snapshots, so a parked observer
-     whose view depends on them must also be woken when the snapshots
-     advance at the cycle boundary. *)
-  let refresh_snaps () =
-    let e = Ehr.peek enq_total and d = Ehr.peek deq_total in
-    if e <> !enq_snap || d <> !deq_snap then Wakeup.touch sg;
-    enq_snap := e;
-    deq_snap := d;
-    eport := 0;
-    dport := 0
-  in
-  Clock.on_cycle_end clk refresh_snaps;
-  (* The totals and slots are EHR-backed (registered there); the
-     cycle-start snapshots are raw refs and need their own entry. The
-     per-cycle port counters are 0 at every cycle boundary — where
-     snapshots are taken — but ride along for completeness. *)
+  (* The cycle-edge work, armed by every enq, deq and clear and by a flip
+     of either total: advance the snapshots and reset the port counters.
+     The guards compare against the snapshots, so a parked observer whose
+     view depends on them is woken when they advance. *)
+  Clock.set_work edge (fun () ->
+      let e = Ehr.peek enq_total and d = Ehr.peek deq_total in
+      let changed = e <> !enq_snap || d <> !deq_snap in
+      if changed then Wakeup.touch sg;
+      let ports = !eport <> 0 || !dport <> 0 in
+      enq_snap := e;
+      deq_snap := d;
+      eport := 0;
+      dport := 0;
+      changed || ports);
+  (* The totals are EHR-backed (registered there); the cycle-start
+     snapshots are raw refs and need their own entry. The per-cycle port
+     counters are 0 at every cycle boundary — where snapshots are taken —
+     but ride along for completeness. *)
   State.field ~name:(nm ^ ".cf")
     (fun () -> (!enq_snap, !deq_snap, !eport, !dport))
     (fun (e, d, ep, dp) ->
@@ -151,22 +177,30 @@ let cf ?name clk ~capacity () =
     let t = Ehr.read ctx enq_total !eport in
     Kernel.guard ctx (t - !deq_snap < cap) m_full;
     let p = bump ctx eport in
-    Ehr.write ctx slots.(t mod cap) p v;
+    let i = t mod cap in
+    let old = slots.(i) in
+    (* only a corrupted total (fault injection) finds the slot taken *)
+    if Obj.repr old == hole then Kernel.log_set ctx free_slot slots i
+    else Kernel.log_arr ctx slots i old;
+    slots.(i) <- v;
     Ehr.write ctx enq_total p (t + 1);
+    Clock.arm edge;
     Wakeup.touch sg
   in
   let first_f ctx =
     let h = Ehr.read ctx deq_total !dport in
     Kernel.guard ctx (h < !enq_snap) m_empty;
-    get_slot nm (Ehr.read ctx slots.(h mod cap) !dport)
+    get_slot nm slots.(h mod cap)
   in
   let deq_f ctx =
     let h = Ehr.read ctx deq_total !dport in
     Kernel.guard ctx (h < !enq_snap) m_empty;
     let p = bump ctx dport in
-    let v = get_slot nm (Ehr.read ctx slots.(h mod cap) p) in
-    Ehr.write ctx slots.(h mod cap) p (free ());
+    let i = h mod cap in
+    let v = get_slot nm slots.(i) in
+    Mut.set_arr ctx slots i (free ());
     Ehr.write ctx deq_total p (h + 1);
+    Clock.arm edge;
     Wakeup.touch sg;
     v
   in
@@ -175,20 +209,23 @@ let cf ?name clk ~capacity () =
   let clear_f ctx =
     Ehr.write ctx enq_total clear_port 0;
     Ehr.write ctx deq_total clear_port 0;
-    Array.iter (fun s -> Ehr.write ctx s clear_port (free ())) slots;
+    for i = 0 to cap - 1 do
+      Mut.set_arr ctx slots i (free ())
+    done;
     (* the snapshots must not keep stale occupancy across the flush cycle *)
     Mut.set ctx enq_snap 0;
     Mut.set ctx deq_snap 0;
+    Clock.arm edge;
     Wakeup.touch sg
   in
   let size_f () = Ehr.peek enq_total - Ehr.peek deq_total in
   (* the enq guard's own comparison: a deq made earlier in this cycle does
      not free a slot for the enq side until the snapshot advances *)
   let room_f () = Ehr.peek enq_total - !deq_snap < cap in
-  let peek_first_f () = get_slot nm (Ehr.peek slots.(Ehr.peek deq_total mod cap)) in
+  let peek_first_f () = get_slot nm slots.(Ehr.peek deq_total mod cap) in
   let list_f () =
     let h = Ehr.peek deq_total and n = Ehr.peek enq_total - Ehr.peek deq_total in
-    List.init n (fun i -> get_slot nm (Ehr.peek slots.((h + i) mod cap)))
+    List.init n (fun i -> get_slot nm slots.((h + i) mod cap))
   in
   { nm; cap; sg; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; room_f;
     peek_first_f; list_f }

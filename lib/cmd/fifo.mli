@@ -22,7 +22,7 @@ val pipeline : ?name:string -> capacity:int -> unit -> 'a t
 val bypass : ?name:string -> capacity:int -> unit -> 'a t
 
 (** A conflict-free queue: each side's guard reads the other side's total
-    as it stood at the start of the cycle, refreshed by a clock hook. An
+    as it stood at the start of the cycle, refreshed by an edge worker. An
     element enqueued at cycle [c] can be dequeued at [c + 1] at the
     earliest, and a slot freed at [c] can be refilled at [c + 1]: a link
     latency of one cycle, which lets the enq and deq rules be listed in

@@ -9,8 +9,6 @@ type t = {
   mutable guard_failed : int;
   mutable conflicted : int;
   mutable skipped : int;
-  mutable parked : bool;
-  mutable park_sum : int;
   mutable rid : int;
 }
 
@@ -26,8 +24,6 @@ let make ?can_fire ?(watches = []) name body =
     guard_failed = 0;
     conflicted = 0;
     skipped = 0;
-    parked = false;
-    park_sum = 0;
     rid = -1;
   }
 

@@ -47,12 +47,10 @@ type t = {
   mutable guard_failed : int;  (** attempts aborted by a guard *)
   mutable conflicted : int;  (** attempts aborted by an intra-cycle conflict *)
   mutable skipped : int;  (** attempts pruned by the fast path *)
-  mutable parked : bool;  (** scheduler state: waiting on [watches] *)
-  mutable park_sum : int;  (** generation sum at park time *)
   mutable rid : int;
-      (** stable small-integer id assigned by an observability sink when a
-          rule trace is attached (creation-order index into [Sim.rules]);
-          -1 when no sink has claimed the rule *)
+      (** stable small-integer id, the rule's index in the list given to
+          [Sim.create] (and to an observability sink); -1 before either
+          claims the rule *)
 }
 
 val make :

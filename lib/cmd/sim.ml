@@ -163,11 +163,14 @@ end
 type t = {
   clk : Clock.t;
   rule_list : Rule.t list;
-  order : Rule.t array; (* attempt order; permuted in Shuffle mode *)
+  rules_arr : Rule.t array; (* by rid *)
+  order : int array; (* rids in attempt order; permuted in Shuffle mode *)
   mode : mode;
   mutable rng : Random.State.t option; (* mutable for [reseed] and restore *)
   ctx : Kernel.ctx; (* the one transaction context every rule runs on *)
   mutable runners : (int -> int) array; (* by rid, see [mk_runner] *)
+  parked : Bytes.t; (* by rid: '\001' while the rule is parked *)
+  wake : Bytes.t; (* by rid: the wake board its watches' touches set *)
   fmask : bool array; (* by rid: fired this cycle, while history is on *)
   mutable n_cycles : int;
   mutable fires : int;
@@ -189,32 +192,29 @@ type t = {
 
 (* Fast-path decision: should [r] be skipped without an attempt this cycle?
    Only rules carrying a [can_fire] predicate are ever skipped. A skippable
-   rule with a (non-empty) watch set parks: while parked, the per-cycle cost
-   is one generation-sum comparison; the predicate is re-evaluated only when
-   a watched signal was touched. Watchless rules re-evaluate the predicate
-   every cycle (still far cheaper than a transactional attempt). *)
-let should_skip (r : Rule.t) =
-  match r.Rule.can_fire with
-  | None -> false
-  | Some p ->
-    if r.Rule.parked then
-      if Wakeup.sum r.Rule.watches = r.Rule.park_sum then true
-      else if p () then begin
-        r.Rule.parked <- false;
-        false
-      end
-      else begin
-        r.Rule.park_sum <- Wakeup.sum r.Rule.watches;
-        true
-      end
-    else if p () then false
-    else begin
-      if Array.length r.Rule.watches > 0 then begin
-        r.Rule.parked <- true;
-        r.Rule.park_sum <- Wakeup.sum r.Rule.watches
-      end;
-      true
+   rule with a (non-empty) watch set parks: its watches' touches set its
+   byte on the wake board, and the cycle loop passes over it without
+   calling its runner while the byte is clear ([step]). So a parked rule
+   reaching this point was woken: clear its byte and re-evaluate. Watchless
+   rules re-evaluate the predicate every cycle (still far cheaper than a
+   transactional attempt). *)
+let should_skip t rid p ~watching =
+  if Bytes.unsafe_get t.parked rid <> '\000' then begin
+    Bytes.unsafe_set t.wake rid '\000';
+    if p () then begin
+      Bytes.unsafe_set t.parked rid '\000';
+      false
     end
+    else true
+  end
+  else if p () then false
+  else begin
+    if watching then begin
+      Bytes.unsafe_set t.parked rid '\001';
+      Bytes.unsafe_set t.wake rid '\000'
+    end;
+    true
+  end
 
 (* The slow oracle, as a wrapper around a rule's body: the scheduler audit
    checks the one-sided can_fire contract, [false] must imply the body
@@ -237,21 +237,26 @@ let note_fire t (r : Rule.t) fired =
   if t.rtrace_on then t.rtrace r t.n_cycles;
   fired + 1
 
+(* A pruned attempt is the guard failure the predicate foresaw, so fire
+   counts, the history ring and One_per_cycle rotation are the same with
+   the fast path on or off. *)
+let note_skip (r : Rule.t) =
+  r.Rule.skipped <- r.Rule.skipped + 1;
+  r.Rule.guard_failed <- r.Rule.guard_failed + 1
+
 (* The one per-rule step: attempt [r] on the scheduler's context and
    account for the outcome, taking and returning the cycle's fires so far.
-   Built once per rule at elaboration: [skip] consults the fast path, and
+   Built once per rule at elaboration: [skip] enables the fast path, and
    [body] is the rule's body or its audited wrapper. One accounting for
    every rule: a body that returns normally fired, [Guard_fail] is a guard
    failure and [Retry] a conflict. *)
 let mk_runner t (r : Rule.t) ~skip body =
-  let ctx = t.ctx in
+  let ctx = t.ctx and rid = r.Rule.rid in
+  let pred = match r.Rule.can_fire with Some p when skip -> Some p | Some _ | None -> None in
+  let watching = Array.length r.Rule.watches > 0 in
   fun fired ->
-    if skip && should_skip r then begin
-      (* A pruned attempt is the guard failure the predicate foresaw, so
-         fire counts, the history ring and One_per_cycle rotation are the
-         same with the fast path on or off. *)
-      r.Rule.skipped <- r.Rule.skipped + 1;
-      r.Rule.guard_failed <- r.Rule.guard_failed + 1;
+    if match pred with Some p -> should_skip t rid p ~watching | None -> false then begin
+      note_skip r;
       fired
     end
     else begin
@@ -276,12 +281,21 @@ let mk_runner t (r : Rule.t) ~skip body =
         fired
     end
 
+(* Run rule [rid]: a parked rule that no touch woke is skipped here,
+   without entering its runner. *)
+let[@inline] step t rid fired =
+  if Bytes.unsafe_get t.parked rid <> '\000' && Bytes.unsafe_get t.wake rid = '\000' then begin
+    note_skip (Array.unsafe_get t.rules_arr rid);
+    fired
+  end
+  else (Array.unsafe_get t.runners rid) fired
+
 let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) clk rules =
   let rng = match mode with Shuffle seed -> Some (Random.State.make [| seed |]) | Multi | One_per_cycle -> None in
   (* Stamp every rule with its index in the canonical (rule_list) order.
      [Obs.Hub] stamps the same indices from the same list, so the two
-     agree; the stamps let the snapshot express the current schedule
-     permutation as plain indices. *)
+     agree; the stamps index the runners, the wake board and the attempt
+     order, so the snapshot holds the schedule permutation as is. *)
   let rules_arr = Array.of_list rules in
   Array.iteri (fun i (r : Rule.t) -> r.Rule.rid <- i) rules_arr;
   let n = Array.length rules_arr in
@@ -289,11 +303,14 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) clk rules =
     {
       clk;
       rule_list = rules;
-      order = Array.copy rules_arr;
+      rules_arr;
+      order = Array.init n Fun.id;
       mode;
       rng;
       ctx = Kernel.make_ctx clk;
       runners = [||];
+      parked = Bytes.make n '\000';
+      wake = Bytes.make n '\000';
       fmask = Array.make n false;
       n_cycles = 0;
       fires = 0;
@@ -310,15 +327,31 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) clk rules =
   (* Step ready tests are a fast path too: without it every step runs, and
      the audit checks the tests that would have turned it away. *)
   Kernel.set_ready_audit t.ctx (audit || not fastpath);
+  let skip = fastpath && not audit in
   t.runners <-
     Array.map
       (fun (r : Rule.t) ->
         let body = if audit then audited_body t r else r.Rule.body in
-        mk_runner t r ~skip:(fastpath && not audit) body)
+        mk_runner t r ~skip body)
       rules_arr;
+  if skip then
+    Array.iter
+      (fun (r : Rule.t) ->
+        if Option.is_some r.Rule.can_fire then
+          Array.iter (fun s -> Wakeup.subscribe s t.wake r.Rule.rid) r.Rule.watches)
+      rules_arr;
+  (* The edge half of the audit: every edge worker runs at every tick, and
+     one that changes state without having been armed fails the run. *)
+  if audit then
+    Clock.set_audit clk
+      (Some
+         (fun name ->
+           raise
+             (Audit_fail
+                (Printf.sprintf "edge worker %s changed state but was not armed (cycle %d)" name
+                   t.n_cycles))));
   State.register ~name:"sim.sched"
     ~save:(fun () ->
-      let ord = Array.map (fun (r : Rule.t) -> r.Rule.rid) t.order in
       let per_rule =
         Array.map
           (fun (r : Rule.t) ->
@@ -329,7 +362,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) clk rules =
         ( t.n_cycles,
           t.fires,
           t.rr,
-          ord,
+          Array.copy t.order,
           Option.map Random.State.copy t.rng,
           per_rule,
           (Array.copy t.history, t.history_depth) ))
@@ -346,7 +379,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) clk rules =
       t.n_cycles <- n_cycles;
       t.fires <- fires;
       t.rr <- rr;
-      Array.iteri (fun i rid -> t.order.(i) <- rules_arr.(rid)) ord;
+      Array.blit ord 0 t.order 0 n;
       t.rng <- rng;
       Array.iteri
         (fun i (fired, guard_failed, conflicted, skipped) ->
@@ -354,13 +387,12 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) clk rules =
           r.Rule.fired <- fired;
           r.Rule.guard_failed <- guard_failed;
           r.Rule.conflicted <- conflicted;
-          r.Rule.skipped <- skipped;
-          (* Wakeup generations are not snapshotted: un-parking every rule
-             forces predicate re-evaluation, which cannot change fire
-             counts (skip accounting depends only on predicate results). *)
-          r.Rule.parked <- false;
-          r.Rule.park_sum <- 0)
+          r.Rule.skipped <- skipped)
         per_rule;
+      (* Parking is not snapshotted: un-parking every rule forces predicate
+         re-evaluation, which cannot change fire counts (skip accounting
+         depends only on predicate results). *)
+      Bytes.fill t.parked 0 n '\000';
       t.history <- history;
       t.history_depth <- history_depth);
   t
@@ -380,7 +412,7 @@ let pool_run ~helpers tasks = Pool.run ~helpers tasks
 let reseed t seed =
   match t.mode with
   | Shuffle _ ->
-    List.iteri (fun i r -> t.order.(i) <- r) t.rule_list;
+    Array.iteri (fun i _ -> t.order.(i) <- i) t.order;
     t.rng <- Some (Random.State.make [| seed |])
   | Multi | One_per_cycle -> ()
 
@@ -429,7 +461,7 @@ let end_hooks t =
     t.hooks_cache <- Some a;
     a
 
-let shuffle rng a =
+let shuffle rng (a : int array) =
   for i = Array.length a - 1 downto 1 do
     let j = Random.State.int rng (i + 1) in
     let tmp = a.(i) in
@@ -442,10 +474,11 @@ let shuffle rng a =
 (* The cycle loop                                                         *)
 (*                                                                        *)
 (* Every Multi/Shuffle cycle runs each rule once, in schedule order, on   *)
-(* the one context; then the cycle closes: [Clock.tick] runs every clock  *)
-(* hook (this also advances the conflict-free FIFO snapshots, waking      *)
-(* parked rules on both sides), and the history ring and end-of-cycle     *)
-(* hooks see the quiescent state. A serial pass over the schedule is the  *)
+(* the one context; then the cycle closes: [Clock.tick] runs the clock's  *)
+(* samplers and the edge workers armed this cycle (this advances the      *)
+(* snapshots of the conflict-free FIFOs that were touched, waking parked  *)
+(* rules on both sides), and the history ring and end-of-cycle hooks see  *)
+(* the quiescent state. A serial pass over the schedule is the            *)
 (* direct software reading of CMD's "a cycle's fired rules are explained  *)
 (* by firing them one by one".                                            *)
 (* ---------------------------------------------------------------------- *)
@@ -457,10 +490,10 @@ let close_cycle t fired =
   if t.history_depth > 0 then begin
     let names = ref [] in
     for i = Array.length t.order - 1 downto 0 do
-      let r = Array.unsafe_get t.order i in
-      if t.fmask.(r.Rule.rid) then begin
-        names := r.Rule.name :: !names;
-        t.fmask.(r.Rule.rid) <- false
+      let rid = Array.unsafe_get t.order i in
+      if t.fmask.(rid) then begin
+        names := t.rules_arr.(rid).Rule.name :: !names;
+        t.fmask.(rid) <- false
       end
     done;
     t.history.(cyc mod t.history_depth) <- (cyc, !names)
@@ -475,10 +508,10 @@ let close_cycle t fired =
 
 let cycle_multi t =
   (match t.rng with Some rng -> shuffle rng t.order | None -> ());
-  let order = t.order and runners = t.runners in
+  let order = t.order in
   let fired = ref 0 in
   for i = 0 to Array.length order - 1 do
-    fired := (Array.unsafe_get runners (Array.unsafe_get order i).Rule.rid) !fired
+    fired := step t (Array.unsafe_get order i) !fired
   done;
   close_cycle t !fired
 
@@ -488,7 +521,7 @@ let cycle_one t =
   let n = Array.length t.order in
   let fired = ref 0 and i = ref 0 in
   while !fired = 0 && !i < n do
-    fired := t.runners.(t.order.((t.rr + !i) mod n).Rule.rid) !fired;
+    fired := step t t.order.((t.rr + !i) mod n) !fired;
     incr i
   done;
   if n > 0 then t.rr <- (t.rr + 1) mod n;

@@ -32,7 +32,9 @@ type t
     With [fastpath] (the default), a rule carrying a [can_fire] predicate is
     skipped — no transaction, no exception, no rollback — in cycles where
     the predicate returns [false], and parked on its watch set until a
-    watched primitive is touched. A skip is counted in [Rule.skipped] and
+    watched primitive is touched: [create] subscribes the rule to each
+    watched signal ([Wakeup.subscribe]), and the cycle loop passes over a
+    parked rule no touch has woken without calling anything. A skip is counted in [Rule.skipped] and
     as the guard failure the predicate foresaw ([Rule.guard_failed]).
 
     Engine identity, with [fastpath] on or off and in every mode: cycle
@@ -54,13 +56,16 @@ type t
     ([--scheduler-audit] in the driver). It also turns on the ready audit of
     its context ([Kernel.set_ready_audit]): a step whose [Kernel.attempt_if]
     ready test said false still runs, and raises {!Audit_fail} if it
-    commits.
+    commits. And it audits the clock's edge workers ([Clock.set_audit]):
+    every worker runs at every tick, and one that changes state without
+    having been armed raises {!Audit_fail}.
 
     {2 Cycle structure and hook ordering}
 
     Every [Multi]/[Shuffle] cycle proceeds: (1) every rule, once, in the
-    cycle's schedule order; (2) close — [Clock.tick], running every clock
-    hook (wire resets, conflict-free FIFO snapshot advance); (3) the
+    cycle's schedule order; (2) close — [Clock.tick], running the clock's
+    samplers and the edge workers armed this cycle (wire resets,
+    conflict-free FIFO snapshot advance); (3) the
     history ring; (4) {!on_post_cycle} hooks (invariant checks); (5)
     {!add_monitor} monitors (watchdog). Steps 2–5 therefore always see the
     quiescent state between cycles. [run_until]'s [on_cycle] (the

@@ -143,10 +143,11 @@ let load t ~config img =
   if plen < 0 || String.length img - !at <> plen then
     error "snapshot payload truncated (%d bytes present, header says %d)"
       (String.length img - !at) plen;
-  let payload = String.sub img !at plen in
-  if Digest.string payload <> pdig then error "snapshot payload checksum mismatch (corrupted image)";
+  (* The payload is checked and unmarshaled in place: no copy of it. *)
+  if Digest.substring img !at plen <> pdig then
+    error "snapshot payload checksum mismatch (corrupted image)";
   let vals : Obj.t array =
-    try Marshal.from_string payload 0
+    try Marshal.from_string img !at
     with Failure m -> error "snapshot payload does not unmarshal: %s" m
   in
   if Array.length vals <> Array.length t.entries then

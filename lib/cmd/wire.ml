@@ -1,17 +1,25 @@
-type 'a t = 'a option Ehr.t
+type 'a t = { v : 'a option Ehr.t; edge : Clock.edge }
 
+(* A set arms the reset; so does a flip, through the EHR. *)
 let create ?name clk () =
-  let t = Ehr.create ?name None in
-  Clock.on_cycle_end clk (fun () -> Ehr.poke t None);
-  t
+  let edge = Clock.edge clk ~name:(match name with Some n -> n | None -> "wire") in
+  let v = Ehr.create ?name ~edge None in
+  Clock.set_work edge (fun () ->
+      let held = Ehr.peek v != None in
+      Ehr.poke v None;
+      held);
+  { v; edge }
 
-let set ctx t v = Ehr.write ctx t 0 (Some v)
-let get ctx t = Ehr.read ctx t 1
+let set ctx t v =
+  Ehr.write ctx t.v 0 (Some v);
+  Clock.arm t.edge
+
+let get ctx t = Ehr.read ctx t.v 1
 
 let get_exn ctx t =
   match get ctx t with
   | Some v -> v
-  | None -> raise (Kernel.Guard_fail (Kernel.rule_name ctx ^ ": wire " ^ Ehr.name t ^ " empty"))
+  | None -> raise (Kernel.Guard_fail (Kernel.rule_name ctx ^ ": wire " ^ Ehr.name t.v ^ " empty"))
 
-let peek = Ehr.peek
-let signal = Ehr.signal
+let peek t = Ehr.peek t.v
+let signal t = Ehr.signal t.v

@@ -159,22 +159,27 @@ let req_ready t =
   let _, pc = Fifo.peek_first t.req_q in
   if hits t pc then Fifo.peek_can_enq t.resp_q else Fifo.peek_can_enq t.creq_o
 
+(* The steps' ready tests, one per step. *)
+let presp_ready t = Fifo.peek_size t.presp_i > 0
+let preq_ready t = Fifo.peek_size t.preq_i > 0 && Fifo.peek_can_enq t.cresp_o
+
 let tick t =
-  (* [t.miss] is only ever mutated by this rule's own sub-steps, so while
-     parked it cannot change: a set miss can only clear via a presp arrival
-     (touches [presp_i]), and new demand traffic touches [req_q]/[preq_i]. *)
-  let can_fire () =
-    Fifo.peek_size t.presp_i > 0
-    || Fifo.peek_size t.preq_i > 0
-    || (Fifo.peek_size t.req_q > 0 && t.miss = None)
+  (* The rule's predicate is the disjunction of its steps' ready tests. It
+     reads the six queues, watched, plus [t.miss] and the line array, which
+     only this rule's own steps mutate, so while parked they cannot change. *)
+  let can_fire () = presp_ready t || preq_ready t || req_ready t in
+  let watches =
+    Fifo.
+      [
+        signal t.presp_i; signal t.preq_i; signal t.req_q; signal t.resp_q; signal t.creq_o;
+        signal t.cresp_o;
+      ]
   in
-  let watches = [ Fifo.signal t.presp_i; Fifo.signal t.preq_i; Fifo.signal t.req_q ] in
   (* The steps, built once: a skipped step allocates no closure. *)
   let presp ctx = step_presp ctx t and preq ctx = step_preq ctx t and req ctx = step_req ctx t in
   Rule.make ~can_fire ~watches (t.name ^ ".tick") (fun ctx ->
-      ignore (Kernel.attempt_if ctx (Fifo.peek_size t.presp_i > 0) presp);
-      ignore
-        (Kernel.attempt_if ctx (Fifo.peek_size t.preq_i > 0 && Fifo.peek_can_enq t.cresp_o) preq);
+      ignore (Kernel.attempt_if ctx (presp_ready t) presp);
+      ignore (Kernel.attempt_if ctx (preq_ready t) preq);
       ignore (Kernel.attempt_if ctx (req_ready t) req);
       Kernel.require_effect ctx)
 

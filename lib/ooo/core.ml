@@ -1273,8 +1273,8 @@ let rules ?(schedule = `Aggressive) t =
   let rename =
     [
       Rule.make
-        ~can_fire:(fun () -> Fifo.peek_size t.d2r > 0)
-        ~watches:[ Fifo.signal t.d2r ]
+        ~can_fire:(fun () -> rename_ready t)
+        ~watches:[ Fifo.signal t.d2r; Rob.signal t.rob ]
         (n ^ ".rename")
         (let rename ctx = rename_one ctx t in
          fun ctx -> step_rename ctx t rename);

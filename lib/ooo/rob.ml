@@ -1,6 +1,12 @@
 open Cmd
 
-type t = { slots : Uop.t option array; mutable head : int; mutable tail : int; size : int }
+type t = {
+  slots : Uop.t option array;
+  mutable head : int;
+  mutable tail : int;
+  size : int;
+  sg : Wakeup.signal; (* touched by every change of occupancy *)
+}
 
 let count t = t.tail - t.head
 
@@ -24,7 +30,7 @@ let check_age_order t () =
   done
 
 let create ~size =
-  let t = { slots = Array.make size None; head = 0; tail = 0; size } in
+  let t = { slots = Array.make size None; head = 0; tail = 0; size; sg = Wakeup.make () } in
   Verif.Invariant.register ~name:"rob.age-order" (check_age_order t);
   State.field ~name:"rob"
     (fun () -> (t.slots, t.head, t.tail))
@@ -40,6 +46,7 @@ let enq ctx t u =
   let idx = t.tail in
   Mut.set_arr ctx t.slots (idx mod t.size) (Some u);
   Mut.field ctx t ~get:(fun o -> o.tail) ~set:(fun o v -> o.tail <- v) (t.tail + 1);
+  Wakeup.touch t.sg;
   idx
 
 let next_idx t = t.tail
@@ -49,7 +56,8 @@ let peek t k = if count t > k then t.slots.((t.head + k) mod t.size) else None
 let deq ctx t =
   Kernel.guard ctx (count t > 0) "rob empty";
   Mut.set_arr ctx t.slots (t.head mod t.size) None;
-  Mut.field ctx t ~get:(fun o -> o.head) ~set:(fun o v -> o.head <- v) (t.head + 1)
+  Mut.field ctx t ~get:(fun o -> o.head) ~set:(fun o v -> o.head <- v) (t.head + 1);
+  Wakeup.touch t.sg
 
 let truncate_after ctx t rob_idx =
   let killed = ref [] in
@@ -62,6 +70,7 @@ let truncate_after ctx t rob_idx =
     | None -> ()
   done;
   Mut.field ctx t ~get:(fun o -> o.tail) ~set:(fun o v -> o.tail <- v) (max (rob_idx + 1) t.head);
+  Wakeup.touch t.sg;
   !killed
 
 let iter_live t f =
@@ -77,4 +86,7 @@ let flush ctx t =
       Mut.set_arr ctx t.slots (i mod t.size) None
     | None -> ()
   done;
-  Mut.field ctx t ~get:(fun o -> o.tail) ~set:(fun o v -> o.tail <- v) t.head
+  Mut.field ctx t ~get:(fun o -> o.tail) ~set:(fun o v -> o.tail <- v) t.head;
+  Wakeup.touch t.sg
+
+let signal t = t.sg

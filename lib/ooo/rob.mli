@@ -34,3 +34,7 @@ val iter_live : t -> (Uop.t -> unit) -> unit
 
 (** Commit-time flush: empty everything (marking uops killed). *)
 val flush : Cmd.Kernel.ctx -> t -> unit
+
+(** Touched by [enq], [deq], [truncate_after] and [flush]: every change of
+    occupancy. A rule whose [can_fire] consults {!can_enq} may watch it. *)
+val signal : t -> Cmd.Wakeup.signal

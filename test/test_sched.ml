@@ -83,8 +83,8 @@ let test_synthetic_equivalence () =
       Alcotest.(check bool) (mname ^ ": produced all") true (p = 60))
     [ ("Multi", Sim.Multi); ("One_per_cycle", Sim.One_per_cycle); ("Shuffle", Sim.Shuffle 7) ]
 
-(* A parked rule must wake when its watched signal is touched much later —
-   the generation-sum comparison must not wrap into a false "unchanged". *)
+(* A parked rule must wake when its watched signal is touched much later:
+   a wake byte set long after parking still wakes it. *)
 let test_late_wakeup () =
   let clk = Clock.create () in
   let q = Fifo.pipeline ~name:"lateq" ~capacity:2 () in
@@ -113,6 +113,157 @@ let test_late_wakeup () =
     (Printf.sprintf "sink was parked most of the run (skipped=%d)" sink.Rule.skipped)
     true
     (sink.Rule.skipped > 990)
+
+(* ---------------------------------------------------------------- *)
+(* Push wakeups: a parked predicate costs nothing until touched       *)
+(* ---------------------------------------------------------------- *)
+
+(* A sink parked on [q], its predicate counting its own calls, and a
+   source that enqueues once, at cycle [at]. [src_first] lists the source
+   before the sink. Returns the counts and the rules. *)
+let parked_sink ~src_first ~at =
+  let clk = Clock.create () in
+  let q = Fifo.bypass ~name:"wq" ~capacity:2 () in
+  let calls = ref 0 and fired_at = ref (-1) in
+  let sink =
+    Rule.make "sink"
+      ~can_fire:(fun () ->
+        incr calls;
+        Fifo.peek_size q > 0)
+      ~watches:[ Fifo.signal q ]
+      (fun ctx ->
+        ignore (Fifo.deq ctx q);
+        fired_at := Clock.now clk)
+  in
+  let src =
+    Rule.make "src" (fun ctx ->
+        Kernel.guard ctx (Clock.now clk = at) "not yet";
+        Fifo.enq ctx q 1)
+  in
+  (clk, calls, fired_at, if src_first then [ src; sink ] else [ sink; src ])
+
+let test_parked_predicate_not_called () =
+  let clk, calls, fired_at, rules = parked_sink ~src_first:true ~at:20 in
+  let sim = Sim.create clk rules in
+  Sim.run sim 20;
+  Alcotest.(check int) "one call parks the sink; no call until a touch" 1 !calls;
+  (* the source, listed first, touches the queue in cycle 20: the sink
+     wakes in the same cycle and fires *)
+  Sim.run sim 1;
+  Alcotest.(check (pair int int)) "woken and fired in the touching cycle" (2, 20)
+    (!calls, !fired_at);
+  Sim.run sim 30;
+  Alcotest.(check int) "parked again after one more call" 3 !calls
+
+let test_later_touch_wakes_next_cycle () =
+  let clk, calls, fired_at, rules = parked_sink ~src_first:false ~at:5 in
+  let sim = Sim.create clk rules in
+  Sim.run sim 6;
+  (* the source, listed after the sink, touched the queue in cycle 5 *)
+  Alcotest.(check (pair int int)) "still parked in the touching cycle" (1, -1) (!calls, !fired_at);
+  Sim.run sim 1;
+  Alcotest.(check (pair int int)) "woken and fired the next cycle" (2, 6) (!calls, !fired_at)
+
+let test_second_create_wakes () =
+  let clk, calls, fired_at, rules = parked_sink ~src_first:false ~at:10 in
+  let first = Sim.create clk rules in
+  Sim.run first 3;
+  let sim = Sim.create clk rules in
+  Sim.run sim 20;
+  Alcotest.(check bool)
+    (Printf.sprintf "the second scheduler's parked sink woke and fired (calls=%d)" !calls)
+    true (!fired_at = 11)
+
+(* ---------------------------------------------------------------- *)
+(* On-demand edge work                                                *)
+(* ---------------------------------------------------------------- *)
+
+let site name =
+  match Array.to_list (Inject.sites ()) |> List.find_opt (fun s -> s.Inject.name = name) with
+  | Some s -> s
+  | None -> Alcotest.failf "no inject site %s" name
+
+(* A flip of a cf FIFO's enq total between cycles reaches the deq side at
+   the next edge, exactly as a refresh at every edge would: the deq guard
+   still sees the cycle-start snapshot in the cycle after the flip, and
+   the refreshed snapshot (which wakes the parked consumer) in the one
+   after. The flip made room for an element no enq wrote, so the
+   consumer's deq reads a free slot. *)
+let test_cf_flip_takes_effect_at_edge () =
+  let clk = Clock.create () in
+  Inject.arm ();
+  let q = Fifo.cf ~name:"fq" clk ~capacity:4 () in
+  let enq_total = site "fq.enqTotal" in
+  Inject.disarm ();
+  let consumer =
+    Rule.make "consumer"
+      ~can_fire:(fun () -> Fifo.peek_size q > 0)
+      ~watches:[ Fifo.signal q ]
+      (fun ctx -> ignore (Fifo.deq ctx q))
+  in
+  let sim = Sim.create clk [ consumer ] in
+  Sim.run sim 5;
+  Alcotest.(check bool) "flip applied" true (Inject.fire enq_total 0);
+  Sim.run sim 1;
+  Alcotest.(check int) "the deq side still sees the old snapshot" 0 consumer.Rule.fired;
+  match Sim.cycle sim with
+  | exception Invalid_argument m ->
+    Alcotest.(check string) "the refreshed snapshot exposes the free slot"
+      "fq: empty slot read (internal invariant broken)" m
+  | _ -> Alcotest.fail "the flip never reached the deq side"
+
+(* A flip of a wire's value between cycles is seen by the cycle's readers,
+   and the wire resets at the next edge. *)
+let test_wire_flip_resets_at_edge () =
+  let clk = Clock.create () in
+  Inject.arm ();
+  let w : int Wire.t = Wire.create ~name:"bypass0" clk () in
+  let value = site "bypass0" in
+  Inject.disarm ();
+  let seen = ref [] in
+  let reader =
+    Rule.make "reader" (fun ctx -> seen := (Obj.repr (Wire.get ctx w) != Obj.repr None) :: !seen)
+  in
+  let sim = Sim.create clk [ reader ] in
+  Sim.run sim 2;
+  Alcotest.(check bool) "flip applied" true (Inject.fire value 2);
+  Sim.run sim 2;
+  Alcotest.(check (list bool)) "held for one cycle, empty after the edge" [ false; true; false; false ]
+    !seen;
+  Alcotest.(check bool) "the wire is empty" true (Obj.repr (Wire.peek w) == Obj.repr None)
+
+(* Negative control for the edge audit: a primitive whose edge work
+   changes state it never armed for passes unnoticed without the audit and
+   fails it with. *)
+let test_edge_audit_catches_unarmed () =
+  let build ~arm =
+    let clk = Clock.create () in
+    let pending = ref false in
+    let e = Clock.edge clk ~name:"leaky" in
+    Clock.set_work e (fun () ->
+        let was = !pending in
+        pending := false;
+        was);
+    let set =
+      Rule.make "set" (fun ctx ->
+          Mut.set ctx pending true;
+          if arm then Clock.arm e)
+    in
+    (clk, pending, set)
+  in
+  let clk, pending, set = build ~arm:false in
+  let sim = Sim.create clk [ set ] in
+  Sim.run sim 3;
+  Alcotest.(check bool) "unaudited: the unarmed work never ran" true !pending;
+  let clk, _, set = build ~arm:false in
+  let sim = Sim.create ~audit:true clk [ set ] in
+  Alcotest.check_raises "the audit catches the unarmed worker"
+    (Sim.Audit_fail "edge worker leaky changed state but was not armed (cycle 0)")
+    (fun () -> ignore (Sim.cycle sim));
+  let clk, pending, set = build ~arm:true in
+  let sim = Sim.create ~audit:true clk [ set ] in
+  Sim.run sim 3;
+  Alcotest.(check bool) "an armed worker passes the audit and runs" false !pending
 
 (* ---------------------------------------------------------------- *)
 (* Audit oracle: lying can_fire predicates must be caught             *)
@@ -526,6 +677,12 @@ let suite =
   [
     t "synthetic equivalence (3 modes)" `Quick test_synthetic_equivalence;
     t "late wakeup of a parked rule" `Quick test_late_wakeup;
+    t "parked predicate not called until touched" `Quick test_parked_predicate_not_called;
+    t "later touch wakes next cycle" `Quick test_later_touch_wakes_next_cycle;
+    t "second Sim.create still wakes parked rules" `Quick test_second_create_wakes;
+    t "cf enqTotal flip takes effect at the edge" `Quick test_cf_flip_takes_effect_at_edge;
+    t "wire flip resets at the edge" `Quick test_wire_flip_resets_at_edge;
+    t "edge audit catches an unarmed worker" `Quick test_edge_audit_catches_unarmed;
     t "audit catches lying can_fire" `Quick test_audit_catches_liar;
     t "audit catches a lying step ready test" `Quick test_audit_catches_lying_ready;
     t "declined aggregate: guard failure" `Quick test_aggregate_declined_is_guard_fail;

@@ -139,11 +139,19 @@ let test_rejects_bad_images () =
       Machine.restore (mk ()) (String.sub img 0 (String.length img - 7)));
   expect_error "truncated header" (fun () -> Machine.restore (mk ()) (String.sub img 0 20));
   expect_error "empty" (fun () -> Machine.restore (mk ()) "");
-  (* corrupted: flip one payload byte *)
-  let corrupt = Bytes.of_string img in
-  let pos = String.length img - 100 in
-  Bytes.set corrupt pos (Char.chr (Char.code (Bytes.get corrupt pos) lxor 0x40));
-  expect_error "corrupt payload" (fun () -> Machine.restore (mk ()) (Bytes.to_string corrupt));
+  (* corrupted: flip one payload byte — inside it, and at either end (the
+     payload is checked in place, after the fixed-size header: magic,
+     exe digest, config digest, length, payload digest) *)
+  let flip pos =
+    let corrupt = Bytes.of_string img in
+    Bytes.set corrupt pos (Char.chr (Char.code (Bytes.get corrupt pos) lxor 0x40));
+    Bytes.to_string corrupt
+  in
+  let header = String.length "riscyoo-snap-v1\n" + 16 + 16 + 8 + 16 in
+  expect_error "corrupt payload" (fun () -> Machine.restore (mk ()) (flip (String.length img - 100)));
+  expect_error "corrupt first payload byte" (fun () -> Machine.restore (mk ()) (flip header));
+  expect_error "corrupt last payload byte" (fun () ->
+      Machine.restore (mk ()) (flip (String.length img - 1)));
   (* not an image at all *)
   expect_error "garbage" (fun () -> Machine.restore (mk ()) (String.make 4096 'x'));
   (* configuration mismatches: different program, different core count,
