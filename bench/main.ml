@@ -697,113 +697,6 @@ let perf_workload ~budget kernel =
 let cps r = float_of_int r.pcycles /. r.wall_fast
 let fastpath_speedup r = r.fastpath_ratio
 
-(* Multicore workloads: simulation speed, informational (their wall
-   carries OS-scheduler noise that calibration cannot cancel). *)
-type mc_row = {
-  mcname : string;
-  mccycles : int;
-  mcinstrs : int;
-  mcwall : float; (* best wall seconds *)
-}
-
-let perf_multicore ~budget ~harts ~cfg kernel =
-  let prog = Parsec_kernels.find kernel ~harts ~scale:!parsec_scale in
-  let snapshot = ref None in
-  let once () =
-    let m = Machine.create ~ncores:harts ~paging:true (ooo cfg) prog in
-    let t0 = Unix.gettimeofday () in
-    let o = Machine.run ~max_cycles:budget m in
-    let dt = Unix.gettimeofday () -. t0 in
-    if o.Machine.timed_out then failwith (Printf.sprintf "perf: %s x%d timed out" kernel harts);
-    if !snapshot = None then snapshot := Some (Machine.stats m);
-    (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m, dt)
-  in
-  let c, x, i, dt = once () in
-  let best = ref dt and total = ref dt in
-  while !total < 2.5 do
-    let c2, x2, i2, dt2 = once () in
-    if (c2, x2, i2) <> (c, x, i) then
-      failwith (Printf.sprintf "perf: %s x%d is nondeterministic" kernel harts);
-    if dt2 < !best then best := dt2;
-    total := !total +. dt2
-  done;
-  let row =
-    { mcname = Printf.sprintf "%s-x%d" kernel harts; mccycles = c; mcinstrs = i; mcwall = !best }
-  in
-  Printf.eprintf "  [perf/%s] %d cycles: %.0f c/s\n%!" row.mcname c (float_of_int c /. !best);
-  (row, Option.get !snapshot)
-
-let mc_cps r = float_of_int r.mccycles /. r.mcwall
-
-(* ---------------------------------------------------------------- *)
-(* Farm / snapshot measurements                                       *)
-(* ---------------------------------------------------------------- *)
-
-(* The farm's warm-start path: one cycle-0 snapshot, restored and reseeded
-   per job instead of rebuilding the machine from the ELF every seed.
-   Measured as the farm would pay it — a 50-seed single-test litmus sweep,
-   cold then warm-forked — plus the raw snapshot codec (image size,
-   save/restore latency) on a warmed-up single-core machine. *)
-type farm_row = {
-  snap_bytes : int;
-  save_s : float; (* best-of snapshot latency, seconds *)
-  restore_s : float;
-  fseeds : int;
-  cold_s : float; (* whole sweep, machine rebuilt per seed *)
-  warm_s : float; (* whole sweep, one cycle-0 snapshot forked per seed *)
-}
-
-let best_of ~budget f =
-  let b = ref infinity and total = ref 0.0 in
-  while !total < budget do
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !b then b := dt;
-    total := !total +. dt
-  done;
-  !b
-
-let perf_farm ~seeds =
-  let prog = Spec_kernels.find "smoke" ~scale:1 in
-  let m = Machine.create ~paging:true (ooo Ooo.Config.riscyoo_b) prog in
-  let o = Machine.run ~max_cycles:2_000 m in
-  if not o.Machine.timed_out then failwith "perf: smoke finished before the snapshot point";
-  let img = ref (Machine.snapshot m) in
-  let save_s = best_of ~budget:0.5 (fun () -> img := Machine.snapshot m) in
-  let restore_s = best_of ~budget:0.5 (fun () -> Machine.restore m !img) in
-  let test = match Litmus.Test.find "SB" with Some t -> t | None -> List.hd Litmus.Test.all in
-  let jobs = Litmus.Run.farm_jobs ~stagger:false ~seeds ~models:[ Ooo.Config.TSO ] [ test ] in
-  let sweep ~warm =
-    let t0 = Unix.gettimeofday () in
-    let outs =
-      List.map
-        (fun fj ->
-          let o, _, _, _ = Litmus.Run.farm_run ~warm fj in
-          o)
-        jobs
-    in
-    (outs, Unix.gettimeofday () -. t0)
-  in
-  (* Steady state is what the farm pays: the reference outcome sets and the
-     warm-fork cache are each populated once per process and then reused for
-     thousands of jobs, so prime both and time the best of two sweeps. *)
-  ignore (sweep ~warm:true);
-  let cold_outs, cold_s1 = sweep ~warm:false in
-  let _, cold_s2 = sweep ~warm:false in
-  let warm_outs, warm_s1 = sweep ~warm:true in
-  let _, warm_s2 = sweep ~warm:true in
-  let cold_s = Float.min cold_s1 cold_s2 and warm_s = Float.min warm_s1 warm_s2 in
-  (* warm forking is a startup optimization, not a semantics change *)
-  if cold_outs <> warm_outs then failwith "perf: warm-forked litmus sweep diverges from cold";
-  Printf.eprintf
-    "  [perf/farm] snapshot %d bytes, save %.2f ms, restore %.2f ms; %d-seed litmus sweep \
-     %.2fs cold, %.2fs warm (%.2fx)\n\
-     %!"
-    (String.length !img) (1000. *. save_s) (1000. *. restore_s) seeds cold_s warm_s
-    (cold_s /. warm_s);
-  { snap_bytes = String.length !img; save_s; restore_s; fseeds = seeds; cold_s; warm_s }
-
 (* ---------------------------------------------------------------- *)
 (* Host-speed calibration                                             *)
 (* ---------------------------------------------------------------- *)
@@ -816,6 +709,17 @@ let perf_farm ~seeds =
    which is what lets the absolute gate run at a 10% margin on hosted
    runners instead of the flat 20% host-speed fudge. *)
 let calib_name = "calib-fixed-work"
+
+let best_of ~budget f =
+  let b = ref infinity and total = ref 0.0 in
+  while !total < budget do
+    let t0 = Unix.gettimeofday () in
+    f ();
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !b then b := dt;
+    total := !total +. dt
+  done;
+  !b
 
 let calibrate () =
   let work () =
@@ -868,9 +772,9 @@ let read_file path =
   close_in ic;
   s
 
-let perf_json ~calib_s rows mc_rows farm micro_on micro_off =
+let perf_json ~calib_s rows micro_on micro_off =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"riscyoo-perf-v9\",\n";
+  Buffer.add_string b "{\n  \"schema\": \"riscyoo-perf-v10\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"calibration\": {\"name\": \"%s\", \"wall_s\": %.4f},\n" calib_name
        calib_s);
@@ -887,31 +791,7 @@ let perf_json ~calib_s rows mc_rows farm micro_on micro_off =
            (fastpath_speedup r)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
-  Buffer.add_string b "  ],\n  \"multicore\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"cycles\": %d, \"instrs\": %d, \"wall_s\": %.4f, \
-            \"sim_cps\": %.1f}%s\n"
-           r.mcname r.mccycles r.mcinstrs r.mcwall (mc_cps r)
-           (if i = List.length mc_rows - 1 then "" else ",")))
-    mc_rows;
-  Buffer.add_string b "  ],\n  \"farm\": {\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "    \"snapshot_bytes\": %d,\n\
-       \    \"snapshot_save_ms\": %.2f,\n\
-       \    \"snapshot_restore_ms\": %.2f,\n"
-       farm.snap_bytes (1000. *. farm.save_s) (1000. *. farm.restore_s));
-  Buffer.add_string b
-    (Printf.sprintf
-       "    \"litmus_seeds\": %d,\n\
-       \    \"litmus_cold_s\": %.3f,\n\
-       \    \"litmus_warm_s\": %.3f,\n\
-       \    \"warm_fork_speedup\": %.2f\n\
-       \  },\n"
-       farm.fseeds farm.cold_s farm.warm_s (farm.cold_s /. farm.warm_s));
+  Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"microbench\": {\n";
   Buffer.add_string b
     (Printf.sprintf "    \"idle_sched_fastpath_ns\": %.1f,\n    \"idle_sched_stripped_ns\": %.1f,\n"
@@ -947,33 +827,18 @@ let perf ~quick ~out ~check ~stats_json () =
   let budget = 200_000_000 in
   let kernels = if quick then [ "smoke" ] else [ "smoke"; "gcc"; "gobmk" ] in
   let rows_s = List.map (perf_workload ~budget) kernels in
-  let mc_rows_s =
-    [
-      perf_multicore ~budget ~harts:4 ~cfg:(Ooo.Config.multicore Ooo.Config.TSO) "blackscholes";
-      perf_multicore ~budget ~harts:16
-        ~cfg:(Ooo.Config.multicore16 Ooo.Config.TSO) "blackscholes";
-    ]
-  in
-  let rows = List.map fst rows_s and mc_rows = List.map fst mc_rows_s in
+  let rows = List.map fst rows_s in
   (match stats_json with
   | None -> ()
   | Some path ->
     write_stats_json path
-      (List.map (fun (r, st) -> (r.wname, r.pcycles, r.pinstrs, st)) rows_s
-      @ List.map (fun (r, st) -> (r.mcname, r.mccycles, r.mcinstrs, st)) mc_rows_s));
-  List.iter (fun r -> Printf.printf "%s: %.0f sim-cycles/s\n" r.mcname (mc_cps r)) mc_rows;
-  let farm = perf_farm ~seeds:50 in
-  Printf.printf
-    "farm: %d-byte snapshots, save %.2f ms / restore %.2f ms; warm-forked %d-seed litmus sweep \
-     %.2fx faster than cold-start (%.2fs vs %.2fs)\n"
-    farm.snap_bytes (1000. *. farm.save_s) (1000. *. farm.restore_s) farm.fseeds
-    (farm.cold_s /. farm.warm_s) farm.warm_s farm.cold_s;
+      (List.map (fun (r, st) -> (r.wname, r.pcycles, r.pinstrs, st)) rows_s));
   let micro_on = measure_ns "idle-sched fastpath" (idle_sched_thunk ~fastpath:true) in
   let micro_off = measure_ns "idle-sched stripped" (idle_sched_thunk ~fastpath:false) in
   Printf.printf "idle 64-rule scheduler cycle: %.1f ns fastpath, %.1f ns stripped (%.2fx)\n"
     micro_on micro_off (micro_off /. micro_on);
   Printf.printf "host calibration (%s): %.4f s\n" calib_name calib_s;
-  let json = perf_json ~calib_s rows mc_rows farm micro_on micro_off in
+  let json = perf_json ~calib_s rows micro_on micro_off in
   (match out with
   | None -> print_string json
   | Some path ->
@@ -993,10 +858,7 @@ let perf ~quick ~out ~check ~stats_json () =
        CI host, so the fixed-work calibration microbench rescales the
        baseline to this host first — expected = baseline_cps x
        (baseline_calib_wall / current_calib_wall) — and the gate fires only
-       10% below that, replacing the old flat host-speed fudge. Only the
-       single-core rows gate absolutely: the multicore rows' wall swings
-       with the OS scheduler, which calibration cannot cancel, so their
-       cycles/s stay informational. A
+       10% below that, replacing the old flat host-speed fudge. A
        baseline without a calibration entry keeps absolutes informational
        everywhere. *)
     let base = read_file path in
@@ -1034,14 +896,6 @@ let perf ~quick ~out ~check ~stats_json () =
             if ok then None else Some (name ^ ".sim_cps"))
         (List.map (fun r -> (r.wname, cps r)) rows)
     in
-    List.iter
-      (fun r ->
-        match baseline_cps base r.mcname with
-        | None -> ()
-        | Some b ->
-          Printf.printf "check: %s %.0f c/s vs baseline %.0f c/s (%.2fx) [informational]\n"
-            r.mcname (mc_cps r) b (mc_cps r /. b))
-      mc_rows;
     let gate name fields =
       List.filter_map
         (fun (field, v) ->

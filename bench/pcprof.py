@@ -10,7 +10,7 @@ the repository, or a part of the OCaml runtime).
 
     python3 bench/pcprof.py [--hz 500] [--top 25] [--runs 1] -- EXE ARGS...
 
-For example, the warm litmus job path on one domain:
+For example, the litmus job path on one domain:
 
     dune build perfbench/main.exe
     python3 bench/pcprof.py -- _build/default/perfbench/main.exe \\

@@ -166,7 +166,7 @@ type t = {
   rules_arr : Rule.t array; (* by rid *)
   order : int array; (* rids in attempt order; permuted in Shuffle mode *)
   mode : mode;
-  mutable rng : Random.State.t option; (* mutable for [reseed] and restore *)
+  mutable rng : Random.State.t option; (* mutable for restore *)
   ctx : Kernel.ctx; (* the one transaction context every rule runs on *)
   mutable runners : (int -> int) array; (* by rid, see [mk_runner] *)
   parked : Bytes.t; (* by rid: '\001' while the rule is parked *)
@@ -403,18 +403,6 @@ let total_fires t = t.fires
 let rules t = t.rule_list
 let shutdown_pool () = Pool.shutdown ()
 let pool_run ~helpers tasks = Pool.run ~helpers tasks
-
-(* Re-key the Shuffle schedule: reset the attempt order to the canonical
-   rule order and replace the RNG, exactly the state a cold machine built
-   with [Shuffle seed] starts from. Restoring a cycle-0 snapshot and
-   reseeding is therefore schedule-identical to a cold build with that
-   seed — the warm-fork path. No-op outside Shuffle mode. *)
-let reseed t seed =
-  match t.mode with
-  | Shuffle _ ->
-    Array.iteri (fun i _ -> t.order.(i) <- i) t.order;
-    t.rng <- Some (Random.State.make [| seed |])
-  | Multi | One_per_cycle -> ()
 
 let enable_history t ~depth =
   t.history_depth <- depth;

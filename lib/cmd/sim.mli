@@ -15,7 +15,8 @@ type mode =
   | Multi  (** fire every admissible rule each cycle (the CMD hardware model) *)
   | One_per_cycle  (** reference executor: at most one rule per cycle *)
   | Shuffle of int  (** Multi, but attempt order is reshuffled each cycle
-                        from the given seed — for schedule-robustness tests *)
+                        from the given seed — for schedule-robustness tests.
+                        The RNG and the current order are snapshot state. *)
 
 (** Raised in audit mode when a rule's [can_fire] returned [false] but its
     body nevertheless fired (committed effects), or when a step's ready test
@@ -121,13 +122,6 @@ val shutdown_pool : unit -> unit
     whole machine, which is safe because the snapshot/injection/invariant
     registries and the ambient cluster are all domain-local. *)
 val pool_run : helpers:int -> (unit -> unit) array -> unit
-
-(** [reseed t seed] re-keys a [Shuffle] schedule: attempt order back to
-    the canonical rule order, fresh RNG from [seed] — exactly a cold
-    [Shuffle seed] build's starting schedule state. Restoring a cycle-0
-    snapshot then reseeding is schedule-identical to a cold build with
-    that seed (the farm's warm-fork path). No-op in other modes. *)
-val reseed : t -> int -> unit
 
 (** Run one clock cycle; returns the number of rules that fired. *)
 val cycle : t -> int

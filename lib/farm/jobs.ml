@@ -4,9 +4,7 @@
 
    Three sweep types:
    - [litmus]: the (tests x models x seeds) product, one machine
-     per seed, via {!Litmus.Run.farm_jobs}. With [stagger:false] the
-     warm-fork cache restores one cycle-0 snapshot per domain instead of
-     rebuilding the machine per seed.
+     built per seed, via {!Litmus.Run.farm_jobs}.
    - [fault]: the trials of a seeded bit-flip campaign on a workload
      kernel, each trial's RNG independent ({!Verif.Fault.farm_trial}).
      The golden reference and injection horizon are computed once per
@@ -22,7 +20,6 @@ type litmus_sweep = {
   ls_models : Ooo.Config.mem_model list;
   ls_seeds : int;
   ls_stagger : bool;
-  ls_warm : bool;
   ls_obligations : bool;  (* arm the interface-obligation monitors per run *)
 }
 
@@ -103,7 +100,6 @@ let parse_sweep j =
         ls_models;
         ls_seeds = opt_int j "seeds" 20;
         ls_stagger = opt_bool j "stagger" true;
-        ls_warm = opt_bool j "warm" false;
         ls_obligations = opt_bool j "obligations" (ty = "mcheck");
       }
   | Some "fault" ->
@@ -156,7 +152,7 @@ let model_tag m = match m with Ooo.Config.TSO -> "tso" | Ooo.Config.WMM -> "wmm"
 
 let cls_tag = Litmus.Run.cls_to_string
 
-let litmus_job ~replay_of ~warm (fj : Litmus.Run.farm_job) =
+let litmus_job ~replay_of (fj : Litmus.Run.farm_job) =
   let id = Litmus.Run.farm_job_id fj in
   {
     Sweep.id;
@@ -173,7 +169,7 @@ let litmus_job ~replay_of ~warm (fj : Litmus.Run.farm_job) =
     run =
       (fun ~should_stop ->
         let on_cycle = Sweep.cancel_hook ~should_stop in
-        let o, cls, allowed, obs = Litmus.Run.farm_run ~on_cycle ~warm fj in
+        let o, cls, allowed, obs = Litmus.Run.farm_run ~on_cycle fj in
         Json.Obj
           ([
              ("outcome", Json.List (Array.to_list (Array.map (fun v -> Json.Int v) o)));
@@ -376,7 +372,7 @@ let jobs ?(replay_cmd = "farm") ?(manifest_path = "manifest.json") m =
       | Litmus ls ->
         Litmus.Run.farm_jobs ~stagger:ls.ls_stagger ~obligations:ls.ls_obligations
           ~seeds:ls.ls_seeds ~models:ls.ls_models ls.ls_tests
-        |> List.map (litmus_job ~replay_of ~warm:ls.ls_warm)
+        |> List.map (litmus_job ~replay_of)
       | Fault fs -> List.init fs.fs_trials (fault_job ~replay_of fs)
       | Poison ps -> List.init ps.ps_jobs (poison_job ~replay_of ps)
       | Explore space ->

@@ -7,7 +7,7 @@
     { "schema": "riscyoo-farm-manifest-v1",
       "sweeps": [
         {"type": "litmus", "tests": ["sb", "mp"], "models": ["tso", "wmm"],
-         "seeds": 50, "stagger": false, "warm": true},
+         "seeds": 50, "stagger": false},
         {"type": "fault", "kernel": "gcc", "config": "b", "cores": 1,
          "trials": 64, "seed": 64023},
         {"type": "poison", "jobs": 100, "cycles": 1000,
@@ -15,9 +15,9 @@
       ] }
     v}
 
-    [litmus] runs the (tests x models x seeds) product at jobs:1
-    ([tests] defaults to all, [models] to both, [warm] enables the
-    per-domain warm-fork snapshot cache — stagger-free sweeps only).
+    [litmus] runs the (tests x models x seeds) product, building one
+    machine per job ([tests] defaults to all, [models] to both). Unknown
+    keys are ignored, so an older manifest's ["warm"] still loads.
     [mcheck] is the same product with the interface-obligation monitors
     armed (an [obligations] boolean overrides the default of either
     type); its job ids live under [mcheck/] instead of [litmus/].
@@ -33,7 +33,6 @@ type litmus_sweep = {
   ls_models : Ooo.Config.mem_model list;
   ls_seeds : int;
   ls_stagger : bool;
-  ls_warm : bool;
   ls_obligations : bool;
 }
 

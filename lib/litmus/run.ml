@@ -52,11 +52,44 @@ let litmus_mem =
 
 let max_cycles = 300_000
 
-(* Run an already-positioned machine and extract the outcome, with the
-   harness self-checks (exit codes, store drain). The trace hub, when
-   present, is finished before the checks: a trace of a failing run is the
-   most useful trace of all. *)
-let exec_machine ?on_cycle ?obs m meta =
+(* [warm] is ignored: every job builds its machine cold. It stays only
+   because the benchmark harness passes it (a pin, like
+   [Machine.create ?epoch ?compile ?jobs]). *)
+let run_one ?(seed = 1) ?(stagger = true) ?konata ?on_cycle ?warm:_
+    ?(dut = Dut_ooo) ?(mesi = false) ?(obligations = false) ?(inject_lsq_bug = false) ?on_machine
+    ~model test =
+  let prog, meta = Compile.program ~seed ~stagger test in
+  let ncores = Test.nharts test in
+  let mem = { litmus_mem with Mem.Mem_sys.mesi } in
+  let kind =
+    match dut with
+    | Dut_ooo ->
+      Machine.Out_of_order
+        {
+          (Ooo.Config.multicore model) with
+          Ooo.Config.mem;
+          bug_ld_bypass_sq = inject_lsq_bug;
+        }
+    | Dut_inorder -> Machine.In_order { mem; tlb = Tlb.Tlb_sys.blocking_config }
+  in
+  let obs =
+    Option.map
+      (fun f ->
+        Obs.Hub.create ~konata:f
+          ~meta:
+            [
+              ("litmus", test.Test.name);
+              ("dut", dut_to_string dut);
+              ("model", Ref_model.model_to_string (Ref_model.of_mem_model model));
+              ("seed", string_of_int seed);
+            ]
+          ~nharts:ncores ())
+      konata
+  in
+  let m = Machine.create ~ncores ~mode:(Cmd.Sim.Shuffle seed) ~obligations ?obs kind prog in
+  (* the harness self-checks (exit codes, store drain) follow the run; the
+     trace hub is finished before them: a trace of a failing run is the
+     most useful trace of all *)
   let o =
     try Machine.run ~max_cycles ?on_cycle m
     with Mcheck.Obligation.Violation (md, itf, msg) ->
@@ -75,80 +108,8 @@ let exec_machine ?on_cycle ?obs m meta =
          (Bad_exit
             (String.concat " " (Array.to_list (Array.map Int64.to_string o.Machine.exits)))));
   if not (Machine.quiesced m) then raise (Harness_error Not_quiesced);
+  Option.iter (fun f -> f m) on_machine;
   Compile.read_outcome meta ~reg:(fun ~hart r -> Machine.reg m ~hart r)
-
-(* Warm-fork cache for farm sweeps, one per domain: a litmus machine per
-   (test, dut, model, options) plus its cycle-0 snapshot. With [stagger:false] the
-   compiled image is seed-independent, so re-virginizing the machine
-   (restore + reseed) is schedule-identical to a cold [Shuffle seed] build
-   — machine construction is paid once per domain instead of once per
-   seed. *)
-let warm_cache : (string, Machine.t * string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let run_one ?(seed = 1) ?(stagger = true) ?konata ?on_cycle ?(warm = false)
-    ?(dut = Dut_ooo) ?(mesi = false) ?(obligations = false) ?(inject_lsq_bug = false) ?on_machine
-    ~model test =
-  let prog, meta = Compile.program ~seed ~stagger test in
-  let ncores = Test.nharts test in
-  let mem = { litmus_mem with Mem.Mem_sys.mesi } in
-  let kind =
-    match dut with
-    | Dut_ooo ->
-      Machine.Out_of_order
-        {
-          (Ooo.Config.multicore model) with
-          Ooo.Config.mem;
-          bug_ld_bypass_sq = inject_lsq_bug;
-        }
-    | Dut_inorder -> Machine.In_order { mem; tlb = Tlb.Tlb_sys.blocking_config }
-  in
-  if warm && (not stagger) && konata = None then begin
-    let key =
-      Printf.sprintf "%s/%s/%s%s%s%s" test.Test.name (dut_to_string dut)
-        (match model with Ooo.Config.TSO -> "tso" | Ooo.Config.WMM -> "wmm")
-        (if mesi then "/mesi" else "")
-        (if obligations then "/ob" else "")
-        (if inject_lsq_bug then "/bug" else "")
-    in
-    let cache = Domain.DLS.get warm_cache in
-    let m, img =
-      match Hashtbl.find_opt cache key with
-      | Some mi -> mi
-      | None ->
-        (* seed 1 is arbitrary: the image is taken at cycle 0 and the
-           schedule RNG is re-keyed per run below *)
-        let m = Machine.create ~ncores ~mode:(Cmd.Sim.Shuffle 1) ~obligations kind prog in
-        let img = Machine.snapshot m in
-        Hashtbl.add cache key (m, img);
-        (m, img)
-    in
-    Machine.restore m img;
-    Machine.reseed_schedule m seed;
-    let out = exec_machine ?on_cycle m meta in
-    Option.iter (fun f -> f m) on_machine;
-    out
-  end
-  else begin
-    let obs =
-      Option.map
-        (fun f ->
-          Obs.Hub.create ~konata:f
-            ~meta:
-              [
-                ("litmus", test.Test.name);
-                ("dut", dut_to_string dut);
-                ("model", Ref_model.model_to_string (Ref_model.of_mem_model model));
-                ("seed", string_of_int seed);
-              ]
-            ~nharts:ncores ())
-        konata
-    in
-    let m = Machine.create ~ncores ~mode:(Cmd.Sim.Shuffle seed) ~obligations ?obs kind prog in
-    let out = exec_machine ?on_cycle ?obs m meta in
-    Option.iter (fun f -> f m) on_machine;
-    out
-  end
 
 type report = {
   test : Test.t;
@@ -344,13 +305,12 @@ let classify_outcome test o =
   else Forbidden
 
 (* Run one farm job. Raises {!Harness_error} (and lets the cancel hook's
-   exception through) — the farm retries, then quarantines. [warm] uses the
-   per-domain warm-fork cache (stagger-free jobs only). *)
-let farm_run ?on_cycle ?(warm = false) fj =
+   exception through) — the farm retries, then quarantines. *)
+let farm_run ?on_cycle fj =
   let obs = ref [] in
   let on_machine m = obs := Workloads.Machine.obligation_stats m in
   let o =
-    run_one ~seed:fj.fj_seed ~stagger:fj.fj_stagger ?on_cycle ~warm
+    run_one ~seed:fj.fj_seed ~stagger:fj.fj_stagger ?on_cycle
       ~obligations:fj.fj_obligations ~model:fj.fj_model ~on_machine fj.fj_test
   in
   let cls = classify_outcome fj.fj_test o in

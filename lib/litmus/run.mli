@@ -39,10 +39,9 @@ val dut_to_string : dut -> string
 (** One deterministic run; returns the outcome vector. [konata] dumps the
     run's pipeline trace to the given file (used when replaying a failure).
     [on_cycle] is threaded to the machine's cycle hook (the farm's
-    cancellation poll). [warm] re-uses a per-domain cached machine by
-    restoring its cycle-0 snapshot and reseeding the schedule instead of
-    rebuilding — valid only with [stagger:false] (seed-independent images)
-    and no tracer; other runs silently take the cold path. [mesi] switches
+    cancellation poll). Every run builds its machine cold; [warm] is
+    ignored, a pin kept for the benchmark harness (like
+    [Machine.create ?epoch ?compile ?jobs]). [mesi] switches
     the cache hierarchy to the MESI protocol; [obligations] arms the
     per-interface contract monitors (a violation surfaces as
     {!Harness_error}[ (Obligation_violated _)]); [inject_lsq_bug] enables
@@ -137,11 +136,9 @@ val classify_outcome : Test.t -> int array -> cls
 
 (** Run one job: outcome vector, its class, whether the model under test
     admits it, and the per-monitor committed obligation-event counts
-    (empty unless the job armed the monitors). [warm] uses the per-domain
-    warm-fork machine cache. Raises {!Harness_error} on harness
-    failures. *)
+    (empty unless the job armed the monitors). Raises {!Harness_error} on
+    harness failures. *)
 val farm_run :
   ?on_cycle:(int -> unit) ->
-  ?warm:bool ->
   farm_job ->
   int array * cls * bool * (string * int) list

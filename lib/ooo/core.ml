@@ -1111,11 +1111,12 @@ let rules ?(schedule = `Aggressive) t =
     Rule.make ?can_fire ?watches name f
   in
   let commit =
-    (* [commit_one] guards on [not halted] and a ROB head; ROB occupancy is
-       plain mutable state, so the rule is watchless (predicate re-checked
-       every cycle). *)
+    (* the predicate is the first step's ready test: with it false the
+       body could only fail its guard. It reads plain mutable state (ROB
+       head, LSQ, store buffer), so the rule is watchless (predicate
+       re-checked every cycle). *)
     Rule.make
-      ~can_fire:(fun () -> (not t.halted_f) && Rob.count t.rob > 0)
+      ~can_fire:(fun () -> commit_ready t)
       (n ^ ".commit")
       (let commit ctx = commit_one ctx t in
        fun ctx -> step_commit ctx t commit)

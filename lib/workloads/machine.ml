@@ -291,9 +291,10 @@ let create ?(ncores = 1) ?(paging = false) ?(megapages = false) ?(mapped_mb = 64
      [fastpath]/[audit] are excluded on purpose — they are state-identical
      by design, so an image snapshotted with the fast path loads into a
      stripped machine.
-     The [Shuffle] seed is normalized away: the schedule RNG travels inside
-     the image ("sim.sched"), so a cycle-0 snapshot plus {!reseed_schedule}
-     forks one warm image across arbitrarily many seeds. *)
+     The [Shuffle] seed is normalized away: the schedule RNG and attempt
+     order travel inside the image ("sim.sched"), so the image alone fixes
+     the schedule from the snapshot on, and machines that differ only in
+     their seed accept each other's images. *)
   let mode_key = match mode with Sim.Shuffle _ -> Sim.Shuffle 0 | m -> m in
   t.config_key <-
     Digest.string
@@ -417,9 +418,6 @@ let registry t =
 let snapshot t = State.save (registry t) ~config:t.config_key
 let restore t img = State.load (registry t) ~config:t.config_key img
 let snapshot_entries t = State.names (registry t)
-
-let reseed_schedule t seed =
-  match t.sim with Some sim -> Sim.reseed sim seed | None -> ()
 
 let pp_core_debug fmt t =
   Array.iter

@@ -140,7 +140,14 @@ val pp_core_debug : Format.formatter -> t -> unit
     {!Cmd.State.Error} on any mismatch, truncation or corruption before
     touching machine state. A restored machine continues bit-identically to
     the one that was snapshotted: same cycles, instret and per-rule fire
-    counts. *)
+    counts. That holds too for the machine the image came from, restored
+    after it has run past the snapshot: the kernel stamps its per-cycle
+    caches with [Clock.uid], which a restore bumps, not with the rewound
+    [Clock.now].
+
+    Nothing on the simulation path restores images: every litmus job
+    builds its machine. Snapshots serve the [snapshot] test suite and
+    perfbench's [cmd.state.*] metrics. *)
 
 val snapshot : t -> string
 
@@ -150,8 +157,3 @@ val restore : t -> string -> unit
 (** Names of the registered snapshot entries, in registration order. *)
 val snapshot_entries : t -> string list
 
-(** Re-seed the shuffle scheduler (no-op in other modes): after restoring a
-    cycle-0 image, [reseed_schedule t seed] makes the run schedule-identical
-    to a cold machine built with [mode = Shuffle seed] — the warm-fork path
-    of the simulation farm. *)
-val reseed_schedule : t -> int -> unit
