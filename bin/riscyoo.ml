@@ -18,19 +18,16 @@ let die code =
   Cmd_sim.shutdown_pool ();
   exit code
 
-let configs =
-  [
-    ("b", Ooo.Config.riscyoo_b);
-    ("cminus", Ooo.Config.riscyoo_cminus);
-    ("tplus", Ooo.Config.riscyoo_tplus);
-    ("tplus-rplus", Ooo.Config.riscyoo_tplus_rplus);
-    ("a57-proxy", Ooo.Config.a57_proxy);
-    ("denver-proxy", Ooo.Config.denver_proxy);
-    ("quad-tso", Ooo.Config.multicore Ooo.Config.TSO);
-    ("quad-wmm", Ooo.Config.multicore Ooo.Config.WMM);
-    ("sixteen-tso", Ooo.Config.multicore16 Ooo.Config.TSO);
-    ("sixteen-wmm", Ooo.Config.multicore16 Ooo.Config.WMM);
-  ]
+let write_file f s =
+  let oc = open_out f in
+  output_string oc s;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
 
 let list_cmd =
   let doc = "List available kernels and configurations" in
@@ -42,7 +39,7 @@ let list_cmd =
     print_endline "Server-shaped kernels (use --server, multi-core):";
     List.iter (fun n -> Printf.printf "  %s\n" n) Server_kernels.names;
     print_endline "Configurations (--config):";
-    List.iter (fun (n, c) -> Format.printf "  %-14s %a@." n Ooo.Config.pp c) configs;
+    List.iter (fun (n, c, _) -> Format.printf "  %-14s %a@." n Ooo.Config.pp c) Ooo.Config.named;
     print_endline "  inorder-10 / inorder-120   (the Rocket-like in-order baseline)"
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
@@ -153,8 +150,8 @@ let run_cmd =
         Machine.In_order { mem = Mem.Mem_sys.default_config; tlb = Tlb.Tlb_sys.blocking_config }
       | "golden" -> Machine.Golden_only
       | name -> (
-        match List.assoc_opt name configs with
-        | Some cfg ->
+        match Ooo.Config.of_name name with
+        | Some (cfg, _) ->
           let pk =
             match predictor with
             | "tournament" -> Branch.Dir_pred.Tournament
@@ -172,35 +169,16 @@ let run_cmd =
         | None -> failwith ("unknown config " ^ name))
     in
     if inject > 0 then begin
-      (* Campaign mode: golden reference exits, then a fault-free DUT run to
-         size the injection horizon, then the seeded trials — each a fresh
-         machine with lockstep cosim (single-core), invariant checks and a
-         watchdog, so every flip is either masked, detected or diagnosed. *)
-      let gm = Machine.create ~ncores:cores ~paging ~megapages Machine.Golden_only prog in
-      let go = Machine.run gm in
-      if go.Machine.timed_out then failwith "golden reference run timed out";
-      let clean = Machine.create ~ncores:cores ~paging ~megapages kind prog in
-      let co = Machine.run clean in
-      if co.Machine.timed_out then failwith "fault-free run timed out";
-      let horizon = co.Machine.cycles in
-      let wd_limit = if watchdog > 0 then watchdog else 10_000 in
-      let harness =
-        {
-          Verif.Fault.build =
-            (fun () ->
-              Machine.create ~ncores:cores ~paging ~megapages ~cosim:(cores = 1)
-                ~watchdog:wd_limit ~invariants:true kind prog);
-          exec =
-            (fun m ~on_cycle ->
-              let o = Machine.run ~max_cycles:(2 * horizon + 10 * wd_limit) ~on_cycle m in
-              if o.Machine.timed_out then `Timeout o.Machine.cycles else `Exit o.Machine.exits);
-          reference = go.Machine.exits;
-        }
+      let harness, horizon =
+        Machine.fault_harness ~ncores:cores ~paging ~megapages
+          ?watchdog:(if watchdog > 0 then Some watchdog else None)
+          kind prog
       in
       let t0 = Unix.gettimeofday () in
       let s = Verif.Fault.run ~seed:inject_seed ~trials:inject ~horizon harness in
       Printf.printf "reference exits: %s  (fault-free run: %d cycles)\n"
-        (String.concat " " (Array.to_list (Array.map Int64.to_string go.Machine.exits)))
+        (String.concat " "
+           (Array.to_list (Array.map Int64.to_string harness.Verif.Fault.reference)))
         horizon;
       Verif.Report.print ~exemplars:10 s;
       Printf.printf "host: %.1fs\n" (Unix.gettimeofday () -. t0);
@@ -270,11 +248,11 @@ let synth_cmd =
   let doc = "Print the synthesis model's area/frequency estimates" in
   let run () =
     List.iter
-      (fun (n, cfg) ->
+      (fun (n, cfg, _) ->
         Printf.printf "%-14s %5.2f GHz  %6.2f M NAND2\n" n
           (Synth.Timing.max_freq_ghz cfg)
           (Synth.Gates.total cfg /. 1e6))
-      configs
+      Ooo.Config.named
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "synth" ~doc) Term.(const run $ const ())
 
@@ -413,12 +391,7 @@ let litmus_cmd =
             tests)
         models
     in
-    Option.iter
-      (fun f ->
-        let oc = open_out f in
-        output_string oc (Litmus.Run.reports_to_json ~seeds reports);
-        close_out oc)
-      hist;
+    Option.iter (fun f -> write_file f (Litmus.Run.reports_to_json ~seeds reports)) hist;
     let failed = List.filter (fun r -> not (Litmus.Run.ok r)) reports in
     let errors = List.exists (fun r -> r.Litmus.Run.errors <> []) reports in
     let relaxed = List.exists (fun r -> r.Litmus.Run.relaxed_seen) reports in
@@ -446,32 +419,24 @@ let litmus_cmd =
       const run $ model $ seeds $ quick $ test_name $ hist $ trace_dir $ no_stagger
       $ require_relaxed $ dut $ mesi $ obligations $ inject)
 
-let farm_cmd =
-  let doc = "Run a crash-safe farm of independent simulation jobs" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Expands a riscyoo-farm-manifest-v1 JSON file into independent jobs (litmus seeds, \
-         fault-injection trials, synthetic poison jobs) and drains them across the worker-domain \
-         pool with per-job wall-clock timeouts, retry-with-backoff and \
-         quarantine-and-continue. Every terminal result is appended to a checksummed, fsync'd \
-         journal, so a killed sweep resumes with --resume, re-running only unfinished jobs; the \
-         final results file is byte-identical either way. SIGINT/SIGTERM cancel in-flight jobs \
-         and leave the journal consistent for a later resume.";
-      `P
-        "Exits 0 when every job finished clean, 1 when jobs were quarantined, 2 on \
-         manifest/journal errors, 3 when interrupted (resume with --resume).";
-    ]
-  in
-  let manifest_arg =
+(* The options of every command that drains a manifest through the farm
+   ([farm], [explore]); only the per-attempt timeout's default differs. *)
+type drain_opts = {
+  resume : bool;
+  journal : string option;
+  timeout_s : float;
+  workers : int;
+  out : string option;
+  only : string option;
+}
+
+let drain_opts ~timeout_s =
+  let resume =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"MANIFEST" ~doc:"riscyoo-farm-manifest-v1 JSON file")
+      value & flag
+      & info [ "resume" ] ~doc:"recover the journal and re-run only unfinished jobs")
   in
-  let resume = Arg.(value & flag & info [ "resume" ] ~doc:"recover the journal and re-run only unfinished jobs") in
-  let journal_arg =
+  let journal =
     Arg.(
       value & opt (some string) None
       & info [ "journal" ] ~docv:"FILE"
@@ -480,18 +445,8 @@ let farm_cmd =
   in
   let timeout_s =
     Arg.(
-      value & opt float 60.
+      value & opt float timeout_s
       & info [ "timeout-s" ] ~docv:"S" ~doc:"per-attempt wall-clock limit; 0 disables")
-  in
-  let max_retries =
-    Arg.(
-      value & opt int 2
-      & info [ "max-retries" ] ~docv:"N" ~doc:"retry rounds after the first attempt, then quarantine")
-  in
-  let backoff_s =
-    Arg.(
-      value & opt float 0.05
-      & info [ "backoff-s" ] ~docv:"S" ~doc:"base retry backoff; round r waits S*2^(r-1), capped at 5s")
   in
   let workers =
     Arg.(value & opt int 3 & info [ "workers" ] ~docv:"N" ~doc:"helper domains (total parallelism N+1)")
@@ -508,6 +463,108 @@ let farm_cmd =
           ~doc:"run only jobs whose id starts with one of the given prefixes (deterministic \
                 replay of quarantined jobs)")
   in
+  Term.(
+    const (fun resume journal timeout_s workers out only ->
+        { resume; journal; timeout_s; workers; out; only })
+    $ resume $ journal $ timeout_s $ workers $ out $ only)
+
+(* Drain [jobs] through the farm under [d]: the --only filter, the
+   journal, SIGINT/SIGTERM cancellation, the sweep, its summary and
+   QUARANTINED lines, and the --out file. [header] sees the selected jobs
+   before the sweep starts. Exits 2 when nothing is selected or the
+   journal is corrupt. *)
+let drain ~cmd ?(header = ignore) ?(config = Farm.Sweep.default_config) ?abort_after ~manifest_path
+    d jobs =
+  let jobs =
+    match d.only with
+    | None -> jobs
+    | Some pats ->
+      let pats = String.split_on_char ',' pats in
+      List.filter
+        (fun (j : Farm.Sweep.job) -> List.exists (fun p -> String.starts_with ~prefix:p j.id) pats)
+        jobs
+  in
+  if jobs = [] then begin
+    Printf.eprintf "%s: no jobs selected\n" cmd;
+    die 2
+  end;
+  header jobs;
+  let journal =
+    match (d.journal, d.only) with
+    | Some f, _ -> Some f
+    | None, Some _ -> None (* a filtered job set would not match the journal's manifest *)
+    | None, None -> Some (Filename.remove_extension manifest_path ^ ".journal.jsonl")
+  in
+  (* SIGINT/SIGTERM: set the stop flag; in-flight jobs cancel at their
+     next hook poll, the journal (fsync'd per append) stays consistent,
+     and the sweep exits resumable. A second signal kills outright. *)
+  let stop = Atomic.make false in
+  let on_signal _ =
+    if Atomic.get stop then exit 130;
+    Atomic.set stop true;
+    prerr_endline
+      (cmd
+     ^ ": interrupted — cancelling in-flight jobs (journal is consistent; resume with --resume)")
+  in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  let config = { config with Farm.Sweep.workers = d.workers; timeout_s = d.timeout_s } in
+  let t0 = Unix.gettimeofday () in
+  let o =
+    try
+      Farm.Sweep.run ?journal ~resume:d.resume ~should_stop:(fun () -> Atomic.get stop) ?abort_after
+        ~log:print_endline config jobs
+    with Farm.Journal.Corrupt e ->
+      Printf.eprintf "journal error: %s\n" e;
+      die 2
+  in
+  Printf.printf "%s: %d jobs  %d ok  %d quarantined  %d resumed  %d unfinished  (%.1fs host)\n" cmd
+    (List.length o.Farm.Sweep.records) o.Farm.Sweep.n_ok o.Farm.Sweep.n_quarantined
+    o.Farm.Sweep.n_resumed o.Farm.Sweep.n_unfinished
+    (Unix.gettimeofday () -. t0);
+  List.iter
+    (fun (id, err, replay) ->
+      Printf.printf "QUARANTINED %s\n  error : %s\n  replay: %s\n" id err replay)
+    (Farm.Sweep.quarantined o);
+  Option.iter (fun f -> write_file f (Farm.Sweep.results_json o)) d.out;
+  o
+
+let farm_cmd =
+  let doc = "Run a crash-safe farm of independent simulation jobs" in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Expands a riscyoo-farm-manifest-v1 JSON file into independent jobs (litmus seeds, \
+         fault-injection trials, synthetic poison jobs) and drains them across the worker-domain \
+         pool with per-job wall-clock timeouts, retry-with-backoff and \
+         quarantine-and-continue. Every terminal result is appended to a checksummed, fsync'd \
+         journal, so a killed sweep resumes with --resume, re-running only unfinished jobs; the \
+         final results file is byte-identical either way. SIGINT/SIGTERM cancel in-flight jobs \
+         and leave the journal consistent for a later resume.";
+      `P
+        "Exits 0 when every job finished clean; 1 when jobs were quarantined or a litmus or \
+         mcheck job observed an outcome outside its memory model's set (each printed as a \
+         FORBIDDEN line with its job id and outcome); 2 on manifest/journal errors; 3 when \
+         interrupted (resume with --resume).";
+    ]
+  in
+  let manifest_arg =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"MANIFEST" ~doc:"riscyoo-farm-manifest-v1 JSON file")
+  in
+  let max_retries =
+    Arg.(
+      value & opt int 2
+      & info [ "max-retries" ] ~docv:"N" ~doc:"retry rounds after the first attempt, then quarantine")
+  in
+  let backoff_s =
+    Arg.(
+      value & opt float 0.05
+      & info [ "backoff-s" ] ~docv:"S" ~doc:"base retry backoff; round r waits S*2^(r-1), capped at 5s")
+  in
   let hist =
     Arg.(
       value & opt (some string) None
@@ -520,74 +577,19 @@ let farm_cmd =
       & info [ "abort-after" ] ~docv:"N"
           ~doc:"(testing) simulate a mid-sweep kill after N journal appends")
   in
-  let run manifest_path resume journal_arg timeout_s max_retries backoff_s workers out only hist
-      abort_after =
+  let run manifest_path d max_retries backoff_s hist abort_after =
     let m =
       try Farm.Jobs.load manifest_path with
-      | Farm.Json.Parse_error e ->
-        Printf.eprintf "manifest error: %s\n" e;
-        die 2
-      | Sys_error e ->
+      | Farm.Json.Parse_error e | Sys_error e ->
         Printf.eprintf "manifest error: %s\n" e;
         die 2
     in
-    let jobs = Farm.Jobs.jobs ~manifest_path m in
-    let jobs =
-      match only with
-      | None -> jobs
-      | Some pats ->
-        let pats = String.split_on_char ',' pats in
-        List.filter
-          (fun (j : Farm.Sweep.job) -> List.exists (fun p -> String.starts_with ~prefix:p j.id) pats)
-          jobs
-    in
-    if jobs = [] then begin
-      Printf.eprintf "farm: no jobs selected\n";
-      die 2
-    end;
-    let journal =
-      match (journal_arg, only) with
-      | Some f, _ -> Some f
-      | None, Some _ -> None (* a filtered job set would not match the journal's manifest *)
-      | None, None -> Some (Filename.remove_extension manifest_path ^ ".journal.jsonl")
-    in
-    (* SIGINT/SIGTERM: set the stop flag; in-flight jobs cancel at their
-       next hook poll, the journal (fsync'd per append) stays consistent,
-       and the sweep exits resumable. A second signal kills outright. *)
-    let stop = Atomic.make false in
-    let on_signal _ =
-      if Atomic.get stop then exit 130;
-      Atomic.set stop true;
-      prerr_endline "farm: interrupted — cancelling in-flight jobs (journal is consistent; resume with --resume)"
-    in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    let config =
-      { Farm.Sweep.workers; timeout_s; max_retries; backoff_s }
-    in
-    let t0 = Unix.gettimeofday () in
+    let config = { Farm.Sweep.default_config with max_retries; backoff_s } in
     let o =
-      try
-        Farm.Sweep.run ?journal ~resume ~should_stop:(fun () -> Atomic.get stop) ?abort_after
-          ~log:print_endline config jobs
-      with Farm.Journal.Corrupt e ->
-        Printf.eprintf "journal error: %s\n" e;
-        die 2
+      drain ~cmd:"farm" ~config ?abort_after ~manifest_path d (Farm.Jobs.jobs ~manifest_path m)
     in
-    Printf.printf "farm: %d jobs  %d ok  %d quarantined  %d resumed  %d unfinished  (%.1fs host)\n"
-      (List.length o.Farm.Sweep.records) o.Farm.Sweep.n_ok o.Farm.Sweep.n_quarantined
-      o.Farm.Sweep.n_resumed o.Farm.Sweep.n_unfinished
-      (Unix.gettimeofday () -. t0);
-    List.iter
-      (fun (id, err, replay) ->
-        Printf.printf "QUARANTINED %s\n  error : %s\n  replay: %s\n" id err replay)
-      (Farm.Sweep.quarantined o);
-    Option.iter
-      (fun f ->
-        let oc = open_out f in
-        output_string oc (Farm.Sweep.results_json o);
-        close_out oc)
-      out;
+    let disallowed = Farm.Jobs.disallowed o in
+    List.iter (fun (id, outcome) -> Printf.printf "FORBIDDEN %s  %s\n" id outcome) disallowed;
     Option.iter
       (fun f ->
         let seeds =
@@ -596,21 +598,18 @@ let farm_cmd =
             0 m.Farm.Jobs.sweeps
         in
         match Farm.Jobs.litmus_json ~seeds o with
-        | Some json ->
-          let oc = open_out f in
-          output_string oc json;
-          close_out oc
+        | Some json -> write_file f json
         | None -> prerr_endline "farm: --hist given but the sweep holds no litmus records")
       hist;
     if o.Farm.Sweep.interrupted then die 3;
-    if o.Farm.Sweep.n_quarantined > 0 then die 1;
+    if o.Farm.Sweep.n_quarantined > 0 || disallowed <> [] then die 1;
     die 0
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "farm" ~doc ~man)
     Term.(
-      const run $ manifest_arg $ resume $ journal_arg $ timeout_s $ max_retries $ backoff_s
-      $ workers $ out $ only $ hist $ abort_after)
+      const run $ manifest_arg $ drain_opts ~timeout_s:60. $ max_retries $ backoff_s $ hist
+      $ abort_after)
 
 let explore_cmd =
   let doc = "Sweep a config space through the farm and compute IPC-vs-area Pareto fronts" in
@@ -643,119 +642,32 @@ let explore_cmd =
       value & flag
       & info [ "quick" ] ~doc:"clamp every grid axis to its first 2 values (CI smoke sweeps)")
   in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"write canonical riscyoo-farm-results-v1 JSON here")
-  in
   let front =
     Arg.(
       value & opt (some string) None
       & info [ "front" ] ~docv:"FILE" ~doc:"write the riscyoo-pareto-v1 Pareto fronts here")
   in
-  let workers =
-    Arg.(value & opt int 3 & info [ "workers" ] ~docv:"N" ~doc:"helper domains (total parallelism N+1)")
-  in
-  let resume =
-    Arg.(value & flag & info [ "resume" ] ~doc:"recover the journal and re-run only unfinished points")
-  in
-  let journal_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"journal path (default: MANIFEST with a .journal.jsonl extension; with --only the \
-                journal is disabled unless given explicitly)")
-  in
-  let timeout_s =
-    Arg.(
-      value & opt float 300.
-      & info [ "timeout-s" ] ~docv:"S" ~doc:"per-point wall-clock limit; 0 disables")
-  in
-  let only =
-    Arg.(
-      value & opt (some string) None
-      & info [ "only" ] ~docv:"ID[,ID..]"
-          ~doc:"run only jobs whose id starts with one of the given prefixes (deterministic \
-                replay of quarantined points)")
-  in
-  let run manifest_path quick out front workers resume journal_arg timeout_s only =
-    let space, m =
+  let run manifest_path quick front d =
+    let space =
       try
-        let ic = open_in_bin manifest_path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let j = Rjson.of_string s in
-        (match Rjson.mem "schema" j with
-        | Some (Rjson.Str "riscyoo-explore-manifest-v1") -> ()
-        | _ -> raise (Explore.Space.Bad_manifest "missing \"schema\": \"riscyoo-explore-manifest-v1\""));
-        let j = if quick then Explore.Space.quick_json j else j in
-        let space = Explore.Space.of_json j in
-        (space, { Farm.Jobs.sweeps = [ Farm.Jobs.Explore space ] })
+        let j = Rjson.of_string (read_file manifest_path) in
+        Explore.Space.of_json (if quick then Explore.Space.quick_json j else j)
       with
-      | Explore.Space.Bad_manifest e | Rjson.Parse_error e ->
-        Printf.eprintf "manifest error: %s\n" e;
-        die 2
-      | Sys_error e ->
+      | Explore.Space.Bad_manifest e | Rjson.Parse_error e | Sys_error e ->
         Printf.eprintf "manifest error: %s\n" e;
         die 2
     in
-    let jobs = Farm.Jobs.jobs ~replay_cmd:"explore" ~manifest_path m in
+    let header jobs =
+      Printf.printf "explore: %d points x %d workloads = %d jobs (base %s)\n"
+        (Explore.Space.n_points space)
+        (List.length space.Explore.Space.workloads)
+        (List.length jobs) space.Explore.Space.base_name
+    in
     let jobs =
-      match only with
-      | None -> jobs
-      | Some pats ->
-        let pats = String.split_on_char ',' pats in
-        List.filter
-          (fun (j : Farm.Sweep.job) -> List.exists (fun p -> String.starts_with ~prefix:p j.id) pats)
-          jobs
+      Farm.Jobs.jobs ~replay_cmd:"explore" ~manifest_path
+        { Farm.Jobs.sweeps = [ Farm.Jobs.Explore space ] }
     in
-    if jobs = [] then begin
-      Printf.eprintf "explore: no points selected\n";
-      die 2
-    end;
-    Printf.printf "explore: %d points x %d workloads = %d jobs (base %s)\n"
-      (Explore.Space.n_points space)
-      (List.length space.Explore.Space.workloads)
-      (List.length jobs) space.Explore.Space.base_name;
-    let journal =
-      match (journal_arg, only) with
-      | Some f, _ -> Some f
-      | None, Some _ -> None
-      | None, None -> Some (Filename.remove_extension manifest_path ^ ".journal.jsonl")
-    in
-    let stop = Atomic.make false in
-    let on_signal _ =
-      if Atomic.get stop then exit 130;
-      Atomic.set stop true;
-      prerr_endline
-        "explore: interrupted — cancelling in-flight points (journal is consistent; resume with --resume)"
-    in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    let config = { Farm.Sweep.default_config with workers; timeout_s } in
-    let t0 = Unix.gettimeofday () in
-    let o =
-      try
-        Farm.Sweep.run ?journal ~resume ~should_stop:(fun () -> Atomic.get stop)
-          ~log:print_endline config jobs
-      with Farm.Journal.Corrupt e ->
-        Printf.eprintf "journal error: %s\n" e;
-        die 2
-    in
-    Printf.printf "explore: %d jobs  %d ok  %d quarantined  %d resumed  %d unfinished  (%.1fs host)\n"
-      (List.length o.Farm.Sweep.records) o.Farm.Sweep.n_ok o.Farm.Sweep.n_quarantined
-      o.Farm.Sweep.n_resumed o.Farm.Sweep.n_unfinished
-      (Unix.gettimeofday () -. t0);
-    List.iter
-      (fun (id, err, replay) ->
-        Printf.printf "QUARANTINED %s\n  error : %s\n  replay: %s\n" id err replay)
-      (Farm.Sweep.quarantined o);
-    Option.iter
-      (fun f ->
-        let oc = open_out f in
-        output_string oc (Farm.Sweep.results_json o);
-        close_out oc)
-      out;
+    let o = drain ~cmd:"explore" ~header ~manifest_path d jobs in
     let samples = Farm.Jobs.explore_samples o in
     let reference = space.Explore.Space.reference in
     (* human summary: the per-workload fronts *)
@@ -770,13 +682,7 @@ let explore_cmd =
               s.Explore.Measure.freq_ghz s.Explore.Measure.l2_mpki)
           (Explore.Pareto.front ss))
       (Explore.Pareto.by_workload samples);
-    Option.iter
-      (fun f ->
-        let oc = open_out f in
-        output_string oc (Explore.Pareto.to_string ?reference samples);
-        output_char oc '\n';
-        close_out oc)
-      front;
+    Option.iter (fun f -> write_file f (Explore.Pareto.to_string ?reference samples ^ "\n")) front;
     let ref_ok = Explore.Pareto.reference_on_front ~reference samples in
     (match (reference, ref_ok) with
     | Some r, Some true -> Printf.printf "reference %s: on every front\n" r
@@ -788,9 +694,7 @@ let explore_cmd =
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "explore" ~doc ~man)
-    Term.(
-      const run $ manifest_arg $ quick $ out $ front $ workers $ resume $ journal_arg $ timeout_s
-      $ only)
+    Term.(const run $ manifest_arg $ quick $ front $ drain_opts ~timeout_s:300.)
 
 let drift_cmd =
   let doc = "Compare two riscyoo-litmus-v1 histograms for relaxation-rate drift" in
@@ -814,12 +718,7 @@ let drift_cmd =
           ~doc:"max allowed absolute change in per-sweep relaxation rate (a fraction in [0,1])")
   in
   let run old_path new_path tolerance =
-    let load path =
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Farm.Json.of_string s
-    in
+    let load path = Farm.Json.of_string (read_file path) in
     let sweeps j =
       match Farm.Json.get_list "sweeps" j with
       | Some l -> l

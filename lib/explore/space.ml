@@ -167,17 +167,6 @@ type t = {
   reference : string option;  (* point name that must sit on the front *)
 }
 
-let base_of_name = function
-  | "b" -> (Ooo.Config.riscyoo_b, 1)
-  | "cminus" -> (Ooo.Config.riscyoo_cminus, 1)
-  | "tplus" -> (Ooo.Config.riscyoo_tplus, 1)
-  | "tplus-rplus" -> (Ooo.Config.riscyoo_tplus_rplus, 1)
-  | "quad-tso" -> (Ooo.Config.multicore Ooo.Config.TSO, 4)
-  | "quad-wmm" -> (Ooo.Config.multicore Ooo.Config.WMM, 4)
-  | "sixteen-tso" -> (Ooo.Config.multicore16 Ooo.Config.TSO, 16)
-  | "sixteen-wmm" -> (Ooo.Config.multicore16 Ooo.Config.WMM, 16)
-  | s -> bad "unknown base config %S" s
-
 let ncores_of t p = Option.value p.ncores ~default:t.base_ncores
 
 let axis_value_of_json axis = function
@@ -259,7 +248,11 @@ let of_json ?(check_schema = true) j =
     | Some _ -> bad "\"base\" must be a string"
     | None -> "b"
   in
-  let base, base_ncores = base_of_name base_name in
+  let base, base_ncores =
+    match Ooo.Config.of_name base_name with
+    | Some b -> b
+    | None -> bad "unknown base config %S" base_name
+  in
   let workloads =
     match Rjson.mem "workloads" j with
     | Some (Rjson.List ws) when ws <> [] -> List.map workload_of_json ws

@@ -184,26 +184,12 @@ let litmus_job ~replay_of (fj : Litmus.Run.farm_job) =
 
 (* ----------------------------- fault jobs ------------------------------ *)
 
-let config_of_name = function
-  | "b" -> Ooo.Config.riscyoo_b
-  | "cminus" -> Ooo.Config.riscyoo_cminus
-  | "tplus" -> Ooo.Config.riscyoo_tplus
-  | "tplus-rplus" -> Ooo.Config.riscyoo_tplus_rplus
-  | "quad-tso" -> Ooo.Config.multicore Ooo.Config.TSO
-  | "quad-wmm" -> Ooo.Config.multicore Ooo.Config.WMM
-  | name -> bad "unknown fault config %S" name
-
-(* The campaign prologue — golden reference exits and the fault-free
-   cycle count that bounds the injection window — is deterministic, so
-   each worker domain computes it once and caches it; every domain
-   lands on the same horizon, keeping trial RNG derivation identical
-   no matter which domain runs a trial. *)
-type fault_env = {
-  harness : Workloads.Machine.t Verif.Fault.harness;
-  horizon : int;
-}
-
-let fault_env_cache : (string, fault_env) Hashtbl.t Domain.DLS.key =
+(* The campaign prologue ({!Workloads.Machine.fault_harness}) is
+   deterministic, so each worker domain computes it once and caches it;
+   every domain lands on the same horizon, keeping trial RNG derivation
+   identical no matter which domain runs a trial. *)
+let fault_env_cache :
+    (string, Workloads.Machine.t Verif.Fault.harness * int) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
 let fault_env fs =
@@ -212,33 +198,14 @@ let fault_env fs =
   match Hashtbl.find_opt cache key with
   | Some e -> e
   | None ->
-    let module M = Workloads.Machine in
-    let prog = Workloads.Spec_kernels.find fs.fs_kernel ~scale:fs.fs_scale in
-    let kind = M.Out_of_order (config_of_name fs.fs_config) in
-    let gm = M.create ~ncores:fs.fs_cores M.Golden_only prog in
-    let go = M.run gm in
-    if go.M.timed_out then failwith "fault sweep: golden reference run timed out";
-    let clean = M.create ~ncores:fs.fs_cores kind prog in
-    let co = M.run clean in
-    if co.M.timed_out then failwith "fault sweep: fault-free run timed out";
-    let horizon = co.M.cycles in
-    let wd_limit = 10_000 in
+    let cfg =
+      match Ooo.Config.of_name fs.fs_config with
+      | Some (cfg, _) -> cfg
+      | None -> bad "unknown fault config %S" fs.fs_config
+    in
     let e =
-      {
-        harness =
-          {
-            Verif.Fault.build =
-              (fun () ->
-                M.create ~ncores:fs.fs_cores ~cosim:(fs.fs_cores = 1) ~watchdog:wd_limit
-                  ~invariants:true kind prog);
-            exec =
-              (fun m ~on_cycle ->
-                let o = M.run ~max_cycles:((2 * horizon) + (10 * wd_limit)) ~on_cycle m in
-                if o.M.timed_out then `Timeout o.M.cycles else `Exit o.M.exits);
-            reference = go.M.exits;
-          };
-        horizon;
-      }
+      Workloads.Machine.fault_harness ~ncores:fs.fs_cores (Workloads.Machine.Out_of_order cfg)
+        (Workloads.Spec_kernels.find fs.fs_kernel ~scale:fs.fs_scale)
     in
     Hashtbl.add cache key e;
     e
@@ -279,11 +246,11 @@ let fault_job ~replay_of fs id =
     replay = replay_of job_id;
     run =
       (fun ~should_stop ->
-        let e = fault_env fs in
+        let harness, horizon = fault_env fs in
         let on_cycle = Sweep.cancel_hook ~should_stop in
         let t =
-          Verif.Fault.farm_trial ~on_cycle e.harness ~seed:fs.fs_seed ~trials:fs.fs_trials
-            ~horizon:e.horizon ~id
+          Verif.Fault.farm_trial ~on_cycle harness ~seed:fs.fs_seed ~trials:fs.fs_trials ~horizon
+            ~id
         in
         trial_json t);
   }
@@ -383,93 +350,59 @@ let jobs ?(replay_cmd = "farm") ?(manifest_path = "manifest.json") m =
 
 (* -------------------- litmus histogram reconstruction ------------------ *)
 
-(* Rebuild riscyoo-litmus-v1 sweep reports from the farm's litmus records
-   so nightly trend tracking can diff a farm run against the classic
-   [riscyoo litmus --hist] artifact. Quarantined litmus jobs surface as
-   harness errors; non-litmus records are ignored. *)
+(* Decode the farm's litmus and mcheck records into per-seed runs, one
+   group per (test, model), and fold each group with {!Litmus.Run.report}.
+   Groups come in [riscyoo litmus] order (models, then tests in suite
+   order), and each group's runs in record order, which is job-id and so
+   seed order. *)
 let litmus_reports (o : Sweep.outcome) =
-  let groups : (string * string, Sweep.record list ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
+  let groups = Hashtbl.create 16 in
   List.iter
     (fun (r : Sweep.record) ->
       if r.kind = "litmus" then begin
         let spec = Json.Obj r.spec in
-        let test = match Json.get_str "test" spec with Some s -> s | None -> bad "litmus record lacks a test" in
-        let model = match Json.get_str "model" spec with Some s -> s | None -> bad "litmus record lacks a model" in
-        let key = (test, model) in
-        match Hashtbl.find_opt groups key with
-        | Some l -> l := r :: !l
-        | None ->
-          Hashtbl.add groups key (ref [ r ]);
-          order := key :: !order
-      end)
-    o.records;
-  List.rev_map
-    (fun ((test_name, model_name) as key) ->
-      let records = List.rev !(Hashtbl.find groups key) in
-      let test = test_of_string test_name in
-      let model = model_of_string model_name in
-      let hist : (int array * Litmus.Run.cls * int ref) list ref = ref [] in
-      let forbidden = ref [] in
-      let errors = ref [] in
-      let relaxed = ref false and wmm_only = ref false in
-      let ob_events : (string, int) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun (r : Sweep.record) ->
+        let field k =
+          match Json.get_str k spec with Some s -> s | None -> bad "litmus record lacks a %s" k
+        in
+        let test = test_of_string (field "test") in
+        (* key by suite position, so groups sort into [riscyoo litmus] order *)
+        let key =
+          ( model_of_string (field "model"),
+            Option.get (List.find_index (( == ) test) Litmus.Test.all) )
+        in
+        let seed = opt_int spec "seed" 0 in
+        let run =
           match r.status with
-          | Sweep.Quarantined { error; _ } ->
-            errors := Printf.sprintf "%s: %s" r.job_id error :: !errors
+          | Sweep.Quarantined { error; _ } -> Litmus.Run.Failed { seed; error }
           | Sweep.Finished v ->
-            let o =
+            let outcome =
               match Json.get_list "outcome" v with
               | Some l -> Array.of_list (List.map int_of l)
               | None -> bad "litmus record lacks an outcome"
             in
-            let cls = Litmus.Run.classify_outcome test o in
-            (if cls <> Litmus.Run.In_sc then relaxed := true);
-            (if cls = Litmus.Run.Wmm_relaxed || cls = Litmus.Run.Forbidden then wmm_only := true);
-            (match List.find_opt (fun (o', _, _) -> o' = o) !hist with
-            | Some (_, _, n) -> incr n
-            | None -> hist := (o, cls, ref 1) :: !hist);
-            (match Json.mem "obligations" v with
-            | Some (Json.Obj fields) ->
-              List.iter
-                (fun (n, c) ->
-                  let c = int_of c in
-                  Hashtbl.replace ob_events n
-                    (c + Option.value ~default:0 (Hashtbl.find_opt ob_events n)))
-                fields
-            | _ -> ());
-            if cls = Litmus.Run.Forbidden then begin
-              let seed = opt_int (Json.Obj r.spec) "seed" 0 in
-              forbidden := (o, seed, None) :: !forbidden
-            end)
-        records;
-      let hist =
-        List.map (fun (o, c, n) -> (o, c, !n)) !hist
-        |> List.sort (fun (_, _, a) (_, _, b) -> compare (b : int) a)
-      in
-      {
-        Litmus.Run.test;
-        dut = Litmus.Run.Dut_ooo;
-        model;
-        total_runs = List.length records;
-        hist;
-        forbidden = List.rev !forbidden;
-        errors = List.rev !errors;
-        relaxed_seen = !relaxed;
-        wmm_only_seen = !wmm_only;
-        (* the per-seed records don't carry search statistics, but the
-           enumeration is a pure function of (test, model) — recompute *)
-        enum =
-          List.map
-            (fun m -> (m, snd (Litmus.Ref_model.allowed_stats test ~model:m)))
-            [ Litmus.Ref_model.SC; Litmus.Ref_model.TSO; Litmus.Ref_model.WMM ];
-        obligation_events =
-          Hashtbl.fold (fun n c acc -> (n, c) :: acc) ob_events []
-          |> List.sort compare;
-      })
-    !order
+            let events =
+              match Json.mem "obligations" v with
+              | Some (Json.Obj fields) -> List.map (fun (n, c) -> (n, int_of c)) fields
+              | _ -> []
+            in
+            Litmus.Run.Seen { seed; outcome; events }
+        in
+        Hashtbl.replace groups key (run :: Option.value ~default:[] (Hashtbl.find_opt groups key))
+      end)
+    o.records;
+  Hashtbl.fold (fun k runs acc -> (k, runs) :: acc) groups []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun ((model, i), runs) ->
+         Litmus.Run.report ~model (List.nth Litmus.Test.all i) (List.rev runs))
+
+let disallowed (o : Sweep.outcome) =
+  List.filter_map
+    (fun (r : Sweep.record) ->
+      match (r.kind, r.status) with
+      | "litmus", Sweep.Finished v when Json.get_bool "allowed" v = Some false ->
+        Some (r.job_id, Option.value ~default:"?" (Json.get_str "outcome_str" v))
+      | _ -> None)
+    o.records
 
 let litmus_json ~seeds o =
   match litmus_reports o with
@@ -485,11 +418,6 @@ let explore_samples (o : Sweep.outcome) =
       | "explore", Sweep.Finished v -> Some (Explore.Measure.of_json v)
       | _ -> None)
     o.records
-
-let explore_reference m =
-  List.find_map
-    (function Explore s -> s.Explore.Space.reference | _ -> None)
-    m.sweeps
 
 let explore_json ?reference o =
   match explore_samples o with

@@ -78,11 +78,19 @@ val load : string -> manifest
     name so replay commands for standalone explore manifests parse. *)
 val jobs : ?replay_cmd:string -> ?manifest_path:string -> manifest -> Sweep.job list
 
-(** Rebuild [riscyoo-litmus-v1] sweep reports from the farm's litmus
-    records (quarantined jobs surface as harness errors) so nightly
-    trend tracking can diff farm runs against [riscyoo litmus --hist]
-    artifacts. Ignores non-litmus records. *)
+(** Rebuild [riscyoo-litmus-v1] sweep reports from the farm's litmus and
+    mcheck records: one {!Litmus.Run.report} fold per (test, model), over
+    its records in seed order, quarantined jobs folded in as harness
+    errors. Reports come in [riscyoo litmus] order (TSO before WMM, tests
+    in suite order). A stagger-free sweep's reports serialize byte-equal
+    to [riscyoo litmus --no-stagger --hist] on the same tests, models and
+    seeds. Ignores non-litmus records. *)
 val litmus_reports : Sweep.outcome -> Litmus.Run.report list
+
+(** [(job id, outcome)] of every finished litmus or mcheck record whose
+    outcome its model does not admit (the record's ["allowed"] field, set
+    by {!Litmus.Run.farm_run}). *)
+val disallowed : Sweep.outcome -> (string * string) list
 
 (** [litmus_reports] serialized via {!Litmus.Run.reports_to_json};
     [None] when the outcome holds no litmus records. *)
@@ -91,9 +99,6 @@ val litmus_json : seeds:int -> Sweep.outcome -> string option
 (** The {!Explore.Measure} samples of every finished explore record
     (quarantined points are simply absent from the front). *)
 val explore_samples : Sweep.outcome -> Explore.Measure.sample list
-
-(** The first explore sweep's designated reference point, if any. *)
-val explore_reference : manifest -> string option
 
 (** [riscyoo-pareto-v1] front of the outcome's explore samples; [None]
     when the outcome holds none. *)

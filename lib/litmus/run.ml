@@ -127,72 +127,55 @@ type report = {
 
 let ok r = r.forbidden = [] && r.errors = []
 
-let sweep ?(seeds = 20) ?(stagger = true) ?trace_dir ?(dut = Dut_ooo)
-    ?(mesi = false) ?(obligations = false) ?(inject_lsq_bug = false) ~model test =
+(* The one definition of a forbidden outcome: outside the set the DUT's
+   model admits. The in-order core has no store buffer, so everything it
+   produces must be SC, whatever memory model its caches were configured
+   for. *)
+let model_set ~dut ~model (sc, tso, wmm) =
+  match dut with
+  | Dut_inorder -> sc
+  | Dut_ooo -> (
+    match Ref_model.of_mem_model model with
+    | Ref_model.SC -> sc
+    | Ref_model.TSO -> tso
+    | Ref_model.WMM -> wmm)
+
+let classify (sc, tso, wmm) o =
+  if Ref_model.is_allowed sc o then In_sc
+  else if Ref_model.is_allowed tso o then Tso_relaxed
+  else if Ref_model.is_allowed wmm o then Wmm_relaxed
+  else Forbidden
+
+type seed_run =
+  | Seen of { seed : int; outcome : int array; events : (string * int) list }
+  | Failed of { seed : int; error : string }
+
+let report ?(dut = Dut_ooo) ~model test runs =
   let sc, sc_st = Ref_model.allowed_stats test ~model:Ref_model.SC in
   let tso, tso_st = Ref_model.allowed_stats test ~model:Ref_model.TSO in
   let wmm, wmm_st = Ref_model.allowed_stats test ~model:Ref_model.WMM in
-  let model_set =
-    (* the in-order core has no store buffer: everything it produces must be
-       SC, whatever memory model its caches were configured for *)
-    match dut with
-    | Dut_inorder -> sc
-    | Dut_ooo -> (
-      match Ref_model.of_mem_model model with
-      | Ref_model.SC -> sc
-      | Ref_model.TSO -> tso
-      | Ref_model.WMM -> wmm)
-  in
-  let classify o =
-    if Ref_model.is_allowed sc o then In_sc
-    else if Ref_model.is_allowed tso o then Tso_relaxed
-    else if Ref_model.is_allowed wmm o then Wmm_relaxed
-    else Forbidden
-  in
+  let sets = (sc, tso, wmm) in
+  let admitted = model_set ~dut ~model sets in
   let counts = Hashtbl.create 32 in
   let forbidden = ref [] in
   let errors = ref [] in
   let ob_events = Hashtbl.create 8 in
-  let on_machine m =
-    if obligations then
-      List.iter
-        (fun (n, e) ->
-          Hashtbl.replace ob_events n (e + Option.value ~default:0 (Hashtbl.find_opt ob_events n)))
-        (Machine.obligation_stats m)
-  in
-  for seed = 1 to seeds do
-    match
-      run_one ~seed ~stagger ~dut ~mesi ~obligations ~inject_lsq_bug ~on_machine ~model test
-    with
-    | o ->
-      Hashtbl.replace counts o (1 + Option.value ~default:0 (Hashtbl.find_opt counts o));
-      if not (Ref_model.is_allowed model_set o) then
-        if not (List.exists (fun (o', _, _) -> o' = o) !forbidden) then begin
-          let trace =
-            Option.map
-              (fun dir ->
-                let f =
-                  Filename.concat dir
-                    (Printf.sprintf "litmus-%s-%s-seed%d.konata" test.Test.name
-                       (Ref_model.model_to_string (Ref_model.of_mem_model model))
-                       seed)
-                in
-                (* replay the identical run with the pipeline tracer on *)
-                (try
-                   ignore
-                     (run_one ~seed ~stagger ~konata:f ~dut ~mesi ~obligations ~inject_lsq_bug
-                        ~model test)
-                 with Harness_error _ -> ());
-                f)
-              trace_dir
-          in
-          forbidden := (o, seed, trace) :: !forbidden
-        end
-    | exception Harness_error e ->
-      errors := Printf.sprintf "%s seed=%d: %s" test.Test.name seed (error_to_string e) :: !errors
-  done;
+  let add tbl k n = Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  List.iter
+    (function
+      | Seen { seed; outcome; events } ->
+        add counts outcome 1;
+        List.iter (fun (n, e) -> add ob_events n e) events;
+        if
+          not
+            (Ref_model.is_allowed admitted outcome
+            || List.exists (fun (o, _, _) -> o = outcome) !forbidden)
+        then forbidden := (outcome, seed, None) :: !forbidden
+      | Failed { seed; error } ->
+        errors := Printf.sprintf "%s seed=%d: %s" test.Test.name seed error :: !errors)
+    runs;
   let hist =
-    Hashtbl.fold (fun o n acc -> (o, classify o, n) :: acc) counts []
+    Hashtbl.fold (fun o n acc -> (o, classify sets o, n) :: acc) counts []
     |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
   in
   let seen p = List.exists (fun (_, c, _) -> p c) hist in
@@ -200,7 +183,7 @@ let sweep ?(seeds = 20) ?(stagger = true) ?trace_dir ?(dut = Dut_ooo)
     test;
     dut;
     model;
-    total_runs = seeds;
+    total_runs = List.length runs;
     hist;
     forbidden = List.rev !forbidden;
     errors = List.rev !errors;
@@ -210,6 +193,37 @@ let sweep ?(seeds = 20) ?(stagger = true) ?trace_dir ?(dut = Dut_ooo)
     obligation_events =
       Hashtbl.fold (fun n e acc -> (n, e) :: acc) ob_events [] |> List.sort compare;
   }
+
+let sweep ?(seeds = 20) ?(stagger = true) ?trace_dir ?(dut = Dut_ooo)
+    ?(mesi = false) ?(obligations = false) ?(inject_lsq_bug = false) ~model test =
+  let run ?konata ?on_machine seed =
+    run_one ~seed ~stagger ?konata ~dut ~mesi ~obligations ~inject_lsq_bug ?on_machine ~model
+      test
+  in
+  let runs =
+    List.init seeds (fun i ->
+        let seed = i + 1 in
+        let events = ref [] in
+        match run ~on_machine:(fun m -> events := Machine.obligation_stats m) seed with
+        | outcome -> Seen { seed; outcome; events = !events }
+        | exception Harness_error e -> Failed { seed; error = error_to_string e })
+  in
+  let r = report ~dut ~model test runs in
+  match trace_dir with
+  | None -> r
+  | Some dir ->
+    (* replay each forbidden outcome's first run with the pipeline tracer on *)
+    let trace (o, seed, _) =
+      let f =
+        Filename.concat dir
+          (Printf.sprintf "litmus-%s-%s-seed%d.konata" test.Test.name
+             (Ref_model.model_to_string (Ref_model.of_mem_model model))
+             seed)
+      in
+      (try ignore (run ~konata:f seed) with Harness_error _ -> ());
+      (o, seed, Some f)
+    in
+    { r with forbidden = List.map trace r.forbidden }
 
 let pp_report fmt r =
   let model = Ref_model.model_to_string (Ref_model.of_mem_model r.model) in
@@ -297,12 +311,7 @@ let ref_sets test =
     Hashtbl.add cache test.Test.name s;
     s
 
-let classify_outcome test o =
-  let sc, tso, wmm = ref_sets test in
-  if Ref_model.is_allowed sc o then In_sc
-  else if Ref_model.is_allowed tso o then Tso_relaxed
-  else if Ref_model.is_allowed wmm o then Wmm_relaxed
-  else Forbidden
+let classify_outcome test o = classify (ref_sets test) o
 
 (* Run one farm job. Raises {!Harness_error} (and lets the cancel hook's
    exception through) — the farm retries, then quarantines. *)
@@ -314,14 +323,8 @@ let farm_run ?on_cycle fj =
       ~obligations:fj.fj_obligations ~model:fj.fj_model ~on_machine fj.fj_test
   in
   let cls = classify_outcome fj.fj_test o in
-  let model_set =
-    let sc, tso, wmm = ref_sets fj.fj_test in
-    match Ref_model.of_mem_model fj.fj_model with
-    | Ref_model.SC -> sc
-    | Ref_model.TSO -> tso
-    | Ref_model.WMM -> wmm
-  in
-  (o, cls, Ref_model.is_allowed model_set o, !obs)
+  let admitted = model_set ~dut:Dut_ooo ~model:fj.fj_model (ref_sets fj.fj_test) in
+  (o, cls, Ref_model.is_allowed admitted o, !obs)
 
 (* Hand-rolled JSON: values are ints, booleans and printable ASCII names. *)
 let json_escape s =

@@ -71,7 +71,9 @@ type report = {
   total_runs : int;
   hist : (int array * cls * int) list;  (** outcome, class, count; count desc *)
   forbidden : (int array * int * string option) list;
-      (** outcome, seed, trace file (first occurrence per outcome) *)
+      (** outcomes outside the set the DUT's model admits (SC for
+          [Dut_inorder]): outcome, seed, trace file (first occurrence per
+          outcome) *)
   errors : string list;
   relaxed_seen : bool;  (** some outcome outside the SC set was observed *)
   wmm_only_seen : bool;  (** some outcome outside the TSO set was observed *)
@@ -86,8 +88,23 @@ type report = {
 (** Whether the sweep found no forbidden outcomes and no harness errors. *)
 val ok : report -> bool
 
-(** [sweep ~seeds ~model test] — seeds run from 1 to [seeds], each once.
-    [trace_dir] enables Konata replay dumps for forbidden outcomes. *)
+(** One seed's run of a (test, DUT, model) group: its outcome with the
+    run's per-monitor obligation events, or a harness error. *)
+type seed_run =
+  | Seen of { seed : int; outcome : int array; events : (string * int) list }
+  | Failed of { seed : int; error : string }
+
+(** The one fold from per-seed runs to a report, behind both {!sweep} and
+    the farm's histogram rebuild. [dut] defaults to [Dut_ooo]. Outcomes are
+    counted in the order given; outcomes of equal count keep the order of
+    a hash-table fold, so the same runs in the same order give the same
+    report. *)
+val report : ?dut:dut -> model:Ooo.Config.mem_model -> Test.t -> seed_run list -> report
+
+(** [sweep ~seeds ~model test] — seeds run from 1 to [seeds], each once,
+    folded by {!report}. [trace_dir] replays the first run of each
+    forbidden outcome with the Konata tracer on and names the trace in the
+    report. *)
 val sweep :
   ?seeds:int ->
   ?stagger:bool ->

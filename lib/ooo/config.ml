@@ -137,3 +137,19 @@ let pp fmt t =
     (t.mem.Mem.Mem_sys.l1d_bytes / 1024)
     (t.mem.Mem.Mem_sys.l2_bytes / 1024)
     t.mem.Mem.Mem_sys.mem_latency
+
+let named =
+  [
+    ("b", riscyoo_b, 1);
+    ("cminus", riscyoo_cminus, 1);
+    ("tplus", riscyoo_tplus, 1);
+    ("tplus-rplus", riscyoo_tplus_rplus, 1);
+    ("a57-proxy", a57_proxy, 1);
+    ("denver-proxy", denver_proxy, 1);
+    ("quad-tso", multicore TSO, 4);
+    ("quad-wmm", multicore WMM, 4);
+    ("sixteen-tso", multicore16 TSO, 16);
+    ("sixteen-wmm", multicore16 WMM, 16);
+  ]
+
+let of_name name = List.find_map (fun (n, c, k) -> if n = name then Some (c, k) else None) named

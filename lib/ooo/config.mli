@@ -71,4 +71,12 @@ val multicore : mem_model -> t
     deeper MSHR/memory parallelism. Built for [Machine.create ~ncores:16]. *)
 val multicore16 : mem_model -> t
 
+(** The named configurations, in listing order, each with its default
+    core count: the one table behind [riscyoo list], [synth] and
+    [run --config], the farm's fault sweeps and the explorer's [base]. *)
+val named : (string * t * int) list
+
+(** [of_name n] is [n]'s configuration and default core count. *)
+val of_name : string -> (t * int) option
+
 val pp : Format.formatter -> t -> unit

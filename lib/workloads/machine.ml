@@ -364,6 +364,29 @@ let run ?(max_cycles = 50_000_000) ?on_cycle t =
   in
   { exits; cycles = t.spent_cycles; timed_out = not (all_halted t) }
 
+(* The campaign prologue: a golden reference run, then a fault-free DUT
+   run whose cycle count bounds the injection window. Each trial machine
+   runs with lockstep cosim (single-core), invariant checks and a
+   watchdog, so every flip is masked, detected or diagnosed. *)
+let fault_harness ?(ncores = 1) ?paging ?megapages ?(watchdog = 10_000) kind prog =
+  let go = run (create ~ncores ?paging ?megapages Golden_only prog) in
+  if go.timed_out then failwith "fault campaign: golden reference run timed out";
+  let co = run (create ~ncores ?paging ?megapages kind prog) in
+  if co.timed_out then failwith "fault campaign: fault-free run timed out";
+  let horizon = co.cycles in
+  ( {
+      Verif.Fault.build =
+        (fun () ->
+          create ~ncores ?paging ?megapages ~cosim:(ncores = 1) ~watchdog ~invariants:true kind
+            prog);
+      exec =
+        (fun m ~on_cycle ->
+          let o = run ~max_cycles:((2 * horizon) + (10 * watchdog)) ~on_cycle m in
+          if o.timed_out then `Timeout o.cycles else `Exit o.exits);
+      reference = go.exits;
+    },
+    horizon )
+
 let stats t = t.stats_t
 
 (* Benchmark pin, see [create]'s [epoch]. *)

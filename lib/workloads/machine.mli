@@ -69,6 +69,22 @@ type outcome = { exits : int64 array; cycles : int; timed_out : bool }
     the loop's cycle index before each cycle — the fault-injection hook. *)
 val run : ?max_cycles:int -> ?on_cycle:(int -> unit) -> t -> outcome
 
+(** A fault-injection campaign's harness and horizon, the one builder
+    behind [riscyoo run --inject] and the farm's fault sweeps. Runs the
+    golden reference (its exits become the harness's [reference]) and a
+    fault-free [kind] run, whose cycle count is the returned horizon.
+    Trial machines run with invariant checks, lockstep cosim when
+    single-core, and a [watchdog]-cycle watchdog (default 10000).
+    Raises [Failure] when either prologue run times out. *)
+val fault_harness :
+  ?ncores:int ->
+  ?paging:bool ->
+  ?megapages:bool ->
+  ?watchdog:int ->
+  kind ->
+  program ->
+  t Verif.Fault.harness * int
+
 val stats : t -> Cmd.Stats.t
 
 (** Architectural (committed) value of register [r] on [hart], read after a

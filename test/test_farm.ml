@@ -285,6 +285,88 @@ let test_poison_manifest_run () =
       if r.Sweep.job_id = "poison/job0009" then check_int "flaky retried" 2 r.Sweep.attempts)
     o.Sweep.records
 
+let test_tso_violation_forbidden () =
+  (* a TSO MP run whose outcome only WMM admits (the stale-load shape) is
+     a TSO violation: the rebuilt report must list it as forbidden and
+     fail, and the farm must name its job *)
+  let mp = Litmus.Test.mp in
+  let tso = Litmus.Ref_model.allowed mp ~model:Litmus.Ref_model.TSO in
+  let o =
+    List.find
+      (fun o -> not (Litmus.Ref_model.is_allowed tso o))
+      (Litmus.Ref_model.allowed mp ~model:Litmus.Ref_model.WMM)
+  in
+  check_str "WMM-only outcome" "WMM-relaxed"
+    (Litmus.Run.cls_to_string (Litmus.Run.classify_outcome mp o));
+  let r =
+    {
+      Sweep.job_id = "litmus/MP/tso/nostagger/seed00001";
+      kind = "litmus";
+      spec =
+        [
+          ("test", Json.Str "MP");
+          ("model", Json.Str "tso");
+          ("seed", Json.Int 1);
+          ("stagger", Json.Bool false);
+          ("obligations", Json.Bool false);
+        ];
+      status =
+        Sweep.Finished
+          (Json.Obj
+             [
+               ("outcome", Json.List (Array.to_list (Array.map (fun v -> Json.Int v) o)));
+               ("outcome_str", Json.Str (Litmus.Test.outcome_to_string mp o));
+               ("class", Json.Str "WMM-relaxed");
+               ("allowed", Json.Bool false);
+             ]);
+      attempts = 1;
+      resumed = false;
+    }
+  in
+  let outcome =
+    {
+      Sweep.records = [ r ];
+      n_ok = 1;
+      n_quarantined = 0;
+      n_resumed = 0;
+      n_unfinished = 0;
+      interrupted = false;
+    }
+  in
+  match Jobs.litmus_reports outcome with
+  | [ rep ] ->
+    check_bool "ok" false (Litmus.Run.ok rep);
+    Alcotest.(check (list string))
+      "forbidden outcomes"
+      [ Litmus.Test.outcome_to_string mp o ]
+      (List.map (fun (o, _, _) -> Litmus.Test.outcome_to_string mp o) rep.Litmus.Run.forbidden);
+    Alcotest.(check (list string)) "disallowed jobs" [ r.Sweep.job_id ]
+      (List.map fst (Jobs.disallowed outcome))
+  | reps -> Alcotest.failf "expected one report, got %d" (List.length reps)
+
+let test_farm_hist_matches_sweep () =
+  (* the farm's histogram rebuild and [riscyoo litmus --hist] are one fold
+     over the same runs: a stagger-free farm sweep serializes byte-equal
+     to the sweeps of the same (test, model, seed) product *)
+  let tests = Litmus.Test.[ sb; mp; iriw ] and models = Ooo.Config.[ TSO; WMM ] in
+  let m =
+    Jobs.of_string
+      {|{"schema": "riscyoo-farm-manifest-v1",
+         "sweeps": [{"type": "litmus", "tests": ["sb", "mp", "iriw"],
+                     "models": ["tso", "wmm"], "seeds": 3, "stagger": false}]}|}
+  in
+  let o = Sweep.run ~log (cfg ~workers:0 ~timeout_s:0. ()) (Jobs.jobs m) in
+  check_int "all finished" 18 o.Sweep.n_ok;
+  let reports =
+    List.concat_map
+      (fun model -> List.map (Litmus.Run.sweep ~seeds:3 ~stagger:false ~model) tests)
+      models
+  in
+  match Jobs.litmus_json ~seeds:3 o with
+  | Some json ->
+    check_str "farm hist = litmus hist" (Litmus.Run.reports_to_json ~seeds:3 reports) json
+  | None -> Alcotest.fail "no litmus records"
+
 let suite =
   let t = Alcotest.test_case in
   [
@@ -299,4 +381,6 @@ let suite =
     t "json canonical round trip" `Quick test_json_roundtrip;
     t "manifest parsing and job expansion" `Quick test_manifest;
     t "poison manifest end to end" `Quick test_poison_manifest_run;
+    t "a TSO outcome only WMM admits is forbidden" `Quick test_tso_violation_forbidden;
+    t "farm histogram equals the litmus sweep's" `Quick test_farm_hist_matches_sweep;
   ]
