@@ -8,13 +8,25 @@ exits, the samples are symbolized with `nm` (function) and `addr2line`
 source file and by layer (a part of the scheduler kernel, a library of
 the repository, or a part of the OCaml runtime).
 
-    python3 bench/pcprof.py [--hz 500] [--top 25] [--runs 1] -- EXE ARGS...
+    python3 bench/pcprof.py [--hz 500] [--top 25] [--runs 1]
+                            [--callers [FN,...]] -- EXE ARGS...
 
 For example, the litmus job path on one domain:
 
     dune build perfbench/main.exe
     python3 bench/pcprof.py -- _build/default/perfbench/main.exe \\
         --child --workload litmus-farm --seed 1 --rep 0 --trace 0
+
+--callers attributes the samples that land in the named C functions
+(default caml_modify,caml_darken: the write barrier) to their callers.
+For each such sample it reads the words at the stack pointer from
+/proc/<pid>/mem and charges the sample to the first word that points into
+an OCaml function, then prints that attribution by function and by layer.
+It cannot attribute GC samples: under OCaml 5 the GC runs on the C stack,
+apart from the OCaml fiber stack, so the words at the stack pointer of a
+sample in the collector hold no OCaml frame. A noalloc call such as
+caml_modify also switches to the C stack, but its return address into the
+OCaml caller is the first word pushed there.
 
 EXE must be the program itself, not a script that starts it: only the
 traced process is sampled, and only its main thread (OCaml domain 0).
@@ -31,13 +43,15 @@ import os
 import re
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
 
 PTRACE_TRACEME, PTRACE_CONT, PTRACE_GETREGS = 0, 7, 12
 SYS_tgkill = 234
-RIP = 16  # index of rip in struct user_regs_struct (x86-64)
+RIP, RSP = 16, 19  # indices in struct user_regs_struct (x86-64)
+STACK_WORDS = 64  # words read at the stack pointer for --callers
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.restype = ctypes.c_long
@@ -60,8 +74,27 @@ def read_maps(pid):
     return out
 
 
-def sample(argv, hz):
-    """Run [argv] to completion; return [(path, address in file)]."""
+def locate(maps, addr):
+    """(path, offset in file) of [addr] in an executable mapping, or None."""
+    hit = next((m for m in maps if m[0] <= addr < m[1]), None)
+    return None if hit is None else (hit[3], addr - hit[0] + hit[2])
+
+
+def read_stack(mem, sp):
+    """The STACK_WORDS words at [sp] in the child's memory file [mem]."""
+    try:
+        mem.seek(sp)
+        b = mem.read(8 * STACK_WORDS)
+    except OSError:
+        return []
+    return list(struct.unpack(f"<{len(b) // 8}Q", b[: len(b) // 8 * 8]))
+
+
+def sample(argv, hz, want=None):
+    """Run [argv] to completion; return [(path, address in file, stack)].
+    [stack] is None unless [want(path, address)] holds: then it lists the
+    (path, address in file) of each word at the stack pointer that points
+    into an executable mapping, nearest first."""
     pid = os.fork()
     if pid == 0:
         libc.ptrace(PTRACE_TRACEME, 0, None, None)
@@ -74,6 +107,7 @@ def sample(argv, hz):
         sys.exit(f"pcprof: {argv[0]} did not start")
     regs = (ctypes.c_ulong * 27)()
     maps, samples = [], []
+    mem = open(f"/proc/{pid}/mem", "rb", buffering=0) if want else None
     libc.ptrace(PTRACE_CONT, pid, None, None)
     period = 1.0 / hz
     while True:
@@ -82,6 +116,8 @@ def sample(argv, hz):
         while True:
             _, status = os.waitpid(pid, 0)
             if os.WIFEXITED(status) or os.WIFSIGNALED(status):
+                if mem:
+                    mem.close()
                 return samples
             sig = os.WSTOPSIG(status)
             if sig == signal.SIGSTOP:
@@ -89,15 +125,18 @@ def sample(argv, hz):
             libc.ptrace(PTRACE_CONT, pid, None, ctypes.c_void_p(sig))  # not ours
         if libc.ptrace(PTRACE_GETREGS, pid, None, ctypes.byref(regs)) == 0:
             rip = regs[RIP]
-            hit = next((m for m in maps if m[0] <= rip < m[1]), None)
-            if hit is None:
+            at = locate(maps, rip)
+            if at is None:
                 maps = read_maps(pid)
-                hit = next((m for m in maps if m[0] <= rip < m[1]), None)
-            if hit is None:
-                samples.append(("?", rip))
+                at = locate(maps, rip)
+            if at is None:
+                samples.append(("?", rip, None))
             else:
-                lo, _, off, path = hit
-                samples.append((path, rip - lo + off))
+                stack = None
+                if want and want(*at):
+                    words = (locate(maps, w) for w in read_stack(mem, regs[RSP]))
+                    stack = [w for w in words if w is not None]
+                samples.append((at[0], at[1], stack))
         libc.ptrace(PTRACE_CONT, pid, None, None)
 
 
@@ -194,6 +233,10 @@ def layer(fn, path, src):
     return "C: " + fn
 
 
+def is_ocaml(fn):
+    return re.match(r"caml[A-Z]", fn) is not None
+
+
 def table(title, counter, total, top):
     print(f"\n{title} ({total} samples)", file=sys.stderr)
     print(f"  {'share':>6}  {'samples':>7}  name", file=sys.stderr)
@@ -206,6 +249,10 @@ def main():
     ap.add_argument("--hz", type=float, default=500.0, help="samples per second (500)")
     ap.add_argument("--top", type=int, default=25, help="rows of the function and file tables")
     ap.add_argument("--runs", type=int, default=1, help="run the command N times, pooling samples")
+    ap.add_argument("--callers", nargs="?", const="caml_modify,caml_darken", metavar="FN,...",
+                    help="attribute samples in these C functions (default caml_modify,"
+                    "caml_darken) to the first OCaml frame at the stack pointer; "
+                    "GC samples cannot be attributed")
     ap.add_argument("cmd", nargs=argparse.REMAINDER, help="-- EXE ARGS...")
     a = ap.parse_args()
     argv = a.cmd[1:] if a.cmd[:1] == ["--"] else a.cmd
@@ -215,21 +262,32 @@ def main():
         if shutil.which(tool) is None:
             sys.exit(f"pcprof: {tool} not found (binutils)")
     exe = os.path.realpath(shutil.which(argv[0]) or argv[0])
+    vaddr = text_offset(exe)
+    addrs, names = functions(exe)
+
+    def fn_of(off):
+        i = bisect.bisect_right(addrs, vaddr(off)) - 1
+        return names[i] if i >= 0 else "?"
+
+    want = None
+    if a.callers:
+        targets = set(a.callers.split(","))
+        missing = targets - set(names)
+        if missing:
+            sys.exit(f"pcprof: no function {', '.join(sorted(missing))} in {exe}")
+        want = lambda path, off: os.path.realpath(path) == exe and fn_of(off) in targets
     t0 = time.time()
-    samples = [s for _ in range(a.runs) for s in sample(argv, a.hz)]
+    samples = [s for _ in range(a.runs) for s in sample(argv, a.hz, want)]
     wall = time.time() - t0
     if not samples:
         sys.exit("pcprof: no samples (the command ran too briefly)")
-    vaddr = text_offset(exe)
-    addrs, names = functions(exe)
-    in_exe = [vaddr(off) for path, off in samples if os.path.realpath(path) == exe]
+    in_exe = [vaddr(off) for path, off, _ in samples if os.path.realpath(path) == exe]
     files = source_files(exe, sorted(set(in_exe)))
     by_fn, by_file, by_layer = collections.Counter(), collections.Counter(), collections.Counter()
-    for path, off in samples:
+    for path, off, _ in samples:
         if os.path.realpath(path) == exe:
             v = vaddr(off)
-            i = bisect.bisect_right(addrs, v) - 1
-            fn = names[i] if i >= 0 else "?"
+            fn = fn_of(off)
             by_fn[fn] += 1
             src = files.get(v, "?")
             by_file[src] += 1
@@ -245,6 +303,22 @@ def main():
     table("By function", by_fn, n, a.top)
     table("By source file", by_file, n, a.top)
     table("By layer", by_layer, n, len(by_layer))
+    if a.callers:
+        callers, caller_layers = collections.Counter(), collections.Counter()
+        for _, _, stack in samples:
+            if stack is None:
+                continue
+            fn = next((f for f in (fn_of(off) for p, off in stack if os.path.realpath(p) == exe)
+                       if is_ocaml(f)), None)
+            callers[fn or "(no OCaml frame)"] += 1
+            caller_layers[layer(fn, exe, "?") if fn else "(no OCaml frame)"] += 1
+        hits = sum(callers.values())
+        if hits == 0:
+            print(f"\npcprof: no samples in {a.callers}", file=sys.stderr)
+            return
+        what = f"Samples in {a.callers}"
+        table(f"{what}, by first OCaml frame", callers, hits, a.top)
+        table(f"{what}, by layer of that frame", caller_layers, hits, len(caller_layers))
 
 
 if __name__ == "__main__":

@@ -36,13 +36,15 @@ let create ?name ?(inject = true) ?edge init =
     | None -> Printf.sprintf "ehr#%d" (Atomic.fetch_and_add counter 1 + 1)
   in
   let t = { cell = Kernel.make_cell nm; v = init; nm; sg = Wakeup.make () } in
-  Inject.register ~name:nm ~width:inject_width
-    (if inject then (fun bit ->
-       (* a flip changes the value behind its owner's back *)
-       let flipped = flip_immediate t bit in
-       (match edge with Some e when flipped -> Clock.arm e | Some _ | None -> ());
-       flipped)
-     else fun _ -> false);
+  (* the flip closure is built only for an armed registry *)
+  if Inject.is_armed () then
+    Inject.register ~name:nm ~width:inject_width
+      (if inject then (fun bit ->
+         (* a flip changes the value behind its owner's back *)
+         let flipped = flip_immediate t bit in
+         (match edge with Some e when flipped -> Clock.arm e | Some _ | None -> ());
+         flipped)
+       else fun _ -> false);
   State.register
     ~name:(match name with Some n -> n | None -> "ehr")
     ~save:(fun () -> Obj.repr t.v)

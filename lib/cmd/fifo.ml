@@ -131,11 +131,13 @@ let cf ?name clk ~capacity () =
   let slots : 'a array = Array.make cap (free ()) in
   (* The slot EHRs these replaced were fault-injection sites that never
      flipped; the sites stay, so a campaign's site numbering (and so the
-     sites it picks) does not change. *)
-  for i = 0 to cap - 1 do
-    Inject.register ~name:(Printf.sprintf "%s.slot%d" nm i) ~width:Ehr.inject_width
-      (fun _ -> false)
-  done;
+     sites it picks) does not change. Their names are formatted only for
+     an armed registry. *)
+  if Inject.is_armed () then
+    for i = 0 to cap - 1 do
+      Inject.register ~name:(Printf.sprintf "%s.slot%d" nm i) ~width:Ehr.inject_width
+        (fun _ -> false)
+    done;
   State.field ~name:(nm ^ ".slots") (fun () -> slots) (fun a -> Array.blit a 0 slots 0 cap);
   let enq_snap = ref 0 (* enq_total at cycle start *)
   and deq_snap = ref 0 (* deq_total at cycle start *)

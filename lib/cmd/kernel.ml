@@ -9,9 +9,9 @@ exception Audit_fail of string
    machine): a cell gets its id lazily, on its first checked access through
    that context. Small chunks keep a table cheap: a litmus farm builds a
    scheduler per job, and even a 16-core machine enters about 3,300
-   cells. *)
+   cells, and its directory grows as cells arrive. *)
 type table = {
-  dir : cell array array; (* chunks of [chunk] cells *)
+  mutable dir : cell array array; (* chunks of [chunk] cells *)
   mutable n : int;
 }
 
@@ -32,8 +32,8 @@ let no_table = { dir = [||]; n = 0 }
 
 (* The undo trail. Each entry is a row of parallel columns: a kind tag,
    two ints, and up to three values (the mutated object, its boxed old
-   value, a setter). Field and array writes of immediate old values keep
-   the old value in an int column, and the setter is a closed function
+   value, a setter). Field, array and byte writes of immediate old values
+   keep the old value in an int column, and the setter is a closed function
    (statically allocated), so logging a write allocates nothing. Bulk int
    saves (a whole int array) copy into [istk], an int stack.
 
@@ -54,6 +54,7 @@ let k_arr_i = 3 (* ob.(ia) <- ib *)
 let k_ints = 4 (* blit istk[ia, ia+ib) over ob *)
 let k_fun = 5 (* ob () *)
 let k_bytes = 6 (* blit ov over ob at ia *)
+let k_u8 = 7 (* byte ia of ob <- ib *)
 let drop = 8 (* kind bit: clear [ob] at commit *)
 
 (* Element type of the value columns: a record type, so stores into them
@@ -102,7 +103,7 @@ let make_ctx clk =
   let n = 64 in
   {
     clk;
-    tab = { dir = Array.make 1024 [||]; n = 0 };
+    tab = { dir = Array.make 4 [||]; n = 0 };
     tg = Array.make n 0;
     ia = Array.make n 0;
     ib = Array.make n 0;
@@ -181,6 +182,11 @@ let log_arr ctx (a : 'a array) i (old : 'a) =
     Array.unsafe_set ctx.ov n (any old)
   end
 
+let log_u8 ctx (b : Bytes.t) i old =
+  let n = row ctx k_u8 (any b) in
+  Array.unsafe_set ctx.ia n i;
+  Array.unsafe_set ctx.ib n old
+
 let log_ints ctx (a : int array) =
   let len = Array.length a in
   let at = ctx.ilen in
@@ -215,6 +221,7 @@ let undo_row ctx i =
   else if k = k_arr_i then arr_set (Obj.magic o) ctx.ia.(i) (any ctx.ib.(i))
   else if k = k_ints then Array.blit ctx.istk ctx.ia.(i) (Obj.magic o : int array) 0 ctx.ib.(i)
   else if k = k_fun then (Obj.magic o : unit -> unit) ()
+  else if k = k_u8 then Bytes.set_uint8 (Obj.magic o : Bytes.t) ctx.ia.(i) ctx.ib.(i)
   else begin
     let saved : Bytes.t = Obj.magic ctx.ov.(i) in
     Bytes.blit saved 0 (Obj.magic o : Bytes.t) ctx.ia.(i) (Bytes.length saved)
@@ -238,7 +245,11 @@ let cell_of tab id =
 let[@inline never] adopt tab c =
   let id = tab.n in
   let k = id lsr chunk_bits in
-  if k >= Array.length tab.dir then failwith "Kernel: cell table full";
+  if k >= Array.length tab.dir then begin
+    let d = Array.make (2 * k) [||] in
+    Array.blit tab.dir 0 d 0 k;
+    tab.dir <- d
+  end;
   if id land (chunk - 1) = 0 then tab.dir.(k) <- Array.make chunk c;
   tab.dir.(k).(id land (chunk - 1)) <- c;
   tab.n <- id + 1;

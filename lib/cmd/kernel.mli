@@ -94,11 +94,15 @@ val log_field : ctx -> ('o -> 'a -> unit) -> 'o -> 'a -> unit
     the commit, until the row is reused, which saves the write barriers of
     clearing and re-storing it. The old value is still dropped. The same
     holds for the array of {!log_arr}, {!log_ints} and the buffer of
-    {!log_bytes}. *)
+    {!log_u8} and {!log_bytes}. *)
 val log_set : ctx -> ('o -> 'a -> unit) -> 'o -> 'a -> unit
 
 (** [log_arr ctx a i old] arranges for [a.(i) <- old] to run on abort. *)
 val log_arr : ctx -> 'a array -> int -> 'a -> unit
+
+(** [log_u8 ctx b i old] arranges for byte [i] of [b] to be set back to
+    [old] (0–255) on abort. *)
+val log_u8 : ctx -> Bytes.t -> int -> int -> unit
 
 (** [log_ints ctx a] saves the whole of [a], restored on abort. *)
 val log_ints : ctx -> int array -> unit

@@ -18,6 +18,13 @@ let set_arr ctx a i v =
     a.(i) <- v
   end
 
+let set_u8 ctx b i v =
+  let old = Bytes.get_uint8 b i in
+  if v <> old then begin
+    Kernel.log_u8 ctx b i old;
+    Bytes.set_uint8 b i v
+  end
+
 let[@inline] field ctx o ~get ~set v =
   let old = get o in
   if v != old then begin

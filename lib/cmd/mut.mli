@@ -18,6 +18,11 @@
 val set : Kernel.ctx -> 'a ref -> 'a -> unit
 val set_arr : Kernel.ctx -> 'a array -> int -> 'a -> unit
 
+(** [set_u8 ctx b i v] — tracked [Bytes.set_uint8]: a table of small
+    counters kept in a buffer holds no pointers for the GC to scan, and
+    its writes log an int-only trail row that allocates nothing. *)
+val set_u8 : Kernel.ctx -> Bytes.t -> int -> int -> unit
+
 (** Record-field mutation through closed accessors:
     [field ctx o ~get:(fun o -> o.f) ~set:(fun o v -> o.f <- v) v]. Closed
     accessors are static, so the write allocates nothing when the old value

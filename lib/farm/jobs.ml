@@ -103,10 +103,17 @@ let parse_sweep j =
         ls_obligations = opt_bool j "obligations" (ty = "mcheck");
       }
   | Some "fault" ->
+    (* names are checked here, so a typo is a manifest error, not one
+       quarantined job per trial *)
+    let fs_kernel = opt_str j "kernel" "gcc" and fs_config = opt_str j "config" "b" in
+    if Ooo.Config.of_name fs_config = None then bad "unknown fault config %S" fs_config;
+    let kernels = "smoke" :: Workloads.Spec_kernels.names in
+    if not (List.mem fs_kernel kernels) then
+      bad "unknown fault kernel %S (have: %s)" fs_kernel (String.concat " " kernels);
     Fault
       {
-        fs_kernel = opt_str j "kernel" "gcc";
-        fs_config = opt_str j "config" "b";
+        fs_kernel;
+        fs_config;
         fs_cores = opt_int j "cores" 1;
         fs_scale = opt_int j "scale" 1;
         fs_trials = opt_int j "trials" 32;
@@ -198,11 +205,8 @@ let fault_env fs =
   match Hashtbl.find_opt cache key with
   | Some e -> e
   | None ->
-    let cfg =
-      match Ooo.Config.of_name fs.fs_config with
-      | Some (cfg, _) -> cfg
-      | None -> bad "unknown fault config %S" fs.fs_config
-    in
+    (* [parse_sweep] checked the name *)
+    let cfg = fst (Option.get (Ooo.Config.of_name fs.fs_config)) in
     let e =
       Workloads.Machine.fault_harness ~ncores:fs.fs_cores (Workloads.Machine.Out_of_order cfg)
         (Workloads.Spec_kernels.find fs.fs_kernel ~scale:fs.fs_scale)

@@ -1,33 +1,44 @@
 let page_bits = 12
 let page_size = 1 lsl page_bits
 
-(* Two-level radix over the page index (no hashing): a fixed root of 2^16
-   slots, each pointing at a leaf of 2^12 page slots — covering physical
-   addresses up to 2^40 (1 TiB). Lookups on the hot load/store path are two
-   array indexes instead of a hash + probe; a missing page is allocated
-   zero-filled on first touch. A memory belongs to one machine, which runs
-   on one domain. *)
-let leaf_bits = 12
+(* Two-level radix over the page index (no hashing): a root of up to 2^19
+   slots, each pointing at a leaf of 2^9 page slots (2 MiB) — covering
+   physical addresses up to 2^40 (1 TiB). Lookups on the hot load/store
+   path are two array indexes instead of a hash + probe; a missing page is
+   allocated zero-filled on first touch. The root grows on demand to cover
+   the highest leaf touched: a program at DRAM's base (2 GiB) needs 1,025
+   root slots and one 512-slot leaf. A memory belongs to one machine,
+   which runs on one domain. *)
+let leaf_bits = 9
 let leaf_size = 1 lsl leaf_bits
-let root_bits = 16
+let root_bits = 19
 let root_size = 1 lsl root_bits
 
-type t = { root : Bytes.t option array option array }
+type t = { mutable root : Bytes.t option array option array }
 
-let create () = { root = Array.make root_size None }
+let create () = { root = [||] }
 
 let bad_addr idx =
   invalid_arg (Printf.sprintf "Phys_mem: address out of range (page %#x)" idx)
 
+(* The leaf for root slot [hi] (< root_size), growing the root to cover
+   it and allocating the leaf if needed. *)
+let leaf_of t hi =
+  let n = Array.length t.root in
+  if hi >= n then begin
+    let r = Array.make (min root_size (max (hi + 1) (2 * n))) None in
+    Array.blit t.root 0 r 0 n;
+    t.root <- r
+  end;
+  match Array.unsafe_get t.root hi with
+  | Some l -> l
+  | None ->
+    let l = Array.make leaf_size None in
+    Array.unsafe_set t.root hi (Some l);
+    l
+
 let alloc_slow t hi lo =
-  let leaf =
-    match Array.unsafe_get t.root hi with
-    | Some l -> l
-    | None ->
-      let l = Array.make leaf_size None in
-      Array.unsafe_set t.root hi (Some l);
-      l
-  in
+  let leaf = leaf_of t hi in
   match Array.unsafe_get leaf lo with
   | Some p -> p
   | None ->
@@ -39,12 +50,15 @@ let page t idx =
   if idx lsr (root_bits + leaf_bits) <> 0 then bad_addr idx;
   let hi = idx lsr leaf_bits in
   let lo = idx land (leaf_size - 1) in
-  match Array.unsafe_get t.root hi with
-  | Some leaf -> (
-    match Array.unsafe_get leaf lo with
-    | Some p -> p
-    | None -> alloc_slow t hi lo)
-  | None -> alloc_slow t hi lo
+  let root = t.root in
+  if hi >= Array.length root then alloc_slow t hi lo
+  else
+    match Array.unsafe_get root hi with
+    | Some leaf -> (
+      match Array.unsafe_get leaf lo with
+      | Some p -> p
+      | None -> alloc_slow t hi lo)
+    | None -> alloc_slow t hi lo
 
 let load_byte t addr =
   let addr = Int64.to_int addr in
@@ -109,7 +123,7 @@ let store_block t addr b =
 (* Iterate allocated pages in index order (the radix is sorted by
    construction). Only used off the hot path: diagnostics and snapshots. *)
 let iter_pages t f =
-  for hi = 0 to root_size - 1 do
+  for hi = 0 to Array.length t.root - 1 do
     match Array.unsafe_get t.root hi with
     | None -> ()
     | Some leaf ->
@@ -140,20 +154,10 @@ let export t : image =
 
 let set_page t idx p =
   if idx lsr (root_bits + leaf_bits) <> 0 then bad_addr idx;
-  let hi = idx lsr leaf_bits in
-  let lo = idx land (leaf_size - 1) in
-  let leaf =
-    match Array.unsafe_get t.root hi with
-    | Some l -> l
-    | None ->
-      let l = Array.make leaf_size None in
-      Array.unsafe_set t.root hi (Some l);
-      l
-  in
-  Array.unsafe_set leaf lo (Some p)
+  Array.unsafe_set (leaf_of t (idx lsr leaf_bits)) (idx land (leaf_size - 1)) (Some p)
 
 let import t (img : image) =
-  Array.fill t.root 0 root_size None;
+  t.root <- [||];
   Array.iter (fun (k, v) -> set_page t k (Bytes.copy v)) img
 
 let copy t =

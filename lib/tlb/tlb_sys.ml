@@ -28,8 +28,14 @@ let blocking_config =
 let nonblocking_config =
   { blocking_config with dtlb_misses = 4; itlb_misses = 2; l2_misses = 2; walk_cache_entries = Some 24 }
 
-type l1_entry = { mutable valid : bool; mutable vpn : int64; mutable ppn : int64 }
-type l2_entry = { mutable lvalid : bool; mutable lvpn : int64; mutable lppn : int64 }
+(* Translation tables are flat int columns: entry [k] maps page [vpn.(k)]
+   to frame [ppn.(k)], and a free entry holds vpn [-1]. A vpn is a 64-bit
+   address shifted right by 12 and a ppn a PTE shifted right by 10, so
+   both fit an OCaml int exactly. The tables hold no pointers, and their
+   tracked writes allocate nothing. The L2 TLB's columns are allocated at
+   its first fill: a machine that never translates (satp 0, as in every
+   litmus job) builds none. *)
+let no_vpn = -1
 
 type l1_miss = {
   mutable mvalid : bool;
@@ -49,7 +55,8 @@ type walk = {
 }
 
 type side = {
-  entries : l1_entry array;
+  vpn : int array;
+  ppn : int array;
   misses : l1_miss array;
   req_q : (int * int64) Fifo.t;
   resp_q : (int * result) Fifo.t;
@@ -64,7 +71,10 @@ type t = {
   mutable satp_v : int64;
   i : side;
   d : side;
-  l2 : l2_entry array array;
+  (* set s holds entries [s * l2_ways, (s + 1) * l2_ways); [||] until the
+     first fill *)
+  mutable l2_vpn : int array;
+  mutable l2_ppn : int array;
   mutable l2_rotor : int;
   walks : walk array;
   wcache : Walk_cache.t option;
@@ -78,7 +88,8 @@ type t = {
 
 let mk_side clk name n misses stats =
   {
-    entries = Array.init n (fun _ -> { valid = false; vpn = 0L; ppn = 0L });
+    vpn = Array.make n no_vpn;
+    ppn = Array.make n 0;
     misses = Array.init misses (fun _ -> { mvalid = false; mvpn = 0L; waiters = [] });
     req_q = Fifo.cf ~name:(name ^ ".req") clk ~capacity:4 ();
     resp_q = Fifo.cf ~name:(name ^ ".resp") clk ~capacity:8 ();
@@ -95,7 +106,8 @@ let create ?(name = "tlb") clk cfg ~stats () =
     satp_v = 0L;
     i = mk_side clk (name ^ ".i") cfg.itlb_entries cfg.itlb_misses stats;
     d = mk_side clk (name ^ ".d") cfg.dtlb_entries cfg.dtlb_misses stats;
-    l2 = Array.init cfg.l2_sets (fun _ -> Array.init cfg.l2_ways (fun _ -> { lvalid = false; lvpn = 0L; lppn = 0L }));
+    l2_vpn = [||];
+    l2_ppn = [||];
     l2_rotor = 0;
     walks =
       Array.init cfg.l2_misses (fun _ ->
@@ -115,19 +127,21 @@ let create ?(name = "tlb") clk cfg ~stats () =
      edge (between cycles: untracked increments are safe) *)
   Clock.on_cycle_end clk (fun () ->
       if Array.exists (fun w -> w.wvalid) t.walks then Stats.incr t.c_walk_cycles);
-  let side_save s = (s.entries, s.misses, s.rotor) in
-  let side_load s (entries, misses, rotor) =
-    Array.blit entries 0 s.entries 0 (Array.length s.entries);
+  let side_save s = (s.vpn, s.ppn, s.misses, s.rotor) in
+  let side_load s (vpn, ppn, misses, rotor) =
+    Array.blit vpn 0 s.vpn 0 (Array.length s.vpn);
+    Array.blit ppn 0 s.ppn 0 (Array.length s.ppn);
     Array.blit misses 0 s.misses 0 (Array.length s.misses);
     s.rotor <- rotor
   in
   State.field ~name:(name ^ ".arrays")
-    (fun () -> (t.satp_v, side_save t.i, side_save t.d, t.l2, t.l2_rotor, t.walks))
-    (fun (satp_v, si, sd, l2, l2_rotor, walks) ->
+    (fun () -> (t.satp_v, side_save t.i, side_save t.d, t.l2_vpn, t.l2_ppn, t.l2_rotor, t.walks))
+    (fun (satp_v, si, sd, l2_vpn, l2_ppn, l2_rotor, walks) ->
       t.satp_v <- satp_v;
       side_load t.i si;
       side_load t.d sd;
-      Array.iteri (fun s ways -> Array.blit ways 0 t.l2.(s) 0 (Array.length ways)) l2;
+      t.l2_vpn <- l2_vpn;
+      t.l2_ppn <- l2_ppn;
       t.l2_rotor <- l2_rotor;
       Array.blit walks 0 t.walks 0 (Array.length t.walks));
   t
@@ -135,33 +149,44 @@ let create ?(name = "tlb") clk cfg ~stats () =
 let set_satp t v = t.satp_v <- v
 let satp t = t.satp_v
 
-let vpn_of va = Int64.shift_right_logical va 12
-let pa_of ppn va = Int64.logor (Int64.shift_left ppn 12) (Int64.logand va 0xFFFL)
+let vpn_of va = Int64.to_int (Int64.shift_right_logical va 12)
+let pa_of ppn va = Int64.logor (Int64.shift_left (Int64.of_int ppn) 12) (Int64.logand va 0xFFFL)
 
-let l1_lookup side vpn =
-  Array.fold_left (fun acc e -> if e.valid && e.vpn = vpn then Some e.ppn else acc) None side.entries
+(* The highest entry of [vpns] in [lo, i] that holds [vpn], or -1. A
+   top-level recursion over explicit arguments: the lookups run on every
+   TLB access (and in ready tests) and allocate nothing. *)
+let rec find vpns vpn lo i =
+  if i < lo then -1 else if Array.unsafe_get vpns i = vpn then i else find vpns vpn lo (i - 1)
+
+let l1_find side vpn = find side.vpn vpn 0 (Array.length side.vpn - 1)
 
 let l1_fill ctx side vpn ppn =
-  if l1_lookup side vpn = None then begin
-    let e = side.entries.(side.rotor mod Array.length side.entries) in
+  if l1_find side vpn < 0 then begin
+    let k = side.rotor mod Array.length side.vpn in
     Mut.field ctx side ~get:(fun o -> o.rotor) ~set:(fun o v -> o.rotor <- v) (side.rotor + 1);
-    Mut.field ctx e ~get:(fun o -> o.valid) ~set:(fun o v -> o.valid <- v) true;
-    Mut.field ctx e ~get:(fun o -> o.vpn) ~set:(fun o v -> o.vpn <- v) vpn;
-    Mut.field ctx e ~get:(fun o -> o.ppn) ~set:(fun o v -> o.ppn <- v) ppn
+    Mut.set_arr ctx side.vpn k vpn;
+    Mut.set_arr ctx side.ppn k ppn
   end
 
-let l2_lookup t vpn =
-  let set = t.l2.(Int64.to_int vpn land (t.cfg.l2_sets - 1)) in
-  Array.fold_left (fun acc e -> if e.lvalid && e.lvpn = vpn then Some e.lppn else acc) None set
+let l2_base t vpn = (vpn land (t.cfg.l2_sets - 1)) * t.cfg.l2_ways
+
+let l2_find t vpn =
+  if Array.length t.l2_vpn = 0 then -1
+  else
+    let lo = l2_base t vpn in
+    find t.l2_vpn vpn lo (lo + t.cfg.l2_ways - 1)
 
 let l2_fill ctx t vpn ppn =
-  if l2_lookup t vpn = None then begin
-    let set = t.l2.(Int64.to_int vpn land (t.cfg.l2_sets - 1)) in
-    let e = set.(t.l2_rotor mod Array.length set) in
+  if l2_find t vpn < 0 then begin
+    if Array.length t.l2_vpn = 0 then begin
+      (* an abort keeps the empty tables: they hold what no tables do *)
+      t.l2_vpn <- Array.make (t.cfg.l2_sets * t.cfg.l2_ways) no_vpn;
+      t.l2_ppn <- Array.make (t.cfg.l2_sets * t.cfg.l2_ways) 0
+    end;
+    let k = l2_base t vpn + (t.l2_rotor mod t.cfg.l2_ways) in
     Mut.field ctx t ~get:(fun o -> o.l2_rotor) ~set:(fun o v -> o.l2_rotor <- v) (t.l2_rotor + 1);
-    Mut.field ctx e ~get:(fun o -> o.lvalid) ~set:(fun o v -> o.lvalid <- v) true;
-    Mut.field ctx e ~get:(fun o -> o.lvpn) ~set:(fun o v -> o.lvpn <- v) vpn;
-    Mut.field ctx e ~get:(fun o -> o.lppn) ~set:(fun o v -> o.lppn <- v) ppn
+    Mut.set_arr ctx t.l2_vpn k vpn;
+    Mut.set_arr ctx t.l2_ppn k ppn
   end
 
 (* --- steps --------------------------------------------------------------- *)
@@ -180,10 +205,11 @@ let step_l1_req ctx t side =
   if t.satp_v = 0L then Fifo.enq ctx side.resp_q (tag, Hit va)
   else begin
     let vpn = vpn_of va in
-    match l1_lookup side vpn with
-    | Some ppn -> Fifo.enq ctx side.resp_q (tag, Hit (pa_of ppn va))
-    | None -> (
+    let k = l1_find side vpn in
+    if k >= 0 then Fifo.enq ctx side.resp_q (tag, Hit (pa_of side.ppn.(k) va))
+    else begin
       Stats.incr ~ctx side.c_miss;
+      let vpn = Int64.of_int vpn in
       let existing = Array.fold_left (fun a m -> if m.mvalid && m.mvpn = vpn then Some m else a) None side.misses in
       match existing with
       | Some m ->
@@ -196,7 +222,8 @@ let step_l1_req ctx t side =
         | Some m ->
           Mut.field ctx m ~get:(fun o -> o.mvalid) ~set:(fun o v -> o.mvalid <- v) true;
           Mut.field ctx m ~get:(fun o -> o.mvpn) ~set:(fun o v -> o.mvpn <- v) vpn;
-          Mut.field ctx m ~get:(fun o -> o.waiters) ~set:(fun o v -> o.waiters <- v) [ (tag, va) ]))
+          Mut.field ctx m ~get:(fun o -> o.waiters) ~set:(fun o v -> o.waiters <- v) [ (tag, va) ])
+    end
   end;
   ignore (Fifo.deq ctx side.req_q)
 
@@ -204,12 +231,15 @@ let step_l1_req ctx t side =
    flight. Responding needs resp_q space for every waiter. *)
 let step_l1_miss ctx t side m =
   Kernel.guard ctx m.mvalid "idle miss slot";
-  match l2_lookup t m.mvpn with
-  | Some ppn ->
-    l1_fill ctx side m.mvpn ppn;
+  let vpn = Int64.to_int m.mvpn in
+  let k = l2_find t vpn in
+  if k >= 0 then begin
+    let ppn = t.l2_ppn.(k) in
+    l1_fill ctx side vpn ppn;
     List.iter (fun (tag, va) -> Fifo.enq ctx side.resp_q (tag, Hit (pa_of ppn va))) m.waiters;
     Mut.field ctx m ~get:(fun o -> o.mvalid) ~set:(fun o v -> o.mvalid <- v) false
-  | None ->
+  end
+  else
     (* check whether a walk finished with a fault for this vpn *)
     let faulted =
       Array.exists (fun w -> w.wvalid && w.wvpn = m.mvpn && w.result = Some Fault) t.walks
@@ -269,7 +299,7 @@ let step_walk_resp ctx t =
     let low = Int64.logand w.wvpn (Int64.sub (Int64.shift_left 1L (9 * w.level)) 1L) in
     let ppn = Int64.add ppn low in
     Mut.field ctx w ~get:(fun o -> o.result) ~set:(fun o v -> o.result <- v) (Some (Hit ppn));
-    l2_fill ctx t w.wvpn ppn
+    l2_fill ctx t (Int64.to_int w.wvpn) (Int64.to_int ppn)
   end
   else begin
     let next_base = Int64.shift_left ppn 12 in
@@ -299,10 +329,7 @@ let step_walk_retire ctx t (w : walk) =
    fields and queue occupancies only, and allocate nothing: scans are
    top-level recursions over explicit arguments, as a local [go] closing
    over them would allocate its closure on every test. *)
-let rec set_has set vpn i =
-  i < Array.length set && ((set.(i).lvalid && set.(i).lvpn = vpn) || set_has set vpn (i + 1))
-
-let l2_has t vpn = set_has t.l2.(Int64.to_int vpn land (t.cfg.l2_sets - 1)) vpn 0
+let l2_has t vpn = l2_find t (Int64.to_int vpn) >= 0
 
 let rec walk_unfinished walks vpn i =
   i < Array.length walks

@@ -16,7 +16,7 @@ val create : entries_per_level:int -> t
 val lookup : t -> root:int64 -> int64 -> int * int64
 
 (** [insert ctx t va ~level ~base] records that the walk of [va] found the
-    level-[level] table at [base]. *)
+    level-[level] table at [base], a page-aligned address. *)
 val insert : Cmd.Kernel.ctx -> t -> int64 -> level:int -> base:int64 -> unit
 
 val flush : t -> unit

@@ -110,6 +110,33 @@ let test_guard_atomicity () =
   Sim.run sim 3;
   Alcotest.(check int) "write rolled back" 0 (Reg.peek a)
 
+(* A byte written through [Mut.set_u8] (twice, so the trail holds two
+   successive old values) before a failing guard reads its old value
+   again; an inner attempt's byte write is undone while the outer rule's
+   survives. *)
+let test_u8_rollback () =
+  let clk = Clock.create () in
+  let b = Bytes.of_string "\001\002\003" in
+  let rules =
+    [
+      rule "partial" (fun ctx ->
+          Mut.set_u8 ctx b 0 7;
+          Mut.set_u8 ctx b 0 9;
+          Mut.set_u8 ctx b 1 200;
+          Kernel.guard ctx false "never ready");
+      rule "nested" (fun ctx ->
+          Mut.set_u8 ctx b 2 30;
+          ignore
+            (Kernel.attempt ctx (fun ctx ->
+                 Mut.set_u8 ctx b 2 40;
+                 Kernel.guard ctx false "inner aborts")));
+    ]
+  in
+  let sim = Sim.create clk rules in
+  Sim.run sim 1;
+  Alcotest.(check (list int)) "bytes after the aborts" [ 1; 2; 30 ]
+    (List.init 3 (Bytes.get_uint8 b))
+
 let test_attempt_partial () =
   let clk = Clock.create () in
   let a = Reg.create 0 and b = Reg.create 0 in
@@ -869,7 +896,25 @@ let test_write_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words over %d cycles (< %d)" words n n)
     true
-    (words < float_of_int n)
+    (words < float_of_int n);
+  (* the byte row ([Mut.set_u8]) on its own: one tracked byte write a
+     cycle allocates not a single word *)
+  let clk = Clock.create () in
+  let tab = Bytes.make 8 '\000' in
+  let n_u8 = ref 0 in
+  let sim =
+    Sim.create clk
+      [
+        rule "u8" (fun ctx ->
+            let i = !n_u8 land 7 in
+            Mut.set_u8 ctx tab i ((Bytes.get_uint8 tab i + 1) land 0xff));
+        rule "count" (fun ctx -> Mut.set ctx n_u8 (!n_u8 + 1));
+      ]
+  in
+  Sim.run sim 100;
+  let before = Gc.minor_words () in
+  Sim.run sim n;
+  Alcotest.(check (float 0.)) "set_u8 rule: minor words" 0. (Gc.minor_words () -. before)
 
 let suite =
   let t = Alcotest.test_case in
@@ -880,6 +925,7 @@ let suite =
     t "ehr: forwarding through ports" `Quick test_ehr_forwarding;
     t "ehr: port order enforced" `Quick test_ehr_port_order_enforced;
     t "guard failure rolls back" `Quick test_guard_atomicity;
+    t "mut: set_u8 rolls back" `Quick test_u8_rollback;
     t "attempt: partial ways" `Quick test_attempt_partial;
     t "config reg: read CF write" `Quick test_config_reg_cf;
     t "wire: intra-cycle bypass" `Quick test_wire_bypass;

@@ -265,6 +265,30 @@ let test_manifest () =
     Alcotest.fail "accepted unknown sweep type"
   with Json.Parse_error _ -> ()
 
+(* A fault sweep names its config and kernel; a wrong name fails the
+   manifest at load, not every trial at run time. *)
+let test_fault_manifest_names () =
+  let sweep body =
+    Jobs.of_string
+      (Printf.sprintf {|{"schema": "riscyoo-farm-manifest-v1", "sweeps": [{"type": "fault", %s}]}|}
+         body)
+  in
+  let jobs = Jobs.jobs ~manifest_path:"m.json" (sweep {|"kernel": "smoke", "config": "b", "trials": 3|}) in
+  check_int "3 fault trials" 3 (List.length jobs);
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let rejects what body =
+    match sweep body with
+    | _ -> Alcotest.failf "accepted an unknown %s" what
+    | exception Json.Parse_error msg ->
+      check_bool (what ^ " named in the error") true (contains msg ("unknown fault " ^ what))
+  in
+  rejects "config" {|"kernel": "smoke", "config": "nope"|};
+  rejects "kernel" {|"kernel": "nope", "config": "b"|}
+
 let test_poison_manifest_run () =
   (* the acceptance sweep in miniature: poison manifest through the real
      farm; exactly the poisoned ids quarantine, the flaky one retries *)
@@ -380,6 +404,7 @@ let suite =
     t "external stop leaves a resumable journal" `Quick test_external_stop;
     t "json canonical round trip" `Quick test_json_roundtrip;
     t "manifest parsing and job expansion" `Quick test_manifest;
+    t "fault sweep names are checked at load" `Quick test_fault_manifest_names;
     t "poison manifest end to end" `Quick test_poison_manifest_run;
     t "a TSO outcome only WMM admits is forbidden" `Quick test_tso_violation_forbidden;
     t "farm histogram equals the litmus sweep's" `Quick test_farm_hist_matches_sweep;

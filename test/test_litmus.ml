@@ -294,6 +294,22 @@ let test_engines_agree () =
         seeds)
     cases
 
+(* Machine-size regression: the 4-core IRIW machine, built as [Run.run_one]
+   builds it (seed 1, staggered, [litmus_mem], TSO, [Shuffle 1]), stays
+   within 110,000 reachable words. A litmus farm builds one per job; before
+   the radix root grew on demand and the predictor and TLB tables were
+   flattened it was 229,086 words. The count is deterministic. *)
+let test_machine_size () =
+  let test = Test.iriw in
+  let prog, _ = Compile.program ~seed:1 ~stagger:true test in
+  let cfg = { (Ooo.Config.multicore Ooo.Config.TSO) with Ooo.Config.mem = Run.litmus_mem } in
+  let m =
+    Workloads.Machine.create ~ncores:(Test.nharts test) ~mode:(Cmd.Sim.Shuffle 1)
+      (Workloads.Machine.Out_of_order cfg) prog
+  in
+  let words = Obj.reachable_words (Obj.repr m) in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 110000" words) true (words <= 110_000)
+
 let suite =
   [
     Alcotest.test_case "ref: sets nest" `Quick test_sets_nest;
@@ -306,6 +322,7 @@ let suite =
     Alcotest.test_case "compile determinism" `Quick test_compile_deterministic;
     Alcotest.test_case "run_one determinism" `Quick test_run_one_deterministic;
     Alcotest.test_case "engines agree under Shuffle" `Quick test_engines_agree;
+    Alcotest.test_case "iriw machine size" `Quick test_machine_size;
     Alcotest.test_case "dut: suite under TSO" `Slow test_dut_tso;
     Alcotest.test_case "dut: suite under WMM" `Slow test_dut_wmm;
     Alcotest.test_case "dut: suite on the in-order core" `Slow test_dut_inorder;

@@ -65,11 +65,12 @@ let check_fingerprint name a b =
 
 (* Snapshot machine [a] at cycle [at], restore into a fresh machine built by
    [mk ~fastpath:restore_fastpath], run both to completion, compare
-   fingerprints. *)
-let round_trip ?(restore_fastpath = true) name mk ~at =
+   fingerprints. [at_snapshot] inspects [a] at the snapshot point. *)
+let round_trip ?(restore_fastpath = true) ?(at_snapshot = ignore) name mk ~at =
   let a = mk ~fastpath:true in
   let o = Machine.run ~max_cycles:at a in
   Alcotest.(check bool) (name ^ ": still running at snapshot point") true o.Machine.timed_out;
+  at_snapshot a;
   let img = Machine.snapshot a in
   let fa = finish a in
   let b = mk ~fastpath:restore_fastpath in
@@ -83,6 +84,17 @@ let test_roundtrip_smoke () =
     Machine.create ~fastpath (Machine.Out_of_order small_cfg) (Spec_kernels.find "gcc" ~scale:1)
   in
   ignore (round_trip "gcc/1-core" mk ~at:2_000)
+
+(* The gshare and bimodal counter tables ride in the image too. *)
+let test_roundtrip_predictors () =
+  List.iter
+    (fun predictor ->
+      let cfg = { small_cfg with Ooo.Config.predictor } in
+      let mk ~fastpath =
+        Machine.create ~fastpath (Machine.Out_of_order cfg) (Spec_kernels.find "gcc" ~scale:1)
+      in
+      ignore (round_trip ("gcc/" ^ Branch.Dir_pred.kind_to_string predictor) mk ~at:2_000))
+    Branch.Dir_pred.[ Gshare; Bimodal ]
 
 let test_roundtrip_quad () =
   let prog = Parsec_kernels.find "blackscholes" ~harts:4 ~scale:1 in
@@ -121,7 +133,15 @@ let test_roundtrip_cosim_paging () =
     Machine.create ~fastpath ~paging:true ~cosim:true (Machine.Out_of_order small_cfg)
       (Spec_kernels.find "omnetpp" ~scale:1)
   in
-  ignore (round_trip "omnetpp/cosim+paging" mk ~at:2_000)
+  (* with paging on, every committed instruction was fetched through a
+     translation the L2 TLB answered after a walk filled it: the image
+     carries filled L2 TLB entries *)
+  let at_snapshot m =
+    Alcotest.(check bool) "L2 TLB walks before the snapshot" true
+      (Machine.find_stat m "c0.tlb.l2.misses" > 0);
+    Alcotest.(check bool) "instructions committed before the snapshot" true (Machine.instrs m > 0)
+  in
+  ignore (round_trip ~at_snapshot "omnetpp/cosim+paging" mk ~at:2_000)
 
 let expect_error name f =
   match f () with
@@ -212,6 +232,7 @@ let suite =
   let t = Alcotest.test_case in
   [
     t "round trip: gcc on 1 core" `Quick test_roundtrip_smoke;
+    t "round trip: gshare and bimodal predictors" `Quick test_roundtrip_predictors;
     t "round trip: blackscholes on quad (fast path and stripped)" `Slow test_roundtrip_quad;
     t "round trip: in-order and golden kinds" `Quick test_roundtrip_inorder_golden;
     t "round trip: cosim + paging" `Slow test_roundtrip_cosim_paging;
